@@ -16,14 +16,10 @@ from ucdl.csc import (
     CodeState,
     FilterBank,
     dictionary_synthesis,
-    run_admm,
-    s_update,
     soft_threshold,
-    u_update,
-    z_update,
 )
 from ucdl.data import PhantomSpec, load_dataset, make_phantom, save_dataset, synth_dataset
-from ucdl.dc import DcConfig, NormalOperator, build_rhs, cg_solve
+from ucdl.dc import NormalOperator, cg_solve
 from ucdl.errors import (
     NonFiniteValue,
     RoiTooLarge,
@@ -50,7 +46,6 @@ from ucdl.operators import (
     make_coil_maps,
     make_mask,
     simulate_measurement,
-    zero_filled_recon,
 )
 from ucdl.training import train
 
@@ -58,7 +53,6 @@ __all__ = [
     "AdmmConfig",
     "CodeState",
     "CoilMaps",
-    "DcConfig",
     "FilterBank",
     "KSpaceSample",
     "MetricReport",
@@ -74,7 +68,6 @@ __all__ = [
     "UcdlError",
     "ZeroReference",
     "adjoint_apply",
-    "build_rhs",
     "cg_solve",
     "compute_report",
     "dictionary_synthesis",
@@ -89,8 +82,6 @@ __all__ = [
     "nrmse",
     "psnr",
     "roi_crop",
-    "run_admm",
-    "s_update",
     "save_checkpoint",
     "save_dataset",
     "simulate_measurement",
@@ -98,7 +89,4 @@ __all__ = [
     "ssim",
     "synth_dataset",
     "train",
-    "u_update",
-    "z_update",
-    "zero_filled_recon",
 ]

@@ -129,7 +129,7 @@ def admm_step_backward(step: AdmmStepTrace, s_bar, u_bar, z_bar, n_batch: int):
     v_bar, tau_bar = prox_backward(step.v, step.tau, u_bar)
     s_bar = s_bar + v_bar
     z_prev_bar -= v_bar
-    # s_new = s_update(x, u_prev, z_prev)
+    # s_new = s_update_traced(x, u_prev, z_prev)[0]
     x_bar, u_prev_bar, z_prev_add, d_bar, gamma_bar = s_update_backward(
         step.s_trace, s_bar, n_batch
     )
@@ -172,6 +172,8 @@ def cg_backward(trace: CgTrace, x_out_bar: np.ndarray, operator: NormalOperator)
     rho_bar = 0.0  # cotangent of rho_{i+1} flowing into iteration i
     for i in range(len(trace.iterations) - 1, -1, -1):
         it = trace.iterations[i]
+        rho_prev_bar = 0.0
+        # the last iteration (beta None) sets no search direction
         if it.beta is not None:
             # p_{i+1} = r_{i+1} + beta_i p_i
             r_bar = r_bar + p_bar
@@ -182,9 +184,6 @@ def cg_backward(trace: CgTrace, x_out_bar: np.ndarray, operator: NormalOperator)
             rho_prev_bar = -beta_bar * it.beta / it.rho
             # rho_{i+1} = <r_{i+1}, r_{i+1}>
             r_bar = r_bar + rho_bar * 2.0 * it.r_next
-        else:
-            p_bar = np.zeros_like(x_bar)
-            rho_prev_bar = 0.0
         # r_{i+1} = r_i - alpha_i q_i
         q_bar = -it.alpha * r_bar
         alpha_bar = -_real_inner(r_bar, it.q)

@@ -25,22 +25,28 @@ from .network import (
     save_checkpoint,
 )
 from .operators import load_kspace_sample, make_coil_maps
-from .training import DEFAULT_EPOCHS, DEFAULT_LR, train
+from .training import train
 
 FEATURE_WINDOW_SIGMAS = 15.0
 
-TRAIN_DEFAULTS = {
-    "mode": "3d",
-    "K": None,
-    "kf": None,
-    "T": 4,
-    "J": 1,
-    "ncg": 12,
-    "lr": DEFAULT_LR,
-    "epochs": DEFAULT_EPOCHS,
-    "seed": 0,
-    "fixed_filters": False,
+# `train` key (flag or --config entry) -> (NetworkConfig field or train()
+# argument, type of its value); a key given neither way is not passed on,
+# so its default is the one of NetworkConfig or train()
+TRAIN_KEYS = {
+    "mode": ("mode", str),
+    "K": ("n_filters", int),
+    "kf": ("kernel_size", int),
+    "T": ("n_outer", int),
+    "J": ("n_admm", int),
+    "ncg": ("n_cg", int),
+    "fixed_filters": ("fixed_filters", bool),
+    "lr": ("lr", float),
+    "epochs": ("epochs", int),
+    "seed": ("seed", int),
 }
+TRAIN_ARGS = ("lr", "epochs", "seed")
+TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+              bool: "true or false"}
 
 
 class UsageError(Exception):
@@ -150,44 +156,48 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _config_value(key, value):
+    """`value` of config-file key `key` as its type; bool is no number."""
+    kind = TRAIN_KEYS[key][1]
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise UsageError(
+            f"config key {key!r} must be {TYPE_NAMES[kind]}, got {value!r}"
+        )
+    return kind(value)
+
+
 def _load_train_settings(args) -> dict:
-    settings = dict(TRAIN_DEFAULTS)
+    """Fields and train() arguments set by the config file or by flags."""
+    settings = {}
     if args.config is not None:
         file_settings = json.loads(Path(args.config).read_text())
-        unknown = sorted(set(file_settings) - set(TRAIN_DEFAULTS))
+        if not isinstance(file_settings, dict):
+            raise UsageError(f"{args.config}: expected a JSON object")
+        unknown = sorted(set(file_settings) - set(TRAIN_KEYS))
         if unknown:
             raise UsageError(
-                f"unknown config keys {unknown}; allowed: "
-                f"{sorted(TRAIN_DEFAULTS)}"
+                f"unknown config keys {unknown}; allowed: {sorted(TRAIN_KEYS)}"
             )
-        settings.update(file_settings)
-    for key in TRAIN_DEFAULTS:
+        settings = {key: _config_value(key, value)
+                    for key, value in file_settings.items()}
+    for key in TRAIN_KEYS:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    return settings
+    return {TRAIN_KEYS[key][0]: value for key, value in settings.items()}
 
 
 def cmd_train(args) -> int:
-    settings = _load_train_settings(args)
-    config = NetworkConfig(
-        mode=settings["mode"],
-        n_filters=settings["K"],
-        kernel_size=settings["kf"],
-        n_outer=settings["T"],
-        n_admm=settings["J"],
-        n_cg=settings["ncg"],
-        train_filters=not settings["fixed_filters"],
-    )
+    fields = _load_train_settings(args)
+    train_args = {name: fields.pop(name) for name in TRAIN_ARGS if name in fields}
+    if "fixed_filters" in fields:
+        fields["train_filters"] = not fields.pop("fixed_filters")
+    config = NetworkConfig(**fields)
     dataset = load_dataset(args.data)
     val_dataset = load_dataset(args.val)
-    params, history = train(
-        dataset, val_dataset, config,
-        epochs=int(settings["epochs"]),
-        seed=int(settings["seed"]),
-        lr=float(settings["lr"]),
-        run_dir=args.out,
-    )
+    params, history = train(dataset, val_dataset, config, run_dir=args.out,
+                            **train_args)
     save_checkpoint(Path(args.out) / "final", params, config)
     first, last = history[0], history[-1]
     print(f"epoch 0: val loss {first.val_loss:.6e}")

@@ -19,19 +19,19 @@ alternates three closed-form updates:
 
 Arrays carrying coefficient maps have shape (K, *image_shape); the image
 shape may include leading batch axes ahead of the spatial axes, which are
-always the trailing axes matching the kernel dimensionality.  Each update
-also has a traced variant recording the intermediates that the hand-written
+always the trailing axes matching the kernel dimensionality.  The s-update
+and the full sweep also return the intermediates that the hand-written
 backward pass consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteValue, NonPositiveBeta, NonPositiveGamma, ShapeMismatch
-from .tensors import dft_forward, dft_inverse, norm2_sq, zero_pad_filter
+from .errors import NonFiniteValue, ShapeMismatch
+from .tensors import dft_forward, dft_inverse, zero_pad_filter
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,11 @@ class CodeState:
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Weights of the sparse-coding problem plus the inner iteration count."""
+    """Weights of the sparse-coding problem."""
 
     lam: float
     alpha: float
     beta: float
-    inner_iters: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -107,8 +106,6 @@ class AdmmConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.inner_iters < 1:
-            raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
 
     @property
     def gamma(self) -> float:
@@ -152,7 +149,7 @@ class SUpdateTrace:
 def s_update_traced(x, u, z, filters: FilterBank, gamma: float, spectra=None):
     """Exact minimizer of the s-subproblem, plus its backward trace."""
     if not gamma > 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
+        raise ValueError(f"gamma must be positive, got {gamma}")
     n_spatial = len(filters.kernel_shape)
     spatial = x.shape[-n_spatial:]
     if u.shape != (filters.count,) + x.shape or z.shape != u.shape:
@@ -177,11 +174,6 @@ def s_update_traced(x, u, z, filters: FilterBank, gamma: float, spectra=None):
     return s, trace
 
 
-def s_update(x, u, z, filters: FilterBank, gamma: float, spectra=None) -> np.ndarray:
-    s, _ = s_update_traced(x, u, z, filters, gamma, spectra=spectra)
-    return s
-
-
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     """Shrink real and imaginary channels toward zero by tau, clamping at zero."""
     values = np.asarray(values)
@@ -190,27 +182,6 @@ def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
         im = np.sign(values.imag) * np.maximum(np.abs(values.imag) - tau, 0.0)
         return re + 1j * im
     return np.sign(values) * np.maximum(np.abs(values) - tau, 0.0)
-
-
-def u_update(s_new: np.ndarray, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Prox step: u = S_{alpha/beta}(s - z), componentwise on both channels."""
-    if not beta > 0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if s_new.shape != z.shape:
-        raise ShapeMismatch(f"s {s_new.shape} and z {z.shape} disagree")
-    return soft_threshold(s_new - z, alpha / beta)
-
-
-def z_update(z: np.ndarray, u_new: np.ndarray, s_new: np.ndarray) -> np.ndarray:
-    """Scaled dual ascent on the constraint u = s."""
-    if not (z.shape == u_new.shape == s_new.shape):
-        raise ShapeMismatch(
-            f"dual update shapes disagree: {z.shape}, {u_new.shape}, {s_new.shape}"
-        )
-    # grouping keeps z bitwise unchanged at a fixed point (u == s)
-    return z + (u_new - s_new)
 
 
 def dictionary_synthesis(filters: FilterBank, s: np.ndarray, spectra=None) -> np.ndarray:
@@ -246,34 +217,8 @@ def admm_step_traced(x, state: CodeState, filters: FilterBank, config: AdmmConfi
     v = s_new - state.z
     tau = config.threshold
     u_new = soft_threshold(v, tau)
+    # grouping keeps z bitwise unchanged at a fixed point (u == s)
     z_new = state.z + (u_new - s_new)
     new_state = CodeState(s=s_new, u=u_new, z=z_new)
     return new_state, AdmmStepTrace(s_trace=s_trace, v=v, tau=tau)
 
-
-def admm_step(x, state: CodeState, filters: FilterBank, config: AdmmConfig,
-              spectra=None) -> CodeState:
-    new_state, _ = admm_step_traced(x, state, filters, config, spectra=spectra)
-    return new_state
-
-
-def run_admm(x, filters: FilterBank, config: AdmmConfig, n_steps: int | None = None,
-             state: CodeState | None = None) -> CodeState:
-    """Iterate admm_step, cold-starting from zeros unless a state is given."""
-    if n_steps is None:
-        n_steps = config.inner_iters
-    if state is None:
-        state = CodeState.zeros(filters.count, x.shape)
-    spectra = filter_spectra(filters, x.shape[-len(filters.kernel_shape):])
-    for _ in range(n_steps):
-        state = admm_step(x, state, filters, config, spectra=spectra)
-    return state
-
-
-def csc_objective(x, state: CodeState, filters: FilterBank, config: AdmmConfig) -> float:
-    """Augmented objective: fidelity + sparsity of u + scaled-dual penalty."""
-    synth = dictionary_synthesis(filters, state.s)
-    fidelity = 0.5 * config.lam * norm2_sq(x - synth)
-    l1 = np.abs(state.u.real).sum() + np.abs(state.u.imag).sum()
-    penalty = 0.5 * config.beta * norm2_sq(state.u - state.s + state.z)
-    return float(fidelity + config.alpha * l1 + penalty)

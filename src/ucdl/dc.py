@@ -6,8 +6,8 @@ image, the block solves
     (A^H A + lam I) x = A^H y + lam x_approx
 
 with a fixed number of conjugate-gradient iterations.  The iteration count
-is part of the configuration (not adaptive) so that the computation graph
-has static depth; every iteration's intermediates are recorded in a trace
+is part of the network configuration (not adaptive) so that the computation
+graph has static depth; every iteration's intermediates are recorded in a trace
 for the hand-written backward pass.  lam > 0 makes the operator Hermitian
 positive definite, so plain CG applies.
 """
@@ -18,26 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csc import CodeState, FilterBank, dictionary_synthesis
 from .errors import NonFiniteValue, ShapeMismatch
-from .operators import CoilMaps, KSpaceSample, SamplingMask, adjoint_apply, normal_apply
-
-
-@dataclass(frozen=True)
-class DcConfig:
-    """Fidelity weight, CG depth, and the optional early-exit threshold."""
-
-    lam: float
-    n_cg: int = 12
-    residual_tol: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.n_cg < 1:
-            raise ValueError(f"n_cg must be >= 1, got {self.n_cg}")
-        if self.residual_tol < 0:
-            raise ValueError(f"residual_tol must be >= 0, got {self.residual_tol}")
+from .operators import CoilMaps, SamplingMask, normal_apply
 
 
 class NormalOperator:
@@ -81,12 +63,14 @@ class CgResult:
     trace: CgTrace
 
 
-def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, config: DcConfig) -> CgResult:
-    """Run exactly config.n_cg CG iterations on operator(x) = rhs from x0.
+def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, n_cg: int) -> CgResult:
+    """Run exactly n_cg CG iterations on operator(x) = rhs from x0.
 
-    Stops early only on an exactly zero residual (the system is solved) or,
-    when config.residual_tol > 0, on relative residual below the threshold.
+    Stops early only on an exactly zero residual (the system is solved).
+    The last recorded iteration has beta None: no search direction follows.
     """
+    if n_cg < 1:
+        raise ValueError(f"n_cg must be >= 1, got {n_cg}")
     if rhs.shape != x0.shape:
         raise ShapeMismatch(f"rhs shape {rhs.shape} vs start shape {x0.shape}")
     x = x0.astype(np.complex128, copy=True)
@@ -96,10 +80,9 @@ def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, config: DcConfig) -> CgR
     r0 = r
     p = r.copy()
     rho = float(np.vdot(r, r).real)
-    rhs_norm = float(np.linalg.norm(rhs))
     residuals = [np.sqrt(rho)]
     records = []
-    for _ in range(config.n_cg):
+    for i in range(n_cg):
         if rho == 0.0:
             break
         q = operator(p)
@@ -110,21 +93,14 @@ def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, config: DcConfig) -> CgR
         x = x + alpha * p
         r_next = r - alpha * q
         rho_next = float(np.vdot(r_next, r_next).real)
-        records.append(
-            CgIteration(p=p, q=q, r_next=r_next, rho=rho, pi=pi, alpha=alpha, beta=None)
-        )
         residuals.append(np.sqrt(rho_next))
-        stop = config.residual_tol > 0 and (
-            residuals[-1] <= config.residual_tol * max(rhs_norm, 1e-300)
+        last = i == n_cg - 1 or rho_next == 0.0
+        beta = None if last else rho_next / rho
+        records.append(
+            CgIteration(p=p, q=q, r_next=r_next, rho=rho, pi=pi, alpha=alpha, beta=beta)
         )
-        if stop or rho_next == 0.0:
-            rho = rho_next
-            r = r_next
+        if last:
             break
-        beta = rho_next / rho
-        records[-1] = CgIteration(
-            p=p, q=q, r_next=r_next, rho=rho, pi=pi, alpha=alpha, beta=beta
-        )
         p = r_next + beta * p
         r = r_next
         rho = rho_next
@@ -133,21 +109,3 @@ def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, config: DcConfig) -> CgR
     trace = CgTrace(x0=x0.astype(np.complex128, copy=False), r0=r0,
                     iterations=tuple(records))
     return CgResult(image=x, residuals=tuple(residuals), trace=trace)
-
-
-def build_rhs(sample: KSpaceSample, approx: np.ndarray, lam: float) -> np.ndarray:
-    """Assemble A^H y + lam * approx."""
-    if approx.shape != sample.image_shape:
-        raise ShapeMismatch(
-            f"approximation shape {approx.shape}, expected {sample.image_shape}"
-        )
-    return adjoint_apply(sample.y, sample.coils, sample.mask) + lam * approx
-
-
-def dc_step(sample: KSpaceSample, state: CodeState, filters: FilterBank,
-            config: DcConfig, x_prev: np.ndarray) -> np.ndarray:
-    """Synthesis, right-hand side, then a warm-started CG solve."""
-    approx = dictionary_synthesis(filters, state.s)
-    rhs = build_rhs(sample, approx, config.lam)
-    operator = NormalOperator(sample.coils, sample.mask, config.lam)
-    return cg_solve(rhs, operator, x_prev, config).image

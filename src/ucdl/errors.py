@@ -6,19 +6,7 @@ class UcdlError(Exception):
 
 
 class ShapeMismatch(UcdlError, ValueError):
-    """Operands have incompatible shapes."""
-
-
-class FilterTooLarge(UcdlError, ValueError):
-    """A filter kernel dimension exceeds the corresponding image dimension."""
-
-
-class NonPositiveGamma(UcdlError, ValueError):
-    """The coupling weight gamma = beta/lambda must be strictly positive."""
-
-
-class NonPositiveBeta(UcdlError, ValueError):
-    """The penalty weight beta must be strictly positive."""
+    """Operands have incompatible shapes, or a kernel does not fit its image."""
 
 
 class NonFiniteValue(UcdlError, FloatingPointError):

@@ -34,17 +34,25 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
         fh.write(array.tobytes())
 
 
+def _read_header_field(fh, path, fmt: str) -> tuple:
+    size = struct.calcsize(fmt)
+    blob = fh.read(size)
+    if len(blob) != size:
+        raise TensorFormatError(f"{path}: truncated header")
+    return struct.unpack(fmt, blob)
+
+
 def read_tensor(path: str | Path) -> np.ndarray:
     """Read a tensor written by :func:`write_tensor`."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise TensorFormatError(f"{path}: bad magic {magic!r}")
-        version, ndim = struct.unpack("<II", fh.read(8))
+        version, ndim = _read_header_field(fh, path, "<II")
         if version != VERSION:
             raise TensorFormatError(f"{path}: unsupported version {version}")
-        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        (tag,) = struct.unpack("<I", fh.read(4))
+        dims = _read_header_field(fh, path, f"<{ndim}Q")
+        (tag,) = _read_header_field(fh, path, "<I")
         if tag != DTYPE_TAG_COMPLEX128:
             raise TensorFormatError(f"{path}: unsupported dtype tag {tag}")
         if ndim == 0:

@@ -35,7 +35,7 @@ from .csc import (
     dictionary_synthesis,
     filter_spectra,
 )
-from .dc import CgTrace, DcConfig, NormalOperator, build_rhs, cg_solve
+from .dc import CgTrace, NormalOperator, cg_solve
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
 from .io import read_tensor, write_tensor
 from .operators import KSpaceSample, adjoint_apply
@@ -144,11 +144,7 @@ def project_bank(filters: FilterBank) -> FilterBank:
 
 def project_filters(params: NetworkParams) -> NetworkParams:
     """Project the kernels onto the unit sphere, all other fields unchanged."""
-    return replace_filters(params, project_bank(params.filters))
-
-
-def replace_filters(params: NetworkParams, bank: FilterBank) -> NetworkParams:
-    return replace(params, filters=bank)
+    return replace(params, filters=project_bank(params.filters))
 
 
 def mode_2d_merge(x: np.ndarray) -> np.ndarray:
@@ -207,11 +203,11 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     """Run the unrolled network on one measured sample."""
     _check_mode_kernels(config, params.filters)
     lam, alpha, beta = params.lam, params.alpha, params.beta
-    admm_cfg = AdmmConfig(lam=lam, alpha=alpha, beta=beta, inner_iters=config.n_admm)
-    dc_cfg = DcConfig(lam=lam, n_cg=config.n_cg)
+    admm_cfg = AdmmConfig(lam=lam, alpha=alpha, beta=beta)
     operator = NormalOperator(sample.coils, sample.mask, lam)
 
-    x = adjoint_apply(sample.y, sample.coils, sample.mask)
+    aty = adjoint_apply(sample.y, sample.coils, sample.mask)
+    x = aty
     shape = sample.image_shape
     if config.mode == MODE_2D:
         code_shape = (shape[2], shape[0], shape[1])
@@ -219,11 +215,6 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     else:
         code_shape = shape
         spatial = shape
-    if any(k > n for k, n in zip(params.filters.kernel_shape, spatial)):
-        raise ShapeMismatch(
-            f"kernel shape {params.filters.kernel_shape} exceeds "
-            f"spatial shape {spatial}"
-        )
     spectra = filter_spectra(params.filters, spatial)
     state = CodeState.zeros(params.filters.count, code_shape)
 
@@ -239,8 +230,7 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
                 step_traces.append(step_trace)
             synth = dictionary_synthesis(params.filters, state.s, spectra=spectra)
             approx = mode_2d_split(synth) if config.mode == MODE_2D else synth
-            rhs = build_rhs(sample, approx, lam)
-            cg = cg_solve(rhs, operator, x, dc_cfg)
+            cg = cg_solve(aty + lam * approx, operator, x, config.n_cg)
             x = cg.image
         except NonFiniteValue as err:
             raise NonFiniteValue(f"outer iteration {t}: {err}") from err
@@ -291,6 +281,12 @@ def load_checkpoint(directory: str | Path):
     kernels = read_tensor(directory / manifest["kernels_file"])
     if np.any(kernels.imag != 0):
         raise ValueError("checkpoint kernels must be real-valued")
+    want = (config.n_filters,) + config.kernel_shape
+    if kernels.shape != want:
+        raise ShapeMismatch(
+            f"{directory}: kernels have shape {kernels.shape}, "
+            f"the manifest config asks for {want}"
+        )
     params = NetworkParams(
         filters=FilterBank(kernels.real),
         log_lam=float(manifest["log_lambda"]),

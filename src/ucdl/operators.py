@@ -157,11 +157,6 @@ def simulate_measurement(
     return KSpaceSample(y=y, mask=mask, coils=coils, noise_sigma=float(sigma))
 
 
-def zero_filled_recon(sample: KSpaceSample) -> np.ndarray:
-    """Adjoint reconstruction ``A^H y``, the usual initial image estimate."""
-    return adjoint_apply(sample.y, sample.coils, sample.mask)
-
-
 def make_coil_maps(n_coils: int, spatial_shape: tuple[int, int]) -> CoilMaps:
     """Smooth synthetic coil profiles, normalized so the coil sum-of-squares is 1.
 

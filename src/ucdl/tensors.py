@@ -1,10 +1,9 @@
-"""Complex tensor arithmetic: DFTs, circular convolution, padding, inner products.
+"""Complex tensor arithmetic: DFTs, kernel padding and cropping, squared norms.
 
-Complex images are plain ``numpy.complex128`` arrays in row-major layout; the
-two-channel real view of an image ``x`` is ``(x.real, x.imag)``.  The DFT
-convention used throughout is an unnormalized forward transform together with
-a ``1/N`` inverse, so the convolution theorem ``F(d * s) = F(d) . F(s)`` holds
-without scale factors.
+Complex images are plain ``numpy.complex128`` arrays in row-major layout.
+The DFT convention used throughout is an unnormalized forward transform
+together with a ``1/N`` inverse, so the convolution theorem
+``F(d * s) = F(d) . F(s)`` holds without scale factors.
 
 Filter kernels follow a centered origin convention: when a kernel is
 zero-padded to image size, its center entry ``kernel[k//2, ...]`` lands on
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FilterTooLarge, ShapeMismatch
+from .errors import ShapeMismatch
 
 COMPLEX_DTYPE = np.complex128
 
@@ -51,13 +50,13 @@ def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.nda
 
     The kernel center ``kernel[k0//2, k1//2, ...]`` is placed at index 0 and
     the remaining entries wrap circularly, so that the pointwise spectral
-    product with an image spectrum realizes the centered circular convolution
-    computed by :func:`circular_convolve`.
+    product with an image spectrum realizes a centered circular convolution.
 
     Raises
     ------
-    FilterTooLarge
-        If any kernel dimension exceeds the corresponding target dimension.
+    ShapeMismatch
+        If the dimensionalities differ or any kernel dimension exceeds the
+        corresponding target dimension.
     """
     kernel = np.asarray(kernel)
     if kernel.ndim != len(target_shape):
@@ -65,7 +64,7 @@ def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.nda
             f"kernel is {kernel.ndim}-d but target shape has {len(target_shape)} dims"
         )
     if any(k > n for k, n in zip(kernel.shape, target_shape)):
-        raise FilterTooLarge(
+        raise ShapeMismatch(
             f"kernel shape {kernel.shape} does not fit inside {tuple(target_shape)}"
         )
     out = np.zeros(target_shape, dtype=COMPLEX_DTYPE)
@@ -82,7 +81,7 @@ def crop_filter(padded: np.ndarray, kernel_shape: tuple[int, ...]) -> np.ndarray
             f"array is {padded.ndim}-d but kernel shape has {len(kernel_shape)} dims"
         )
     if any(k > n for k, n in zip(kernel_shape, padded.shape)):
-        raise FilterTooLarge(
+        raise ShapeMismatch(
             f"kernel shape {tuple(kernel_shape)} does not fit inside {padded.shape}"
         )
     shift = [k // 2 for k in kernel_shape]
@@ -90,52 +89,8 @@ def crop_filter(padded: np.ndarray, kernel_shape: tuple[int, ...]) -> np.ndarray
     return rolled[tuple(slice(0, k) for k in kernel_shape)]
 
 
-def circular_convolve(kernel: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Circular (periodic) convolution of a centered kernel with an image.
-
-    The convolution acts on the trailing ``kernel.ndim`` axes of `image`;
-    leading axes are batch dimensions.  Computed via the spectral product of
-    the zero-padded kernel with the image spectrum.
-    """
-    kernel = np.asarray(kernel)
-    image = np.asarray(image, dtype=COMPLEX_DTYPE)
-    if kernel.ndim > image.ndim:
-        raise ShapeMismatch(
-            f"kernel has more dimensions ({kernel.ndim}) than image ({image.ndim})"
-        )
-    spatial = image.shape[image.ndim - kernel.ndim:]
-    kf = dft_forward(zero_pad_filter(kernel, spatial))
-    return dft_inverse(dft_forward(image, kernel.ndim) * kf, kernel.ndim)
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Complex inner product, conjugate-linear in the first argument.
-
-    ``inner_product(a, a)`` is real and nonnegative.  Under the unnormalized
-    forward DFT, ``inner_product(a, b) == inner_product(Fa, Fb) / N``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return complex(np.vdot(a, b))
-
-
 def norm2_sq(a: np.ndarray) -> float:
     """Squared L2 norm, summed over real and imaginary channels."""
     a = np.asarray(a)
     return float(np.vdot(a, a).real)
 
-
-def as_channels(x: np.ndarray) -> np.ndarray:
-    """Two-channel real view ``(..., 2)`` of a complex array: (real, imag)."""
-    x = np.asarray(x, dtype=COMPLEX_DTYPE)
-    return np.stack([x.real, x.imag], axis=-1)
-
-
-def from_channels(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`as_channels`."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape[-1] != 2:
-        raise ShapeMismatch(f"last axis must have size 2, got {c.shape[-1]}")
-    return c[..., 0] + 1j * c[..., 1]

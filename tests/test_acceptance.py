@@ -20,14 +20,14 @@ from ucdl.csc import (
     AdmmConfig,
     CodeState,
     FilterBank,
-    admm_step,
+    admm_step_traced,
     dictionary_synthesis,
     filter_spectra,
-    s_update,
-    u_update,
+    s_update_traced,
+    soft_threshold,
 )
 from ucdl.data import PhantomSpec, make_phantom
-from ucdl.dc import DcConfig, NormalOperator, cg_solve
+from ucdl.dc import NormalOperator, cg_solve
 from ucdl.metrics import psnr, roi_crop
 from ucdl.network import (
     NetworkConfig,
@@ -41,9 +41,8 @@ from ucdl.operators import (
     make_coil_maps,
     make_mask,
     simulate_measurement,
-    zero_filled_recon,
 )
-from ucdl.tensors import dft_forward, dft_inverse, inner_product, norm2_sq
+from ucdl.tensors import dft_forward, dft_inverse, norm2_sq
 from ucdl.training import train
 
 
@@ -95,15 +94,15 @@ class TestCriterion1Adjoints:
 
             s = random_complex(rng, (n_filters,) + spatial)
             x = random_complex(rng, spatial)
-            lhs = inner_product(dictionary_synthesis(bank, s, spectra=spectra), x)
+            lhs = np.vdot(dictionary_synthesis(bank, s, spectra=spectra), x)
             adj = dft_inverse(np.conj(spectra) * dft_forward(x)[np.newaxis], ndim=ndim)
-            worst = max(worst, relative_defect(lhs, inner_product(s, adj)))
+            worst = max(worst, relative_defect(lhs, np.vdot(s, adj)))
 
             # frequency-domain operator: pointwise multiply, sum over filters
             s_hat = random_complex(rng, (n_filters,) + spatial)
             x_hat = random_complex(rng, spatial)
-            lhs = inner_product((spectra * s_hat).sum(axis=0), x_hat)
-            rhs = inner_product(s_hat, np.conj(spectra) * x_hat[np.newaxis])
+            lhs = np.vdot((spectra * s_hat).sum(axis=0), x_hat)
+            rhs = np.vdot(s_hat, np.conj(spectra) * x_hat[np.newaxis])
             worst = max(worst, relative_defect(lhs, rhs))
 
         # multi-coil masked Fourier measurement A
@@ -119,8 +118,8 @@ class TestCriterion1Adjoints:
                              family=family, seed=int(rng.integers(0, 1000)))
             x = random_complex(rng, shape)
             y = random_complex(rng, (coils.count, mask.num_sampled))
-            lhs = inner_product(forward_apply(x, coils, mask), y)
-            rhs = inner_product(x, adjoint_apply(y, coils, mask))
+            lhs = np.vdot(forward_apply(x, coils, mask), y)
+            rhs = np.vdot(x, adjoint_apply(y, coils, mask))
             worst = max(worst, relative_defect(lhs, rhs))
 
         elapsed = time.perf_counter() - t0
@@ -152,7 +151,7 @@ class TestCriterion2ShermanMorrison:
                 u = random_complex(rng, (n_filters,) + spatial)
                 z = random_complex(rng, (n_filters,) + spatial)
 
-                s = s_update(x, u, z, bank, gamma)
+                s, _ = s_update_traced(x, u, z, bank, gamma)
 
                 # dense oracle: one K x K system per frequency
                 spectra = filter_spectra(bank, spatial)
@@ -208,10 +207,7 @@ class TestCriterion3Prox:
             np.dot(coeff[lo:hi], basis, out=buf)
             best[lo:hi] = grid[np.argmin(buf, axis=1)]
 
-        prox = np.array([
-            u_update(s[i : i + 1], z[i : i + 1], float(alpha[i]), float(beta[i]))[0]
-            for i in range(self.N_TUPLES)
-        ])
+        prox = soft_threshold(s - z, alpha / beta)
         worst = float(np.abs(prox - best).max())
         elapsed = time.perf_counter() - t0
         report(
@@ -249,8 +245,7 @@ class TestCriterion4Cg:
             rhs = random_complex(rng, shape)
             exact = np.linalg.solve(dense, rhs.ravel()).reshape(shape)
 
-            result = cg_solve(rhs, operator, np.zeros(shape, np.complex128),
-                              DcConfig(lam=lam, n_cg=n))
+            result = cg_solve(rhs, operator, np.zeros(shape, np.complex128), n)
             rel = np.linalg.norm(result.image - exact) / np.linalg.norm(exact)
             worst = max(worst, float(rel))
 
@@ -263,7 +258,7 @@ class TestCriterion4Cg:
         lam = 0.7
         rhs = random_complex(rng, shape)
         result = cg_solve(rhs, NormalOperator(coils, mask, lam),
-                          np.zeros(shape, np.complex128), DcConfig(lam=lam, n_cg=4))
+                          np.zeros(shape, np.complex128), 4)
         closed = rhs / (1.0 + lam)
         identity_err = float(
             np.abs(result.image - closed).max() / np.abs(closed).max()
@@ -324,7 +319,7 @@ class TestCriterion6Admm:
         state = CodeState.zeros(2, (8, 8))
         gaps, objectives = [], []
         for _ in range(200):
-            state = admm_step(x, state, bank, config, spectra=spectra)
+            state, _ = admm_step_traced(x, state, bank, config, spectra=spectra)
             gaps.append(float(np.abs(state.u - state.s).max()))
             objectives.append(consensus_objective(state))
 
@@ -430,7 +425,8 @@ class TestCriterion7Training:
             ).image
             reference = roi_crop(target)
             trained_psnr.append(psnr(roi_crop(image), reference))
-            zf_psnr.append(psnr(roi_crop(zero_filled_recon(sample)), reference))
+            zero_filled = adjoint_apply(sample.y, sample.coils, sample.mask)
+            zf_psnr.append(psnr(roi_crop(zero_filled), reference))
         gain = float(np.mean(trained_psnr) - np.mean(zf_psnr))
         elapsed = training_runs["elapsed"]
 

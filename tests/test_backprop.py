@@ -31,17 +31,15 @@ from ucdl.csc import (
     FilterBank,
     admm_step_traced,
     dictionary_synthesis,
-    s_update,
     s_update_traced,
     soft_threshold,
 )
-from ucdl.dc import DcConfig, NormalOperator, cg_solve
+from ucdl.dc import NormalOperator, cg_solve
 from ucdl.errors import NonFiniteValue, ShapeMismatch, TraceMismatch
 from ucdl.network import (
     NetworkConfig,
     forward_reconstruct,
     init_network,
-    replace_filters,
 )
 from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
 from ucdl.tensors import norm2_sq
@@ -173,7 +171,7 @@ class TestSUpdateBackward:
         )
 
         def loss(x_=x, u_=u, z_=z, bank_=bank, gamma_=gamma):
-            return real_weighted(weight, s_update(x_, u_, z_, bank_, gamma_))
+            return real_weighted(weight, s_update_traced(x_, u_, z_, bank_, gamma_)[0])
 
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
         assert_grad_close(numeric_grad(lambda a: loss(u_=a), u), u_bar)
@@ -330,16 +328,15 @@ class TestCgBackward:
         operator = SpectrumOperator(weights, lam)
         rhs = random_complex(rng, shape)
         x0 = random_complex(rng, shape)
-        config = DcConfig(lam=lam, n_cg=4)
         weight = random_complex(rng, shape)
 
-        result = cg_solve(rhs, operator, x0, config)
+        result = cg_solve(rhs, operator, x0, 4)
         assert result.residuals[-1] > 1e-6  # still truncated, not converged
         rhs_bar, x0_bar, lam_bar = cg_backward(result.trace, weight, operator)
 
         def loss(rhs_=rhs, x0_=x0, lam_=lam):
             op = SpectrumOperator(weights, lam_)
-            out = cg_solve(rhs_, op, x0_, DcConfig(lam=lam_, n_cg=4))
+            out = cg_solve(rhs_, op, x0_, 4)
             return real_weighted(weight, out.image)
 
         assert_grad_close(numeric_grad(lambda a: loss(rhs_=a), rhs), rhs_bar)
@@ -349,13 +346,12 @@ class TestCgBackward:
     def test_single_iteration(self):
         rng = np.random.default_rng(52)
         coils, mask, operator, rhs, x0 = self.make_system(rng)
-        config = DcConfig(lam=operator.lam, n_cg=1)
         weight = random_complex(rng, rhs.shape)
-        result = cg_solve(rhs, operator, x0, config)
+        result = cg_solve(rhs, operator, x0, 1)
         rhs_bar, x0_bar, _ = cg_backward(result.trace, weight, operator)
 
         def loss(rhs_=rhs, x0_=x0):
-            return real_weighted(weight, cg_solve(rhs_, operator, x0_, config).image)
+            return real_weighted(weight, cg_solve(rhs_, operator, x0_, 1).image)
 
         assert_grad_close(numeric_grad(lambda a: loss(rhs_=a), rhs), rhs_bar)
         assert_grad_close(numeric_grad(lambda a: loss(x0_=a), x0), x0_bar)
@@ -367,9 +363,8 @@ class TestCgBackward:
         coils, mask, operator, rhs, x0 = self.make_system(
             rng, shape=(3, 3, 2), lam=1.1, accel=1.0
         )
-        config = DcConfig(lam=1.1, n_cg=40)
         weight = random_complex(rng, rhs.shape)
-        result = cg_solve(rhs, operator, x0, config)
+        result = cg_solve(rhs, operator, x0, 40)
         assert result.residuals[-1] < 1e-12
         rhs_bar, x0_bar, _ = cg_backward(result.trace, weight, operator)
         scale = float(np.abs(weight).max())
@@ -415,7 +410,9 @@ def check_network_gradients(sample, config, params, target, h=FD_STEP, rel_tol=1
     grads = backward(result.trace, 2.0 * (result.image - target))
 
     fd_kernels = numeric_grad(
-        lambda k: recon_loss(sample, config, replace_filters(params, FilterBank(k)), target),
+        lambda k: recon_loss(
+            sample, config, dataclasses.replace(params, filters=FilterBank(k)), target
+        ),
         params.filters.kernels,
         h=h,
     )

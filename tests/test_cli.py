@@ -148,6 +148,20 @@ class TestTrain:
         _, config = load_checkpoint(run / "final")
         assert config.train_filters is False
 
+    @pytest.mark.parametrize("key,value", [
+        ("T", "4"), ("K", True), ("epochs", 1.5), ("seed", None), ("lr", "fast"),
+        ("fixed_filters", 1), ("mode", 3),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, _ = run_cli("train", "--data", tmp_path / "d", "--val", tmp_path / "d",
+                          "--out", tmp_path / "run", "--config", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(key) in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestReconstruct:
     def test_writes_tensor(self, workspace):
@@ -238,6 +252,15 @@ class TestEvaluate:
         code_b, out_b = run_cli(*args)
         assert (code_a, out_a) == (code_b, out_b)
 
+    def test_truncated_header_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"UCDL" + bytes(6))
+        code, out = run_cli("evaluate", "--recon", bad, "--target", bad)
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "truncated header" in err
+
 
 class TestExports:
     def test_export_filters(self, workspace, tmp_path):
@@ -252,6 +275,22 @@ class TestExports:
         # bank (2, 3, 3, 3): one row per filter, temporal slices as columns
         w, h = read_pgm_header(out / "filters.pgm")
         assert (w, h) == (2 * 11, 2 * 7)
+
+    def test_checkpoint_disagreeing_with_its_kernels_exits_one(
+            self, workspace, tmp_path, capsys):
+        checkpoint = tmp_path / "ck"
+        checkpoint.mkdir()
+        src = workspace["run"] / "final"
+        for name in ("filters.bin", "checkpoint.json"):
+            (checkpoint / name).write_bytes((src / name).read_bytes())
+        manifest = json.loads((checkpoint / "checkpoint.json").read_text())
+        manifest["config"].update(n_filters=16, kernel_size=7)
+        (checkpoint / "checkpoint.json").write_text(json.dumps(manifest))
+        code, _ = run_cli("export-filters", "--checkpoint", checkpoint,
+                          "--out", tmp_path / "filters")
+        assert code == 1
+        assert "(16, 7, 7, 7)" in capsys.readouterr().err
+        assert not (tmp_path / "filters").exists()
 
     def test_export_feature_maps(self, workspace, tmp_path):
         out = tmp_path / "feats"

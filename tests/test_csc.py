@@ -9,22 +9,20 @@ DFT matrices for full ADMM steps, and hand arithmetic for the objective.
 import numpy as np
 import pytest
 
+from oracles import circular_convolve, csc_objective, run_admm
+
 from ucdl.csc import (
     AdmmConfig,
     CodeState,
     FilterBank,
-    admm_step,
-    csc_objective,
+    admm_step_traced,
     dictionary_synthesis,
     filter_spectra,
-    run_admm,
-    s_update,
+    s_update_traced,
     soft_threshold,
-    u_update,
-    z_update,
 )
-from ucdl.errors import NonPositiveBeta, NonPositiveGamma, ShapeMismatch
-from ucdl.tensors import circular_convolve, inner_product, norm2_sq
+from ucdl.errors import ShapeMismatch
+from ucdl.tensors import norm2_sq
 
 
 def random_complex(rng, shape):
@@ -173,7 +171,7 @@ class TestSUpdate:
         u = random_complex(rng, (2, 6, 6))
         z = random_complex(rng, (2, 6, 6))
         x = random_complex(rng, (6, 6))
-        s = s_update(x, u, z, bank, gamma=0.7)
+        s = s_update_traced(x, u, z, bank, gamma=0.7)[0]
         assert np.allclose(s, u + z, atol=1e-12)
 
     @pytest.mark.parametrize("n_filters,spatial", [(1, (4, 4)), (2, (4, 4)), (3, (5, 4)), (2, (4, 4, 3))])
@@ -185,7 +183,7 @@ class TestSUpdate:
         u = random_complex(rng, (n_filters,) + spatial)
         z = random_complex(rng, (n_filters,) + spatial)
         gamma = 0.9
-        got = s_update(x, u, z, bank, gamma)
+        got = s_update_traced(x, u, z, bank, gamma)[0]
         want = dense_s_update(x, u, z, bank.kernels, gamma)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, scale)
@@ -197,7 +195,7 @@ class TestSUpdate:
         u = random_complex(rng, (4, 8, 8))
         z = random_complex(rng, (4, 8, 8))
         gamma = 1.3
-        s = s_update(x, u, z, bank, gamma)
+        s = s_update_traced(x, u, z, bank, gamma)[0]
         spectra = filter_spectra(bank, (8, 8))
         s_hat = np.fft.fftn(s, axes=(1, 2))
         rhs = np.conj(spectra) * np.fft.fftn(x) + gamma * np.fft.fftn(u + z, axes=(1, 2))
@@ -205,7 +203,7 @@ class TestSUpdate:
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-9
 
     def test_decreases_quadratic_objective(self):
-        # s_update exactly minimizes the s-subproblem, so it cannot increase it.
+        # the s-update exactly minimizes the s-subproblem, so it cannot increase it.
         rng = np.random.default_rng(4)
         bank = random_bank(rng, 2, (3, 3))
         x = random_complex(rng, (6, 6))
@@ -219,7 +217,7 @@ class TestSUpdate:
             synth = dictionary_synthesis(bank, s)
             return 0.5 * lam * norm2_sq(x - synth) + 0.5 * beta * norm2_sq(u - s + z)
 
-        s_new = s_update(x, u, z, bank, gamma)
+        s_new = s_update_traced(x, u, z, bank, gamma)[0]
         assert quad(s_new) <= quad(s_old) + 1e-12
 
     def test_batched_matches_loop(self):
@@ -228,17 +226,17 @@ class TestSUpdate:
         x = random_complex(rng, (4, 6, 6))  # batch of 4 frames
         u = random_complex(rng, (2, 4, 6, 6))
         z = random_complex(rng, (2, 4, 6, 6))
-        batched = s_update(x, u, z, bank, gamma=0.6)
+        batched = s_update_traced(x, u, z, bank, gamma=0.6)[0]
         for b in range(4):
-            single = s_update(x[b], u[:, b], z[:, b], bank, gamma=0.6)
+            single = s_update_traced(x[b], u[:, b], z[:, b], bank, gamma=0.6)[0]
             assert np.allclose(batched[:, b], single, atol=1e-13)
 
     def test_rejects_nonpositive_gamma(self):
         bank = random_bank(np.random.default_rng(6), 1, (3, 3))
         x = np.zeros((4, 4), dtype=complex)
         u = np.zeros((1, 4, 4), dtype=complex)
-        with pytest.raises(NonPositiveGamma):
-            s_update(x, u, u, bank, gamma=0.0)
+        with pytest.raises(ValueError):
+            s_update_traced(x, u, u, bank, gamma=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,7 @@ class TestUUpdate:
         rng = np.random.default_rng(7)
         s = random_complex(rng, (2, 4, 4))
         z = random_complex(rng, (2, 4, 4))
-        assert np.array_equal(u_update(s, z, alpha=0.0, beta=1.5), s - z)
+        assert np.array_equal(soft_threshold(s - z, 0.0 / 1.5), s - z)
 
     def test_matches_grid_prox(self):
         rng = np.random.default_rng(8)
@@ -272,27 +270,26 @@ class TestUUpdate:
         assert np.allclose(out, np.array([0.5 + 0.0j, 0.0 + 1.5j]))
 
     def test_penalty_scaling_invariance(self):
+        # scaling lam, alpha and beta together keeps gamma and the threshold
         rng = np.random.default_rng(9)
-        s = random_complex(rng, (2, 4, 4))
-        z = random_complex(rng, (2, 4, 4))
-        a = u_update(s, z, alpha=0.3, beta=1.1)
-        b = u_update(s, z, alpha=0.3 * 7.0, beta=1.1 * 7.0)
-        assert np.allclose(a, b, atol=1e-15)
-
-    def test_rejects_nonpositive_beta(self):
-        s = np.zeros((1, 2, 2), dtype=complex)
-        with pytest.raises(NonPositiveBeta):
-            u_update(s, s, alpha=0.1, beta=0.0)
+        bank = random_bank(rng, 2, (3, 3))
+        x = random_complex(rng, (4, 4))
+        state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
+        cfg = AdmmConfig(lam=0.8, alpha=0.3, beta=1.1)
+        scaled = AdmmConfig(lam=0.8 * 7.0, alpha=0.3 * 7.0, beta=1.1 * 7.0)
+        a, _ = admm_step_traced(x, state, bank, cfg)
+        b, _ = admm_step_traced(x, state, bank, scaled)
+        assert np.allclose(a.u, b.u, atol=1e-12)
 
     def test_z_update(self):
+        # the dual ascent adds the primal residual u - s of the new iterate
         rng = np.random.default_rng(10)
-        z = random_complex(rng, (2, 3, 3))
-        s = random_complex(rng, (2, 3, 3))
-        assert np.array_equal(z_update(z, s, s), z)
-        r = random_complex(rng, (2, 3, 3))
-        assert np.allclose(z_update(np.zeros_like(z), s + r, s), r, atol=1e-15)
-        with pytest.raises(ShapeMismatch):
-            z_update(z, s, s[:, :2])
+        bank = random_bank(rng, 2, (3, 3))
+        x = random_complex(rng, (3, 3))
+        state = CodeState(*(random_complex(rng, (2, 3, 3)) for _ in range(3)))
+        cfg = AdmmConfig(lam=1.0, alpha=0.2, beta=1.3)
+        new, _ = admm_step_traced(x, state, bank, cfg)
+        assert np.array_equal(new.z, state.z + (new.u - new.s))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +343,8 @@ class TestSynthesis:
         spectra = filter_spectra(bank, (6, 6))
         # adjoint maps image -> codes through conjugate spectra
         adj = np.fft.ifftn(np.conj(spectra) * np.fft.fftn(x), axes=(1, 2))
-        lhs = inner_product(dictionary_synthesis(bank, s), x)
-        rhs = inner_product(s, adj)
+        lhs = np.vdot(dictionary_synthesis(bank, s), x)
+        rhs = np.vdot(s, adj)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -365,7 +362,7 @@ class TestAdmmStep:
         history = transcript_admm(x, bank.kernels, lam, alpha, beta, n_steps=5)
         state = CodeState.zeros(2, (4, 4))
         for s_ref, u_ref, z_ref in history:
-            state = admm_step(x, state, bank, cfg)
+            state, _ = admm_step_traced(x, state, bank, cfg)
             assert np.max(np.abs(state.s - s_ref)) <= 1e-10
             assert np.max(np.abs(state.u - u_ref)) <= 1e-10
             assert np.max(np.abs(state.z - z_ref)) <= 1e-10
@@ -377,7 +374,7 @@ class TestAdmmStep:
         x = random_complex(rng, (6, 6))
         cfg = AdmmConfig(lam=1.0, alpha=0.4, beta=1.0)
         state = run_admm(x, bank, cfg, n_steps=4000)
-        after = admm_step(x, state, bank, cfg)
+        after, _ = admm_step_traced(x, state, bank, cfg)
         assert np.max(np.abs(after.s - state.s)) <= 1e-9
         assert np.max(np.abs(after.u - state.u)) <= 1e-9
         assert np.max(np.abs(after.z - state.z)) <= 1e-9
@@ -400,17 +397,6 @@ class TestAdmmStep:
             short = run_admm(x, bank, cfg, n_steps=1)
             long = run_admm(x, bank, cfg, n_steps=50)
             assert csc_objective(x, long, bank, cfg) <= csc_objective(x, short, bank, cfg) + 1e-10
-
-    def test_run_admm_uses_inner_iters_default(self):
-        rng = np.random.default_rng(21)
-        bank = random_bank(rng, 1, (3, 3))
-        x = random_complex(rng, (4, 4))
-        cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=1.0, inner_iters=3)
-        state = run_admm(x, bank, cfg)
-        manual = CodeState.zeros(1, (4, 4))
-        for _ in range(3):
-            manual = admm_step(x, manual, bank, cfg)
-        assert np.array_equal(state.s, manual.s)
 
 
 # ---------------------------------------------------------------------------

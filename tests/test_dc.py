@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from ucdl.csc import AdmmConfig, CodeState, FilterBank, dictionary_synthesis, run_admm
-from ucdl.dc import DcConfig, NormalOperator, build_rhs, cg_solve, dc_step
+from ucdl import network
+from ucdl.csc import CodeState, FilterBank, dictionary_synthesis
+from ucdl.dc import NormalOperator, cg_solve
 from ucdl.errors import NonFiniteValue, ShapeMismatch
+from ucdl.network import NetworkConfig, NetworkParams, forward_reconstruct
 from ucdl.operators import (
     CoilMaps,
     SamplingMask,
@@ -49,68 +51,99 @@ def identity_operator_instance(shape, lam):
     return NormalOperator(coils, mask, lam)
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = DcConfig(lam=0.5)
-        assert cfg.n_cg == 12
-        assert cfg.residual_tol == 0.0
+def network_instance(rng, lam, **config):
+    """2d-mode parameters with a random 2-filter 3x3 bank and weight lam."""
+    kernels = rng.standard_normal((2, 3, 3))
+    kernels /= np.sqrt((kernels**2).sum(axis=(1, 2), keepdims=True))
+    params = NetworkParams(filters=FilterBank(kernels), log_lam=float(np.log(lam)))
+    return params, NetworkConfig(mode="2d", n_filters=2, kernel_size=3, **config)
 
+
+def forward_rhs(monkeypatch, sample, params, config):
+    """Run the traced forward; return the right-hand side of every CG solve."""
+    seen = []
+
+    def spy(rhs, operator, x0, n_cg):
+        seen.append(rhs)
+        return cg_solve(rhs, operator, x0, n_cg)
+
+    monkeypatch.setattr(network, "cg_solve", spy)
+    result = forward_reconstruct(sample, params, config, want_trace=True)
+    return seen, result
+
+
+class TestConfig:
     def test_validation(self):
+        rhs = np.ones((4, 4, 1), dtype=complex)
         with pytest.raises(ValueError):
-            DcConfig(lam=0.0)
-        with pytest.raises(ValueError):
-            DcConfig(lam=1.0, n_cg=0)
-        with pytest.raises(ValueError):
-            DcConfig(lam=1.0, residual_tol=-1e-3)
+            cg_solve(rhs, identity_operator_instance(rhs.shape, 1.0), rhs, n_cg=0)
 
 
 class TestBuildRhs:
-    def test_zero_inputs(self):
+    """The forward's data-consistency right-hand side A^H y + lam * approx."""
+
+    def test_zero_inputs(self, monkeypatch):
         rng = np.random.default_rng(0)
-        _, sample = small_instance(rng)
+        _, sample = small_instance(rng, shape=(6, 6, 2))
         zero_y = sample.__class__(
             y=np.zeros_like(sample.y), mask=sample.mask, coils=sample.coils
         )
-        approx = np.zeros(sample.image_shape, dtype=complex)
-        assert not build_rhs(zero_y, approx, lam=0.7).any()
+        params, config = network_instance(rng, 0.7, n_outer=2)
+        seen, result = forward_rhs(monkeypatch, zero_y, params, config)
+        assert len(seen) == 2
+        assert not any(rhs.any() for rhs in seen)
+        assert not result.image.any()
 
-    def test_lambda_zero_is_adjoint(self):
-        rng = np.random.default_rng(1)
-        _, sample = small_instance(rng)
-        approx = random_complex(rng, sample.image_shape)
-        got = build_rhs(sample, approx, lam=0.0)
-        assert np.array_equal(got, adjoint_apply(sample.y, sample.coils, sample.mask))
-
-    def test_hand_assembled_single_coil(self):
+    def test_hand_assembled_single_coil(self, monkeypatch):
         # unit coil, full mask: A^H y is the orthonormal inverse DFT of y
         rng = np.random.default_rng(2)
-        shape = (4, 4, 1)
-        coils = CoilMaps(np.ones((1, 4, 4), dtype=complex))
+        shape = (6, 6, 2)
+        coils = CoilMaps(np.ones((1, 6, 6), dtype=complex))
         mask = SamplingMask(np.ones(shape, dtype=bool))
         x = random_complex(rng, shape)
         sample = simulate_measurement(x, coils, mask, sigma=0.0)
-        approx = random_complex(rng, shape)
         lam = 0.3
+        params, config = network_instance(rng, lam, n_outer=1, n_cg=2)
+        seen, result = forward_rhs(monkeypatch, sample, params, config)
         want = np.fft.ifft2(
             sample.y.reshape(shape), axes=(0, 1), norm="ortho"
-        ) + lam * approx
-        assert np.allclose(build_rhs(sample, approx, lam), want, atol=1e-13)
+        ) + lam * result.trace.outer[0].approx
+        assert np.allclose(seen[0], want, atol=1e-13)
 
-    def test_affine_in_approx(self):
+    def test_affine_in_approx(self, monkeypatch):
         rng = np.random.default_rng(3)
-        _, sample = small_instance(rng)
-        a1 = random_complex(rng, sample.image_shape)
-        a2 = random_complex(rng, sample.image_shape)
+        _, sample = small_instance(rng, shape=(6, 6, 2))
         lam = 0.9
-        base = build_rhs(sample, np.zeros_like(a1), lam)
-        lhs = build_rhs(sample, a1 + 2.0 * a2, lam)
-        assert np.allclose(lhs - base, lam * (a1 + 2.0 * a2), atol=1e-11)
+        params, config = network_instance(rng, lam, n_outer=3, n_cg=2)
+        seen, result = forward_rhs(monkeypatch, sample, params, config)
+        aty = adjoint_apply(sample.y, sample.coils, sample.mask)
+        assert len(seen) == 3
+        for rhs, outer in zip(seen, result.trace.outer):
+            assert outer.approx.any()
+            assert np.array_equal(rhs, aty + lam * outer.approx)
 
     def test_shape_mismatch(self):
-        rng = np.random.default_rng(4)
+        # a right-hand side must match the warm start it is solved from
+        rng = np.random.default_rng(5)
         _, sample = small_instance(rng)
+        op = NormalOperator(sample.coils, sample.mask, 1.0)
+        x0 = np.zeros(sample.image_shape, dtype=complex)
         with pytest.raises(ShapeMismatch):
-            build_rhs(sample, np.zeros((2, 2, 2), dtype=complex), lam=1.0)
+            cg_solve(np.zeros((2, 2, 2), dtype=complex), op, x0, 3)
+
+    def test_adjoint_applied_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        _, sample = small_instance(rng, shape=(6, 6, 2))
+        params, config = network_instance(rng, 0.5, n_outer=3, n_cg=2)
+        calls = []
+
+        def counting_adjoint(*args):
+            calls.append(args)
+            return adjoint_apply(*args)
+
+        monkeypatch.setattr(network, "adjoint_apply", counting_adjoint)
+        forward_reconstruct(sample, params, config)
+        assert len(calls) == 1
 
 
 class TestCgSolve:
@@ -120,14 +153,14 @@ class TestCgSolve:
         lam = 0.8
         op = identity_operator_instance(shape, lam)
         rhs = random_complex(rng, shape)
-        res = cg_solve(rhs, op, np.zeros_like(rhs), DcConfig(lam=lam, n_cg=1))
+        res = cg_solve(rhs, op, np.zeros_like(rhs), 1)
         assert np.max(np.abs(res.image - rhs / (1.0 + lam))) <= 1e-12
 
     def test_zero_rhs_zero_start(self):
         shape = (4, 4, 2)
         op = identity_operator_instance(shape, 0.5)
         rhs = np.zeros(shape, dtype=complex)
-        res = cg_solve(rhs, op, np.zeros_like(rhs), DcConfig(lam=0.5, n_cg=5))
+        res = cg_solve(rhs, op, np.zeros_like(rhs), 5)
         assert not res.image.any()
 
     @pytest.mark.parametrize("lam", [0.1, 1.0])
@@ -138,7 +171,7 @@ class TestCgSolve:
         mask = make_mask(shape, accel=2.0, seed=9)
         op = NormalOperator(coils, mask, lam)
         rhs = random_complex(rng, shape)
-        res = cg_solve(rhs, op, np.zeros_like(rhs), DcConfig(lam=lam, n_cg=64))
+        res = cg_solve(rhs, op, np.zeros_like(rhs), 64)
         mat = dense_normal_matrix(coils, mask, lam)
         want = np.linalg.solve(mat, rhs.ravel()).reshape(shape)
         rel = np.linalg.norm(res.image - want) / np.linalg.norm(want)
@@ -151,7 +184,7 @@ class TestCgSolve:
         mask = make_mask(shape, accel=2.5, seed=3)
         op = NormalOperator(coils, mask, 0.2)
         rhs = random_complex(rng, shape)
-        res = cg_solve(rhs, op, random_complex(rng, shape), DcConfig(lam=0.2, n_cg=20))
+        res = cg_solve(rhs, op, random_complex(rng, shape), 20)
         resid = np.array(res.residuals)
         assert np.all(np.diff(resid) <= 1e-10 * resid[0])
 
@@ -163,22 +196,21 @@ class TestCgSolve:
         op = NormalOperator(coils, mask, 0.5)
         rhs = random_complex(rng, shape)
         x0 = random_complex(rng, shape)
-        a = cg_solve(rhs, op, x0, DcConfig(lam=0.5, n_cg=7))
-        b = cg_solve(rhs, op, x0, DcConfig(lam=0.5, n_cg=7))
+        a = cg_solve(rhs, op, x0, 7)
+        b = cg_solve(rhs, op, x0, 7)
         assert len(a.residuals) == 8  # initial plus one per iteration
         assert np.array_equal(a.image, b.image)
 
-    def test_early_exit_on_tolerance(self):
+    def test_only_the_last_iteration_lacks_beta(self):
         rng = np.random.default_rng(9)
         shape = (4, 4, 2)
-        lam = 1.0
-        op = identity_operator_instance(shape, lam)
+        op = NormalOperator(make_coil_maps(2, shape[:2]), make_mask(shape, seed=2), 0.5)
         rhs = random_complex(rng, shape)
-        cfg = DcConfig(lam=lam, n_cg=10, residual_tol=1e-10)
-        res = cg_solve(rhs, op, np.zeros_like(rhs), cfg)
-        # identity system converges in one iteration, so the exit triggers
-        assert len(res.residuals) < 11
-        assert np.max(np.abs(res.image - rhs / 2.0)) <= 1e-12
+        for n_cg in (1, 2, 5):
+            its = cg_solve(rhs, op, np.zeros_like(rhs), n_cg).trace.iterations
+            assert len(its) == n_cg
+            assert its[-1].beta is None
+            assert all(it.beta is not None for it in its[:-1])
 
     def test_nonfinite_detection(self):
         shape = (4, 4, 1)
@@ -193,45 +225,35 @@ class TestCgSolve:
 
         rhs = np.ones(shape, dtype=complex)
         with pytest.raises(NonFiniteValue):
-            cg_solve(rhs, BadOp(), np.zeros_like(rhs), DcConfig(lam=1.0, n_cg=3))
+            cg_solve(rhs, BadOp(), np.zeros_like(rhs), 3)
 
 
 class TestDcStep:
-    def make_state(self, rng, bank, sample):
-        x0 = adjoint_apply(sample.y, sample.coils, sample.mask)
-        cfg = AdmmConfig(lam=1.0, alpha=0.3, beta=1.0)
-        return run_admm(x0, bank, cfg, n_steps=3), x0
+    """The data-consistency step as the forward runs it."""
 
     def test_large_lambda_returns_synthesis(self):
         rng = np.random.default_rng(10)
-        x, sample = small_instance(rng, shape=(8, 8, 2))
-        kernels = rng.standard_normal((2, 3, 3, 1))
-        kernels /= np.sqrt((kernels**2).sum(axis=(1, 2, 3), keepdims=True))
-        bank = FilterBank(kernels)
-        state, x0 = self.make_state(rng, bank, sample)
-        cfg = DcConfig(lam=1e6, n_cg=30)
-        out = dc_step(sample, state, bank, cfg, x_prev=x0)
-        synth = dictionary_synthesis(bank, state.s)
-        rel = np.linalg.norm(out - synth) / np.linalg.norm(synth)
+        _, sample = small_instance(rng, shape=(8, 8, 2))
+        params, config = network_instance(rng, 1e6, n_outer=1, n_admm=3, n_cg=30)
+        result = forward_reconstruct(sample, params, config, want_trace=True)
+        synth = result.trace.outer[0].approx
+        rel = np.linalg.norm(result.image - synth) / np.linalg.norm(synth)
         assert rel <= 1e-4
 
     def test_decreases_quadratic_objective(self):
         rng = np.random.default_rng(11)
-        x, sample = small_instance(rng, shape=(8, 8, 2))
-        kernels = rng.standard_normal((2, 3, 3, 1))
-        kernels /= np.sqrt((kernels**2).sum(axis=(1, 2, 3), keepdims=True))
-        bank = FilterBank(kernels)
-        state, x0 = self.make_state(rng, bank, sample)
+        _, sample = small_instance(rng, shape=(8, 8, 2))
         lam = 0.5
-        cfg = DcConfig(lam=lam, n_cg=12)
-        synth = dictionary_synthesis(bank, state.s)
+        params, config = network_instance(rng, lam, n_outer=1, n_admm=3, n_cg=12)
+        result = forward_reconstruct(sample, params, config, want_trace=True)
+        synth = result.trace.outer[0].approx
 
         def objective(img):
             resid = forward_apply(img, sample.coils, sample.mask) - sample.y
             return norm2_sq(resid) / 2.0 + lam * norm2_sq(img - synth) / 2.0
 
-        out = dc_step(sample, state, bank, cfg, x_prev=x0)
-        assert objective(out) < objective(x0)
+        x0 = adjoint_apply(sample.y, sample.coils, sample.mask)
+        assert objective(result.image) < objective(x0)
 
     def test_warm_start_at_solution_stays(self):
         rng = np.random.default_rng(12)
@@ -246,10 +268,8 @@ class TestDcStep:
         bank = FilterBank(kernels)
         s = random_complex(rng, (1,) + shape)
         state = CodeState(s=s, u=s.copy(), z=np.zeros_like(s))
-        rhs = build_rhs(sample, dictionary_synthesis(bank, state.s), lam)
-        exact = cg_solve(
-            rhs, NormalOperator(coils, mask, lam), np.zeros(shape, dtype=complex),
-            DcConfig(lam=lam, n_cg=40),
-        ).image
-        out = dc_step(sample, state, bank, DcConfig(lam=lam, n_cg=5), x_prev=exact)
+        rhs = adjoint_apply(sample.y, coils, mask) + lam * dictionary_synthesis(bank, state.s)
+        operator = NormalOperator(coils, mask, lam)
+        exact = cg_solve(rhs, operator, np.zeros(shape, dtype=complex), 40).image
+        out = cg_solve(rhs, operator, exact, 5).image
         assert np.max(np.abs(out - exact)) <= 1e-10

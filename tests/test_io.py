@@ -59,6 +59,14 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError):
             read_tensor(p)
 
+    @pytest.mark.parametrize("keep", [6, 10, 16, 20])
+    def test_truncated_header_rejected(self, tmp_path, keep):
+        p = tmp_path / "t.bin"
+        write_tensor(p, np.ones((4, 4), dtype=complex))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(TensorFormatError, match="truncated header"):
+            read_tensor(p)
+
     def test_header_layout(self, tmp_path):
         p = tmp_path / "t.bin"
         write_tensor(p, np.zeros((2, 3), dtype=complex))

@@ -1,5 +1,7 @@
 """Unrolled network assembly tests: modes, determinism, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,15 @@ class TestCheckpoint:
         assert back_params.log_lam == params.log_lam
         assert back_params.log_alpha == params.log_alpha
         assert back_params.log_beta == params.log_beta
+
+    @pytest.mark.parametrize("field,value", [("n_filters", 16), ("kernel_size", 7),
+                                             ("mode", "2d")])
+    def test_manifest_disagreeing_with_kernels_rejected(self, tmp_path, field, value):
+        cfg = NetworkConfig(mode="3d", n_filters=2, kernel_size=3)
+        save_checkpoint(tmp_path / "ck", init_network(cfg, rng_seed=1), cfg)
+        manifest_path = tmp_path / "ck" / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"][field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ShapeMismatch):
+            load_checkpoint(tmp_path / "ck")
