@@ -15,6 +15,7 @@ Under this convention the vector-Jacobian rules used below are
     y = |w|^2 (real output)        ->  w_bar += 2 y_bar w
     y = F w (unnormalized DFT)     ->  w_bar += N ifft(y_bar)
     y = F^{-1} w                   ->  w_bar += (1/N) fft(y_bar)
+    y = A^{-1} b, A Hermitian      ->  b_bar += A^{-1} y_bar
 
 where <a, b> = sum(conj(a) b).  The soft threshold uses subgradient 0 at
 its kink.  Gradients of the log-parameterized weights are produced by the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csc import AdmmStepTrace, SUpdateTrace
+from .csc import AdmmStepTrace, SUpdateTrace, _broadcast_spectra, _solve
 from .dc import CgTrace, NormalOperator
 from .errors import NonFiniteValue, ShapeMismatch, TraceMismatch
 from .network import MODE_2D, NetworkTrace, mode_2d_merge, mode_2d_split
@@ -59,10 +60,9 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
-def _sum_batch(arr: np.ndarray, n_batch: int) -> np.ndarray:
-    if n_batch == 0:
-        return arr
-    return arr.sum(axis=tuple(range(1, 1 + n_batch)))
+def _sum_batch(arr: np.ndarray, n_spatial: int) -> np.ndarray:
+    """Reduce (K, *batch, *spatial) to (K, *spatial)."""
+    return arr.sum(axis=tuple(range(1, arr.ndim - n_spatial)))
 
 
 def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
@@ -75,47 +75,37 @@ def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
     return v_bar, tau_bar
 
 
-def s_update_backward(trace: SUpdateTrace, s_bar: np.ndarray, n_batch: int):
+def s_update_backward(trace: SUpdateTrace, s_bar: np.ndarray):
     """Closed-form VJP of the per-frequency Sherman-Morrison solve.
 
-    Returns cotangents of (x, u, z, spectra, gamma).  The spectra cotangent
-    is reduced over batch axes to the (K, *spatial) layout.
+    s_hat = A^{-1} r with A = conj(d) d^T + gamma I Hermitian, so r_bar =
+    A^{-1} s_hat_bar.  With rho = d^T r_bar and the synthesis residual
+    e = d^T s_hat - x_hat, dA s_hat yields the spectra and gamma cotangents
+    below, using gamma (w_hat - s_hat) = conj(d) e.
+
+    Returns cotangents of (x, u, z, spectra, gamma), the spectra one reduced
+    over batch axes to the (K, *spatial) layout.
     """
     gamma = trace.gamma
     spectra = trace.spectra
     n_spatial = spectra.ndim - 1
-    d = spectra.reshape((spectra.shape[0],) + (1,) * n_batch + spectra.shape[1:])
+    d = _broadcast_spectra(spectra, trace.x_hat.ndim)
     n_freq = float(np.prod(spectra.shape[1:]))
 
     s_hat_bar = dft_forward(s_bar, ndim=n_spatial) / n_freq
-    # s_hat = r/gamma - conj(d) m
-    r_bar = s_hat_bar / gamma
-    m_bar = -(d * s_hat_bar).sum(axis=0)
-    d_bar = _sum_batch(-trace.m[np.newaxis] * np.conj(s_hat_bar), n_batch)
-    gamma_bar = -_real_inner(s_hat_bar, trace.r) / gamma**2
-    # m = t / (gamma g)
-    t_bar = m_bar / (gamma * trace.g)
-    gamma_bar += -_real_inner(m_bar, trace.t / (gamma**2 * trace.g))
-    g_term = np.real(np.conj(m_bar) * (-trace.t / (gamma * trace.g**2)))
-    g_bar = g_term.sum(axis=tuple(range(n_batch))) if n_batch else g_term
-    # g = gamma + sum_k |d_k|^2
-    gamma_bar += float(g_bar.sum())
-    d_bar += 2.0 * g_bar * spectra
-    # t = sum_k d_k r_k
-    r_bar = r_bar + np.conj(d) * t_bar[np.newaxis]
-    d_bar += _sum_batch(np.conj(trace.r) * t_bar[np.newaxis], n_batch)
-    # r = conj(d) x_hat + gamma w_hat
-    x_hat_bar = (d * r_bar).sum(axis=0)
-    d_bar += _sum_batch(trace.x_hat[np.newaxis] * np.conj(r_bar), n_batch)
-    w_hat_bar = gamma * r_bar
-    gamma_bar += _real_inner(r_bar, trace.w_hat)
-    # x_hat = F x ; w_hat = F (u + z)
-    x_bar = n_freq * dft_inverse(x_hat_bar, ndim=n_spatial)
-    w_bar = n_freq * dft_inverse(w_hat_bar, ndim=n_spatial)
+    r_bar = _solve(d, s_hat_bar, gamma, trace.g)
+    # r = conj(d) x_hat + gamma w_hat ; x_hat = F x ; w_hat = F (u + z)
+    rho = (d * r_bar).sum(axis=0)
+    e = (d * trace.s_hat).sum(axis=0) - trace.x_hat
+    d_bar = -_sum_batch(np.conj(r_bar) * e[np.newaxis]
+                        + rho[np.newaxis] * np.conj(trace.s_hat), n_spatial)
+    gamma_bar = _real_inner(rho, e) / gamma
+    x_bar = n_freq * dft_inverse(rho, ndim=n_spatial)
+    w_bar = n_freq * dft_inverse(gamma * r_bar, ndim=n_spatial)
     return x_bar, w_bar.copy(), w_bar, d_bar, gamma_bar
 
 
-def admm_step_backward(step: AdmmStepTrace, s_bar, u_bar, z_bar, n_batch: int):
+def admm_step_backward(step: AdmmStepTrace, s_bar, u_bar, z_bar):
     """VJP of one s -> u -> z ADMM sweep.
 
     Takes cotangents of the step outputs (s_new, u_new, z_new) and returns
@@ -131,22 +121,21 @@ def admm_step_backward(step: AdmmStepTrace, s_bar, u_bar, z_bar, n_batch: int):
     z_prev_bar -= v_bar
     # s_new = s_update_traced(x, u_prev, z_prev)[0]
     x_bar, u_prev_bar, z_prev_add, d_bar, gamma_bar = s_update_backward(
-        step.s_trace, s_bar, n_batch
+        step.s_trace, s_bar
     )
     z_prev_bar += z_prev_add
     return x_bar, u_prev_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
 
 
-def synthesis_backward(s_final: np.ndarray, spectra: np.ndarray,
-                       synth_bar: np.ndarray, n_batch: int):
-    """VJP of the spectral dictionary synthesis sum_k d_k * s_k."""
+def synthesis_backward(s_hat: np.ndarray, spectra: np.ndarray,
+                       synth_bar: np.ndarray):
+    """VJP of the spectral dictionary synthesis sum_k d_k * s_k, given s_hat."""
     n_spatial = spectra.ndim - 1
-    d = spectra.reshape((spectra.shape[0],) + (1,) * n_batch + spectra.shape[1:])
+    d = _broadcast_spectra(spectra, synth_bar.ndim)
     n_freq = float(np.prod(spectra.shape[1:]))
     f_synth_bar = dft_forward(synth_bar, ndim=n_spatial)
     s_bar = dft_inverse(np.conj(d) * f_synth_bar[np.newaxis], ndim=n_spatial)
-    s_hat = dft_forward(s_final, ndim=n_spatial)
-    d_bar = _sum_batch(np.conj(s_hat) * f_synth_bar[np.newaxis], n_batch) / n_freq
+    d_bar = _sum_batch(np.conj(s_hat) * f_synth_bar[np.newaxis], n_spatial) / n_freq
     return s_bar, d_bar
 
 
@@ -226,14 +215,13 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
         )
 
     lam, alpha, beta = params.lam, params.alpha, params.beta
-    n_batch = 1 if config.mode == MODE_2D else 0
     operator = NormalOperator(trace.sample.coils, trace.sample.mask, lam)
     kernels = params.filters.kernels
 
     x_bar = np.array(d_image, dtype=np.complex128)
-    code_shape = trace.outer[0].s_final.shape if trace.outer else None
-    u_bar = np.zeros(code_shape, dtype=np.complex128) if code_shape else None
-    z_bar = np.zeros_like(u_bar) if code_shape else None
+    if trace.outer:
+        u_bar = np.zeros_like(trace.outer[0].admm[0].s_trace.s_hat)
+        z_bar = np.zeros_like(u_bar)
     d_bar = np.zeros_like(trace.spectra)
     lam_bar = 0.0
     gamma_bar = 0.0
@@ -247,13 +235,13 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
         lam_bar += _real_inner(rhs_bar, outer.approx)
         synth_bar = mode_2d_merge(approx_bar) if config.mode == MODE_2D else approx_bar
         s_bar, d_add = synthesis_backward(
-            outer.s_final, trace.spectra, synth_bar, n_batch
+            outer.admm[-1].s_trace.s_hat, trace.spectra, synth_bar
         )
         d_bar += d_add
         reg_x_bar = np.zeros_like(synth_bar)
         for step in reversed(outer.admm):
             x_add, u_bar, z_bar, d_add, gamma_add, tau_add = admm_step_backward(
-                step, s_bar, u_bar, z_bar, n_batch
+                step, s_bar, u_bar, z_bar
             )
             reg_x_bar += x_add
             d_bar += d_add

@@ -132,18 +132,24 @@ def _broadcast_spectra(spectra: np.ndarray, image_ndim: int) -> np.ndarray:
     return spectra.reshape(shape)
 
 
+def _solve(d, b, gamma, g):
+    """(conj(d) d^T + gamma I)^{-1} b per frequency, g = gamma + sum_k |d_k|^2."""
+    return b / gamma - np.conj(d) * ((d * b).sum(axis=0) / (gamma * g))[np.newaxis]
+
+
 @dataclass(frozen=True)
 class SUpdateTrace:
-    """Intermediates of one s-update, consumed by the backward pass."""
+    """Intermediates of one s-update, consumed by the backward pass.
+
+    The solve's matrix is Hermitian, so the backward pass reverses it with
+    the same solve and needs neither its right-hand side nor w_hat.
+    """
 
     spectra: np.ndarray   # (K, *spatial)
     gamma: float
-    x_hat: np.ndarray     # (*image)
-    w_hat: np.ndarray     # (K, *image), spectrum of u + z
-    r: np.ndarray         # (K, *image)
-    t: np.ndarray         # (*image), d^T r per frequency
     g: np.ndarray         # (*spatial), gamma + ||d||^2 per frequency
-    m: np.ndarray         # (*image), t / (gamma g)
+    x_hat: np.ndarray     # (*image)
+    s_hat: np.ndarray     # (K, *image), spectrum of the new s
 
 
 def s_update_traced(x, u, z, filters: FilterBank, gamma: float, spectra=None):
@@ -162,16 +168,10 @@ def s_update_traced(x, u, z, filters: FilterBank, gamma: float, spectra=None):
     d = _broadcast_spectra(spectra, x.ndim)
     x_hat = dft_forward(x, ndim=n_spatial)
     w_hat = dft_forward(u + z, ndim=n_spatial)
-    r = np.conj(d) * x_hat[np.newaxis] + gamma * w_hat
-    t = (d * r).sum(axis=0)
     g = gamma + (np.abs(spectra) ** 2).sum(axis=0)
-    m = t / (gamma * g)
-    s_hat = r / gamma - np.conj(d) * m[np.newaxis]
-    s = dft_inverse(s_hat, ndim=n_spatial)
-    trace = SUpdateTrace(
-        spectra=spectra, gamma=gamma, x_hat=x_hat, w_hat=w_hat, r=r, t=t, g=g, m=m
-    )
-    return s, trace
+    s_hat = _solve(d, np.conj(d) * x_hat[np.newaxis] + gamma * w_hat, gamma, g)
+    trace = SUpdateTrace(spectra=spectra, gamma=gamma, g=g, x_hat=x_hat, s_hat=s_hat)
+    return dft_inverse(s_hat, ndim=n_spatial), trace
 
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:

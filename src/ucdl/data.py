@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import read_tensor, write_tensor
+from .io import read_manifest, read_tensor, write_tensor
 from .operators import (
     CoilMaps,
     load_kspace_sample,
@@ -161,7 +161,7 @@ def save_dataset(directory: str | Path, pairs, settings: dict | None = None) -> 
 def load_dataset(directory: str | Path):
     """Read back the (sample, target) pairs written by :func:`save_dataset`."""
     directory = Path(directory)
-    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    manifest = read_manifest(directory / MANIFEST_NAME, ("samples",))
     pairs = []
     for name in manifest["samples"]:
         sub = directory / name

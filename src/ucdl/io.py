@@ -1,4 +1,4 @@
-"""Binary tensor file format and PGM image export.
+"""Binary tensor file format, JSON manifests and PGM image export.
 
 Tensor files carry a little-endian header ``magic "UCDL" | version u32 |
 ndim u32 | dims u64 x ndim | dtype tag u32`` followed by the raw row-major
@@ -7,6 +7,7 @@ interleaved re/im float64 payload.  Only complex128 (tag 1) is defined.
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
@@ -62,6 +63,17 @@ def read_tensor(path: str | Path) -> np.ndarray:
         if data.size != count:
             raise TensorFormatError(f"{path}: truncated payload")
     return data.reshape(dims).astype(np.complex128)
+
+
+def read_manifest(path: str | Path, keys) -> dict:
+    """The JSON object in `path`, checked to hold every one of `keys`."""
+    manifest = json.loads(Path(path).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in manifest:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return manifest
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

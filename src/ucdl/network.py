@@ -21,7 +21,7 @@ the full array.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .csc import (
 )
 from .dc import CgTrace, NormalOperator, cg_solve
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
-from .io import read_tensor, write_tensor
+from .io import read_manifest, read_tensor, write_tensor
 from .operators import KSpaceSample, adjoint_apply
 
 MODE_3D = "3d"
@@ -72,16 +72,15 @@ class NetworkConfig:
             object.__setattr__(self, "n_filters", default_k)
         if self.kernel_size is None:
             object.__setattr__(self, "kernel_size", default_kf)
-        if self.n_filters < 1:
-            raise ValueError(f"n_filters must be >= 1, got {self.n_filters}")
-        if self.kernel_size < 1:
-            raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size}")
-        if self.n_outer < 0:
-            raise ValueError(f"n_outer must be >= 0, got {self.n_outer}")
-        if self.n_admm < 1:
-            raise ValueError(f"n_admm must be >= 1, got {self.n_admm}")
-        if self.n_cg < 1:
-            raise ValueError(f"n_cg must be >= 1, got {self.n_cg}")
+        minimum = {"n_filters": 1, "kernel_size": 1, "n_outer": 0, "n_admm": 1, "n_cg": 1}
+        for name, low in minimum.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not isinstance(self.train_filters, (bool, np.bool_)):
+            raise ValueError(f"train_filters must be true or false, got {self.train_filters!r}")
 
     @property
     def kernel_shape(self) -> tuple:
@@ -89,18 +88,13 @@ class NetworkConfig:
         return (self.kernel_size,) * d
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_filters": self.n_filters,
-            "kernel_size": self.kernel_size,
-            "n_outer": self.n_outer,
-            "n_admm": self.n_admm,
-            "n_cg": self.n_cg,
-            "train_filters": self.train_filters,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         return cls(**data)
 
 
@@ -174,8 +168,7 @@ def _check_mode_kernels(config: NetworkConfig, filters: FilterBank) -> None:
 class OuterTrace:
     """Intermediates of one outer iteration."""
 
-    admm: tuple          # J AdmmStepTrace entries
-    s_final: np.ndarray  # codes entering the synthesis
+    admm: tuple          # J AdmmStepTrace entries; the last holds the synthesized s_hat
     approx: np.ndarray   # video-shaped dictionary approximation
     cg: CgTrace
 
@@ -236,8 +229,7 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
             raise NonFiniteValue(f"outer iteration {t}: {err}") from err
         if want_trace:
             outer_traces.append(
-                OuterTrace(admm=tuple(step_traces), s_final=state.s,
-                           approx=approx, cg=cg.trace)
+                OuterTrace(admm=tuple(step_traces), approx=approx, cg=cg.trace)
             )
     trace = None
     if want_trace:
@@ -275,9 +267,13 @@ def save_checkpoint(directory: str | Path, params: NetworkParams,
 def load_checkpoint(directory: str | Path):
     """Read back (params, config) written by save_checkpoint."""
     directory = Path(directory)
-    with open(directory / MANIFEST_FILE) as fh:
-        manifest = json.load(fh)
-    config = NetworkConfig.from_dict(manifest["config"])
+    path = directory / MANIFEST_FILE
+    manifest = read_manifest(path, ("config", "kernels_file", "log_lambda",
+                                    "log_alpha", "log_beta"))
+    try:
+        config = NetworkConfig.from_dict(manifest["config"])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     kernels = read_tensor(directory / manifest["kernels_file"])
     if np.any(kernels.imag != 0):
         raise ValueError("checkpoint kernels must be real-valued")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeMismatch
-from .io import read_tensor, write_tensor
+from .io import read_manifest, read_tensor, write_tensor
 
 DEFAULT_NOISE_SIGMA = 0.02
 
@@ -259,7 +259,7 @@ def save_kspace_sample(directory: str | Path, sample: KSpaceSample, seed: int | 
 def load_kspace_sample(directory: str | Path) -> KSpaceSample:
     """Read a sample written by :func:`save_kspace_sample`."""
     directory = Path(directory)
-    sidecar = json.loads((directory / "sample.json").read_text())
+    sidecar = read_manifest(directory / "sample.json", ("y", "mask", "coils", "sigma"))
     y = read_tensor(directory / sidecar["y"])
     mask = SamplingMask(read_tensor(directory / sidecar["mask"]).real > 0.5)
     coils = CoilMaps(read_tensor(directory / sidecar["coils"]))

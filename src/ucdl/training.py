@@ -38,6 +38,10 @@ from .tensors import norm2_sq
 
 DEFAULT_LR = 5e-4
 DEFAULT_EPOCHS = 16
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def loss_mse(x_out: np.ndarray, x_target: np.ndarray) -> float:
@@ -68,9 +72,6 @@ class AdamState:
     v_logs: np.ndarray
     step: int = 0
     lr: float = DEFAULT_LR
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: NetworkParams, lr: float = DEFAULT_LR) -> "AdamState":
@@ -84,12 +85,12 @@ class AdamState:
         )
 
 
-def _adam_update(grad, m, v, state: AdamState, step: int):
-    m = state.beta1 * m + (1.0 - state.beta1) * grad
-    v = state.beta2 * v + (1.0 - state.beta2) * grad**2
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
-    return state.lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
+def _adam_update(grad, m, v, lr: float, step: int):
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 def adam_step(params: NetworkParams, grads: GradientSet, state: AdamState,
@@ -108,7 +109,7 @@ def adam_step(params: NetworkParams, grads: GradientSet, state: AdamState,
     logs = np.array([params.log_lam, params.log_alpha, params.log_beta])
     g_logs = np.array([grads.d_log_lam, grads.d_log_alpha, grads.d_log_beta])
     delta_logs, m_logs, v_logs = _adam_update(
-        g_logs, state.m_logs, state.v_logs, state, step
+        g_logs, state.m_logs, state.v_logs, state.lr, step
     )
     logs = logs - delta_logs
     new_params = replace(
@@ -118,7 +119,7 @@ def adam_step(params: NetworkParams, grads: GradientSet, state: AdamState,
     m_filters, v_filters = state.m_filters, state.v_filters
     if update_filters:
         delta, m_filters, v_filters = _adam_update(
-            grads.d_filters, state.m_filters, state.v_filters, state, step
+            grads.d_filters, state.m_filters, state.v_filters, state.lr, step
         )
         if delta.any():
             # an exactly-zero step (zero gradients, or lr = 0) leaves the

@@ -42,7 +42,9 @@ from ucdl.network import (
     init_network,
 )
 from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
-from ucdl.tensors import norm2_sq
+from ucdl.tensors import dft_forward, norm2_sq
+
+from oracles import run_admm
 
 FD_STEP = 1e-6
 
@@ -157,18 +159,23 @@ class TestProxBackward:
 # ---------------------------------------------------------------------------
 
 class TestSUpdateBackward:
-    def run_case(self, rng, image_shape, kernel_shape, n_batch):
+    def run_case(self, rng, image_shape, kernel_shape, admm_steps=0):
+        """Random u and z, or with admm_steps > 0 the state that many ADMM
+        sweeps on x reach from zero codes."""
         bank = random_bank(rng, 2, kernel_shape)
         gamma = 0.7
         x = random_complex(rng, image_shape)
         u = random_complex(rng, (2,) + image_shape)
         z = random_complex(rng, (2,) + image_shape)
+        if admm_steps:
+            config = AdmmConfig(lam=1.0, alpha=0.05, beta=gamma)
+            state = run_admm(x, bank, config, n_steps=admm_steps)
+            assert norm2_sq(state.u - state.s) < 1e-20 * norm2_sq(state.s)
+            u, z = state.u, state.z
         weight = random_complex(rng, (2,) + image_shape)
 
         s, trace = s_update_traced(x, u, z, bank, gamma)
-        x_bar, u_bar, z_bar, d_bar, gamma_bar = s_update_backward(
-            trace, weight, n_batch
-        )
+        x_bar, u_bar, z_bar, d_bar, gamma_bar = s_update_backward(trace, weight)
 
         def loss(x_=x, u_=u, z_=z, bank_=bank, gamma_=gamma):
             return real_weighted(weight, s_update_traced(x_, u_, z_, bank_, gamma_)[0])
@@ -184,13 +191,18 @@ class TestSUpdateBackward:
         assert_grad_close(fd_gamma, gamma_bar)
 
     def test_plain_image(self):
-        self.run_case(np.random.default_rng(21), (5, 4), (3, 3), n_batch=0)
+        self.run_case(np.random.default_rng(21), (5, 4), (3, 3))
 
     def test_batched_frames(self):
-        self.run_case(np.random.default_rng(22), (3, 5, 4), (3, 3), n_batch=1)
+        self.run_case(np.random.default_rng(22), (3, 5, 4), (3, 3))
 
     def test_three_dim_kernels(self):
-        self.run_case(np.random.default_rng(23), (4, 4, 3), (3, 3, 3), n_batch=0)
+        self.run_case(np.random.default_rng(23), (4, 4, 3), (3, 3, 3))
+
+    def test_converged_admm_state(self):
+        # at an ADMM fixed point u = s, so w_hat - s_hat = F z and the
+        # synthesis residual e are small next to s_hat and x_hat
+        self.run_case(np.random.default_rng(25), (3, 5, 4), (3, 3), admm_steps=2000)
 
     def test_u_and_z_cotangents_are_independent_arrays(self):
         rng = np.random.default_rng(24)
@@ -199,9 +211,7 @@ class TestSUpdateBackward:
         u = random_complex(rng, (2, 4, 4))
         z = random_complex(rng, (2, 4, 4))
         _, trace = s_update_traced(x, u, z, bank, 0.5)
-        _, u_bar, z_bar, _, _ = s_update_backward(
-            trace, random_complex(rng, (2, 4, 4)), 0
-        )
+        _, u_bar, z_bar, _, _ = s_update_backward(trace, random_complex(rng, (2, 4, 4)))
         np.testing.assert_array_equal(u_bar, z_bar)
         u_bar += 1.0  # mutation must not leak into the other cotangent
         assert not np.array_equal(u_bar, z_bar)
@@ -245,7 +255,7 @@ class TestAdmmStepBackward:
             )
 
         x_bar, u_bar, z_bar, d_bar, gamma_bar, tau_bar = admm_step_backward(
-            trace, w_s, w_u, w_z, n_batch=0
+            trace, w_s, w_u, w_z
         )
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
         assert_grad_close(numeric_grad(lambda a: loss(u_=a), state.u), u_bar)
@@ -263,7 +273,7 @@ class TestAdmmStepBackward:
 # ---------------------------------------------------------------------------
 
 class TestSynthesisBackward:
-    def run_case(self, rng, code_shape, kernel_shape, n_batch):
+    def run_case(self, rng, code_shape, kernel_shape):
         bank = random_bank(rng, code_shape[0], kernel_shape)
         s = random_complex(rng, code_shape)
         weight = random_complex(rng, code_shape[1:])
@@ -275,16 +285,17 @@ class TestSynthesisBackward:
         from ucdl.csc import filter_spectra
 
         spectra = filter_spectra(bank, code_shape[-len(kernel_shape):])
-        s_bar, d_bar = synthesis_backward(s, spectra, weight, n_batch)
+        s_hat = dft_forward(s, ndim=len(kernel_shape))
+        s_bar, d_bar = synthesis_backward(s_hat, spectra, weight)
         assert_grad_close(numeric_grad(lambda a: loss(s_=a), s), s_bar)
         fd_kernels = numeric_grad(lambda k: loss(bank_=FilterBank(k)), bank.kernels)
         assert_grad_close(fd_kernels, spectra_to_kernel_grad(d_bar, kernel_shape))
 
     def test_plain_codes(self):
-        self.run_case(np.random.default_rng(41), (2, 5, 4), (3, 3), n_batch=0)
+        self.run_case(np.random.default_rng(41), (2, 5, 4), (3, 3))
 
     def test_batched_codes(self):
-        self.run_case(np.random.default_rng(42), (2, 3, 4, 4), (3, 3), n_batch=1)
+        self.run_case(np.random.default_rng(42), (2, 3, 4, 4), (3, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,55 @@ class TestExports:
         maps = read_tensor(bins[0])
         assert maps.shape == (16, 16, 4)
         assert read_pgm_header(pgms[0]) == (16, 16)
+
+
+class TestBrokenManifests:
+    """A manifest without a key it needs, or with a malformed network config,
+    exits 1 with one line that names the file and the key."""
+
+    def edit_manifest(self, src, dst, name, edit):
+        shutil.copytree(src, dst)
+        manifest = json.loads((dst / name).read_text())
+        edit(manifest)
+        (dst / name).write_text(json.dumps(manifest))
+        return dst / name
+
+    def test_checkpoint_missing_key(self, workspace, tmp_path, capsys):
+        path = self.edit_manifest(workspace["run"] / "final", tmp_path / "ck",
+                                  "checkpoint.json", lambda m: m.pop("log_alpha"))
+        code, _ = run_cli("export-filters", "--checkpoint", tmp_path / "ck",
+                          "--out", tmp_path / "filters")
+        assert code == 1
+        assert capsys.readouterr().err == f"{path}: missing key 'log_alpha'\n"
+
+    def test_sample_missing_key(self, workspace, tmp_path, capsys):
+        path = self.edit_manifest(workspace["data"] / "sample_000", tmp_path / "s",
+                                  "sample.json", lambda m: m.pop("sigma"))
+        code, _ = run_cli("reconstruct", "--checkpoint", workspace["run"] / "final",
+                          "--sample", tmp_path / "s", "--out", tmp_path / "r.bin")
+        assert code == 1
+        assert capsys.readouterr().err == f"{path}: missing key 'sigma'\n"
+
+    def test_dataset_missing_key(self, workspace, tmp_path, capsys):
+        path = self.edit_manifest(workspace["data"], tmp_path / "d",
+                                  "dataset.json", lambda m: m.pop("samples"))
+        code, _ = run_cli("train", "--data", tmp_path / "d", "--val", workspace["val"],
+                          "--out", tmp_path / "run", "--K", 2, "--kf", 3, "--epochs", 1)
+        assert code == 1
+        assert capsys.readouterr().err == f"{path}: missing key 'samples'\n"
+
+    @pytest.mark.parametrize("key,value", [("n_filters", "2"), ("n_cg", True),
+                                           ("bogus", 1)])
+    def test_malformed_checkpoint_config(self, workspace, tmp_path, capsys, key, value):
+        path = self.edit_manifest(workspace["run"] / "final", tmp_path / "ck",
+                                  "checkpoint.json",
+                                  lambda m: m["config"].update({key: value}))
+        code, _ = run_cli("export-filters", "--checkpoint", tmp_path / "ck",
+                          "--out", tmp_path / "filters")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and key in err
+        assert err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
-"""On-disk tensor and image format tests."""
+"""On-disk tensor, manifest and image format tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from ucdl.io import (
     MAGIC,
     TensorFormatError,
     quantize_window,
+    read_manifest,
     read_tensor,
     write_pgm,
     write_tensor,
@@ -76,6 +78,25 @@ class TestTensorFormat:
         assert version == 1 and ndim == 2
         dims = struct.unpack_from("<2Q", raw, 12)
         assert dims == (2, 3)
+
+
+class TestManifest:
+    def test_reads_object_with_keys(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"a": 1, "b": [2]}')
+        assert read_manifest(path, ("a", "b")) == {"a": 1, "b": [2]}
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"a": 1}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key 'b'$"):
+            read_manifest(path, ("a", "b"))
+
+    def test_rejects_non_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            read_manifest(path, ())
 
 
 class TestPgm:

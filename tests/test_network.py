@@ -71,6 +71,14 @@ class TestConfig:
         cfg = NetworkConfig(mode="2d", n_filters=4, kernel_size=3, n_outer=2)
         assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("key,value", [("bogus", 1), ("n_filters", "2"),
+                                           ("kernel_size", 3.0), ("n_cg", True),
+                                           ("train_filters", "false")])
+    def test_from_dict_rejects_malformed_entries(self, key, value):
+        data = {**NetworkConfig().to_dict(), key: value}
+        with pytest.raises(ValueError, match=key):
+            NetworkConfig.from_dict(data)
+
 
 class TestInitAndProjection:
     def test_unit_norms_and_determinism(self):

@@ -23,6 +23,9 @@ from ucdl.network import (
 )
 from ucdl.operators import make_coil_maps
 from ucdl.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DEFAULT_EPOCHS,
     DEFAULT_LR,
     AdamState,
@@ -99,9 +102,8 @@ class TestAdam:
         params = init_network(tiny_config(), rng_seed=0)
         state = AdamState.init(params)
         assert state.lr == 5e-4
-        assert state.beta1 == 0.9
-        assert state.beta2 == 0.999
-        assert state.eps == 1e-8
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+        assert not any(hasattr(state, name) for name in ("beta1", "beta2", "eps"))
         assert state.step == 0
         assert DEFAULT_LR == 5e-4
         assert DEFAULT_EPOCHS == 16
