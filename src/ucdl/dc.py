@@ -31,7 +31,9 @@ class NormalOperator:
         self.lam = float(lam)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return normal_apply(x, self.coils, self.mask) + self.lam * x
+        out = normal_apply(x, self.coils, self.mask)
+        out += self.lam * x
+        return out
 
 
 @dataclass(frozen=True)

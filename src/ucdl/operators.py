@@ -7,6 +7,14 @@ sampling mask.  The orthonormal scaling makes the adjoint the exact reverse
 path (zero-fill, inverse DFT, conjugate coil weighting, coil sum) and gives
 ``A^H A = I`` for a fully sampled single unit coil.
 
+When the mask is constant along k_x, as for whole k_y lines (the
+``columns`` family), it commutes with the k_x DFT and ``F^H M F =
+F_y^H M F_y``.  :func:`normal_apply` then runs one 1D forward and one 1D
+inverse DFT along k_y, in hybrid x-k_y-t space, instead of the 2D pair.
+:class:`SamplingMask` decides this once, when it is built; any other mask,
+such as the ``points`` family, takes the 2D path.  All transforms use
+``scipy.fft``.
+
 Measured data is stored compactly as ``(N_c, M)`` where ``M`` is the number
 of sampled k-space locations, ordered row-major over ``(N_x, N_y, N_t)``.
 """
@@ -14,10 +22,11 @@ of sampled k-space locations, ordered row-major over ``(N_x, N_y, N_t)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from .errors import ShapeMismatch
 from .io import read_manifest, read_tensor, write_tensor
@@ -25,19 +34,30 @@ from .io import read_manifest, read_tensor, write_tensor
 DEFAULT_NOISE_SIGMA = 0.02
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CoilMaps:
-    """Coil-sensitivity maps of shape ``(N_c, N_x, N_y)``."""
+    """Coil-sensitivity maps of shape ``(N_c, N_x, N_y)``.
+
+    ``maps`` is a read-only copy of the input, and ``conj_maps`` its
+    conjugate, computed once here for the adjoint.
+    """
 
     maps: np.ndarray
+    conj_maps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        maps = np.asarray(self.maps, dtype=np.complex128)
+        maps = np.array(self.maps, dtype=np.complex128)
         if maps.ndim != 3:
             raise ShapeMismatch(f"coil maps must be (N_c, N_x, N_y), got {maps.shape}")
         if not np.all((np.abs(maps) ** 2).sum(axis=0) > 0):
             raise ValueError("coil maps have dead pixels (zero total sensitivity)")
-        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "maps", _read_only(maps))
+        object.__setattr__(self, "conj_maps", _read_only(np.conj(maps)))
 
     @property
     def count(self) -> int:
@@ -50,17 +70,29 @@ class CoilMaps:
 
 @dataclass(frozen=True)
 class SamplingMask:
-    """Boolean k-space sampling pattern of shape ``(N_x, N_y, N_t)``."""
+    """Boolean k-space sampling pattern of shape ``(N_x, N_y, N_t)``.
+
+    ``mask`` is a read-only copy of the input.  ``separable`` says whether it
+    is constant along k_x; ``weights`` is the float mask that
+    :func:`normal_apply` multiplies by: the ``(N_y, N_t)`` k_y lines when
+    separable, the whole ``(N_x, N_y, N_t)`` mask otherwise.
+    """
 
     mask: np.ndarray
+    separable: bool = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool)
         if mask.ndim != 3:
             raise ShapeMismatch(f"mask must be (N_x, N_y, N_t), got {mask.shape}")
         if not mask.any(axis=(0, 1)).all():
             raise ValueError("every temporal frame needs at least one sampled location")
-        object.__setattr__(self, "mask", mask)
+        separable = bool((mask == mask[:1]).all())
+        weights = mask[0] if separable else mask
+        object.__setattr__(self, "mask", _read_only(mask))
+        object.__setattr__(self, "separable", separable)
+        object.__setattr__(self, "weights", _read_only(weights.astype(np.float64)))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -109,7 +141,7 @@ def forward_apply(x: np.ndarray, coils: CoilMaps, mask: SamplingMask) -> np.ndar
     """Apply the measurement operator: coil weighting, per-frame DFT, masking."""
     x = _check_image(x, coils, mask)
     weighted = coils.maps[:, :, :, None] * x[None]
-    kspace = np.fft.fft2(weighted, axes=(1, 2), norm="ortho")
+    kspace = scipy.fft.fft2(weighted, axes=(1, 2), norm="ortho", overwrite_x=True)
     return kspace[:, mask.mask]
 
 
@@ -121,18 +153,28 @@ def adjoint_apply(y: np.ndarray, coils: CoilMaps, mask: SamplingMask) -> np.ndar
         raise ShapeMismatch(f"k-space data shape {y.shape}, expected {expected}")
     full = np.zeros((coils.count,) + mask.shape, dtype=np.complex128)
     full[:, mask.mask] = y
-    imgs = np.fft.ifft2(full, axes=(1, 2), norm="ortho")
-    return (np.conj(coils.maps)[:, :, :, None] * imgs).sum(axis=0)
+    imgs = scipy.fft.ifft2(full, axes=(1, 2), norm="ortho", overwrite_x=True)
+    return _coil_combine(imgs, coils)
 
 
 def normal_apply(x: np.ndarray, coils: CoilMaps, mask: SamplingMask) -> np.ndarray:
-    """Fused ``A^H A x``; equals adjoint_apply(forward_apply(x)) exactly."""
+    """Fused ``A^H A x``; equals adjoint_apply(forward_apply(x)) to roundoff.
+
+    A mask constant along k_x needs only the k_y transforms (module docs).
+    """
     x = _check_image(x, coils, mask)
+    axes = (2,) if mask.separable else (1, 2)
     weighted = coils.maps[:, :, :, None] * x[None]
-    kspace = np.fft.fft2(weighted, axes=(1, 2), norm="ortho")
-    kspace *= mask.mask[None]
-    imgs = np.fft.ifft2(kspace, axes=(1, 2), norm="ortho")
-    return (np.conj(coils.maps)[:, :, :, None] * imgs).sum(axis=0)
+    kspace = scipy.fft.fftn(weighted, axes=axes, norm="ortho", overwrite_x=True)
+    kspace *= mask.weights
+    imgs = scipy.fft.ifftn(kspace, axes=axes, norm="ortho", overwrite_x=True)
+    return _coil_combine(imgs, coils)
+
+
+def _coil_combine(imgs: np.ndarray, coils: CoilMaps) -> np.ndarray:
+    """Sum of conj(S_c) * imgs[c] over the coils; overwrites `imgs`."""
+    imgs *= coils.conj_maps[:, :, :, None]
+    return imgs.sum(axis=0)
 
 
 def simulate_measurement(

@@ -1,6 +1,8 @@
 """Complex tensor arithmetic: DFTs, kernel padding and cropping, squared norms.
 
 Complex images are plain ``numpy.complex128`` arrays in row-major layout.
+Every DFT in the package runs through ``scipy.fft``, here and in
+:mod:`ucdl.operators`, so that all paths share one backend's roundoff.
 The DFT convention used throughout is an unnormalized forward transform
 together with a ``1/N`` inverse, so the convolution theorem
 ``F(d * s) = F(d) . F(s)`` holds without scale factors.
@@ -14,6 +16,7 @@ centered kernels therefore act as centered convolutions.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .errors import ShapeMismatch
 
@@ -36,13 +39,13 @@ def dft_forward(x: np.ndarray, ndim: int | None = None) -> np.ndarray:
     transformed act as batch dimensions.
     """
     x = np.asarray(x, dtype=COMPLEX_DTYPE)
-    return np.fft.fftn(x, axes=_spatial_axes(x, ndim))
+    return scipy.fft.fftn(x, axes=_spatial_axes(x, ndim))
 
 
 def dft_inverse(x: np.ndarray, ndim: int | None = None) -> np.ndarray:
     """Inverse of :func:`dft_forward`, including the 1/N normalization."""
     x = np.asarray(x, dtype=COMPLEX_DTYPE)
-    return np.fft.ifftn(x, axes=_spatial_axes(x, ndim))
+    return scipy.fft.ifftn(x, axes=_spatial_axes(x, ndim))
 
 
 def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray:

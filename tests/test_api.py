@@ -1,6 +1,8 @@
 """Public surface checks: the benchmark's trace targets resolve, the trace
-fields it reads exist, and names removed from the package stay out of it."""
+fields it reads exist, names removed from the package stay out of it, and
+no module of the package uses numpy's FFT."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -17,6 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import (OPERATION_TARGETS, SETUP_TARGETS, Tracer,  # noqa: E402
                     array_bytes, ucdl_targets)
 from workloads import active_pattern  # noqa: E402
+
+SRC = Path(ucdl.__file__).resolve().parent
 
 REMOVED = {
     "csc": ["s_update", "admm_step", "run_admm", "u_update", "z_update",
@@ -78,3 +82,37 @@ def test_removed_names_are_gone(module, names):
         assert name not in ucdl.__all__
         assert not hasattr(ucdl, name)
         assert not hasattr(mod, name), f"ucdl.{module}.{name}"
+
+
+def numpy_fft_uses(source: str) -> list[int]:
+    """Lines of `source` that import or reference numpy's FFT module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = (module.startswith("numpy.fft")
+                   or (module == "numpy" and any(a.name == "fft" for a in node.names)))
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_numpy_fft_guard_sees_each_spelling():
+    source = ("import numpy as np\nimport numpy.fft\nfrom numpy import fft\n"
+              "from numpy.fft import fft2\ny = np.fft.fft(x)\nz = numpy.fft.ifft(y)\n"
+              "import scipy.fft\nw = scipy.fft.fft(x)\n")
+    assert numpy_fft_uses(source) == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_fft_backend(path):
+    # every DFT goes through scipy.fft, so the operator's two paths and the
+    # sparse-coding transforms share one backend's roundoff
+    assert numpy_fft_uses(path.read_text()) == [], path.name

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from ucdl.errors import ShapeMismatch
 from ucdl.operators import (
@@ -115,6 +116,127 @@ class TestForwardAdjoint:
             forward_apply(np.zeros((4, 4, 3), dtype=complex), coils, mask)
         with pytest.raises(ShapeMismatch):
             adjoint_apply(np.zeros((5, 3), dtype=complex), coils, mask)
+
+
+def dense_normal(x, coils, mask):
+    """A^H A x through the full 2D DFT pair, whatever the mask."""
+    kspace = np.fft.fft2(coils.maps[:, :, :, None] * x[None], axes=(1, 2), norm="ortho")
+    kspace *= mask.mask
+    imgs = np.fft.ifft2(kspace, axes=(1, 2), norm="ortho")
+    return (np.conj(coils.maps)[:, :, :, None] * imgs).sum(axis=0)
+
+
+def transformed_axes(monkeypatch, x, coils, mask):
+    """The axes of each scipy.fft transform that one normal_apply runs."""
+    called = []
+    for name in ("fftn", "ifftn", "fft2", "ifft2", "fft", "ifft"):
+        original = getattr(scipy.fft, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            called.append((_name, tuple(kwargs["axes"])))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    normal_apply(x, coils, mask)
+    return called
+
+
+def flip_one_entry(pattern):
+    pattern[5, 7, 2] = not pattern[5, 7, 2]
+    return pattern
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestNormalPaths:
+    @pytest.mark.parametrize("shape", [(32, 32, 1), (12, 20, 1), (32, 32, 8), (48, 48, 16),
+                                       (12, 20, 5)], ids=lambda s: "x".join(map(str, s)))
+    def test_columns_ky_path_matches_2d(self, shape, monkeypatch):
+        rng = np.random.default_rng(shape[1] * shape[2])
+        coils = make_coil_maps(3, shape[:2])
+        mask = make_mask(shape, accel=4.0, family="columns", seed=shape[2])
+        x = random_complex(rng, shape)
+        assert mask.separable
+        assert mask.weights.shape == shape[1:]
+        assert relative_error(normal_apply(x, coils, mask), dense_normal(x, coils, mask)) <= 1e-13
+        assert transformed_axes(monkeypatch, x, coils, mask) == [("fftn", (2,)), ("ifftn", (2,))]
+
+    @pytest.mark.parametrize("alter", [flip_one_entry, lambda p: p.transpose(1, 0, 2)],
+                             ids=["flipped-entry", "kx-lines"])
+    def test_nonseparable_columns_take_2d_path(self, alter, monkeypatch):
+        shape = (16, 16, 4)
+        rng = np.random.default_rng(20)
+        coils = make_coil_maps(3, shape[:2])
+        pattern = make_mask(shape, accel=4.0, family="columns", seed=3).mask.copy()
+        mask = SamplingMask(alter(pattern))
+        x = random_complex(rng, shape)
+        assert not mask.separable
+        assert mask.weights.shape == shape
+        assert relative_error(normal_apply(x, coils, mask), dense_normal(x, coils, mask)) <= 1e-13
+        assert transformed_axes(monkeypatch, x, coils, mask) == [("fftn", (1, 2)),
+                                                                  ("ifftn", (1, 2))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_points_take_2d_path(self, seed, monkeypatch):
+        shape = (16, 12, 3)
+        rng = np.random.default_rng(30 + seed)
+        coils = make_coil_maps(8, shape[:2])
+        mask = make_mask(shape, accel=4.0, family="points", seed=seed)
+        x = random_complex(rng, shape)
+        assert not mask.separable
+        assert relative_error(normal_apply(x, coils, mask), dense_normal(x, coils, mask)) <= 1e-13
+        assert transformed_axes(monkeypatch, x, coils, mask) == [("fftn", (1, 2)),
+                                                                  ("ifftn", (1, 2))]
+
+    @pytest.mark.parametrize("family", ["columns", "points"])
+    def test_normal_is_gram_of_forward(self, family):
+        shape = (16, 16, 4)
+        rng = np.random.default_rng(40)
+        coils = make_coil_maps(3, shape[:2])
+        mask = make_mask(shape, accel=3.0, family=family, seed=8)
+        x = random_complex(rng, shape)
+        y = random_complex(rng, shape)
+        lhs = np.vdot(x, normal_apply(y, coils, mask))
+        rhs = np.vdot(forward_apply(x, coils, mask), forward_apply(y, coils, mask))
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    @pytest.mark.parametrize("family", ["columns", "points"])
+    def test_separability_survives_roundtrip(self, family, tmp_path):
+        shape = (8, 8, 3)
+        rng = np.random.default_rng(50)
+        coils = make_coil_maps(2, shape[:2])
+        mask = make_mask(shape, accel=2.0, family=family, seed=9)
+        sample = simulate_measurement(random_complex(rng, shape), coils, mask, sigma=0.0)
+        save_kspace_sample(tmp_path / "s", sample)
+        back = load_kspace_sample(tmp_path / "s").mask
+        assert back.separable == mask.separable == (family == "columns")
+        assert np.array_equal(back.weights, mask.weights)
+
+
+class TestCachedArrays:
+    def test_coil_maps_are_read_only(self):
+        coils = make_coil_maps(2, (6, 6))
+        for array in (coils.maps, coils.conj_maps):
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 0.0
+
+    def test_mask_is_read_only(self):
+        mask = make_mask((6, 6, 2), accel=2.0)
+        for array in (mask.mask, mask.weights):
+            with pytest.raises(ValueError):
+                array[0, 0] = False
+
+    def test_inputs_are_copied(self):
+        maps = np.ones((1, 4, 4), dtype=complex)
+        pattern = np.ones((4, 4, 2), dtype=bool)
+        coils, mask = CoilMaps(maps), SamplingMask(pattern)
+        maps[0, 0, 0] = 2.0
+        pattern[0, 0, 0] = False
+        assert coils.maps[0, 0, 0] == 1.0 and coils.conj_maps[0, 0, 0] == 1.0
+        assert mask.mask.all() and mask.separable
+        assert maps.flags.writeable and pattern.flags.writeable
 
 
 class TestSimulation:
