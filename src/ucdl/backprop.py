@@ -93,7 +93,8 @@ def s_update_backward(trace: SUpdateTrace, s_bar: np.ndarray):
     n_freq = float(np.prod(spectra.shape[1:]))
 
     s_hat_bar = dft_forward(s_bar, ndim=n_spatial) / n_freq
-    r_bar = _solve(d, s_hat_bar, gamma, trace.g)
+    r_bar = _solve(d, np.conj(d), s_hat_bar, gamma, trace.g,
+                   scratch=np.empty_like(s_hat_bar))
     # r = conj(d) x_hat + gamma w_hat ; x_hat = F x ; w_hat = F (u + z)
     rho = (d * r_bar).sum(axis=0)
     e = (d * trace.s_hat).sum(axis=0) - trace.x_hat

@@ -15,13 +15,23 @@ alternates three closed-form updates:
      with the Sherman-Morrison identity so the cost per frequency is O(K);
   u: componentwise soft threshold of s - z at level alpha/beta, applied
      independently to real and imaginary parts;
-  z: dual ascent z <- z + u - s.
+  z: dual ascent z <- z + (u - s).
 
 Arrays carrying coefficient maps have shape (K, *image_shape); the image
 shape may include leading batch axes ahead of the spatial axes, which are
 always the trailing axes matching the kernel dimensionality.  The s-update
 and the full sweep also return the intermediates that the hand-written
 backward pass consumes.
+
+Each pass over the K coefficient maps is made once.  The kernel spectra d,
+their conjugates and sum_k |d_k|^2 depend only on the kernels, so a
+forward builds them once (:func:`kernel_spectra`) and hands them to every
+sweep.  The solve and the soft threshold write into buffers of their own
+instead of allocating a temporary per operation.  They run the plain
+formulas' operations in the same order and return the same bits, except
+that a code entry the threshold sets to zero keeps the sign of its input.
+The dictionary synthesis reuses the spectrum s^f that the last s-update
+computed, rather than transforming s again.
 """
 
 from __future__ import annotations
@@ -124,6 +134,22 @@ def filter_spectra(filters: FilterBank, spatial_shape: tuple) -> np.ndarray:
     return dft_forward(padded, ndim=len(spatial_shape))
 
 
+@dataclass(frozen=True)
+class KernelSpectra:
+    """Kernel spectra at one spatial shape, with the constants every
+    s-update derives from them."""
+
+    d: np.ndarray       # (K, *spatial)
+    conj: np.ndarray    # (K, *spatial), conj(d)
+    power: np.ndarray   # (*spatial), sum_k |d_k|^2
+
+
+def kernel_spectra(filters: FilterBank, spatial_shape: tuple) -> KernelSpectra:
+    """Spectra of `filters` at `spatial_shape`, computed once for a forward."""
+    d = filter_spectra(filters, spatial_shape)
+    return KernelSpectra(d=d, conj=np.conj(d), power=(np.abs(d) ** 2).sum(axis=0))
+
+
 def _broadcast_spectra(spectra: np.ndarray, image_ndim: int) -> np.ndarray:
     """Insert singleton batch axes between the filter axis and spatial axes."""
     n_spatial = spectra.ndim - 1
@@ -132,9 +158,20 @@ def _broadcast_spectra(spectra: np.ndarray, image_ndim: int) -> np.ndarray:
     return spectra.reshape(shape)
 
 
-def _solve(d, b, gamma, g):
-    """(conj(d) d^T + gamma I)^{-1} b per frequency, g = gamma + sum_k |d_k|^2."""
-    return b / gamma - np.conj(d) * ((d * b).sum(axis=0) / (gamma * g))[np.newaxis]
+def _solve(d, conj_d, b, gamma, g, scratch):
+    """Overwrite b with (conj(d) d^T + gamma I)^{-1} b per frequency.
+
+    g = gamma + sum_k |d_k|^2.  `scratch` is a buffer of b's shape that is
+    overwritten too.  The operations are those of
+    b / gamma - conj(d) * ((d * b).sum(axis=0) / (gamma * g)), in that order.
+    """
+    np.multiply(d, b, out=scratch)
+    c = scratch.sum(axis=0)
+    c /= gamma * g
+    np.multiply(conj_d, c[np.newaxis], out=scratch)
+    np.divide(b, gamma, out=b)
+    np.subtract(b, scratch, out=b)
+    return b
 
 
 @dataclass(frozen=True)
@@ -152,7 +189,8 @@ class SUpdateTrace:
     s_hat: np.ndarray     # (K, *image), spectrum of the new s
 
 
-def s_update_traced(x, u, z, filters: FilterBank, gamma: float, spectra=None):
+def s_update_traced(x, u, z, filters: FilterBank, gamma: float,
+                    spectra: KernelSpectra | None = None):
     """Exact minimizer of the s-subproblem, plus its backward trace."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -164,38 +202,58 @@ def s_update_traced(x, u, z, filters: FilterBank, gamma: float, spectra=None):
             f"by {filters.count} filters"
         )
     if spectra is None:
-        spectra = filter_spectra(filters, spatial)
-    d = _broadcast_spectra(spectra, x.ndim)
+        spectra = kernel_spectra(filters, spatial)
+    d = _broadcast_spectra(spectra.d, x.ndim)
+    conj_d = _broadcast_spectra(spectra.conj, x.ndim)
     x_hat = dft_forward(x, ndim=n_spatial)
     w_hat = dft_forward(u + z, ndim=n_spatial)
-    g = gamma + (np.abs(spectra) ** 2).sum(axis=0)
-    s_hat = _solve(d, np.conj(d) * x_hat[np.newaxis] + gamma * w_hat, gamma, g)
-    trace = SUpdateTrace(spectra=spectra, gamma=gamma, g=g, x_hat=x_hat, s_hat=s_hat)
+    g = gamma + spectra.power
+    # right-hand side conj(d) x_hat + gamma w_hat, then the solve in place;
+    # w_hat is dead once scaled into the sum and serves as the scratch
+    s_hat = np.multiply(conj_d, x_hat[np.newaxis])
+    np.multiply(gamma, w_hat, out=w_hat)
+    np.add(s_hat, w_hat, out=s_hat)
+    _solve(d, conj_d, s_hat, gamma, g, scratch=w_hat)
+    trace = SUpdateTrace(spectra=spectra.d, gamma=gamma, g=g, x_hat=x_hat, s_hat=s_hat)
     return dft_inverse(s_hat, ndim=n_spatial), trace
 
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink real and imaginary channels toward zero by tau, clamping at zero."""
+    """Shrink real and imaginary channels toward zero by tau, clamping at zero.
+
+    Runs in place on one output buffer over the interleaved float64
+    channels.  An entry shrunk to zero keeps the sign of its input, so a
+    negative one reads -0.0.
+    """
     values = np.asarray(values)
-    if np.iscomplexobj(values):
-        re = np.sign(values.real) * np.maximum(np.abs(values.real) - tau, 0.0)
-        im = np.sign(values.imag) * np.maximum(np.abs(values.imag) - tau, 0.0)
-        return re + 1j * im
-    return np.sign(values) * np.maximum(np.abs(values) - tau, 0.0)
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    # a view of a C-contiguous input, a copy of any other
+    channels = np.ravel(values.astype(dtype, copy=False)).view(np.float64)
+    out = np.abs(channels)
+    np.subtract(out, tau, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.copysign(out, channels, out=out)
+    return out.view(dtype).reshape(values.shape)
 
 
-def dictionary_synthesis(filters: FilterBank, s: np.ndarray, spectra=None) -> np.ndarray:
-    """Sum of circular convolutions sum_k d_k * s_k, evaluated spectrally."""
+def dictionary_synthesis(filters: FilterBank, s: np.ndarray,
+                         spectra: KernelSpectra | None = None,
+                         s_hat: np.ndarray | None = None) -> np.ndarray:
+    """Sum of circular convolutions sum_k d_k * s_k, evaluated spectrally.
+
+    `s_hat`, when given, is the DFT of `s` over its spatial axes, such as
+    the one an s-update has just computed; `s` is then not transformed.
+    """
     if s.shape[0] != filters.count:
         raise ShapeMismatch(
             f"expected {filters.count} coefficient maps, got {s.shape[0]}"
         )
     n_spatial = len(filters.kernel_shape)
     spatial = s.shape[-n_spatial:]
-    if spectra is None:
-        spectra = filter_spectra(filters, spatial)
-    d = _broadcast_spectra(spectra, s.ndim - 1)
-    s_hat = dft_forward(s, ndim=n_spatial)
+    d = filter_spectra(filters, spatial) if spectra is None else spectra.d
+    d = _broadcast_spectra(d, s.ndim - 1)
+    if s_hat is None:
+        s_hat = dft_forward(s, ndim=n_spatial)
     return dft_inverse((d * s_hat).sum(axis=0), ndim=n_spatial)
 
 
@@ -209,7 +267,7 @@ class AdmmStepTrace:
 
 
 def admm_step_traced(x, state: CodeState, filters: FilterBank, config: AdmmConfig,
-                     spectra=None):
+                     spectra: KernelSpectra | None = None):
     """One s -> u -> z sweep, returning the new state and its trace."""
     s_new, s_trace = s_update_traced(
         x, state.u, state.z, filters, config.gamma, spectra=spectra
@@ -218,7 +276,7 @@ def admm_step_traced(x, state: CodeState, filters: FilterBank, config: AdmmConfi
     tau = config.threshold
     u_new = soft_threshold(v, tau)
     # grouping keeps z bitwise unchanged at a fixed point (u == s)
-    z_new = state.z + (u_new - s_new)
+    z_new = np.subtract(u_new, s_new)
+    np.add(state.z, z_new, out=z_new)
     new_state = CodeState(s=s_new, u=u_new, z=z_new)
     return new_state, AdmmStepTrace(s_trace=s_trace, v=v, tau=tau)
-

@@ -13,13 +13,12 @@ function of (spec, n_samples, coils, mask settings, sigma).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .io import read_manifest, read_tensor, write_tensor
+from .io import read_manifest, read_tensor, write_json, write_tensor
 from .operators import (
     CoilMaps,
     load_kspace_sample,
@@ -153,9 +152,7 @@ def save_dataset(directory: str | Path, pairs, settings: dict | None = None) -> 
     manifest = {"n_samples": len(names), "samples": names}
     if settings:
         manifest["settings"] = settings
-    with open(directory / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / MANIFEST_NAME, manifest)
 
 
 def load_dataset(directory: str | Path):

@@ -1,4 +1,4 @@
-"""Binary tensor file format, JSON manifests and PGM image export.
+"""Binary tensor file format, JSON manifests, atomic writes and PGM export.
 
 Tensor files carry a little-endian header ``magic "UCDL" | version u32 |
 ndim u32 | dims u64 x ndim | dtype tag u32`` followed by the raw row-major
@@ -8,7 +8,9 @@ interleaved re/im float64 payload.  Only complex128 (tag 1) is defined.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,32 @@ class TensorFormatError(ValueError):
     """The file is not a valid tensor file of a supported version."""
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temporary file beside `path` that replaces `path` on a clean exit.
+
+    Readers see the old file or the whole new one.  If the block raises,
+    `path` keeps its old bytes and the temporary file is removed.  Nothing
+    is synced to disk, so this guards against a crashed process, not
+    against a lost machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write `payload` as indented, key-sorted JSON, atomically."""
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
     """Write a complex128 tensor to `path` in the package binary format."""
     if np.ndim(array) == 0:
@@ -30,7 +58,7 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     header = MAGIC + struct.pack("<II", VERSION, array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
     header += struct.pack("<I", DTYPE_TAG_COMPLEX128)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(array.tobytes())
 

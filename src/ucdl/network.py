@@ -20,7 +20,6 @@ the full array.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -33,11 +32,11 @@ from .csc import (
     FilterBank,
     admm_step_traced,
     dictionary_synthesis,
-    filter_spectra,
+    kernel_spectra,
 )
 from .dc import CgTrace, NormalOperator, cg_solve
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
-from .io import read_manifest, read_tensor, write_tensor
+from .io import read_manifest, read_tensor, write_json, write_tensor
 from .operators import KSpaceSample, adjoint_apply
 
 MODE_3D = "3d"
@@ -208,7 +207,7 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     else:
         code_shape = shape
         spatial = shape
-    spectra = filter_spectra(params.filters, spatial)
+    spectra = kernel_spectra(params.filters, spatial)
     state = CodeState.zeros(params.filters.count, code_shape)
 
     outer_traces = []
@@ -221,7 +220,8 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
                     reg_x, state, params.filters, admm_cfg, spectra=spectra
                 )
                 step_traces.append(step_trace)
-            synth = dictionary_synthesis(params.filters, state.s, spectra=spectra)
+            synth = dictionary_synthesis(params.filters, state.s, spectra=spectra,
+                                         s_hat=step_trace.s_trace.s_hat)
             approx = mode_2d_split(synth) if config.mode == MODE_2D else synth
             cg = cg_solve(aty + lam * approx, operator, x, config.n_cg)
             x = cg.image
@@ -234,7 +234,7 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     trace = None
     if want_trace:
         trace = NetworkTrace(config=config, params=params, sample=sample,
-                             spectra=spectra, outer=tuple(outer_traces))
+                             spectra=spectra.d, outer=tuple(outer_traces))
     return ReconResult(image=x, code_state=state, trace=trace)
 
 
@@ -259,9 +259,7 @@ def save_checkpoint(directory: str | Path, params: NetworkParams,
         "log_beta": params.log_beta,
         "kernels_file": KERNEL_FILE,
     }
-    with open(directory / MANIFEST_FILE, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / MANIFEST_FILE, manifest)
 
 
 def load_checkpoint(directory: str | Path):

@@ -10,14 +10,14 @@ bitwise intact across any number of epochs.
 
 A training run can mirror itself into a directory: config.json with every
 configuration field, losses.csv with one row per epoch (row zero holds the
-pre-training losses), and one parameter checkpoint per epoch.  All
-randomness is drawn from a single seeded generator, so identical seeds give
-byte-identical loss logs.
+pre-training losses), and one parameter checkpoint per epoch.  Each file
+is replaced atomically, so a run killed mid-write keeps its last complete
+version.  All randomness is drawn from a single seeded generator, so
+identical seeds give byte-identical loss logs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,6 +26,7 @@ import numpy as np
 from .backprop import GradientSet, backward
 from .csc import FilterBank
 from .errors import NonFiniteValue, ShapeMismatch
+from .io import atomic_write, write_json
 from .network import (
     NetworkConfig,
     NetworkParams,
@@ -172,15 +173,14 @@ def write_loss_log(path, history) -> None:
         f"{rec.epoch},{repr(float(rec.train_loss))},{repr(float(rec.val_loss))}"
         for rec in history
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_run_config(run_dir: Path, config, epochs, seed, lr) -> None:
     payload = config.to_dict()
     payload.update({"epochs": epochs, "seed": seed, "lr": lr})
-    with open(run_dir / "config.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "config.json", payload)
 
 
 def train(dataset, val_dataset, config: NetworkConfig,

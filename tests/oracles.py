@@ -6,7 +6,8 @@ here exist only so the tests can check those blocks against them.
 
 import numpy as np
 
-from ucdl.csc import CodeState, admm_step_traced, dictionary_synthesis, filter_spectra
+from ucdl.csc import (CodeState, _broadcast_spectra, admm_step_traced, dictionary_synthesis,
+                      filter_spectra, kernel_spectra)
 from ucdl.errors import ShapeMismatch
 from ucdl.tensors import dft_forward, dft_inverse, norm2_sq, zero_pad_filter
 
@@ -42,7 +43,41 @@ def run_admm(x, filters, config, n_steps, state=None):
     """`n_steps` sweeps of admm_step_traced, cold-started from zero codes."""
     if state is None:
         state = CodeState.zeros(filters.count, x.shape)
-    spectra = filter_spectra(filters, x.shape[-len(filters.kernel_shape):])
+    spectra = kernel_spectra(filters, x.shape[-len(filters.kernel_shape):])
     for _ in range(n_steps):
         state, _ = admm_step_traced(x, state, filters, config, spectra=spectra)
     return state
+
+
+def s_update(x, u, z, filters, gamma):
+    """The s-update as plain formulas, one temporary per operation.
+
+    Returns (s, s_hat).  The package's in-place solve runs the same
+    operations in the same order, so it must return the same bits.
+    """
+    n_spatial = len(filters.kernel_shape)
+    spectra = filter_spectra(filters, x.shape[-n_spatial:])
+    d = _broadcast_spectra(spectra, x.ndim)
+    x_hat = dft_forward(x, ndim=n_spatial)
+    w_hat = dft_forward(u + z, ndim=n_spatial)
+    g = gamma + (np.abs(spectra) ** 2).sum(axis=0)
+    b = np.conj(d) * x_hat[np.newaxis] + gamma * w_hat
+    s_hat = b / gamma - np.conj(d) * ((d * b).sum(axis=0) / (gamma * g))[np.newaxis]
+    return dft_inverse(s_hat, ndim=n_spatial), s_hat
+
+
+def soft_threshold(values, tau):
+    """sign(v) max(|v| - tau, 0) on each real channel, as plain formulas."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        re = np.sign(values.real) * np.maximum(np.abs(values.real) - tau, 0.0)
+        im = np.sign(values.imag) * np.maximum(np.abs(values.imag) - tau, 0.0)
+        return re + 1j * im
+    return np.sign(values) * np.maximum(np.abs(values) - tau, 0.0)
+
+
+def admm_step(x, state, filters, config):
+    """One s -> u -> z sweep from the plain formulas; returns (state, s_hat)."""
+    s, s_hat = s_update(x, state.u, state.z, filters, config.gamma)
+    u = soft_threshold(s - state.z, config.threshold)
+    return CodeState(s=s, u=u, z=state.z + (u - s)), s_hat

@@ -23,6 +23,7 @@ from ucdl.csc import (
     admm_step_traced,
     dictionary_synthesis,
     filter_spectra,
+    kernel_spectra,
     s_update_traced,
     soft_threshold,
 )
@@ -89,12 +90,13 @@ class TestCriterion1Adjoints:
                 kshape = (3, 3, 3)
             n_filters = int(rng.integers(1, 5))
             bank = FilterBank(rng.standard_normal((n_filters,) + kshape))
-            spectra = filter_spectra(bank, spatial)
+            bank_spectra = kernel_spectra(bank, spatial)
+            spectra = bank_spectra.d
             ndim = len(spatial)
 
             s = random_complex(rng, (n_filters,) + spatial)
             x = random_complex(rng, spatial)
-            lhs = np.vdot(dictionary_synthesis(bank, s, spectra=spectra), x)
+            lhs = np.vdot(dictionary_synthesis(bank, s, spectra=bank_spectra), x)
             adj = dft_inverse(np.conj(spectra) * dft_forward(x)[np.newaxis], ndim=ndim)
             worst = max(worst, relative_defect(lhs, np.vdot(s, adj)))
 
@@ -308,7 +310,7 @@ class TestCriterion6Admm:
         bank = FilterBank(kernels)
         x = random_complex(rng, (8, 8))
         config = AdmmConfig(lam=1.0, alpha=0.5, beta=1.0)
-        spectra = filter_spectra(bank, (8, 8))
+        spectra = kernel_spectra(bank, (8, 8))
 
         def consensus_objective(state):
             synth = dictionary_synthesis(bank, state.u, spectra=spectra)

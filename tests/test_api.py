@@ -55,7 +55,11 @@ def test_benchmark_counts_a_traced_forward():
     # called through their modules, where the tracer rebinds them
     with tracer.installed(ucdl_targets(OPERATION_TARGETS)):
         result = network.forward_reconstruct(sample, params, config, want_trace=True)
+        forward_dfts = tracer.calls["tensors.dft"]
         backprop.backward(result.trace, result.image - target)
+    # the kernel spectra, then per sweep x, u + z and the new s, and per
+    # outer iteration the synthesis, which reuses the last sweep's s spectrum
+    assert forward_dfts == 1 + 2 * (3 * 2 + 1)
     pattern = active_pattern(result.trace)
     assert len(pattern) == 4
     # (re/im, K, N_t, N_x, N_y)

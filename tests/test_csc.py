@@ -9,6 +9,7 @@ DFT matrices for full ADMM steps, and hand arithmetic for the objective.
 import numpy as np
 import pytest
 
+import oracles
 from oracles import circular_convolve, csc_objective, run_admm
 
 from ucdl.csc import (
@@ -18,6 +19,7 @@ from ucdl.csc import (
     admm_step_traced,
     dictionary_synthesis,
     filter_spectra,
+    kernel_spectra,
     s_update_traced,
     soft_threshold,
 )
@@ -290,6 +292,85 @@ class TestUUpdate:
         cfg = AdmmConfig(lam=1.0, alpha=0.2, beta=1.3)
         new, _ = admm_step_traced(x, state, bank, cfg)
         assert np.array_equal(new.z, state.z + (new.u - new.s))
+
+
+# ---------------------------------------------------------------------------
+# In-place sweep against the plain formulas
+# ---------------------------------------------------------------------------
+
+# (kernel shape, image shape): a 2d bank over a batch of 3 frames, a 3d bank
+SWEEP_SHAPES = [((3, 3), (3, 8, 6)), ((3, 3, 3), (6, 8, 4))]
+# the network's initial weights, and trained-looking ones where few channels
+# stay below the threshold
+SWEEP_WEIGHTS = [(1.0, 1.0, 1.0), (0.8, 0.02, 1.3)]
+
+
+def sweep_inputs(seed, kernel_shape, image_shape, weights):
+    rng = np.random.default_rng(seed)
+    bank = random_bank(rng, 4, kernel_shape)
+    x = random_complex(rng, image_shape)
+    state = CodeState(*(random_complex(rng, (4,) + image_shape) for _ in range(3)))
+    lam, alpha, beta = weights
+    return x, state, bank, AdmmConfig(lam=lam, alpha=alpha, beta=beta)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstPlainFormulas:
+    """The in-place solve and prox run the plain formulas' operations in
+    their order, so one sweep returns the same bits."""
+
+    @pytest.mark.parametrize("kernel_shape,image_shape", SWEEP_SHAPES)
+    @pytest.mark.parametrize("weights", SWEEP_WEIGHTS)
+    def test_sweep_is_bitwise_equal(self, kernel_shape, image_shape, weights):
+        x, state, bank, cfg = sweep_inputs(20, kernel_shape, image_shape, weights)
+        spectra = kernel_spectra(bank, image_shape[-len(kernel_shape):])
+        for given in (None, spectra):
+            new, trace = admm_step_traced(x, state, bank, cfg, spectra=given)
+            want, want_s_hat = oracles.admm_step(x, state, bank, cfg)
+            assert same_bits(new.s, want.s)
+            assert same_bits(trace.s_trace.s_hat, want_s_hat)
+            assert same_bits(new.z, want.z)
+            assert same_bits(trace.v, want.s - state.z)
+            # equal values; a zeroed entry may differ in the sign of its zero
+            assert np.array_equal(new.u, want.u)
+            passing = np.abs(trace.v.view(np.float64)) > cfg.threshold
+            assert 0 < passing.mean() < 1
+
+    @pytest.mark.parametrize("kernel_shape,image_shape", SWEEP_SHAPES)
+    def test_sweep_leaves_its_inputs_alone(self, kernel_shape, image_shape):
+        x, state, bank, cfg = sweep_inputs(21, kernel_shape, image_shape, SWEEP_WEIGHTS[1])
+        spectra = kernel_spectra(bank, image_shape[-len(kernel_shape):])
+        inputs = [x, state.s, state.u, state.z, spectra.d, spectra.conj, spectra.power,
+                  bank.kernels]
+        before = [a.copy() for a in inputs]
+        new, trace = admm_step_traced(x, state, bank, cfg, spectra=spectra)
+        assert all(same_bits(a, b) for a, b in zip(inputs, before))
+        outputs = [new.s, new.u, new.z, trace.v, trace.s_trace.s_hat, trace.s_trace.x_hat]
+        for i, out in enumerate(outputs):
+            assert not any(np.shares_memory(out, a) for a in inputs)
+            assert not any(np.shares_memory(out, b) for b in outputs[i + 1:])
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.25])
+    def test_soft_threshold_matches_plain_formula(self, tau):
+        rng = np.random.default_rng(22)
+        real = rng.uniform(-2.0, 2.0, size=(5, 6, 8))
+        # exact hits on the kink and signed zeros
+        real.flat[:6] = [tau, -tau, 0.0, -0.0, np.nextafter(tau, 0.0), -np.nextafter(tau, 3.0)]
+        cplx = real + 1j * rng.permuted(real, axis=2)
+        cplx.flat[6:10] = [tau - 0.0j, -tau + tau * 1j, -0.0 - 0.0j, 0.0 - tau * 1j]
+        inputs = [real, cplx, real[:, ::2], cplx[:, :, ::3], cplx.transpose(2, 0, 1),
+                  cplx.real, cplx.imag, np.asfortranarray(cplx), real[0, 0, 0]]
+        for values in inputs:
+            before = np.array(values, copy=True)
+            got = soft_threshold(values, tau)
+            want = oracles.soft_threshold(values, tau)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert same_bits(np.asarray(values), before)
+            assert not np.shares_memory(got, values)
 
 
 # ---------------------------------------------------------------------------

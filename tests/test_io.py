@@ -1,11 +1,14 @@
 """On-disk tensor, manifest and image format tests."""
 
+import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ucdl.io
 from ucdl.io import (
     MAGIC,
     TensorFormatError,
@@ -15,6 +18,8 @@ from ucdl.io import (
     write_pgm,
     write_tensor,
 )
+from ucdl.network import NetworkConfig, NetworkParams, init_network, save_checkpoint
+from ucdl.training import EpochRecord, _write_run_config, write_loss_log
 
 
 class TestTensorFormat:
@@ -97,6 +102,64 @@ class TestManifest:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="expected a JSON object"):
             read_manifest(path, ())
+
+
+class HalfWriter:
+    """A file whose first write stores half its data and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+CONFIG = NetworkConfig(mode="2d", n_filters=2, kernel_size=3)
+
+
+def save_params(directory, version):
+    params = NetworkParams(init_network(CONFIG).filters, log_lam=float(version))
+    save_checkpoint(directory, params, CONFIG)
+
+
+# (file, writer of a given version of it into a directory)
+ATOMIC_WRITERS = {
+    "tensor.bin": lambda d, v: write_tensor(d / "tensor.bin", np.full(5, v + 1j)),
+    "checkpoint.json": save_params,
+    "losses.csv": lambda d, v: write_loss_log(d / "losses.csv", [EpochRecord(0, v, v)]),
+    "config.json": lambda d, v: _write_run_config(d, CONFIG, epochs=v, seed=0, lr=1e-3),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", sorted(ATOMIC_WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, name):
+        write = ATOMIC_WRITERS[name]
+        write(tmp_path, 1)
+        old = (tmp_path / name).read_bytes()
+        listing = sorted(os.listdir(tmp_path))
+
+        def failing_open(path, mode="r"):
+            fh = open(path, mode)
+            return HalfWriter(fh) if Path(path).name.startswith(f".{name}.") else fh
+
+        monkeypatch.setattr(ucdl.io, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write(tmp_path, 2)
+        assert (tmp_path / name).read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == listing
+        monkeypatch.undo()
+        write(tmp_path, 2)
+        assert (tmp_path / name).read_bytes() != old
+        assert sorted(os.listdir(tmp_path)) == listing
 
 
 class TestPgm:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ucdl.csc import FilterBank, dictionary_synthesis
+import oracles
+from ucdl.csc import AdmmConfig, CodeState, FilterBank, dictionary_synthesis
 from ucdl.errors import ShapeMismatch, ZeroFilter
 from ucdl.network import (
     NetworkConfig,
@@ -197,6 +198,63 @@ class TestForward:
         out = forward_reconstruct(sample, params, cfg)
         assert out.image.shape == sample.image_shape
         assert out.code_state.s.shape == (3, 3, 8, 8)
+
+
+# both modes at the initial weights and at trained-looking ones
+SWEEP_CASES = [(mode, weights) for mode in ("2d", "3d")
+               for weights in ((0.0, 0.0, 0.0), (np.log(0.8), np.log(0.02), np.log(1.3)))]
+
+
+def to_codes(mode, x):
+    return mode_2d_merge(x) if mode == "2d" else x
+
+
+def to_image(mode, x):
+    return mode_2d_split(x) if mode == "2d" else x
+
+
+class TestSweepBuffers:
+    """The sweeps write into buffers of their own: nothing the forward is
+    handed or has traced is overwritten later."""
+
+    @pytest.mark.parametrize("mode,weights", SWEEP_CASES)
+    def test_inputs_and_traced_spectra_survive(self, mode, weights):
+        rng = np.random.default_rng(15)
+        _, sample = measured_instance(rng, shape=(8, 8, 4), sigma=0.01)
+        cfg = NetworkConfig(mode=mode, n_filters=3, kernel_size=3, n_outer=2,
+                            n_admm=2, n_cg=4)
+        params = NetworkParams(init_network(cfg, rng_seed=1).filters, *weights)
+        inputs = [sample.y, sample.coils.maps, sample.coils.conj_maps,
+                  sample.mask.mask, sample.mask.weights, params.filters.kernels]
+        before = [a.copy() for a in inputs]
+        trace = forward_reconstruct(sample, params, cfg, want_trace=True).trace
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
+        # replay every sweep from the plain formulas, from the traced inputs
+        admm = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
+        state = CodeState.zeros(3, trace.outer[0].admm[0].s_trace.x_hat.shape)
+        for outer in trace.outer:
+            x = to_codes(mode, outer.cg.x0)
+            for step in outer.admm:
+                z_prev = state.z
+                state, s_hat = oracles.admm_step(x, state, params.filters, admm)
+                assert step.s_trace.s_hat.tobytes() == s_hat.tobytes()
+                assert step.v.tobytes() == (state.s - z_prev).tobytes()
+            synth = dictionary_synthesis(params.filters, state.s)
+            assert relative_error(outer.approx, to_image(mode, synth)) <= 1e-13
+
+    @pytest.mark.parametrize("mode,weights", SWEEP_CASES)
+    def test_approx_is_synthesis_of_the_final_codes(self, mode, weights):
+        rng = np.random.default_rng(16)
+        _, sample = measured_instance(rng, shape=(8, 8, 4), sigma=0.01)
+        cfg = NetworkConfig(mode=mode, n_filters=3, kernel_size=3, n_outer=3, n_cg=4)
+        params = NetworkParams(init_network(cfg, rng_seed=2).filters, *weights)
+        result = forward_reconstruct(sample, params, cfg, want_trace=True)
+        synth = dictionary_synthesis(params.filters, result.code_state.s)
+        assert relative_error(result.trace.outer[-1].approx, to_image(mode, synth)) <= 1e-13
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 class TestCrossModeConsistency:
