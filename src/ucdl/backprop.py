@@ -32,7 +32,7 @@ import numpy as np
 from .csc import AdmmStepTrace, SUpdateTrace, _broadcast_spectra, _solve
 from .dc import CgTrace, NormalOperator
 from .errors import NonFiniteValue, ShapeMismatch, TraceMismatch
-from .network import MODE_2D, NetworkTrace, mode_2d_merge, mode_2d_split
+from .network import NetworkTrace, _kernels_frames_first, _kernels_public
 from .tensors import crop_filter, dft_forward, dft_inverse
 
 
@@ -217,9 +217,9 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
 
     lam, alpha, beta = params.lam, params.alpha, params.beta
     operator = NormalOperator(trace.sample.coils, trace.sample.mask, lam)
-    kernels = params.filters.kernels
 
-    x_bar = np.array(d_image, dtype=np.complex128)
+    # the trace is frames-first, (N_t, N_x, N_y)
+    x_bar = np.ascontiguousarray(np.moveaxis(d_image, -1, 0), dtype=np.complex128)
     if trace.outer:
         u_bar = np.zeros_like(trace.outer[0].admm[0].s_trace.s_hat)
         z_bar = np.zeros_like(u_bar)
@@ -234,12 +234,11 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
         # rhs = A^H y + lam * approx
         approx_bar = lam * rhs_bar
         lam_bar += _real_inner(rhs_bar, outer.approx)
-        synth_bar = mode_2d_merge(approx_bar) if config.mode == MODE_2D else approx_bar
         s_bar, d_add = synthesis_backward(
-            outer.admm[-1].s_trace.s_hat, trace.spectra, synth_bar
+            outer.admm[-1].s_trace.s_hat, trace.spectra, approx_bar
         )
         d_bar += d_add
-        reg_x_bar = np.zeros_like(synth_bar)
+        reg_x_bar = np.zeros_like(approx_bar)
         for step in reversed(outer.admm):
             x_add, u_bar, z_bar, d_add, gamma_add, tau_add = admm_step_backward(
                 step, s_bar, u_bar, z_bar
@@ -249,11 +248,10 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
             gamma_bar += gamma_add
             tau_bar += tau_add
             s_bar = np.zeros_like(s_bar)  # earlier steps never read s
-        x_bar = x_bar + (
-            mode_2d_split(reg_x_bar) if config.mode == MODE_2D else reg_x_bar
-        )
+        x_bar = x_bar + reg_x_bar
     # x_0 = A^H y and the initial zero code state carry no parameters
-    d_filters = spectra_to_kernel_grad(d_bar, kernels.shape[1:])
+    kernel_shape = _kernels_frames_first(params.filters.kernels).shape[1:]
+    d_filters = _kernels_public(spectra_to_kernel_grad(d_bar, kernel_shape))
 
     # gamma = beta/lam, tau = alpha/beta, then the exp reparameterization
     lam_total = lam_bar - gamma_bar * beta / lam**2

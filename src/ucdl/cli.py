@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import PhantomSpec, load_dataset, save_dataset, synth_dataset
 from .errors import NonFiniteValue, UcdlError
-from .io import quantize_window, read_tensor, write_pgm, write_tensor
+from .io import atomic_write, quantize_window, read_tensor, write_pgm, write_tensor
 from .metrics import append_report_csv, compute_report
 from .network import (
     NetworkConfig,
@@ -231,7 +231,8 @@ def cmd_evaluate(args) -> int:
     text = report.to_json()
     print(text)
     if args.json_out:
-        Path(args.json_out).write_text(text + "\n")
+        with atomic_write(args.json_out) as fh:
+            fh.write(text + "\n")
     if args.csv:
         label = args.label or Path(args.recon).name
         append_report_csv(args.csv, report, label=label)
@@ -279,10 +280,8 @@ def cmd_export_feature_maps(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     sample = load_kspace_sample(args.sample)
     result = forward_reconstruct(sample, params, config)
-    maps = result.code_state.s
-    if config.mode == "2d":
-        # frame-batch layout back to a trailing frame axis
-        maps = np.moveaxis(maps, 1, -1)
+    # (K, N_t, N_x, N_y) codes to the (K, N_x, N_y, N_t) file layout
+    maps = np.moveaxis(result.code_state.s, 1, -1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sigma = float(np.std(np.abs(maps))) or 1.0

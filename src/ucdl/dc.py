@@ -23,7 +23,8 @@ from .operators import CoilMaps, SamplingMask, normal_apply
 
 
 class NormalOperator:
-    """H = A^H A + lam I for fixed coil maps and sampling mask."""
+    """H = A^H A + lam I for fixed coil maps and sampling mask, acting on
+    frames-first (N_t, N_x, N_y) images."""
 
     def __init__(self, coils: CoilMaps, mask: SamplingMask, lam: float):
         self.coils = coils

@@ -11,11 +11,12 @@ log_beta; the weights themselves are exp-transformed so positivity holds
 for any real parameter value.  One parameter set is shared by all outer
 iterations.
 
-Two regularization modes exist: "3d" applies K three-dimensional kernels
-to the full (N_x, N_y, N_t) array, "2d" applies two-dimensional kernels
-to every frame independently by moving the frame axis to the front where
-it acts as a batch axis.  The data-consistency step always operates on
-the full array.
+Both regularization modes run on frames-first images (N_t, N_x, N_y) and
+codes (K, N_t, N_x, N_y), transposed from and to the public (N_x, N_y, N_t)
+once per forward.  The kernels act on the trailing axes: a "3d" bank on
+the whole volume, a "2d" bank on each frame, the frame axis being a batch
+axis.  Kernels keep the public (K, k_x, k_y[, k_t]) layout in parameters
+and files; a 3D bank runs as (K, k_t, k_x, k_y).
 """
 
 from __future__ import annotations
@@ -140,18 +141,14 @@ def project_filters(params: NetworkParams) -> NetworkParams:
     return replace(params, filters=project_bank(params.filters))
 
 
-def mode_2d_merge(x: np.ndarray) -> np.ndarray:
-    """Move the frame axis first so frames form a batch of 2D images."""
-    if x.ndim != 3:
-        raise ShapeMismatch(f"expected (N_x, N_y, N_t), got shape {x.shape}")
-    return np.moveaxis(x, -1, 0)
+def _kernels_frames_first(kernels: np.ndarray) -> np.ndarray:
+    """A (K, k_x, k_y, k_t) bank as (K, k_t, k_x, k_y); a 2D bank as it is."""
+    return np.moveaxis(kernels, -1, 1) if kernels.ndim == 4 else kernels
 
 
-def mode_2d_split(batch: np.ndarray) -> np.ndarray:
-    """Inverse of mode_2d_merge."""
-    if batch.ndim != 3:
-        raise ShapeMismatch(f"expected (N_t, N_x, N_y), got shape {batch.shape}")
-    return np.moveaxis(batch, 0, -1)
+def _kernels_public(kernels: np.ndarray) -> np.ndarray:
+    """Inverse of _kernels_frames_first, as a C-contiguous array."""
+    return np.ascontiguousarray(np.moveaxis(kernels, 1, -1) if kernels.ndim == 4 else kernels)
 
 
 def _check_mode_kernels(config: NetworkConfig, filters: FilterBank) -> None:
@@ -168,7 +165,7 @@ class OuterTrace:
     """Intermediates of one outer iteration."""
 
     admm: tuple          # J AdmmStepTrace entries; the last holds the synthesized s_hat
-    approx: np.ndarray   # video-shaped dictionary approximation
+    approx: np.ndarray   # frames-first dictionary approximation
     cg: CgTrace
 
 
@@ -179,14 +176,14 @@ class NetworkTrace:
     config: NetworkConfig
     params: NetworkParams
     sample: KSpaceSample
-    spectra: np.ndarray
+    spectra: np.ndarray   # of the frames-first bank
     outer: tuple
 
 
 @dataclass(frozen=True)
 class ReconResult:
-    image: np.ndarray
-    code_state: CodeState
+    image: np.ndarray        # (N_x, N_y, N_t)
+    code_state: CodeState    # (K, N_t, N_x, N_y) maps
     trace: NetworkTrace | None = None
 
 
@@ -197,32 +194,26 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     lam, alpha, beta = params.lam, params.alpha, params.beta
     admm_cfg = AdmmConfig(lam=lam, alpha=alpha, beta=beta)
     operator = NormalOperator(sample.coils, sample.mask, lam)
+    filters = FilterBank(_kernels_frames_first(params.filters.kernels))
 
-    aty = adjoint_apply(sample.y, sample.coils, sample.mask)
+    aty = np.ascontiguousarray(
+        np.moveaxis(adjoint_apply(sample.y, sample.coils, sample.mask), -1, 0)
+    )
     x = aty
-    shape = sample.image_shape
-    if config.mode == MODE_2D:
-        code_shape = (shape[2], shape[0], shape[1])
-        spatial = shape[:2]
-    else:
-        code_shape = shape
-        spatial = shape
-    spectra = kernel_spectra(params.filters, spatial)
-    state = CodeState.zeros(params.filters.count, code_shape)
+    spectra = kernel_spectra(filters, aty.shape[-len(filters.kernel_shape):])
+    state = CodeState.zeros(filters.count, aty.shape)
 
     outer_traces = []
     for t in range(config.n_outer):
         try:
-            reg_x = mode_2d_merge(x) if config.mode == MODE_2D else x
             step_traces = []
             for _ in range(config.n_admm):
                 state, step_trace = admm_step_traced(
-                    reg_x, state, params.filters, admm_cfg, spectra=spectra
+                    x, state, filters, admm_cfg, spectra=spectra
                 )
                 step_traces.append(step_trace)
-            synth = dictionary_synthesis(params.filters, state.s, spectra=spectra,
-                                         s_hat=step_trace.s_trace.s_hat)
-            approx = mode_2d_split(synth) if config.mode == MODE_2D else synth
+            approx = dictionary_synthesis(filters, state.s, spectra=spectra,
+                                          s_hat=step_trace.s_trace.s_hat)
             cg = cg_solve(aty + lam * approx, operator, x, config.n_cg)
             x = cg.image
         except NonFiniteValue as err:
@@ -235,7 +226,8 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     if want_trace:
         trace = NetworkTrace(config=config, params=params, sample=sample,
                              spectra=spectra.d, outer=tuple(outer_traces))
-    return ReconResult(image=x, code_state=state, trace=trace)
+    return ReconResult(image=np.ascontiguousarray(np.moveaxis(x, 0, -1)),
+                       code_state=state, trace=trace)
 
 
 # ---------------------------------------------------------------------------

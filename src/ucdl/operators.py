@@ -7,13 +7,13 @@ sampling mask.  The orthonormal scaling makes the adjoint the exact reverse
 path (zero-fill, inverse DFT, conjugate coil weighting, coil sum) and gives
 ``A^H A = I`` for a fully sampled single unit coil.
 
-When the mask is constant along k_x, as for whole k_y lines (the
-``columns`` family), it commutes with the k_x DFT and ``F^H M F =
-F_y^H M F_y``.  :func:`normal_apply` then runs one 1D forward and one 1D
-inverse DFT along k_y, in hybrid x-k_y-t space, instead of the 2D pair.
-:class:`SamplingMask` decides this once, when it is built; any other mask,
-such as the ``points`` family, takes the 2D path.  All transforms use
-``scipy.fft``.
+:func:`normal_apply` takes the network's frames-first ``(N_t, N_x, N_y)``
+images, with k_y the contiguous last axis.  When the mask is constant along
+k_x, as for whole k_y lines (the ``columns`` family), it commutes with the
+k_x DFT and ``F^H M F = F_y^H M F_y``, so :func:`normal_apply` runs one 1D
+DFT pair along k_y instead of the 2D pair.  :class:`SamplingMask` decides
+this once, when it is built; any other mask, such as the ``points``
+family, takes the 2D path.  All transforms use ``scipy.fft``.
 
 Measured data is stored compactly as ``(N_c, M)`` where ``M`` is the number
 of sampled k-space locations, ordered row-major over ``(N_x, N_y, N_t)``.
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ShapeMismatch
-from .io import read_manifest, read_tensor, write_tensor
+from .io import atomic_write, read_manifest, read_tensor, write_tensor
 
 DEFAULT_NOISE_SIGMA = 0.02
 
@@ -73,9 +73,9 @@ class SamplingMask:
     """Boolean k-space sampling pattern of shape ``(N_x, N_y, N_t)``.
 
     ``mask`` is a read-only copy of the input.  ``separable`` says whether it
-    is constant along k_x; ``weights`` is the float mask that
-    :func:`normal_apply` multiplies by: the ``(N_y, N_t)`` k_y lines when
-    separable, the whole ``(N_x, N_y, N_t)`` mask otherwise.
+    is constant along k_x; ``weights`` is the frames-first float mask that
+    :func:`normal_apply` multiplies by: the ``(N_t, 1, N_y)`` k_y lines when
+    separable, the whole ``(N_t, N_x, N_y)`` mask otherwise.
     """
 
     mask: np.ndarray
@@ -89,10 +89,11 @@ class SamplingMask:
         if not mask.any(axis=(0, 1)).all():
             raise ValueError("every temporal frame needs at least one sampled location")
         separable = bool((mask == mask[:1]).all())
-        weights = mask[0] if separable else mask
+        frames = np.moveaxis(mask, -1, 0)
+        weights = np.ascontiguousarray(frames[:, :1] if separable else frames, dtype=np.float64)
         object.__setattr__(self, "mask", _read_only(mask))
         object.__setattr__(self, "separable", separable)
-        object.__setattr__(self, "weights", _read_only(weights.astype(np.float64)))
+        object.__setattr__(self, "weights", _read_only(weights))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -128,10 +129,10 @@ class KSpaceSample:
         return self.mask.shape
 
 
-def _check_image(x: np.ndarray, coils: CoilMaps, mask: SamplingMask) -> np.ndarray:
+def _check_image(x: np.ndarray, coils: CoilMaps, mask: SamplingMask, shape) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape != mask.shape:
-        raise ShapeMismatch(f"image shape {x.shape} does not match mask {mask.shape}")
+    if x.shape != shape:
+        raise ShapeMismatch(f"image shape {x.shape}, expected {shape} for mask {mask.shape}")
     if coils.spatial_shape != mask.shape[:2]:
         raise ShapeMismatch("coil maps and mask disagree on the spatial shape")
     return x
@@ -139,7 +140,7 @@ def _check_image(x: np.ndarray, coils: CoilMaps, mask: SamplingMask) -> np.ndarr
 
 def forward_apply(x: np.ndarray, coils: CoilMaps, mask: SamplingMask) -> np.ndarray:
     """Apply the measurement operator: coil weighting, per-frame DFT, masking."""
-    x = _check_image(x, coils, mask)
+    x = _check_image(x, coils, mask, mask.shape)
     weighted = coils.maps[:, :, :, None] * x[None]
     kspace = scipy.fft.fft2(weighted, axes=(1, 2), norm="ortho", overwrite_x=True)
     return kspace[:, mask.mask]
@@ -154,26 +155,22 @@ def adjoint_apply(y: np.ndarray, coils: CoilMaps, mask: SamplingMask) -> np.ndar
     full = np.zeros((coils.count,) + mask.shape, dtype=np.complex128)
     full[:, mask.mask] = y
     imgs = scipy.fft.ifft2(full, axes=(1, 2), norm="ortho", overwrite_x=True)
-    return _coil_combine(imgs, coils)
+    imgs *= coils.conj_maps[:, :, :, None]
+    return imgs.sum(axis=0)
 
 
 def normal_apply(x: np.ndarray, coils: CoilMaps, mask: SamplingMask) -> np.ndarray:
-    """Fused ``A^H A x``; equals adjoint_apply(forward_apply(x)) to roundoff.
-
-    A mask constant along k_x needs only the k_y transforms (module docs).
-    """
-    x = _check_image(x, coils, mask)
-    axes = (2,) if mask.separable else (1, 2)
-    weighted = coils.maps[:, :, :, None] * x[None]
+    """Fused ``A^H A x`` on a frames-first ``(N_t, N_x, N_y)`` image; equals
+    adjoint_apply(forward_apply(x)) with the frame axis moved first, to
+    roundoff.  A mask constant along k_x needs only the k_y transforms."""
+    nx, ny, nt = mask.shape
+    x = _check_image(x, coils, mask, (nt, nx, ny))
+    axes = (3,) if mask.separable else (2, 3)
+    weighted = coils.maps[:, None] * x[None]
     kspace = scipy.fft.fftn(weighted, axes=axes, norm="ortho", overwrite_x=True)
     kspace *= mask.weights
     imgs = scipy.fft.ifftn(kspace, axes=axes, norm="ortho", overwrite_x=True)
-    return _coil_combine(imgs, coils)
-
-
-def _coil_combine(imgs: np.ndarray, coils: CoilMaps) -> np.ndarray:
-    """Sum of conj(S_c) * imgs[c] over the coils; overwrites `imgs`."""
-    imgs *= coils.conj_maps[:, :, :, None]
+    imgs *= coils.conj_maps[:, None]
     return imgs.sum(axis=0)
 
 
@@ -295,7 +292,8 @@ def save_kspace_sample(directory: str | Path, sample: KSpaceSample, seed: int | 
         "sigma": sample.noise_sigma,
         "seed": seed,
     }
-    (directory / "sample.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    with atomic_write(directory / "sample.json") as fh:
+        fh.write(json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_kspace_sample(directory: str | Path) -> KSpaceSample:

@@ -6,10 +6,21 @@ here exist only so the tests can check those blocks against them.
 
 import numpy as np
 
-from ucdl.csc import (CodeState, _broadcast_spectra, admm_step_traced, dictionary_synthesis,
-                      filter_spectra, kernel_spectra)
+from ucdl.csc import (CodeState, FilterBank, _broadcast_spectra, admm_step_traced,
+                      dictionary_synthesis, filter_spectra, kernel_spectra)
 from ucdl.errors import ShapeMismatch
 from ucdl.tensors import dft_forward, dft_inverse, norm2_sq, zero_pad_filter
+
+
+def frames_first(image):
+    """A public (N_x, N_y, N_t) image in the network's (N_t, N_x, N_y) layout."""
+    return np.moveaxis(image, -1, 0)
+
+
+def frames_first_bank(filters):
+    """The bank the network runs: a (K, k_x, k_y, k_t) one as (K, k_t, k_x, k_y)."""
+    kernels = filters.kernels
+    return FilterBank(np.moveaxis(kernels, -1, 1) if kernels.ndim == 4 else kernels)
 
 
 def circular_convolve(kernel, image):

@@ -4,14 +4,16 @@ no module of the package uses numpy's FFT."""
 
 import ast
 import importlib
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ucdl
-from ucdl import backprop, network
+from ucdl import backprop, cli, network
 from ucdl.network import NetworkConfig, init_network
 from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
 
@@ -28,7 +30,7 @@ REMOVED = {
     "dc": ["dc_step", "build_rhs", "DcConfig"],
     "tensors": ["inner_product", "as_channels", "from_channels", "circular_convolve"],
     "operators": ["zero_filled_recon"],
-    "network": ["replace_filters"],
+    "network": ["replace_filters", "mode_2d_merge", "mode_2d_split"],
     "errors": ["NonPositiveGamma", "NonPositiveBeta", "FilterTooLarge"],
     "cli": ["TRAIN_DEFAULTS"],
 }
@@ -86,6 +88,17 @@ def test_removed_names_are_gone(module, names):
         assert name not in ucdl.__all__
         assert not hasattr(ucdl, name)
         assert not hasattr(mod, name), f"ucdl.{module}.{name}"
+
+
+@pytest.mark.parametrize("function", [network.forward_reconstruct, backprop.backward,
+                                      cli.cmd_export_feature_maps],
+                         ids=lambda f: f"{f.__module__}.{f.__name__}")
+def test_numeric_path_does_not_read_the_mode(function):
+    # both modes run frames-first through the same code
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"mode", "MODE_2D", "MODE_3D"}
 
 
 def numpy_fft_uses(source: str) -> list[int]:

@@ -327,8 +327,9 @@ class TestCgBackward:
         coils = make_coil_maps(2, shape[:2])
         mask = make_mask(shape, accel=accel, family="columns", seed=5)
         operator = NormalOperator(coils, mask, lam)
-        rhs = random_complex(rng, shape)
-        x0 = random_complex(rng, shape)
+        frames_first = (shape[2], shape[0], shape[1])
+        rhs = random_complex(rng, frames_first)
+        x0 = random_complex(rng, frames_first)
         return coils, mask, operator, rhs, x0
 
     def test_truncated_matches_finite_differences(self):

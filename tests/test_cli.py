@@ -14,7 +14,9 @@ import pytest
 from ucdl.cli import main
 from ucdl.data import load_dataset
 from ucdl.io import read_tensor, write_tensor
-from ucdl.network import load_checkpoint
+from ucdl.network import (NetworkConfig, forward_reconstruct, init_network, load_checkpoint,
+                          save_checkpoint)
+from ucdl.operators import load_kspace_sample
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_metrics.json"
 
@@ -294,18 +296,26 @@ class TestExports:
         assert not (tmp_path / "filters").exists()
 
     def test_export_feature_maps(self, workspace, tmp_path):
-        out = tmp_path / "feats"
-        code, _ = run_cli(
-            "export-feature-maps", "--checkpoint", workspace["run"] / "final",
-            "--sample", workspace["data"] / "sample_000", "--out", out,
-        )
-        assert code == 0
-        bins = sorted(out.glob("feature_*.bin"))
-        pgms = sorted(out.glob("feature_*.pgm"))
-        assert len(bins) == 2 and len(pgms) == 2
-        maps = read_tensor(bins[0])
-        assert maps.shape == (16, 16, 4)
-        assert read_pgm_header(pgms[0]) == (16, 16)
+        # the trained 3d checkpoint and an untrained 2d one; each file holds
+        # one (N_x, N_y, N_t) map of the forward's frames-first codes
+        config_2d = NetworkConfig(mode="2d", n_filters=3, kernel_size=3, n_outer=1, n_cg=3)
+        save_checkpoint(tmp_path / "ck2d", init_network(config_2d, rng_seed=2), config_2d)
+        sample_dir = workspace["data"] / "sample_000"
+        for checkpoint, count in ((workspace["run"] / "final", 2), (tmp_path / "ck2d", 3)):
+            out = tmp_path / f"feats_{checkpoint.name}"
+            code, _ = run_cli("export-feature-maps", "--checkpoint", checkpoint,
+                              "--sample", sample_dir, "--out", out)
+            assert code == 0
+            bins = sorted(out.glob("feature_*.bin"))
+            pgms = sorted(out.glob("feature_*.pgm"))
+            assert len(bins) == count and len(pgms) == count
+            params, config = load_checkpoint(checkpoint)
+            codes = forward_reconstruct(load_kspace_sample(sample_dir), params, config)
+            for k, path in enumerate(bins):
+                maps = read_tensor(path)
+                assert maps.shape == (16, 16, 4)
+                assert np.array_equal(maps, np.moveaxis(codes.code_state.s[k], 0, -1))
+            assert read_pgm_header(pgms[0]) == (16, 16)
 
 
 class TestBrokenManifests:

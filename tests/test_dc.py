@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import frames_first
 from ucdl import network
 from ucdl.csc import CodeState, FilterBank, dictionary_synthesis
 from ucdl.dc import NormalOperator, cg_solve
@@ -33,7 +34,8 @@ def small_instance(rng, shape=(4, 4, 2), n_coils=2, accel=2.0, sigma=0.0):
 
 
 def dense_normal_matrix(coils, mask, lam):
-    """Assemble A^H A + lam I column by column from unit basis images."""
+    """Assemble A^H A + lam I column by column from unit basis images in the
+    public (N_x, N_y, N_t) layout."""
     shape = mask.shape
     n = int(np.prod(shape))
     mat = np.zeros((n, n), dtype=complex)
@@ -46,9 +48,14 @@ def dense_normal_matrix(coils, mask, lam):
 
 
 def identity_operator_instance(shape, lam):
+    """H = (1 + lam) I on frames-first images of the public `shape`."""
     coils = CoilMaps(np.ones((1,) + shape[:2], dtype=complex))
     mask = SamplingMask(np.ones(shape, dtype=bool))
     return NormalOperator(coils, mask, lam)
+
+
+def frames_first_shape(shape):
+    return (shape[2], shape[0], shape[1])
 
 
 def network_instance(rng, lam, **config):
@@ -105,9 +112,9 @@ class TestBuildRhs:
         lam = 0.3
         params, config = network_instance(rng, lam, n_outer=1, n_cg=2)
         seen, result = forward_rhs(monkeypatch, sample, params, config)
-        want = np.fft.ifft2(
+        want = frames_first(np.fft.ifft2(
             sample.y.reshape(shape), axes=(0, 1), norm="ortho"
-        ) + lam * result.trace.outer[0].approx
+        )) + lam * result.trace.outer[0].approx
         assert np.allclose(seen[0], want, atol=1e-13)
 
     def test_affine_in_approx(self, monkeypatch):
@@ -116,7 +123,7 @@ class TestBuildRhs:
         lam = 0.9
         params, config = network_instance(rng, lam, n_outer=3, n_cg=2)
         seen, result = forward_rhs(monkeypatch, sample, params, config)
-        aty = adjoint_apply(sample.y, sample.coils, sample.mask)
+        aty = frames_first(adjoint_apply(sample.y, sample.coils, sample.mask))
         assert len(seen) == 3
         for rhs, outer in zip(seen, result.trace.outer):
             assert outer.approx.any()
@@ -152,14 +159,14 @@ class TestCgSolve:
         shape = (4, 4, 2)
         lam = 0.8
         op = identity_operator_instance(shape, lam)
-        rhs = random_complex(rng, shape)
+        rhs = random_complex(rng, frames_first_shape(shape))
         res = cg_solve(rhs, op, np.zeros_like(rhs), 1)
         assert np.max(np.abs(res.image - rhs / (1.0 + lam))) <= 1e-12
 
     def test_zero_rhs_zero_start(self):
         shape = (4, 4, 2)
         op = identity_operator_instance(shape, 0.5)
-        rhs = np.zeros(shape, dtype=complex)
+        rhs = np.zeros(frames_first_shape(shape), dtype=complex)
         res = cg_solve(rhs, op, np.zeros_like(rhs), 5)
         assert not res.image.any()
 
@@ -171,9 +178,9 @@ class TestCgSolve:
         mask = make_mask(shape, accel=2.0, seed=9)
         op = NormalOperator(coils, mask, lam)
         rhs = random_complex(rng, shape)
-        res = cg_solve(rhs, op, np.zeros_like(rhs), 64)
+        res = cg_solve(frames_first(rhs), op, np.zeros_like(frames_first(rhs)), 64)
         mat = dense_normal_matrix(coils, mask, lam)
-        want = np.linalg.solve(mat, rhs.ravel()).reshape(shape)
+        want = frames_first(np.linalg.solve(mat, rhs.ravel()).reshape(shape))
         rel = np.linalg.norm(res.image - want) / np.linalg.norm(want)
         assert rel <= 1e-8
 
@@ -183,8 +190,8 @@ class TestCgSolve:
         coils = make_coil_maps(2, shape[:2])
         mask = make_mask(shape, accel=2.5, seed=3)
         op = NormalOperator(coils, mask, 0.2)
-        rhs = random_complex(rng, shape)
-        res = cg_solve(rhs, op, random_complex(rng, shape), 20)
+        rhs = random_complex(rng, frames_first_shape(shape))
+        res = cg_solve(rhs, op, random_complex(rng, rhs.shape), 20)
         resid = np.array(res.residuals)
         assert np.all(np.diff(resid) <= 1e-10 * resid[0])
 
@@ -194,8 +201,8 @@ class TestCgSolve:
         coils = make_coil_maps(2, shape[:2])
         mask = make_mask(shape, accel=2.0, seed=1)
         op = NormalOperator(coils, mask, 0.5)
-        rhs = random_complex(rng, shape)
-        x0 = random_complex(rng, shape)
+        rhs = random_complex(rng, frames_first_shape(shape))
+        x0 = random_complex(rng, rhs.shape)
         a = cg_solve(rhs, op, x0, 7)
         b = cg_solve(rhs, op, x0, 7)
         assert len(a.residuals) == 8  # initial plus one per iteration
@@ -205,7 +212,7 @@ class TestCgSolve:
         rng = np.random.default_rng(9)
         shape = (4, 4, 2)
         op = NormalOperator(make_coil_maps(2, shape[:2]), make_mask(shape, seed=2), 0.5)
-        rhs = random_complex(rng, shape)
+        rhs = random_complex(rng, frames_first_shape(shape))
         for n_cg in (1, 2, 5):
             its = cg_solve(rhs, op, np.zeros_like(rhs), n_cg).trace.iterations
             assert len(its) == n_cg
@@ -237,7 +244,7 @@ class TestDcStep:
         params, config = network_instance(rng, 1e6, n_outer=1, n_admm=3, n_cg=30)
         result = forward_reconstruct(sample, params, config, want_trace=True)
         synth = result.trace.outer[0].approx
-        rel = np.linalg.norm(result.image - synth) / np.linalg.norm(synth)
+        rel = np.linalg.norm(frames_first(result.image) - synth) / np.linalg.norm(synth)
         assert rel <= 1e-4
 
     def test_decreases_quadratic_objective(self):
@@ -246,7 +253,7 @@ class TestDcStep:
         lam = 0.5
         params, config = network_instance(rng, lam, n_outer=1, n_admm=3, n_cg=12)
         result = forward_reconstruct(sample, params, config, want_trace=True)
-        synth = result.trace.outer[0].approx
+        synth = np.moveaxis(result.trace.outer[0].approx, 0, -1)
 
         def objective(img):
             resid = forward_apply(img, sample.coils, sample.mask) - sample.y
@@ -269,7 +276,8 @@ class TestDcStep:
         s = random_complex(rng, (1,) + shape)
         state = CodeState(s=s, u=s.copy(), z=np.zeros_like(s))
         rhs = adjoint_apply(sample.y, coils, mask) + lam * dictionary_synthesis(bank, state.s)
+        rhs = frames_first(rhs)
         operator = NormalOperator(coils, mask, lam)
-        exact = cg_solve(rhs, operator, np.zeros(shape, dtype=complex), 40).image
+        exact = cg_solve(rhs, operator, np.zeros_like(rhs), 40).image
         out = cg_solve(rhs, operator, exact, 5).image
         assert np.max(np.abs(out - exact)) <= 1e-10

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ucdl.io
+from ucdl.cli import _build_parser
 from ucdl.io import (
     MAGIC,
     TensorFormatError,
@@ -19,6 +20,7 @@ from ucdl.io import (
     write_tensor,
 )
 from ucdl.network import NetworkConfig, NetworkParams, init_network, save_checkpoint
+from ucdl.operators import make_coil_maps, make_mask, save_kspace_sample, simulate_measurement
 from ucdl.training import EpochRecord, _write_run_config, write_loss_log
 
 
@@ -130,12 +132,33 @@ def save_params(directory, version):
     save_checkpoint(directory, params, CONFIG)
 
 
+def save_sample(directory, version):
+    coils = make_coil_maps(1, (4, 4))
+    sample = simulate_measurement(np.ones((4, 4, 2)), coils, make_mask((4, 4, 2)), sigma=0.0)
+    save_kspace_sample(directory, sample, seed=version)
+
+
+def evaluate_report(directory, version):
+    """`ucdl evaluate --json` of two tensors that differ more with `version`;
+    run without `main`, which would turn the error into an exit status."""
+    target = np.ones((24, 24, 1), dtype=complex)
+    write_tensor(directory / "target.bin", target)
+    write_tensor(directory / "recon.bin", target + 0.1 * version * np.eye(24)[:, :, None])
+    args = _build_parser().parse_args([
+        "evaluate", "--recon", str(directory / "recon.bin"),
+        "--target", str(directory / "target.bin"), "--json", str(directory / "report.json"),
+    ])
+    args.func(args)
+
+
 # (file, writer of a given version of it into a directory)
 ATOMIC_WRITERS = {
     "tensor.bin": lambda d, v: write_tensor(d / "tensor.bin", np.full(5, v + 1j)),
     "checkpoint.json": save_params,
     "losses.csv": lambda d, v: write_loss_log(d / "losses.csv", [EpochRecord(0, v, v)]),
     "config.json": lambda d, v: _write_run_config(d, CONFIG, epochs=v, seed=0, lr=1e-3),
+    "sample.json": save_sample,
+    "report.json": evaluate_report,
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import frames_first_bank
 from ucdl.csc import AdmmConfig, CodeState, FilterBank, dictionary_synthesis
 from ucdl.errors import ShapeMismatch, ZeroFilter
 from ucdl.network import (
@@ -14,8 +15,6 @@ from ucdl.network import (
     forward_reconstruct,
     init_network,
     load_checkpoint,
-    mode_2d_merge,
-    mode_2d_split,
     project_filters,
     save_checkpoint,
 )
@@ -120,26 +119,6 @@ class TestInitAndProjection:
             project_filters(params)
 
 
-class TestModeReshape:
-    def test_roundtrip_bitwise(self):
-        rng = np.random.default_rng(0)
-        x = random_complex(rng, (5, 6, 7))
-        assert np.array_equal(mode_2d_split(mode_2d_merge(x)), x)
-
-    def test_single_frame(self):
-        rng = np.random.default_rng(1)
-        x = random_complex(rng, (4, 4, 1))
-        merged = mode_2d_merge(x)
-        assert merged.shape == (1, 4, 4)
-        assert np.array_equal(merged[0], x[:, :, 0])
-
-    def test_rejects_non_3d(self):
-        with pytest.raises(ShapeMismatch):
-            mode_2d_merge(np.zeros((4, 4), dtype=complex))
-        with pytest.raises(ShapeMismatch):
-            mode_2d_split(np.zeros((4, 4), dtype=complex))
-
-
 class TestForward:
     def test_t0_returns_zero_filled(self):
         rng = np.random.default_rng(2)
@@ -199,18 +178,24 @@ class TestForward:
         assert out.image.shape == sample.image_shape
         assert out.code_state.s.shape == (3, 3, 8, 8)
 
+    def test_3d_bank_keeps_its_axes(self):
+        # codes are (K, N_t, N_x, N_y); the public bank, run on the codes
+        # moved to (K, N_x, N_y, N_t), synthesises the forward's approximation
+        rng = np.random.default_rng(9)
+        _, sample = measured_instance(rng, shape=(8, 6, 4), sigma=0.01)
+        cfg = NetworkConfig(mode="3d", n_filters=2, kernel_size=3, n_outer=2, n_cg=4)
+        params = init_network(cfg, rng_seed=3)
+        result = forward_reconstruct(sample, params, cfg, want_trace=True)
+        assert result.image.shape == (8, 6, 4)
+        assert result.code_state.s.shape == (2, 4, 8, 6)
+        synth = dictionary_synthesis(params.filters, np.moveaxis(result.code_state.s, 1, -1))
+        approx = np.moveaxis(result.trace.outer[-1].approx, 0, -1)
+        assert relative_error(approx, synth) <= 1e-13
+
 
 # both modes at the initial weights and at trained-looking ones
 SWEEP_CASES = [(mode, weights) for mode in ("2d", "3d")
                for weights in ((0.0, 0.0, 0.0), (np.log(0.8), np.log(0.02), np.log(1.3)))]
-
-
-def to_codes(mode, x):
-    return mode_2d_merge(x) if mode == "2d" else x
-
-
-def to_image(mode, x):
-    return mode_2d_split(x) if mode == "2d" else x
 
 
 class TestSweepBuffers:
@@ -231,16 +216,16 @@ class TestSweepBuffers:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
         # replay every sweep from the plain formulas, from the traced inputs
         admm = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
+        bank = frames_first_bank(params.filters)
         state = CodeState.zeros(3, trace.outer[0].admm[0].s_trace.x_hat.shape)
         for outer in trace.outer:
-            x = to_codes(mode, outer.cg.x0)
             for step in outer.admm:
                 z_prev = state.z
-                state, s_hat = oracles.admm_step(x, state, params.filters, admm)
+                state, s_hat = oracles.admm_step(outer.cg.x0, state, bank, admm)
                 assert step.s_trace.s_hat.tobytes() == s_hat.tobytes()
                 assert step.v.tobytes() == (state.s - z_prev).tobytes()
-            synth = dictionary_synthesis(params.filters, state.s)
-            assert relative_error(outer.approx, to_image(mode, synth)) <= 1e-13
+            synth = dictionary_synthesis(bank, state.s)
+            assert relative_error(outer.approx, synth) <= 1e-13
 
     @pytest.mark.parametrize("mode,weights", SWEEP_CASES)
     def test_approx_is_synthesis_of_the_final_codes(self, mode, weights):
@@ -249,8 +234,8 @@ class TestSweepBuffers:
         cfg = NetworkConfig(mode=mode, n_filters=3, kernel_size=3, n_outer=3, n_cg=4)
         params = NetworkParams(init_network(cfg, rng_seed=2).filters, *weights)
         result = forward_reconstruct(sample, params, cfg, want_trace=True)
-        synth = dictionary_synthesis(params.filters, result.code_state.s)
-        assert relative_error(result.trace.outer[-1].approx, to_image(mode, synth)) <= 1e-13
+        synth = dictionary_synthesis(frames_first_bank(params.filters), result.code_state.s)
+        assert relative_error(result.trace.outer[-1].approx, synth) <= 1e-13
 
 
 def relative_error(got, want):
@@ -319,7 +304,9 @@ class TestSolverBehavior:
 
         def objective(result):
             resid = forward_apply(result.image, sample.coils, sample.mask) - sample.y
-            synth = dictionary_synthesis(params.filters, result.code_state.u)
+            synth = dictionary_synthesis(frames_first_bank(params.filters),
+                                         result.code_state.u)
+            synth = np.moveaxis(synth, 0, -1)
             l1 = np.abs(result.code_state.u.real).sum() + np.abs(result.code_state.u.imag).sum()
             return (
                 0.5 * norm2_sq(resid)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from oracles import frames_first
 from ucdl.errors import ShapeMismatch
 from ucdl.operators import (
     CoilMaps,
@@ -92,10 +93,10 @@ class TestForwardAdjoint:
         coils, mask = random_setup(rng)
         for _ in range(20):
             x = random_complex(rng, (8, 8, 3))
-            hx = normal_apply(x, coils, mask)
+            hx = normal_apply(frames_first(x), coils, mask)
             two_step = adjoint_apply(forward_apply(x, coils, mask), coils, mask)
-            assert np.allclose(hx, two_step, atol=1e-13)
-            quad = np.vdot(x, hx)
+            assert np.allclose(hx, frames_first(two_step), atol=1e-13)
+            quad = np.vdot(frames_first(x), hx)
             assert abs(quad.imag) < 1e-10
             assert quad.real >= -1e-12
 
@@ -116,10 +117,14 @@ class TestForwardAdjoint:
             forward_apply(np.zeros((4, 4, 3), dtype=complex), coils, mask)
         with pytest.raises(ShapeMismatch):
             adjoint_apply(np.zeros((5, 3), dtype=complex), coils, mask)
+        # the normal operator takes frames-first images only
+        with pytest.raises(ShapeMismatch):
+            normal_apply(np.zeros((8, 8, 3), dtype=complex), coils, mask)
 
 
 def dense_normal(x, coils, mask):
-    """A^H A x through the full 2D DFT pair, whatever the mask."""
+    """A^H A x through the full 2D DFT pair, whatever the mask, in the
+    public layout."""
     kspace = np.fft.fft2(coils.maps[:, :, :, None] * x[None], axes=(1, 2), norm="ortho")
     kspace *= mask.mask
     imgs = np.fft.ifft2(kspace, axes=(1, 2), norm="ortho")
@@ -127,7 +132,8 @@ def dense_normal(x, coils, mask):
 
 
 def transformed_axes(monkeypatch, x, coils, mask):
-    """The axes of each scipy.fft transform that one normal_apply runs."""
+    """The axes of each scipy.fft transform that one normal_apply runs on
+    the frames-first `x`."""
     called = []
     for name in ("fftn", "ifftn", "fft2", "ifft2", "fft", "ifft"):
         original = getattr(scipy.fft, name)
@@ -159,9 +165,11 @@ class TestNormalPaths:
         mask = make_mask(shape, accel=4.0, family="columns", seed=shape[2])
         x = random_complex(rng, shape)
         assert mask.separable
-        assert mask.weights.shape == shape[1:]
-        assert relative_error(normal_apply(x, coils, mask), dense_normal(x, coils, mask)) <= 1e-13
-        assert transformed_axes(monkeypatch, x, coils, mask) == [("fftn", (2,)), ("ifftn", (2,))]
+        assert mask.weights.shape == (shape[2], 1, shape[1])
+        assert relative_error(normal_apply(frames_first(x), coils, mask),
+                              frames_first(dense_normal(x, coils, mask))) <= 1e-13
+        assert transformed_axes(monkeypatch, frames_first(x), coils, mask) == [
+            ("fftn", (3,)), ("ifftn", (3,))]
 
     @pytest.mark.parametrize("alter", [flip_one_entry, lambda p: p.transpose(1, 0, 2)],
                              ids=["flipped-entry", "kx-lines"])
@@ -173,10 +181,11 @@ class TestNormalPaths:
         mask = SamplingMask(alter(pattern))
         x = random_complex(rng, shape)
         assert not mask.separable
-        assert mask.weights.shape == shape
-        assert relative_error(normal_apply(x, coils, mask), dense_normal(x, coils, mask)) <= 1e-13
-        assert transformed_axes(monkeypatch, x, coils, mask) == [("fftn", (1, 2)),
-                                                                  ("ifftn", (1, 2))]
+        assert mask.weights.shape == (shape[2], shape[0], shape[1])
+        assert relative_error(normal_apply(frames_first(x), coils, mask),
+                              frames_first(dense_normal(x, coils, mask))) <= 1e-13
+        assert transformed_axes(monkeypatch, frames_first(x), coils, mask) == [
+            ("fftn", (2, 3)), ("ifftn", (2, 3))]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_points_take_2d_path(self, seed, monkeypatch):
@@ -186,9 +195,10 @@ class TestNormalPaths:
         mask = make_mask(shape, accel=4.0, family="points", seed=seed)
         x = random_complex(rng, shape)
         assert not mask.separable
-        assert relative_error(normal_apply(x, coils, mask), dense_normal(x, coils, mask)) <= 1e-13
-        assert transformed_axes(monkeypatch, x, coils, mask) == [("fftn", (1, 2)),
-                                                                  ("ifftn", (1, 2))]
+        assert relative_error(normal_apply(frames_first(x), coils, mask),
+                              frames_first(dense_normal(x, coils, mask))) <= 1e-13
+        assert transformed_axes(monkeypatch, frames_first(x), coils, mask) == [
+            ("fftn", (2, 3)), ("ifftn", (2, 3))]
 
     @pytest.mark.parametrize("family", ["columns", "points"])
     def test_normal_is_gram_of_forward(self, family):
@@ -198,7 +208,7 @@ class TestNormalPaths:
         mask = make_mask(shape, accel=3.0, family=family, seed=8)
         x = random_complex(rng, shape)
         y = random_complex(rng, shape)
-        lhs = np.vdot(x, normal_apply(y, coils, mask))
+        lhs = np.vdot(frames_first(x), normal_apply(frames_first(y), coils, mask))
         rhs = np.vdot(forward_apply(x, coils, mask), forward_apply(y, coils, mask))
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
