@@ -31,7 +31,8 @@ instead of allocating a temporary per operation.  They run the plain
 formulas' operations in the same order and return the same bits, except
 that a code entry the threshold sets to zero keeps the sign of its input.
 The dictionary synthesis reuses the spectrum s^f that the last s-update
-computed, rather than transforming s again.
+computed, rather than transforming s again, and the sweeps of one outer
+iteration share the spectrum x^f of their image.
 """
 
 from __future__ import annotations
@@ -190,8 +191,13 @@ class SUpdateTrace:
 
 
 def s_update_traced(x, u, z, filters: FilterBank, gamma: float,
-                    spectra: KernelSpectra | None = None):
-    """Exact minimizer of the s-subproblem, plus its backward trace."""
+                    spectra: KernelSpectra | None = None,
+                    x_hat: np.ndarray | None = None):
+    """Exact minimizer of the s-subproblem, plus its backward trace.
+
+    `x_hat`, when given, is the DFT of `x` over its spatial axes; the J
+    sweeps of one outer iteration share it instead of transforming x each.
+    """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     n_spatial = len(filters.kernel_shape)
@@ -205,7 +211,8 @@ def s_update_traced(x, u, z, filters: FilterBank, gamma: float,
         spectra = kernel_spectra(filters, spatial)
     d = _broadcast_spectra(spectra.d, x.ndim)
     conj_d = _broadcast_spectra(spectra.conj, x.ndim)
-    x_hat = dft_forward(x, ndim=n_spatial)
+    if x_hat is None:
+        x_hat = dft_forward(x, ndim=n_spatial)
     w_hat = dft_forward(u + z, ndim=n_spatial)
     g = gamma + spectra.power
     # right-hand side conj(d) x_hat + gamma w_hat, then the solve in place;
@@ -226,14 +233,26 @@ def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     negative one reads -0.0.
     """
     values = np.asarray(values)
-    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
-    # a view of a C-contiguous input, a copy of any other
-    channels = np.ravel(values.astype(dtype, copy=False)).view(np.float64)
+    channels = _channels(values)
     out = np.abs(channels)
     np.subtract(out, tau, out=out)
     np.maximum(out, 0.0, out=out)
     np.copysign(out, channels, out=out)
-    return out.view(dtype).reshape(values.shape)
+    return _from_channels(out, values)
+
+
+def _channels(values: np.ndarray) -> np.ndarray:
+    """The real and imaginary float64 channels of `values`, interleaved in
+    one flat array: a view of a C-contiguous complex128 or float64 input,
+    a copy of any other."""
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    return np.ravel(values.astype(dtype, copy=False)).view(np.float64)
+
+
+def _from_channels(channels: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_channels`: `channels` as an array shaped like `like`."""
+    values = channels.view(np.complex128) if np.iscomplexobj(like) else channels
+    return values.reshape(like.shape)
 
 
 def dictionary_synthesis(filters: FilterBank, s: np.ndarray,
@@ -267,10 +286,11 @@ class AdmmStepTrace:
 
 
 def admm_step_traced(x, state: CodeState, filters: FilterBank, config: AdmmConfig,
-                     spectra: KernelSpectra | None = None):
+                     spectra: KernelSpectra | None = None,
+                     x_hat: np.ndarray | None = None):
     """One s -> u -> z sweep, returning the new state and its trace."""
     s_new, s_trace = s_update_traced(
-        x, state.u, state.z, filters, config.gamma, spectra=spectra
+        x, state.u, state.z, filters, config.gamma, spectra=spectra, x_hat=x_hat
     )
     v = s_new - state.z
     tau = config.threshold

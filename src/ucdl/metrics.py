@@ -21,6 +21,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import RoiTooLarge, ShapeMismatch, ZeroReference
+from .io import atomic_write
 
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
@@ -218,17 +219,21 @@ CSV_HEADER = "label,psnr,nrmse,ssim,roi_h,roi_w"
 
 
 def append_report_csv(path: str | Path, report: MetricReport, label: str = "") -> None:
-    """Append one report row to a CSV file, writing the header if new."""
+    """Append one report row to a CSV file, writing the header if new.
+
+    The old bytes and the new row are written to a fresh file that then
+    replaces the old one, so a failed append leaves the file as it was.
+    """
     if "," in label or "\n" in label:
         raise ValueError(f"label {label!r} must not contain ',' or newlines")
     path = Path(path)
-    fresh = not path.exists() or path.stat().st_size == 0
+    old = path.read_bytes() if path.exists() else b""
     h, w = report.roi_size
     row = (
         f"{label},{repr(float(report.psnr))},{repr(float(report.nrmse))},"
-        f"{repr(float(report.ssim))},{h},{w}"
+        f"{repr(float(report.ssim))},{h},{w}\n"
     )
-    with open(path, "a") as fh:
-        if fresh:
-            fh.write(CSV_HEADER + "\n")
-        fh.write(row + "\n")
+    if not old:
+        row = CSV_HEADER + "\n" + row
+    with atomic_write(path, "wb") as fh:
+        fh.write(old + row.encode())

@@ -39,6 +39,7 @@ from .dc import CgTrace, NormalOperator, cg_solve
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
 from .io import read_manifest, read_tensor, write_json, write_tensor
 from .operators import KSpaceSample, adjoint_apply
+from .tensors import dft_forward
 
 MODE_3D = "3d"
 MODE_2D = "2d"
@@ -200,16 +201,18 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
         np.moveaxis(adjoint_apply(sample.y, sample.coils, sample.mask), -1, 0)
     )
     x = aty
-    spectra = kernel_spectra(filters, aty.shape[-len(filters.kernel_shape):])
+    n_spatial = len(filters.kernel_shape)
+    spectra = kernel_spectra(filters, aty.shape[-n_spatial:])
     state = CodeState.zeros(filters.count, aty.shape)
 
     outer_traces = []
     for t in range(config.n_outer):
         try:
             step_traces = []
+            x_hat = dft_forward(x, ndim=n_spatial)
             for _ in range(config.n_admm):
                 state, step_trace = admm_step_traced(
-                    x, state, filters, admm_cfg, spectra=spectra
+                    x, state, filters, admm_cfg, spectra=spectra, x_hat=x_hat
                 )
                 step_traces.append(step_trace)
             approx = dictionary_synthesis(filters, state.s, spectra=spectra,

@@ -6,8 +6,10 @@ here exist only so the tests can check those blocks against them.
 
 import numpy as np
 
+from ucdl.backprop import GradientSet, cg_backward, spectra_to_kernel_grad
 from ucdl.csc import (CodeState, FilterBank, _broadcast_spectra, admm_step_traced,
                       dictionary_synthesis, filter_spectra, kernel_spectra)
+from ucdl.dc import NormalOperator
 from ucdl.errors import ShapeMismatch
 from ucdl.tensors import dft_forward, dft_inverse, norm2_sq, zero_pad_filter
 
@@ -92,3 +94,100 @@ def admm_step(x, state, filters, config):
     s, s_hat = s_update(x, state.u, state.z, filters, config.gamma)
     u = soft_threshold(s - state.z, config.threshold)
     return CodeState(s=s, u=u, z=state.z + (u - s)), s_hat
+
+
+# -- the backward with the code cotangent handed over in space --------------
+#
+# Each VJP below returns spatial cotangents, so the synthesis inverse-
+# transforms its code cotangent and the s-update transforms it back, and
+# every outer iteration computes the cotangents of x and of the start state.
+
+def prox_backward(v, tau, u_bar):
+    """VJP of u = soft_threshold(v, tau), one real channel at a time."""
+    active_re = np.abs(v.real) > tau
+    active_im = np.abs(v.imag) > tau
+    v_bar = active_re * u_bar.real + 1j * (active_im * u_bar.imag)
+    tau_bar = -float((np.sign(v.real) * u_bar.real)[active_re].sum())
+    tau_bar -= float((np.sign(v.imag) * u_bar.imag)[active_im].sum())
+    return v_bar, tau_bar
+
+
+def _sum_batch(arr, n_spatial):
+    return arr.sum(axis=tuple(range(1, arr.ndim - n_spatial)))
+
+
+def s_update_backward(trace, s_bar):
+    """VJP of the s-update from the spatial cotangent of s; returns those
+    of (x, u, z, spectra, gamma)."""
+    gamma = trace.gamma
+    spectra = trace.spectra
+    n_spatial = spectra.ndim - 1
+    d = _broadcast_spectra(spectra, trace.x_hat.ndim)
+    n_freq = float(np.prod(spectra.shape[1:]))
+    s_hat_bar = dft_forward(s_bar, ndim=n_spatial) / n_freq
+    c = (d * s_hat_bar).sum(axis=0) / (gamma * trace.g)
+    r_bar = s_hat_bar / gamma - np.conj(d) * c[np.newaxis]
+    rho = (d * r_bar).sum(axis=0)
+    e = (d * trace.s_hat).sum(axis=0) - trace.x_hat
+    d_bar = -_sum_batch(np.conj(r_bar) * e[np.newaxis]
+                        + rho[np.newaxis] * np.conj(trace.s_hat), n_spatial)
+    gamma_bar = float(np.real(np.vdot(rho, e))) / gamma
+    x_bar = n_freq * dft_inverse(rho, ndim=n_spatial)
+    w_bar = n_freq * dft_inverse(gamma * r_bar, ndim=n_spatial)
+    return x_bar, w_bar.copy(), w_bar, d_bar, gamma_bar
+
+
+def admm_step_backward(step, s_bar, u_bar, z_bar):
+    """VJP of one sweep from spatial cotangents of (s, u, z)."""
+    z_prev_bar = z_bar.copy()
+    u_bar = u_bar + z_bar
+    s_bar = s_bar - z_bar
+    v_bar, tau_bar = prox_backward(step.v, step.tau, u_bar)
+    s_bar = s_bar + v_bar
+    z_prev_bar -= v_bar
+    x_bar, u_prev_bar, z_prev_add, d_bar, gamma_bar = s_update_backward(step.s_trace, s_bar)
+    z_prev_bar += z_prev_add
+    return x_bar, u_prev_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
+
+
+def synthesis_backward(s_hat, spectra, synth_bar):
+    """VJP of the synthesis: the spatial cotangent of s and that of the spectra."""
+    n_spatial = spectra.ndim - 1
+    d = _broadcast_spectra(spectra, synth_bar.ndim)
+    n_freq = float(np.prod(spectra.shape[1:]))
+    f_synth_bar = dft_forward(synth_bar, ndim=n_spatial)
+    s_bar = dft_inverse(np.conj(d) * f_synth_bar[np.newaxis], ndim=n_spatial)
+    d_bar = _sum_batch(np.conj(s_hat) * f_synth_bar[np.newaxis], n_spatial) / n_freq
+    return s_bar, d_bar
+
+
+def backward(trace, d_image):
+    """The network's backward from the spatial-handoff VJPs above."""
+    params = trace.params
+    lam, alpha, beta = params.lam, params.alpha, params.beta
+    operator = NormalOperator(trace.sample.coils, trace.sample.mask, lam)
+    x_bar = np.ascontiguousarray(frames_first(d_image), dtype=np.complex128)
+    u_bar = z_bar = np.zeros_like(trace.outer[0].admm[0].s_trace.s_hat)
+    d_bar = np.zeros_like(trace.spectra)
+    lam_bar = gamma_bar = tau_bar = 0.0
+    for outer in reversed(trace.outer):
+        rhs_bar, x_bar, lam_add = cg_backward(outer.cg, x_bar, operator)
+        lam_bar += lam_add + float(np.real(np.vdot(rhs_bar, outer.approx)))
+        s_bar, d_add = synthesis_backward(outer.admm[-1].s_trace.s_hat, trace.spectra,
+                                          lam * rhs_bar)
+        d_bar += d_add
+        for step in reversed(outer.admm):
+            x_add, u_bar, z_bar, d_add, gamma_add, tau_add = admm_step_backward(
+                step, s_bar, u_bar, z_bar)
+            x_bar = x_bar + x_add
+            d_bar += d_add
+            gamma_bar += gamma_add
+            tau_bar += tau_add
+            s_bar = np.zeros_like(s_bar)
+    kernels = frames_first_bank(params.filters).kernels
+    pad_bar = spectra_to_kernel_grad(d_bar, kernels.shape[1:])
+    d_filters = np.moveaxis(pad_bar, 1, -1) if pad_bar.ndim == 4 else pad_bar
+    lam_total = lam_bar - gamma_bar * beta / lam**2
+    beta_total = gamma_bar / lam - tau_bar * alpha / beta**2
+    return GradientSet(d_filters=d_filters, d_log_lam=lam_total * lam,
+                       d_log_alpha=tau_bar / beta * alpha, d_log_beta=beta_total * beta)

@@ -58,10 +58,19 @@ def test_benchmark_counts_a_traced_forward():
     with tracer.installed(ucdl_targets(OPERATION_TARGETS)):
         result = network.forward_reconstruct(sample, params, config, want_trace=True)
         forward_dfts = tracer.calls["tensors.dft"]
+        forward_normals = tracer.calls["operators.normal_apply"]
         backprop.backward(result.trace, result.image - target)
-    # the kernel spectra, then per sweep x, u + z and the new s, and per
-    # outer iteration the synthesis, which reuses the last sweep's s spectrum
-    assert forward_dfts == 1 + 2 * (3 * 2 + 1)
+    # the kernel spectra, then per outer iteration x, per sweep u + z and the
+    # new s, and the synthesis, which reuses the last sweep's s spectrum
+    assert forward_dfts == 1 + 2 * (2 * 2 + 2)
+    # per outer iteration the synthesis cotangent, per sweep the prox and
+    # dual cotangent (none on the very last sweep, whose u and z nothing
+    # reads) and w = u + z (none on the first, which starts from zero codes),
+    # and x except on iteration 0, then the kernel gradient
+    assert tracer.calls["tensors.dft"] - forward_dfts == (1 + 1 + 2 + 1) + (1 + 2 + 1) + 1
+    # per outer iteration one H per CG step and one for the warm start's
+    # cotangent, which iteration 0, starting from A^H y, does without
+    assert tracer.calls["operators.normal_apply"] - forward_normals == 2 * (3 + 1) - 1
     pattern = active_pattern(result.trace)
     assert len(pattern) == 4
     # (re/im, K, N_t, N_x, N_y)

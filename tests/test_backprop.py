@@ -7,7 +7,9 @@ VJP in isolation (prox, Sherman-Morrison solve, full ADMM sweep, synthesis,
 CG); whole-network tests pull a reconstruction loss back to the kernels and
 the three log-weights.  All fixtures are checked to sit away from the
 soft-threshold kinks so the subgradient convention never contaminates the
-comparison.
+comparison.  The backward itself, which hands cotangents over as spectra and
+skips those that reach no parameter, is also checked against the plain
+spatial-handoff backward of the oracles module.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ucdl import backprop
 from ucdl.backprop import (
     GradientSet,
     admm_step_backward,
@@ -42,8 +45,9 @@ from ucdl.network import (
     init_network,
 )
 from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
-from ucdl.tensors import dft_forward, norm2_sq
+from ucdl.tensors import dft_forward, dft_inverse, norm2_sq
 
+import oracles
 from oracles import run_admm
 
 FD_STEP = 1e-6
@@ -64,6 +68,16 @@ def random_bank(rng, n_filters, kernel_shape):
 def real_weighted(weight, value):
     """Loss functional Re<weight, value>; its cotangent on value is weight."""
     return float(np.real(np.vdot(weight, value)))
+
+
+def spectral(s_bar, n_spatial):
+    """The cotangent of s_hat for a cotangent s_bar of s = F^{-1} s_hat."""
+    return dft_forward(s_bar, ndim=n_spatial) / np.prod(s_bar.shape[-n_spatial:])
+
+
+def spatial(x_hat_bar, n_spatial):
+    """The cotangent of x for a cotangent x_hat_bar of x_hat = F x."""
+    return np.prod(x_hat_bar.shape[-n_spatial:]) * dft_inverse(x_hat_bar, ndim=n_spatial)
 
 
 def numeric_grad(loss, arr, h=FD_STEP):
@@ -175,7 +189,13 @@ class TestSUpdateBackward:
         weight = random_complex(rng, (2,) + image_shape)
 
         s, trace = s_update_traced(x, u, z, bank, gamma)
-        x_bar, u_bar, z_bar, d_bar, gamma_bar = s_update_backward(trace, weight)
+        n_spatial = len(kernel_shape)
+        x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
+            trace, spectral(weight, n_spatial), np.conj(trace.spectra)
+        )
+        x_bar = spatial(x_hat_bar, n_spatial)
+        # w = u + z
+        u_bar = z_bar = w_bar
 
         def loss(x_=x, u_=u, z_=z, bank_=bank, gamma_=gamma):
             return real_weighted(weight, s_update_traced(x_, u_, z_, bank_, gamma_)[0])
@@ -203,18 +223,6 @@ class TestSUpdateBackward:
         # at an ADMM fixed point u = s, so w_hat - s_hat = F z and the
         # synthesis residual e are small next to s_hat and x_hat
         self.run_case(np.random.default_rng(25), (3, 5, 4), (3, 3), admm_steps=2000)
-
-    def test_u_and_z_cotangents_are_independent_arrays(self):
-        rng = np.random.default_rng(24)
-        bank = random_bank(rng, 2, (3, 3))
-        x = random_complex(rng, (4, 4))
-        u = random_complex(rng, (2, 4, 4))
-        z = random_complex(rng, (2, 4, 4))
-        _, trace = s_update_traced(x, u, z, bank, 0.5)
-        _, u_bar, z_bar, _, _ = s_update_backward(trace, random_complex(rng, (2, 4, 4)))
-        np.testing.assert_array_equal(u_bar, z_bar)
-        u_bar += 1.0  # mutation must not leak into the other cotangent
-        assert not np.array_equal(u_bar, z_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +262,10 @@ class TestAdmmStepBackward:
                 + real_weighted(w_z, new.z)
             )
 
-        x_bar, u_bar, z_bar, d_bar, gamma_bar, tau_bar = admm_step_backward(
-            trace, w_s, w_u, w_z
+        x_hat_bar, u_bar, z_bar, d_bar, gamma_bar, tau_bar = admm_step_backward(
+            trace, spectral(w_s, 2), w_u, w_z, np.conj(trace.s_trace.spectra)
         )
+        x_bar = spatial(x_hat_bar, 2)
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
         assert_grad_close(numeric_grad(lambda a: loss(u_=a), state.u), u_bar)
         assert_grad_close(numeric_grad(lambda a: loss(z_=a), state.z), z_bar)
@@ -266,6 +275,42 @@ class TestAdmmStepBackward:
             numeric_grad_scalar(lambda g: loss(gamma_=g), gamma), gamma_bar
         )
         assert_grad_close(numeric_grad_scalar(lambda t: loss(tau_=t), tau), tau_bar)
+
+    def test_u_and_z_cotangents_are_independent_arrays(self):
+        rng = np.random.default_rng(24)
+        bank = random_bank(rng, 2, (3, 3))
+        x = random_complex(rng, (4, 4))
+        state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
+        _, trace = admm_step_traced(x, state, bank, AdmmConfig(lam=1.0, alpha=0.1, beta=0.5))
+        # with the outputs u and z read, and with only s read
+        for u_bar in (random_complex(rng, (2, 4, 4)), None):
+            z_bar = None if u_bar is None else random_complex(rng, (2, 4, 4))
+            s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
+            _, u_prev_bar, z_prev_bar, *_ = admm_step_backward(
+                trace, s_hat_bar, u_bar, z_bar, np.conj(trace.s_trace.spectra)
+            )
+            assert not np.shares_memory(u_prev_bar, z_prev_bar)
+            before = z_prev_bar.copy()
+            u_prev_bar += 1.0  # mutation must not leak into the other cotangent
+            assert np.array_equal(z_prev_bar, before)
+
+    def test_skipped_state_cotangents(self):
+        # a sweep from a parameter-free state hands back no state cotangents,
+        # and the rest of its output is unchanged
+        rng = np.random.default_rng(26)
+        bank = random_bank(rng, 2, (3, 3))
+        x = random_complex(rng, (4, 4))
+        state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
+        _, trace = admm_step_traced(x, state, bank, AdmmConfig(lam=1.0, alpha=0.1, beta=0.5))
+        s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
+        u_bar, z_bar = random_complex(rng, (2, 4, 4)), random_complex(rng, (2, 4, 4))
+        conj_d = np.conj(trace.s_trace.spectra)
+        full = admm_step_backward(trace, s_hat_bar.copy(), u_bar, z_bar, conj_d)
+        skipped = admm_step_backward(trace, s_hat_bar.copy(), u_bar, z_bar, conj_d,
+                                     need_state=False)
+        assert skipped[1] is None and skipped[2] is None
+        for a, b in zip(full[:1] + full[3:], skipped[:1] + skipped[3:]):
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +331,8 @@ class TestSynthesisBackward:
 
         spectra = filter_spectra(bank, code_shape[-len(kernel_shape):])
         s_hat = dft_forward(s, ndim=len(kernel_shape))
-        s_bar, d_bar = synthesis_backward(s_hat, spectra, weight)
+        s_hat_bar, d_bar = synthesis_backward(s_hat, np.conj(spectra), weight)
+        s_bar = spatial(s_hat_bar, len(kernel_shape))
         assert_grad_close(numeric_grad(lambda a: loss(s_=a), s), s_bar)
         fd_kernels = numeric_grad(lambda k: loss(bank_=FilterBank(k)), bank.kernels)
         assert_grad_close(fd_kernels, spectra_to_kernel_grad(d_bar, kernel_shape))
@@ -388,11 +434,12 @@ class TestCgBackward:
 # Whole network
 # ---------------------------------------------------------------------------
 
-def make_instance(mode, image_shape, seed, n_outer, n_admm, n_cg, kernel_size=3):
+def make_instance(mode, image_shape, seed, n_outer, n_admm, n_cg, kernel_size=3,
+                  scale=1.0):
     rng = np.random.default_rng(seed)
     coils = make_coil_maps(2, image_shape[:2])
     mask = make_mask(image_shape, accel=1.5, family="columns", seed=seed + 1)
-    target = random_complex(rng, image_shape)
+    target = scale * random_complex(rng, image_shape)
     sample = simulate_measurement(target, coils, mask, sigma=0.01, rng_seed=seed + 2)
     config = NetworkConfig(
         mode=mode,
@@ -483,6 +530,44 @@ class TestNetworkGradients:
         assert abs(grads.d_log_beta) > 1e-4
 
 
+def relative_error(got, want):
+    return float(np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want))
+
+
+# the two weight sets of test_network.TestSweepBuffers: (log lam, log alpha, log beta)
+HANDOFF_WEIGHTS = [(0.0, 0.0, 0.0), (np.log(0.8), np.log(0.02), np.log(1.3))]
+
+
+class TestAgainstSpatialHandoff:
+    """The backward hands the code cotangent over as a spectrum and skips
+    what reaches no parameter; the spatial-handoff backward of the oracles
+    computes everything.  Both give the same gradients up to roundoff."""
+
+    @pytest.mark.parametrize("weights", HANDOFF_WEIGHTS, ids=["unit", "fitted"])
+    @pytest.mark.parametrize("n_outer", [1, 3])
+    @pytest.mark.parametrize("n_admm", [1, 2])
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_gradients_match(self, mode, n_admm, n_outer, weights):
+        sample, config, params, target = make_instance(
+            mode, (8, 8, 4), seed=81, n_outer=n_outer, n_admm=n_admm, n_cg=4, scale=4.0
+        )
+        params = dataclasses.replace(params, log_lam=weights[0], log_alpha=weights[1],
+                                     log_beta=weights[2])
+        result = forward_reconstruct(sample, params, config, want_trace=True)
+        passing = np.mean([np.abs(step.v.view(np.float64)) > step.tau
+                           for outer in result.trace.outer for step in outer.admm])
+        assert 0 < passing < 1
+        d_image = 2.0 * (result.image - target)
+        got = backward(result.trace, d_image)
+        want = oracles.backward(result.trace, d_image)
+        assert relative_error(got.d_filters, want.d_filters) <= 1e-12
+
+        def log_weights(g):
+            return np.array([g.d_log_lam, g.d_log_alpha, g.d_log_beta])
+
+        assert relative_error(log_weights(got), log_weights(want)) <= 1e-12
+
+
 class TestBackwardApi:
     def make_trace(self, n_outer=1):
         sample, config, params, target = make_instance(
@@ -553,3 +638,64 @@ class TestBackwardApi:
                 d_log_alpha=0.0,
                 d_log_beta=0.0,
             )
+
+
+class TestNonFiniteCotangents:
+    """A non-finite cotangent stops the backward in the first block that
+    meets it, and the error names that block and its outer iteration."""
+
+    def make_trace(self, n_admm=1):
+        sample, config, params, target = make_instance(
+            "2d", (6, 6, 2), seed=74, n_outer=3, n_admm=n_admm, n_cg=2
+        )
+        result = forward_reconstruct(sample, params, config, want_trace=True)
+        return result.trace, 2.0 * (result.image - target)
+
+    def test_nan_in_the_loss_cotangent(self):
+        trace, d_image = self.make_trace()
+        d_image[3, 2, 1] = np.nan
+        with pytest.raises(NonFiniteValue,
+                           match=r"^backward outer iteration 2: cg_backward: non-finite"):
+            backward(trace, d_image)
+
+    # (block with a poisoned output, which output, on which of its calls,
+    # counted from 0 in the order backward makes them, J, where the error
+    # is reported)
+    @pytest.mark.parametrize("block,output,call,n_admm,where", [
+        ("cg_backward", 0, 1, 1, "outer iteration 1: synthesis_backward"),
+        ("synthesis_backward", 0, 2, 1, "outer iteration 0: admm_step_backward"),
+        ("admm_step_backward", 1, 0, 2, "outer iteration 2: admm_step_backward"),
+        ("admm_step_backward", 2, 1, 2, "outer iteration 1: admm_step_backward"),
+    ])
+    def test_nan_handed_on_by_a_block(self, monkeypatch, block, output, call, n_admm, where):
+        trace, d_image = self.make_trace(n_admm)
+        original = getattr(backprop, block)
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if len(calls) == call:
+                out[output].flat[0] = np.nan
+            calls.append(block)
+            return out
+
+        monkeypatch.setattr(backprop, block, poisoned)
+        with pytest.raises(NonFiniteValue, match=f"^backward {where}: non-finite"):
+            backward(trace, d_image)
+
+    def test_each_block_rejects_a_nan_cotangent(self):
+        trace, d_image = self.make_trace()
+        outer = trace.outer[-1]
+        operator = NormalOperator(trace.sample.coils, trace.sample.mask, trace.params.lam)
+        bad = np.full(outer.approx.shape, np.nan + 0j)
+        with pytest.raises(NonFiniteValue):
+            cg_backward(outer.cg, bad, operator)
+        conj_d = np.conj(trace.spectra)
+        with pytest.raises(NonFiniteValue):
+            synthesis_backward(outer.admm[-1].s_trace.s_hat, conj_d, bad)
+        step = outer.admm[-1]
+        codes = np.full(step.v.shape, np.nan + 0j)
+        with pytest.raises(NonFiniteValue):
+            admm_step_backward(step, codes, None, None, conj_d)
+        with pytest.raises(NonFiniteValue):
+            admm_step_backward(step, None, codes, np.zeros_like(codes), conj_d)

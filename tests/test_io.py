@@ -19,6 +19,7 @@ from ucdl.io import (
     write_pgm,
     write_tensor,
 )
+from ucdl.metrics import MetricReport, append_report_csv
 from ucdl.network import NetworkConfig, NetworkParams, init_network, save_checkpoint
 from ucdl.operators import make_coil_maps, make_mask, save_kspace_sample, simulate_measurement
 from ucdl.training import EpochRecord, _write_run_config, write_loss_log
@@ -151,6 +152,12 @@ def evaluate_report(directory, version):
     args.func(args)
 
 
+def append_csv_report(directory, version):
+    """One `ucdl evaluate --csv` row per call, its values set by `version`."""
+    report = MetricReport(psnr=20.0 + version, nrmse=0.1, ssim=0.9, roi=((0, 0), (4, 4)))
+    append_report_csv(directory / "report.csv", report, label=f"v{version}")
+
+
 # (file, writer of a given version of it into a directory)
 ATOMIC_WRITERS = {
     "tensor.bin": lambda d, v: write_tensor(d / "tensor.bin", np.full(5, v + 1j)),
@@ -159,6 +166,7 @@ ATOMIC_WRITERS = {
     "config.json": lambda d, v: _write_run_config(d, CONFIG, epochs=v, seed=0, lr=1e-3),
     "sample.json": save_sample,
     "report.json": evaluate_report,
+    "report.csv": append_csv_report,
 }
 
 
