@@ -15,7 +15,6 @@ from ucdl.csc import (
     AdmmConfig,
     CodeState,
     FilterBank,
-    dictionary_synthesis,
     soft_threshold,
 )
 from ucdl.data import PhantomSpec, load_dataset, make_phantom, save_dataset, synth_dataset
@@ -70,7 +69,6 @@ __all__ = [
     "adjoint_apply",
     "cg_solve",
     "compute_report",
-    "dictionary_synthesis",
     "forward_apply",
     "forward_reconstruct",
     "init_network",

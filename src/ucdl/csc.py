@@ -1,4 +1,4 @@
-"""ADMM solver for the convolutional sparse-coding subproblem.
+"""ADMM solver for the convolutional sparse-coding subproblem, and its VJPs.
 
 For a fixed complex image x, a bank of real unit-norm kernels {d_k} and
 positive weights (lam, alpha, beta), the solver addresses
@@ -19,20 +19,19 @@ alternates three closed-form updates:
 
 Arrays carrying coefficient maps have shape (K, *image_shape); the image
 shape may include leading batch axes ahead of the spatial axes, which are
-always the trailing axes matching the kernel dimensionality.  The s-update
-and the full sweep also return the intermediates that the hand-written
-backward pass consumes.
+always the trailing axes matching the kernel dimensionality.
 
-Each pass over the K coefficient maps is made once.  The kernel spectra d,
-their conjugates and sum_k |d_k|^2 depend only on the kernels, so a
-forward builds them once (:func:`kernel_spectra`) and hands them to every
-sweep.  The solve and the soft threshold write into buffers of their own
-instead of allocating a temporary per operation.  They run the plain
-formulas' operations in the same order and return the same bits, except
-that a code entry the threshold sets to zero keeps the sign of its input.
-The dictionary synthesis reuses the spectrum s^f that the last s-update
-computed, rather than transforming s again, and the sweeps of one outer
-iteration share the spectrum x^f of their image.
+The sweep is posed in the DFT domain (Wohlberg, IEEE TIP 2016).  A forward
+builds the kernel constants once (:class:`KernelSpectra`) and hands them,
+with the image spectrum x^f that the J sweeps of an outer iteration share,
+to every sweep.  A sweep records only what varies (:class:`AdmmStepTrace`),
+and the synthesis reads the last sweep's s^f instead of transforming s.
+The solve and the soft threshold write into buffers of their own; they run
+the plain formulas' operations in the same order and return the same bits,
+except that a code entry the threshold zeroes keeps the sign of its input.
+
+Each block's vector-Jacobian product sits beside it, in the cotangent
+convention of :mod:`ucdl.backprop`, and reads the same two records.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValue, ShapeMismatch
-from .tensors import dft_forward, dft_inverse, zero_pad_filter
+from .tensors import crop_filter, dft_forward, dft_inverse, zero_pad_filter
 
 
 @dataclass(frozen=True)
@@ -137,92 +136,72 @@ def filter_spectra(filters: FilterBank, spatial_shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpectra:
-    """Kernel spectra at one spatial shape, with the constants every
-    s-update derives from them."""
+    """Kernel spectra at one image shape, with the constants every sweep and
+    every sweep VJP derive from them.
 
-    d: np.ndarray       # (K, *spatial)
-    conj: np.ndarray    # (K, *spatial), conj(d)
+    d and conj carry singleton batch axes between the filter axis and the
+    spatial axes, so they broadcast against (K, *image) code maps.
+    """
+
+    d: np.ndarray       # (K, 1, ..., 1, *spatial)
+    conj: np.ndarray    # conj(d)
     power: np.ndarray   # (*spatial), sum_k |d_k|^2
+    n_spatial: int
+
+    @property
+    def n_freq(self) -> float:
+        """N, the number of frequencies of the spatial DFT."""
+        return float(self.power.size)
 
 
-def kernel_spectra(filters: FilterBank, spatial_shape: tuple) -> KernelSpectra:
-    """Spectra of `filters` at `spatial_shape`, computed once for a forward."""
-    d = filter_spectra(filters, spatial_shape)
-    return KernelSpectra(d=d, conj=np.conj(d), power=(np.abs(d) ** 2).sum(axis=0))
+def kernel_spectra(filters: FilterBank, image_shape: tuple) -> KernelSpectra:
+    """Spectra of `filters` for images of `image_shape`, whose trailing axes
+    are the spatial ones; computed once per forward."""
+    n_spatial = len(filters.kernel_shape)
+    n_batch = len(image_shape) - n_spatial
+    d = filter_spectra(filters, tuple(image_shape[n_batch:]))
+    power = (np.abs(d) ** 2).sum(axis=0)
+    d = d.reshape(d.shape[:1] + (1,) * n_batch + d.shape[1:])
+    return KernelSpectra(d=d, conj=np.conj(d), power=power, n_spatial=n_spatial)
 
 
-def _broadcast_spectra(spectra: np.ndarray, image_ndim: int) -> np.ndarray:
-    """Insert singleton batch axes between the filter axis and spatial axes."""
-    n_spatial = spectra.ndim - 1
-    n_batch = image_ndim - n_spatial
-    shape = (spectra.shape[0],) + (1,) * n_batch + spectra.shape[1:]
-    return spectra.reshape(shape)
-
-
-def _solve(d, conj_d, b, gamma, g, scratch):
+def _solve(spectra: KernelSpectra, b, gamma, scratch):
     """Overwrite b with (conj(d) d^T + gamma I)^{-1} b per frequency.
 
-    g = gamma + sum_k |d_k|^2.  `scratch` is a buffer of b's shape that is
-    overwritten too.  The operations are those of
-    b / gamma - conj(d) * ((d * b).sum(axis=0) / (gamma * g)), in that order.
+    `scratch` is a buffer of b's shape that is overwritten too.  The
+    operations are those of
+    b / gamma - conj(d) * ((d * b).sum(axis=0) / (gamma * g)) with
+    g = gamma + sum_k |d_k|^2, in that order.
     """
-    np.multiply(d, b, out=scratch)
+    np.multiply(spectra.d, b, out=scratch)
     c = scratch.sum(axis=0)
-    c /= gamma * g
-    np.multiply(conj_d, c[np.newaxis], out=scratch)
+    c /= gamma * (gamma + spectra.power)
+    np.multiply(spectra.conj, c[np.newaxis], out=scratch)
     np.divide(b, gamma, out=b)
     np.subtract(b, scratch, out=b)
     return b
 
 
-@dataclass(frozen=True)
-class SUpdateTrace:
-    """Intermediates of one s-update, consumed by the backward pass.
+def s_update_traced(x_hat, u, z, spectra: KernelSpectra, gamma: float):
+    """Exact minimizer of the s-subproblem for the image spectrum x_hat.
 
-    The solve's matrix is Hermitian, so the backward pass reverses it with
-    the same solve and needs neither its right-hand side nor w_hat.
-    """
-
-    spectra: np.ndarray   # (K, *spatial)
-    gamma: float
-    g: np.ndarray         # (*spatial), gamma + ||d||^2 per frequency
-    x_hat: np.ndarray     # (*image)
-    s_hat: np.ndarray     # (K, *image), spectrum of the new s
-
-
-def s_update_traced(x, u, z, filters: FilterBank, gamma: float,
-                    spectra: KernelSpectra | None = None,
-                    x_hat: np.ndarray | None = None):
-    """Exact minimizer of the s-subproblem, plus its backward trace.
-
-    `x_hat`, when given, is the DFT of `x` over its spatial axes; the J
-    sweeps of one outer iteration share it instead of transforming x each.
+    Returns the new s and its spectrum s_hat, which the sweep records.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    n_spatial = len(filters.kernel_shape)
-    spatial = x.shape[-n_spatial:]
-    if u.shape != (filters.count,) + x.shape or z.shape != u.shape:
+    if u.shape != spectra.d.shape[:1] + x_hat.shape or z.shape != u.shape:
         raise ShapeMismatch(
-            f"code maps {u.shape} do not extend image shape {x.shape} "
-            f"by {filters.count} filters"
+            f"code maps {u.shape} do not extend image shape {x_hat.shape} "
+            f"by {len(spectra.d)} filters"
         )
-    if spectra is None:
-        spectra = kernel_spectra(filters, spatial)
-    d = _broadcast_spectra(spectra.d, x.ndim)
-    conj_d = _broadcast_spectra(spectra.conj, x.ndim)
-    if x_hat is None:
-        x_hat = dft_forward(x, ndim=n_spatial)
-    w_hat = dft_forward(u + z, ndim=n_spatial)
-    g = gamma + spectra.power
+    w_hat = dft_forward(u + z, ndim=spectra.n_spatial)
     # right-hand side conj(d) x_hat + gamma w_hat, then the solve in place;
     # w_hat is dead once scaled into the sum and serves as the scratch
-    s_hat = np.multiply(conj_d, x_hat[np.newaxis])
+    s_hat = np.multiply(spectra.conj, x_hat[np.newaxis])
     np.multiply(gamma, w_hat, out=w_hat)
     np.add(s_hat, w_hat, out=s_hat)
-    _solve(d, conj_d, s_hat, gamma, g, scratch=w_hat)
-    trace = SUpdateTrace(spectra=spectra.d, gamma=gamma, g=g, x_hat=x_hat, s_hat=s_hat)
-    return dft_inverse(s_hat, ndim=n_spatial), trace
+    _solve(spectra, s_hat, gamma, scratch=w_hat)
+    return dft_inverse(s_hat, ndim=spectra.n_spatial), s_hat
 
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
@@ -255,43 +234,29 @@ def _from_channels(channels: np.ndarray, like: np.ndarray) -> np.ndarray:
     return values.reshape(like.shape)
 
 
-def dictionary_synthesis(filters: FilterBank, s: np.ndarray,
-                         spectra: KernelSpectra | None = None,
-                         s_hat: np.ndarray | None = None) -> np.ndarray:
-    """Sum of circular convolutions sum_k d_k * s_k, evaluated spectrally.
-
-    `s_hat`, when given, is the DFT of `s` over its spatial axes, such as
-    the one an s-update has just computed; `s` is then not transformed.
-    """
-    if s.shape[0] != filters.count:
+def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarray:
+    """Sum of circular convolutions sum_k d_k * s_k from the code spectrum
+    s_hat, such as the one the last s-update recorded."""
+    if s_hat.shape[0] != len(spectra.d):
         raise ShapeMismatch(
-            f"expected {filters.count} coefficient maps, got {s.shape[0]}"
+            f"expected {len(spectra.d)} coefficient maps, got {s_hat.shape[0]}"
         )
-    n_spatial = len(filters.kernel_shape)
-    spatial = s.shape[-n_spatial:]
-    d = filter_spectra(filters, spatial) if spectra is None else spectra.d
-    d = _broadcast_spectra(d, s.ndim - 1)
-    if s_hat is None:
-        s_hat = dft_forward(s, ndim=n_spatial)
-    return dft_inverse((d * s_hat).sum(axis=0), ndim=n_spatial)
+    return dft_inverse((spectra.d * s_hat).sum(axis=0), ndim=spectra.n_spatial)
 
 
 @dataclass(frozen=True)
 class AdmmStepTrace:
-    """Everything the backward pass needs to reverse one ADMM step."""
+    """What varies between the sweeps, kept to reverse one of them."""
 
-    s_trace: SUpdateTrace
+    s_hat: np.ndarray    # spectrum of the new s
     v: np.ndarray        # u-update input s_new - z_old
     tau: float
 
 
-def admm_step_traced(x, state: CodeState, filters: FilterBank, config: AdmmConfig,
-                     spectra: KernelSpectra | None = None,
-                     x_hat: np.ndarray | None = None):
-    """One s -> u -> z sweep, returning the new state and its trace."""
-    s_new, s_trace = s_update_traced(
-        x, state.u, state.z, filters, config.gamma, spectra=spectra, x_hat=x_hat
-    )
+def admm_step_traced(x_hat, state: CodeState, spectra: KernelSpectra, config: AdmmConfig):
+    """One s -> u -> z sweep for the image spectrum x_hat, returning the new
+    state and its trace."""
+    s_new, s_hat = s_update_traced(x_hat, state.u, state.z, spectra, config.gamma)
     v = s_new - state.z
     tau = config.threshold
     u_new = soft_threshold(v, tau)
@@ -299,4 +264,132 @@ def admm_step_traced(x, state: CodeState, filters: FilterBank, config: AdmmConfi
     z_new = np.subtract(u_new, s_new)
     np.add(state.z, z_new, out=z_new)
     new_state = CodeState(s=s_new, u=u_new, z=z_new)
-    return new_state, AdmmStepTrace(s_trace=s_trace, v=v, tau=tau)
+    return new_state, AdmmStepTrace(s_hat=s_hat, v=v, tau=tau)
+
+
+# ---------------------------------------------------------------------------
+# Vector-Jacobian products, in the cotangent convention of ucdl.backprop
+# ---------------------------------------------------------------------------
+
+def _sum_batch(arr: np.ndarray, n_spatial: int) -> np.ndarray:
+    """Reduce (K, *batch, *spatial) to (K, *spatial); `arr` itself if there
+    are no batch axes."""
+    axes = tuple(range(1, arr.ndim - n_spatial))
+    return arr.sum(axis=axes) if axes else arr
+
+
+def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
+    """VJP of u = soft_threshold(v, tau), in one pass over the float64
+    channels: a channel passes where |v| > tau, v_bar = u_bar there and 0
+    elsewhere, and tau_bar = -<sign v, v_bar>."""
+    v = np.asarray(v)
+    channels = _channels(v)
+    scratch = np.abs(channels)
+    passing = np.greater(scratch, tau)
+    v_bar = np.multiply(_channels(np.asarray(u_bar, dtype=v.dtype)), passing)
+    np.sign(channels, out=scratch)
+    tau_bar = -float(np.multiply(scratch, v_bar, out=scratch).sum())
+    return _from_channels(v_bar, v), tau_bar
+
+
+def s_update_backward(x_hat, s_hat, spectra: KernelSpectra, gamma: float,
+                      s_hat_bar: np.ndarray, need_w: bool = True):
+    """Closed-form VJP of the per-frequency Sherman-Morrison solve.
+
+    Takes the s-update's image spectrum x_hat and recorded s_hat, and the
+    cotangent of s_hat, F(s_bar)/N for a cotangent s_bar of
+    s = F^{-1} s_hat, which it overwrites.  s_hat = A^{-1} r with
+    A = conj(d) d^T + gamma I Hermitian, so r_bar = A^{-1} s_hat_bar.
+    With rho = d^T r_bar and the synthesis residual e = d^T s_hat - x_hat,
+    dA s_hat yields the spectra and gamma cotangents below, using
+    gamma (w_hat - s_hat) = conj(d) e.
+
+    Returns the cotangents of x_hat (rho, spectral), of w = u + z (spatial;
+    None unless `need_w`), of the spectra, reduced over batch axes to the
+    (K, *spatial) layout, and of gamma.
+    """
+    d = spectra.d
+    scratch = np.empty_like(s_hat_bar)
+    r_bar = _solve(spectra, s_hat_bar, gamma, scratch)
+    # r = conj(d) x_hat + gamma w_hat ; x_hat = F x ; w_hat = F (u + z)
+    rho = np.multiply(d, r_bar, out=scratch).sum(axis=0)
+    e = np.multiply(d, s_hat, out=scratch).sum(axis=0)
+    e -= x_hat
+    d_bar = np.conjugate(r_bar, out=scratch)
+    d_bar *= e[np.newaxis]
+    term = np.conj(s_hat)
+    term *= rho[np.newaxis]
+    d_bar += term
+    d_bar = _sum_batch(d_bar, spectra.n_spatial)
+    np.negative(d_bar, out=d_bar)
+    gamma_bar = float(np.real(np.vdot(rho, e))) / gamma
+    w_bar = None
+    if need_w:
+        w_bar = dft_inverse(np.multiply(gamma, r_bar, out=r_bar), ndim=spectra.n_spatial)
+        w_bar *= spectra.n_freq
+    return rho, w_bar, d_bar, gamma_bar
+
+
+def admm_step_backward(x_hat, step: AdmmStepTrace, spectra: KernelSpectra,
+                       config: AdmmConfig, s_hat_bar, u_bar, z_bar,
+                       need_state: bool = True):
+    """VJP of one s -> u -> z ADMM sweep.
+
+    Takes the sweep's inputs and record, and the cotangents of its outputs:
+    s_hat_bar of the new s's spectrum (from the synthesis, which reads the
+    last sweep's s; it may be overwritten), u_bar and z_bar of the new u
+    and z.  None stands for a zero cotangent, and u_bar and z_bar are both
+    None or both arrays.  Without `need_state` the sweep started from a
+    state that carries no parameters, and its cotangents are not computed.
+
+    Returns the cotangent of x_hat (spectral), those of (u_prev, z_prev)
+    (spatial, or None), and the spectra/gamma/tau pieces.
+    """
+    tau_bar = 0.0
+    sz_bar = None
+    if u_bar is not None:
+        # z_new = z_prev + (u_new - s_new); u_new = soft_threshold(v, tau)
+        # with v = s_new - z_prev: s_new gets v_bar - z_bar, z_prev the negation
+        v_bar, tau_bar = prox_backward(step.v, step.tau, u_bar + z_bar)
+        sz_bar = np.subtract(v_bar, z_bar, out=v_bar)
+        sz_hat_bar = dft_forward(sz_bar, ndim=spectra.n_spatial)
+        sz_hat_bar /= spectra.n_freq
+        if s_hat_bar is not None:
+            sz_hat_bar += s_hat_bar
+        s_hat_bar = sz_hat_bar
+    # s_new = s_update_traced(x_hat, u_prev, z_prev, spectra, gamma)[0]
+    x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
+        x_hat, step.s_hat, spectra, config.gamma, s_hat_bar, need_w=need_state
+    )
+    if not (np.isfinite(gamma_bar) and np.isfinite(tau_bar)):
+        raise NonFiniteValue("non-finite gamma or tau cotangent")
+    z_prev_bar = None
+    if need_state:
+        z_prev_bar = w_bar.copy() if sz_bar is None else np.subtract(w_bar, sz_bar)
+    return x_hat_bar, w_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
+
+
+def synthesis_backward(spectra: KernelSpectra, s_hat: np.ndarray, synth_bar: np.ndarray):
+    """VJP of dictionary_synthesis(spectra, s_hat).
+
+    Returns the cotangent of s_hat, conj(d) F(synth_bar)/N, which the
+    s-update's VJP takes as it is, and that of the spectra.
+    """
+    f_synth_bar = dft_forward(synth_bar, ndim=spectra.n_spatial)
+    f_synth_bar /= spectra.n_freq
+    if not np.all(np.isfinite(f_synth_bar)):
+        raise NonFiniteValue("non-finite synthesis cotangent")
+    s_hat_bar = spectra.conj * f_synth_bar[np.newaxis]
+    d_bar = np.conj(s_hat)
+    d_bar *= f_synth_bar[np.newaxis]
+    return s_hat_bar, _sum_batch(d_bar, spectra.n_spatial)
+
+
+def spectra_to_kernel_grad(d_bar: np.ndarray, kernel_shape: tuple) -> np.ndarray:
+    """Chain a (K, *spatial) spectra cotangent back to the real kernels
+    through filter_spectra's zero padding."""
+    n_freq = float(np.prod(d_bar.shape[1:]))
+    pad_bar = n_freq * dft_inverse(d_bar, ndim=d_bar.ndim - 1)
+    return np.stack(
+        [crop_filter(pad_bar[k], kernel_shape).real for k in range(len(d_bar))]
+    )

@@ -158,7 +158,7 @@ def save_dataset(directory: str | Path, pairs, settings: dict | None = None) -> 
 def load_dataset(directory: str | Path):
     """Read back the (sample, target) pairs written by :func:`save_dataset`."""
     directory = Path(directory)
-    manifest = read_manifest(directory / MANIFEST_NAME, ("samples",))
+    manifest = read_manifest(directory / MANIFEST_NAME, {"samples": list[str]})
     pairs = []
     for name in manifest["samples"]:
         sub = directory / name

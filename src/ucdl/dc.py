@@ -10,6 +10,10 @@ is part of the network configuration (not adaptive) so that the computation
 graph has static depth; every iteration's intermediates are recorded in a trace
 for the hand-written backward pass.  lam > 0 makes the operator Hermitian
 positive definite, so plain CG applies.
+
+A non-finite value stops the solve with a NonFiniteValue that names the CG
+iteration it showed in.  The solve's VJP, :func:`cg_backward`, sits beside
+it, in the cotangent convention of :mod:`ucdl.backprop`.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, n_cg: int) -> CgResult:
             break
         q = operator(p)
         if not np.all(np.isfinite(q)):
-            raise NonFiniteValue("non-finite operator output during CG")
+            raise NonFiniteValue(f"non-finite operator output at CG iteration {i}")
         pi = float(np.vdot(p, q).real)
         alpha = rho / pi
         x = x + alpha * p
@@ -108,7 +112,65 @@ def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, n_cg: int) -> CgResult:
         r = r_next
         rho = rho_next
     if not np.all(np.isfinite(x)):
-        raise NonFiniteValue("non-finite CG iterate")
+        raise NonFiniteValue(f"non-finite CG iterate after {len(records)} iterations")
     trace = CgTrace(x0=x0.astype(np.complex128, copy=False), r0=r0,
                     iterations=tuple(records))
     return CgResult(image=x, residuals=tuple(residuals), trace=trace)
+
+
+def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.real(np.vdot(a, b)))
+
+
+def cg_backward(trace: CgTrace, x_out_bar: np.ndarray, operator: NormalOperator,
+                need_x0: bool = True):
+    """VJP of the truncated CG solve x = cg(rhs, H, x0).
+
+    Returns cotangents of (rhs, x0) plus the lam contribution collected
+    from every application of H = A^H A + lam I.  Without `need_x0` the
+    start carries no parameters, and its cotangent (one application of H)
+    is None.
+    """
+    lam_bar = 0.0
+    x_bar = np.array(x_out_bar, dtype=np.complex128)
+    p_bar = np.zeros_like(x_bar)
+    r_bar = np.zeros_like(x_bar)
+    rho_bar = 0.0  # cotangent of rho_{i+1} flowing into iteration i
+    for i in range(len(trace.iterations) - 1, -1, -1):
+        it = trace.iterations[i]
+        rho_prev_bar = 0.0
+        # the last iteration (beta None) sets no search direction
+        if it.beta is not None:
+            # p_{i+1} = r_{i+1} + beta_i p_i
+            r_bar = r_bar + p_bar
+            beta_bar = _real_inner(p_bar, it.p)
+            p_bar = it.beta * p_bar
+            # beta_i = rho_{i+1} / rho_i
+            rho_bar += beta_bar / it.rho
+            rho_prev_bar = -beta_bar * it.beta / it.rho
+            # rho_{i+1} = <r_{i+1}, r_{i+1}>
+            r_bar = r_bar + rho_bar * 2.0 * it.r_next
+        # r_{i+1} = r_i - alpha_i q_i
+        q_bar = -it.alpha * r_bar
+        alpha_bar = -_real_inner(r_bar, it.q)
+        # x_{i+1} = x_i + alpha_i p_i
+        p_bar = p_bar + it.alpha * x_bar
+        alpha_bar += _real_inner(x_bar, it.p)
+        # alpha_i = rho_i / pi_i
+        rho_prev_bar += alpha_bar / it.pi
+        pi_bar = -alpha_bar * it.alpha / it.pi
+        # pi_i = Re<p_i, q_i>
+        p_bar = p_bar + pi_bar * it.q
+        q_bar = q_bar + pi_bar * it.p
+        # q_i = H p_i
+        p_bar = p_bar + operator(q_bar)
+        lam_bar += _real_inner(q_bar, it.p)
+        rho_bar = rho_prev_bar
+    # rho_0 = <r_0, r_0>; p_0 = r_0; r_0 = rhs - H x0
+    r0_bar = r_bar + p_bar + rho_bar * 2.0 * trace.r0
+    rhs_bar = r0_bar
+    x0_bar = x_bar - operator(r0_bar) if need_x0 else None
+    lam_bar -= _real_inner(r0_bar, trace.x0)
+    if not np.isfinite(lam_bar):
+        raise NonFiniteValue("non-finite lam cotangent")
+    return rhs_bar, x0_bar, lam_bar

@@ -93,14 +93,33 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return data.reshape(dims).astype(np.complex128)
 
 
-def read_manifest(path: str | Path, keys) -> dict:
-    """The JSON object in `path`, checked to hold every one of `keys`."""
+# how a manifest type reads in a message; float stands for any JSON number
+_TYPE_NAMES = {dict: "an object", str: "a string", float: "a number",
+               list[str]: "a list of strings"}
+
+
+def _has_type(value, expected) -> bool:
+    """Whether a decoded JSON value is of `expected`, a key of _TYPE_NAMES;
+    a number is an int or a float but not a bool."""
+    if expected == list[str]:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if expected is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, expected)
+
+
+def read_manifest(path: str | Path, keys: dict) -> dict:
+    """The JSON object in `path`, checked to hold every key of `keys` with
+    a value of the type `keys` maps it to (see _TYPE_NAMES)."""
     manifest = json.loads(Path(path).read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    for key in keys:
+    for key, expected in keys.items():
         if key not in manifest:
             raise ValueError(f"{path}: missing key {key!r}")
+        if not _has_type(manifest[key], expected):
+            raise ValueError(f"{path}: key {key!r} must be {_TYPE_NAMES[expected]}, "
+                             f"got {manifest[key]!r}")
     return manifest
 
 
@@ -112,7 +131,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
     if image.dtype != np.uint8:
         raise ValueError(f"PGM image must be uint8, got {image.dtype}")
     h, w = image.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
 

@@ -17,6 +17,10 @@ once per forward.  The kernels act on the trailing axes: a "3d" bank on
 the whole volume, a "2d" bank on each frame, the frame axis being a batch
 axis.  Kernels keep the public (K, k_x, k_y[, k_t]) layout in parameters
 and files; a 3D bank runs as (K, k_t, k_x, k_y).
+
+A non-finite value stops the forward with an error naming the outer
+iteration and the CG step where it showed.  Sparse coding has no check of
+its own: a non-finite value from it surfaces at the next CG start.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import numpy as np
 
 from .csc import (
     AdmmConfig,
-    AdmmStepTrace,
     CodeState,
     FilterBank,
+    KernelSpectra,
     admm_step_traced,
     dictionary_synthesis,
     kernel_spectra,
@@ -165,6 +169,7 @@ def _check_mode_kernels(config: NetworkConfig, filters: FilterBank) -> None:
 class OuterTrace:
     """Intermediates of one outer iteration."""
 
+    x_hat: np.ndarray    # spectrum of the image, shared by the J sweeps
     admm: tuple          # J AdmmStepTrace entries; the last holds the synthesized s_hat
     approx: np.ndarray   # frames-first dictionary approximation
     cg: CgTrace
@@ -177,7 +182,7 @@ class NetworkTrace:
     config: NetworkConfig
     params: NetworkParams
     sample: KSpaceSample
-    spectra: np.ndarray   # of the frames-first bank
+    spectra: KernelSpectra   # of the frames-first bank
     outer: tuple
 
 
@@ -201,34 +206,29 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
         np.moveaxis(adjoint_apply(sample.y, sample.coils, sample.mask), -1, 0)
     )
     x = aty
-    n_spatial = len(filters.kernel_shape)
-    spectra = kernel_spectra(filters, aty.shape[-n_spatial:])
+    spectra = kernel_spectra(filters, aty.shape)
     state = CodeState.zeros(filters.count, aty.shape)
 
     outer_traces = []
     for t in range(config.n_outer):
+        step_traces = []
+        x_hat = dft_forward(x, ndim=spectra.n_spatial)
+        for _ in range(config.n_admm):
+            state, step_trace = admm_step_traced(x_hat, state, spectra, admm_cfg)
+            step_traces.append(step_trace)
+        approx = dictionary_synthesis(spectra, step_trace.s_hat)
         try:
-            step_traces = []
-            x_hat = dft_forward(x, ndim=n_spatial)
-            for _ in range(config.n_admm):
-                state, step_trace = admm_step_traced(
-                    x, state, filters, admm_cfg, spectra=spectra, x_hat=x_hat
-                )
-                step_traces.append(step_trace)
-            approx = dictionary_synthesis(filters, state.s, spectra=spectra,
-                                          s_hat=step_trace.s_trace.s_hat)
             cg = cg_solve(aty + lam * approx, operator, x, config.n_cg)
-            x = cg.image
         except NonFiniteValue as err:
-            raise NonFiniteValue(f"outer iteration {t}: {err}") from err
+            raise NonFiniteValue(f"outer iteration {t}: cg_solve: {err}") from err
+        x = cg.image
         if want_trace:
-            outer_traces.append(
-                OuterTrace(admm=tuple(step_traces), approx=approx, cg=cg.trace)
-            )
+            outer_traces.append(OuterTrace(x_hat=x_hat, admm=tuple(step_traces),
+                                           approx=approx, cg=cg.trace))
     trace = None
     if want_trace:
         trace = NetworkTrace(config=config, params=params, sample=sample,
-                             spectra=spectra.d, outer=tuple(outer_traces))
+                             spectra=spectra, outer=tuple(outer_traces))
     return ReconResult(image=np.ascontiguousarray(np.moveaxis(x, 0, -1)),
                        code_state=state, trace=trace)
 
@@ -261,8 +261,8 @@ def load_checkpoint(directory: str | Path):
     """Read back (params, config) written by save_checkpoint."""
     directory = Path(directory)
     path = directory / MANIFEST_FILE
-    manifest = read_manifest(path, ("config", "kernels_file", "log_lambda",
-                                    "log_alpha", "log_beta"))
+    manifest = read_manifest(path, {"config": dict, "kernels_file": str, "log_lambda": float,
+                                    "log_alpha": float, "log_beta": float})
     try:
         config = NetworkConfig.from_dict(manifest["config"])
     except ValueError as err:

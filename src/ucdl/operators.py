@@ -299,7 +299,8 @@ def save_kspace_sample(directory: str | Path, sample: KSpaceSample, seed: int | 
 def load_kspace_sample(directory: str | Path) -> KSpaceSample:
     """Read a sample written by :func:`save_kspace_sample`."""
     directory = Path(directory)
-    sidecar = read_manifest(directory / "sample.json", ("y", "mask", "coils", "sigma"))
+    sidecar = read_manifest(directory / "sample.json",
+                            {"y": str, "mask": str, "coils": str, "sigma": float})
     y = read_tensor(directory / sidecar["y"])
     mask = SamplingMask(read_tensor(directory / sidecar["mask"]).real > 0.5)
     coils = CoilMaps(read_tensor(directory / sidecar["coils"]))

@@ -6,10 +6,10 @@ here exist only so the tests can check those blocks against them.
 
 import numpy as np
 
-from ucdl.backprop import GradientSet, cg_backward, spectra_to_kernel_grad
-from ucdl.csc import (CodeState, FilterBank, _broadcast_spectra, admm_step_traced,
-                      dictionary_synthesis, filter_spectra, kernel_spectra)
-from ucdl.dc import NormalOperator
+from ucdl.backprop import GradientSet
+from ucdl.csc import (CodeState, FilterBank, admm_step_traced, filter_spectra,
+                      kernel_spectra, spectra_to_kernel_grad)
+from ucdl.dc import NormalOperator, cg_backward
 from ucdl.errors import ShapeMismatch
 from ucdl.tensors import dft_forward, dft_inverse, norm2_sq, zero_pad_filter
 
@@ -43,23 +43,40 @@ def circular_convolve(kernel, image):
     return dft_inverse(dft_forward(image, kernel.ndim) * kf, kernel.ndim)
 
 
+def synthesize(filters, s):
+    """sum_k d_k * s_k, one circular convolution per kernel."""
+    return sum(circular_convolve(kernel, codes) for kernel, codes in zip(filters.kernels, s))
+
+
 def csc_objective(x, state, filters, config) -> float:
     """Augmented objective: fidelity + sparsity of u + scaled-dual penalty."""
-    synth = dictionary_synthesis(filters, state.s)
+    synth = synthesize(filters, state.s)
     fidelity = 0.5 * config.lam * norm2_sq(x - synth)
     l1 = np.abs(state.u.real).sum() + np.abs(state.u.imag).sum()
     penalty = 0.5 * config.beta * norm2_sq(state.u - state.s + state.z)
     return float(fidelity + config.alpha * l1 + penalty)
 
 
+def spectra_of(x, filters):
+    """The image spectrum and kernel constants a sweep on image x takes."""
+    spectra = kernel_spectra(filters, x.shape)
+    return dft_forward(x, ndim=spectra.n_spatial), spectra
+
+
 def run_admm(x, filters, config, n_steps, state=None):
     """`n_steps` sweeps of admm_step_traced, cold-started from zero codes."""
     if state is None:
         state = CodeState.zeros(filters.count, x.shape)
-    spectra = kernel_spectra(filters, x.shape[-len(filters.kernel_shape):])
+    x_hat, spectra = spectra_of(x, filters)
     for _ in range(n_steps):
-        state, _ = admm_step_traced(x, state, filters, config, spectra=spectra)
+        state, _ = admm_step_traced(x_hat, state, spectra, config)
     return state
+
+
+def _broadcast(spectra, image_ndim):
+    """(K, *spatial) spectra with singleton axes for the batch axes of an image."""
+    n_batch = image_ndim - (spectra.ndim - 1)
+    return spectra.reshape(spectra.shape[:1] + (1,) * n_batch + spectra.shape[1:])
 
 
 def s_update(x, u, z, filters, gamma):
@@ -70,7 +87,7 @@ def s_update(x, u, z, filters, gamma):
     """
     n_spatial = len(filters.kernel_shape)
     spectra = filter_spectra(filters, x.shape[-n_spatial:])
-    d = _broadcast_spectra(spectra, x.ndim)
+    d = _broadcast(spectra, x.ndim)
     x_hat = dft_forward(x, ndim=n_spatial)
     w_hat = dft_forward(u + z, ndim=n_spatial)
     g = gamma + (np.abs(spectra) ** 2).sum(axis=0)
@@ -116,28 +133,28 @@ def _sum_batch(arr, n_spatial):
     return arr.sum(axis=tuple(range(1, arr.ndim - n_spatial)))
 
 
-def s_update_backward(trace, s_bar):
-    """VJP of the s-update from the spatial cotangent of s; returns those
-    of (x, u, z, spectra, gamma)."""
-    gamma = trace.gamma
-    spectra = trace.spectra
+def s_update_backward(x_hat, s_hat, spectra, gamma, s_bar):
+    """VJP of the s-update from the spatial cotangent of s, given its image
+    spectrum, its recorded s_hat and the (K, *spatial) kernel spectra;
+    returns the cotangents of (x, u, z, spectra, gamma)."""
     n_spatial = spectra.ndim - 1
-    d = _broadcast_spectra(spectra, trace.x_hat.ndim)
+    d = _broadcast(spectra, x_hat.ndim)
+    g = gamma + (np.abs(spectra) ** 2).sum(axis=0)
     n_freq = float(np.prod(spectra.shape[1:]))
     s_hat_bar = dft_forward(s_bar, ndim=n_spatial) / n_freq
-    c = (d * s_hat_bar).sum(axis=0) / (gamma * trace.g)
+    c = (d * s_hat_bar).sum(axis=0) / (gamma * g)
     r_bar = s_hat_bar / gamma - np.conj(d) * c[np.newaxis]
     rho = (d * r_bar).sum(axis=0)
-    e = (d * trace.s_hat).sum(axis=0) - trace.x_hat
+    e = (d * s_hat).sum(axis=0) - x_hat
     d_bar = -_sum_batch(np.conj(r_bar) * e[np.newaxis]
-                        + rho[np.newaxis] * np.conj(trace.s_hat), n_spatial)
+                        + rho[np.newaxis] * np.conj(s_hat), n_spatial)
     gamma_bar = float(np.real(np.vdot(rho, e))) / gamma
     x_bar = n_freq * dft_inverse(rho, ndim=n_spatial)
     w_bar = n_freq * dft_inverse(gamma * r_bar, ndim=n_spatial)
     return x_bar, w_bar.copy(), w_bar, d_bar, gamma_bar
 
 
-def admm_step_backward(step, s_bar, u_bar, z_bar):
+def admm_step_backward(x_hat, step, spectra, gamma, s_bar, u_bar, z_bar):
     """VJP of one sweep from spatial cotangents of (s, u, z)."""
     z_prev_bar = z_bar.copy()
     u_bar = u_bar + z_bar
@@ -145,7 +162,8 @@ def admm_step_backward(step, s_bar, u_bar, z_bar):
     v_bar, tau_bar = prox_backward(step.v, step.tau, u_bar)
     s_bar = s_bar + v_bar
     z_prev_bar -= v_bar
-    x_bar, u_prev_bar, z_prev_add, d_bar, gamma_bar = s_update_backward(step.s_trace, s_bar)
+    x_bar, u_prev_bar, z_prev_add, d_bar, gamma_bar = s_update_backward(
+        x_hat, step.s_hat, spectra, gamma, s_bar)
     z_prev_bar += z_prev_add
     return x_bar, u_prev_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
 
@@ -153,7 +171,7 @@ def admm_step_backward(step, s_bar, u_bar, z_bar):
 def synthesis_backward(s_hat, spectra, synth_bar):
     """VJP of the synthesis: the spatial cotangent of s and that of the spectra."""
     n_spatial = spectra.ndim - 1
-    d = _broadcast_spectra(spectra, synth_bar.ndim)
+    d = _broadcast(spectra, synth_bar.ndim)
     n_freq = float(np.prod(spectra.shape[1:]))
     f_synth_bar = dft_forward(synth_bar, ndim=n_spatial)
     s_bar = dft_inverse(np.conj(d) * f_synth_bar[np.newaxis], ndim=n_spatial)
@@ -162,29 +180,31 @@ def synthesis_backward(s_hat, spectra, synth_bar):
 
 
 def backward(trace, d_image):
-    """The network's backward from the spatial-handoff VJPs above."""
+    """The network's backward from the spatial-handoff VJPs above, with the
+    kernel spectra and gamma formed from the parameters."""
     params = trace.params
     lam, alpha, beta = params.lam, params.alpha, params.beta
+    gamma = beta / lam
     operator = NormalOperator(trace.sample.coils, trace.sample.mask, lam)
     x_bar = np.ascontiguousarray(frames_first(d_image), dtype=np.complex128)
-    u_bar = z_bar = np.zeros_like(trace.outer[0].admm[0].s_trace.s_hat)
-    d_bar = np.zeros_like(trace.spectra)
+    kernels = frames_first_bank(params.filters).kernels
+    spectra = filter_spectra(FilterBank(kernels), x_bar.shape[1 - kernels.ndim:])
+    u_bar = z_bar = np.zeros((len(kernels),) + x_bar.shape, dtype=np.complex128)
+    d_bar = np.zeros_like(spectra)
     lam_bar = gamma_bar = tau_bar = 0.0
     for outer in reversed(trace.outer):
         rhs_bar, x_bar, lam_add = cg_backward(outer.cg, x_bar, operator)
         lam_bar += lam_add + float(np.real(np.vdot(rhs_bar, outer.approx)))
-        s_bar, d_add = synthesis_backward(outer.admm[-1].s_trace.s_hat, trace.spectra,
-                                          lam * rhs_bar)
+        s_bar, d_add = synthesis_backward(outer.admm[-1].s_hat, spectra, lam * rhs_bar)
         d_bar += d_add
         for step in reversed(outer.admm):
             x_add, u_bar, z_bar, d_add, gamma_add, tau_add = admm_step_backward(
-                step, s_bar, u_bar, z_bar)
+                outer.x_hat, step, spectra, gamma, s_bar, u_bar, z_bar)
             x_bar = x_bar + x_add
             d_bar += d_add
             gamma_bar += gamma_add
             tau_bar += tau_add
             s_bar = np.zeros_like(s_bar)
-    kernels = frames_first_bank(params.filters).kernels
     pad_bar = spectra_to_kernel_grad(d_bar, kernels.shape[1:])
     d_filters = np.moveaxis(pad_bar, 1, -1) if pad_bar.ndim == 4 else pad_bar
     lam_total = lam_bar - gamma_bar * beta / lam**2

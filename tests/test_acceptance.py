@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import spectra_of, synthesize
 from test_backprop import check_network_gradients, make_instance
 
 from ucdl.csc import (
@@ -96,7 +97,7 @@ class TestCriterion1Adjoints:
 
             s = random_complex(rng, (n_filters,) + spatial)
             x = random_complex(rng, spatial)
-            lhs = np.vdot(dictionary_synthesis(bank, s, spectra=bank_spectra), x)
+            lhs = np.vdot(dictionary_synthesis(bank_spectra, dft_forward(s, ndim=ndim)), x)
             adj = dft_inverse(np.conj(spectra) * dft_forward(x)[np.newaxis], ndim=ndim)
             worst = max(worst, relative_defect(lhs, np.vdot(s, adj)))
 
@@ -153,7 +154,8 @@ class TestCriterion2ShermanMorrison:
                 u = random_complex(rng, (n_filters,) + spatial)
                 z = random_complex(rng, (n_filters,) + spatial)
 
-                s, _ = s_update_traced(x, u, z, bank, gamma)
+                x_hat, bank_spectra = spectra_of(x, bank)
+                s, _ = s_update_traced(x_hat, u, z, bank_spectra, gamma)
 
                 # dense oracle: one K x K system per frequency
                 spectra = filter_spectra(bank, spatial)
@@ -311,10 +313,10 @@ class TestCriterion6Admm:
         bank = FilterBank(kernels)
         x = random_complex(rng, (8, 8))
         config = AdmmConfig(lam=1.0, alpha=0.5, beta=1.0)
-        spectra = kernel_spectra(bank, (8, 8))
+        x_hat, spectra = spectra_of(x, bank)
 
         def consensus_objective(state):
-            synth = dictionary_synthesis(bank, state.u, spectra=spectra)
+            synth = synthesize(bank, state.u)
             fidelity = 0.5 * config.lam * norm2_sq(x - synth)
             l1 = np.abs(state.u.real).sum() + np.abs(state.u.imag).sum()
             return float(fidelity + config.alpha * l1)
@@ -322,7 +324,7 @@ class TestCriterion6Admm:
         state = CodeState.zeros(2, (8, 8))
         gaps, objectives = [], []
         for _ in range(200):
-            state, _ = admm_step_traced(x, state, bank, config, spectra=spectra)
+            state, _ = admm_step_traced(x_hat, state, spectra, config)
             gaps.append(float(np.abs(state.u - state.s).max()))
             objectives.append(consensus_objective(state))
 

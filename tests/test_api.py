@@ -1,6 +1,7 @@
 """Public surface checks: the benchmark's trace targets resolve, the trace
-fields it reads exist, names removed from the package stay out of it, and
-no module of the package uses numpy's FFT."""
+fields it reads exist, names removed from the package stay out of it, no
+module reaches into the private helpers of the solvers, and no module of
+the package uses numpy's FFT."""
 
 import ast
 import importlib
@@ -26,7 +27,7 @@ SRC = Path(ucdl.__file__).resolve().parent
 
 REMOVED = {
     "csc": ["s_update", "admm_step", "run_admm", "u_update", "z_update",
-            "csc_objective"],
+            "csc_objective", "SUpdateTrace", "_broadcast_spectra"],
     "dc": ["dc_step", "build_rhs", "DcConfig"],
     "tensors": ["inner_product", "as_channels", "from_channels", "circular_convolve"],
     "operators": ["zero_filled_recon"],
@@ -99,6 +100,13 @@ def test_removed_names_are_gone(module, names):
         assert not hasattr(mod, name), f"ucdl.{module}.{name}"
 
 
+def test_backprop_keeps_only_the_backward():
+    # each block's VJP sits beside its forward in csc or dc; backprop
+    # imports the ones backward calls
+    for name in ["prox_backward", "s_update_backward", "_real_inner", "_sum_batch", "_n_freq"]:
+        assert not hasattr(backprop, name), name
+
+
 @pytest.mark.parametrize("function", [network.forward_reconstruct, backprop.backward,
                                       cli.cmd_export_feature_maps],
                          ids=lambda f: f"{f.__module__}.{f.__name__}")
@@ -108,6 +116,31 @@ def test_numeric_path_does_not_read_the_mode(function):
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not names & {"mode", "MODE_2D", "MODE_3D"}
+
+
+def private_solver_names(source: str) -> list[str]:
+    """Underscore names of ucdl.csc or ucdl.dc that `source` imports or reads."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("csc", "dc"):
+            names += [a.name for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("csc", "dc") and node.attr.startswith("_")):
+            names.append(node.attr)
+    return names
+
+
+def test_private_name_guard_sees_each_spelling():
+    source = ("from .csc import _solve, soft_threshold\nfrom ucdl.dc import (cg_solve, _x)\n"
+              "from .network import _kernels_public\ny = csc._channels(v)\nz = dc.cg_solve\n")
+    assert private_solver_names(source) == ["_solve", "_x", "_channels"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_uses_private_solver_names(path):
+    # each block's VJP sits beside its forward, so the solvers' helpers
+    # stay private to them
+    assert private_solver_names(path.read_text()) == [], path.name
 
 
 def numpy_fft_uses(source: str) -> list[int]:

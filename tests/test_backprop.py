@@ -18,26 +18,22 @@ import numpy as np
 import pytest
 
 from ucdl import backprop
-from ucdl.backprop import (
-    GradientSet,
-    admm_step_backward,
-    backward,
-    cg_backward,
-    prox_backward,
-    s_update_backward,
-    spectra_to_kernel_grad,
-    synthesis_backward,
-)
+from ucdl.backprop import GradientSet, backward
 from ucdl.csc import (
     AdmmConfig,
     CodeState,
     FilterBank,
+    admm_step_backward,
     admm_step_traced,
-    dictionary_synthesis,
+    kernel_spectra,
+    prox_backward,
+    s_update_backward,
     s_update_traced,
     soft_threshold,
+    spectra_to_kernel_grad,
+    synthesis_backward,
 )
-from ucdl.dc import NormalOperator, cg_solve
+from ucdl.dc import NormalOperator, cg_backward, cg_solve
 from ucdl.errors import NonFiniteValue, ShapeMismatch, TraceMismatch
 from ucdl.network import (
     NetworkConfig,
@@ -48,7 +44,7 @@ from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
 from ucdl.tensors import dft_forward, dft_inverse, norm2_sq
 
 import oracles
-from oracles import run_admm
+from oracles import run_admm, spectra_of
 
 FD_STEP = 1e-6
 
@@ -188,17 +184,19 @@ class TestSUpdateBackward:
             u, z = state.u, state.z
         weight = random_complex(rng, (2,) + image_shape)
 
-        s, trace = s_update_traced(x, u, z, bank, gamma)
+        x_hat, spectra = spectra_of(x, bank)
+        s, s_hat = s_update_traced(x_hat, u, z, spectra, gamma)
         n_spatial = len(kernel_shape)
         x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
-            trace, spectral(weight, n_spatial), np.conj(trace.spectra)
+            x_hat, s_hat, spectra, gamma, spectral(weight, n_spatial)
         )
         x_bar = spatial(x_hat_bar, n_spatial)
         # w = u + z
         u_bar = z_bar = w_bar
 
         def loss(x_=x, u_=u, z_=z, bank_=bank, gamma_=gamma):
-            return real_weighted(weight, s_update_traced(x_, u_, z_, bank_, gamma_)[0])
+            x_hat_, spectra_ = spectra_of(x_, bank_)
+            return real_weighted(weight, s_update_traced(x_hat_, u_, z_, spectra_, gamma_)[0])
 
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
         assert_grad_close(numeric_grad(lambda a: loss(u_=a), u), u_bar)
@@ -244,12 +242,14 @@ class TestAdmmStepBackward:
         w_u = random_complex(rng, (2, 4, 4))
         w_z = random_complex(rng, (2, 4, 4))
 
-        def run(x_=x, u_=state.u, z_=state.z, bank_=bank, gamma_=gamma, tau_=tau):
+        def config(gamma_, tau_):
             # gamma and tau pin down the sweep; beta itself cancels out
-            cfg = AdmmConfig(lam=1.0 / gamma_, alpha=tau_, beta=1.0)
+            return AdmmConfig(lam=1.0 / gamma_, alpha=tau_, beta=1.0)
+
+        def run(x_=x, u_=state.u, z_=state.z, bank_=bank, gamma_=gamma, tau_=tau):
+            x_hat_, spectra_ = spectra_of(x_, bank_)
             st = CodeState(s=state.s, u=u_, z=z_)
-            new, trace = admm_step_traced(x_, st, bank_, cfg)
-            return new, trace
+            return admm_step_traced(x_hat_, st, spectra_, config(gamma_, tau_))
 
         new_state, trace = run()
         assert prox_kink_margin(trace.v, tau) > 1e-3
@@ -262,8 +262,9 @@ class TestAdmmStepBackward:
                 + real_weighted(w_z, new.z)
             )
 
+        x_hat, spectra = spectra_of(x, bank)
         x_hat_bar, u_bar, z_bar, d_bar, gamma_bar, tau_bar = admm_step_backward(
-            trace, spectral(w_s, 2), w_u, w_z, np.conj(trace.s_trace.spectra)
+            x_hat, trace, spectra, config(gamma, tau), spectral(w_s, 2), w_u, w_z
         )
         x_bar = spatial(x_hat_bar, 2)
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
@@ -281,13 +282,15 @@ class TestAdmmStepBackward:
         bank = random_bank(rng, 2, (3, 3))
         x = random_complex(rng, (4, 4))
         state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
-        _, trace = admm_step_traced(x, state, bank, AdmmConfig(lam=1.0, alpha=0.1, beta=0.5))
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
+        _, trace = admm_step_traced(x_hat, state, spectra, cfg)
         # with the outputs u and z read, and with only s read
         for u_bar in (random_complex(rng, (2, 4, 4)), None):
             z_bar = None if u_bar is None else random_complex(rng, (2, 4, 4))
             s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
             _, u_prev_bar, z_prev_bar, *_ = admm_step_backward(
-                trace, s_hat_bar, u_bar, z_bar, np.conj(trace.s_trace.spectra)
+                x_hat, trace, spectra, cfg, s_hat_bar, u_bar, z_bar
             )
             assert not np.shares_memory(u_prev_bar, z_prev_bar)
             before = z_prev_bar.copy()
@@ -301,12 +304,14 @@ class TestAdmmStepBackward:
         bank = random_bank(rng, 2, (3, 3))
         x = random_complex(rng, (4, 4))
         state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
-        _, trace = admm_step_traced(x, state, bank, AdmmConfig(lam=1.0, alpha=0.1, beta=0.5))
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
+        _, trace = admm_step_traced(x_hat, state, spectra, cfg)
         s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
         u_bar, z_bar = random_complex(rng, (2, 4, 4)), random_complex(rng, (2, 4, 4))
-        conj_d = np.conj(trace.s_trace.spectra)
-        full = admm_step_backward(trace, s_hat_bar.copy(), u_bar, z_bar, conj_d)
-        skipped = admm_step_backward(trace, s_hat_bar.copy(), u_bar, z_bar, conj_d,
+        inputs = (x_hat, trace, spectra, cfg)
+        full = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar, z_bar)
+        skipped = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar, z_bar,
                                      need_state=False)
         assert skipped[1] is None and skipped[2] is None
         for a, b in zip(full[:1] + full[3:], skipped[:1] + skipped[3:]):
@@ -322,16 +327,13 @@ class TestSynthesisBackward:
         bank = random_bank(rng, code_shape[0], kernel_shape)
         s = random_complex(rng, code_shape)
         weight = random_complex(rng, code_shape[1:])
-        spectra = None
 
         def loss(s_=s, bank_=bank):
-            return real_weighted(weight, dictionary_synthesis(bank_, s_))
+            return real_weighted(weight, oracles.synthesize(bank_, s_))
 
-        from ucdl.csc import filter_spectra
-
-        spectra = filter_spectra(bank, code_shape[-len(kernel_shape):])
+        spectra = kernel_spectra(bank, code_shape[1:])
         s_hat = dft_forward(s, ndim=len(kernel_shape))
-        s_hat_bar, d_bar = synthesis_backward(s_hat, np.conj(spectra), weight)
+        s_hat_bar, d_bar = synthesis_backward(spectra, s_hat, weight)
         s_bar = spatial(s_hat_bar, len(kernel_shape))
         assert_grad_close(numeric_grad(lambda a: loss(s_=a), s), s_bar)
         fd_kernels = numeric_grad(lambda k: loss(bank_=FilterBank(k)), bank.kernels)
@@ -690,12 +692,14 @@ class TestNonFiniteCotangents:
         bad = np.full(outer.approx.shape, np.nan + 0j)
         with pytest.raises(NonFiniteValue):
             cg_backward(outer.cg, bad, operator)
-        conj_d = np.conj(trace.spectra)
         with pytest.raises(NonFiniteValue):
-            synthesis_backward(outer.admm[-1].s_trace.s_hat, conj_d, bad)
+            synthesis_backward(trace.spectra, outer.admm[-1].s_hat, bad)
         step = outer.admm[-1]
         codes = np.full(step.v.shape, np.nan + 0j)
+        params = trace.params
+        inputs = (outer.x_hat, step, trace.spectra,
+                  AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta))
         with pytest.raises(NonFiniteValue):
-            admm_step_backward(step, codes, None, None, conj_d)
+            admm_step_backward(*inputs, codes, None, None)
         with pytest.raises(NonFiniteValue):
-            admm_step_backward(step, None, codes, np.zeros_like(codes), conj_d)
+            admm_step_backward(*inputs, None, codes, np.zeros_like(codes))

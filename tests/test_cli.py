@@ -367,6 +367,33 @@ class TestBrokenManifests:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("checkpoint.json", "log_lambda", [1]), ("checkpoint.json", "config", 5),
+        ("checkpoint.json", "kernels_file", 7), ("sample.json", "sigma", [1]),
+        ("sample.json", "y", 3), ("dataset.json", "samples", 3),
+        ("dataset.json", "samples", [1]),
+    ])
+    def test_wrongly_typed_value(self, workspace, tmp_path, capsys, name, key, value):
+        run, sample = workspace["run"] / "final", workspace["data"] / "sample_000"
+        source = {"checkpoint.json": run, "sample.json": sample,
+                  "dataset.json": workspace["data"]}[name]
+        path = self.edit_manifest(source, tmp_path / "m", name,
+                                  lambda m: m.update({key: value}))
+        recon = ["reconstruct", "--checkpoint", run, "--sample", sample,
+                 "--out", tmp_path / "r.bin"]
+        argv = {
+            "checkpoint.json": recon[:2] + [tmp_path / "m"] + recon[3:],
+            "sample.json": recon[:4] + [tmp_path / "m"] + recon[5:],
+            "dataset.json": ["train", "--data", tmp_path / "m", "--val", workspace["val"],
+                             "--out", tmp_path / "run", "--K", 2, "--kf", 3, "--epochs", 1],
+        }[name]
+        code, _ = run_cli(*argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: key {key!r} must be ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 1

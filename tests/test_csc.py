@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import circular_convolve, csc_objective, run_admm
+from oracles import circular_convolve, csc_objective, run_admm, spectra_of
 
 from ucdl.csc import (
     AdmmConfig,
@@ -24,11 +24,29 @@ from ucdl.csc import (
     soft_threshold,
 )
 from ucdl.errors import ShapeMismatch
-from ucdl.tensors import norm2_sq
+from ucdl.tensors import dft_forward, norm2_sq
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def s_update(x, u, z, bank, gamma):
+    """The package's s-update on image x with `bank`: the new s."""
+    x_hat, spectra = spectra_of(x, bank)
+    return s_update_traced(x_hat, u, z, spectra, gamma)[0]
+
+
+def admm_step(x, state, bank, config):
+    """The package's sweep on image x with `bank`: (state, trace)."""
+    x_hat, spectra = spectra_of(x, bank)
+    return admm_step_traced(x_hat, state, spectra, config)
+
+
+def synthesis(bank, s):
+    """The package's dictionary synthesis of the codes s with `bank`."""
+    spectra = kernel_spectra(bank, s.shape[1:])
+    return dictionary_synthesis(spectra, dft_forward(s, ndim=spectra.n_spatial))
 
 
 def random_bank(rng, n_filters, kernel_shape):
@@ -173,7 +191,7 @@ class TestSUpdate:
         u = random_complex(rng, (2, 6, 6))
         z = random_complex(rng, (2, 6, 6))
         x = random_complex(rng, (6, 6))
-        s = s_update_traced(x, u, z, bank, gamma=0.7)[0]
+        s = s_update(x, u, z, bank, gamma=0.7)
         assert np.allclose(s, u + z, atol=1e-12)
 
     @pytest.mark.parametrize("n_filters,spatial", [(1, (4, 4)), (2, (4, 4)), (3, (5, 4)), (2, (4, 4, 3))])
@@ -185,7 +203,7 @@ class TestSUpdate:
         u = random_complex(rng, (n_filters,) + spatial)
         z = random_complex(rng, (n_filters,) + spatial)
         gamma = 0.9
-        got = s_update_traced(x, u, z, bank, gamma)[0]
+        got = s_update(x, u, z, bank, gamma)
         want = dense_s_update(x, u, z, bank.kernels, gamma)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, scale)
@@ -197,7 +215,7 @@ class TestSUpdate:
         u = random_complex(rng, (4, 8, 8))
         z = random_complex(rng, (4, 8, 8))
         gamma = 1.3
-        s = s_update_traced(x, u, z, bank, gamma)[0]
+        s = s_update(x, u, z, bank, gamma)
         spectra = filter_spectra(bank, (8, 8))
         s_hat = np.fft.fftn(s, axes=(1, 2))
         rhs = np.conj(spectra) * np.fft.fftn(x) + gamma * np.fft.fftn(u + z, axes=(1, 2))
@@ -216,10 +234,10 @@ class TestSUpdate:
         gamma = beta / lam
 
         def quad(s):
-            synth = dictionary_synthesis(bank, s)
+            synth = oracles.synthesize(bank, s)
             return 0.5 * lam * norm2_sq(x - synth) + 0.5 * beta * norm2_sq(u - s + z)
 
-        s_new = s_update_traced(x, u, z, bank, gamma)[0]
+        s_new = s_update(x, u, z, bank, gamma)
         assert quad(s_new) <= quad(s_old) + 1e-12
 
     def test_batched_matches_loop(self):
@@ -228,9 +246,9 @@ class TestSUpdate:
         x = random_complex(rng, (4, 6, 6))  # batch of 4 frames
         u = random_complex(rng, (2, 4, 6, 6))
         z = random_complex(rng, (2, 4, 6, 6))
-        batched = s_update_traced(x, u, z, bank, gamma=0.6)[0]
+        batched = s_update(x, u, z, bank, gamma=0.6)
         for b in range(4):
-            single = s_update_traced(x[b], u[:, b], z[:, b], bank, gamma=0.6)[0]
+            single = s_update(x[b], u[:, b], z[:, b], bank, gamma=0.6)
             assert np.allclose(batched[:, b], single, atol=1e-13)
 
     def test_rejects_nonpositive_gamma(self):
@@ -238,7 +256,7 @@ class TestSUpdate:
         x = np.zeros((4, 4), dtype=complex)
         u = np.zeros((1, 4, 4), dtype=complex)
         with pytest.raises(ValueError):
-            s_update_traced(x, u, u, bank, gamma=0.0)
+            s_update(x, u, u, bank, gamma=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +297,8 @@ class TestUUpdate:
         state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
         cfg = AdmmConfig(lam=0.8, alpha=0.3, beta=1.1)
         scaled = AdmmConfig(lam=0.8 * 7.0, alpha=0.3 * 7.0, beta=1.1 * 7.0)
-        a, _ = admm_step_traced(x, state, bank, cfg)
-        b, _ = admm_step_traced(x, state, bank, scaled)
+        a, _ = admm_step(x, state, bank, cfg)
+        b, _ = admm_step(x, state, bank, scaled)
         assert np.allclose(a.u, b.u, atol=1e-12)
 
     def test_z_update(self):
@@ -290,7 +308,7 @@ class TestUUpdate:
         x = random_complex(rng, (3, 3))
         state = CodeState(*(random_complex(rng, (2, 3, 3)) for _ in range(3)))
         cfg = AdmmConfig(lam=1.0, alpha=0.2, beta=1.3)
-        new, _ = admm_step_traced(x, state, bank, cfg)
+        new, _ = admm_step(x, state, bank, cfg)
         assert np.array_equal(new.z, state.z + (new.u - new.s))
 
 
@@ -326,29 +344,27 @@ class TestAgainstPlainFormulas:
     @pytest.mark.parametrize("weights", SWEEP_WEIGHTS)
     def test_sweep_is_bitwise_equal(self, kernel_shape, image_shape, weights):
         x, state, bank, cfg = sweep_inputs(20, kernel_shape, image_shape, weights)
-        spectra = kernel_spectra(bank, image_shape[-len(kernel_shape):])
-        for given in (None, spectra):
-            new, trace = admm_step_traced(x, state, bank, cfg, spectra=given)
-            want, want_s_hat = oracles.admm_step(x, state, bank, cfg)
-            assert same_bits(new.s, want.s)
-            assert same_bits(trace.s_trace.s_hat, want_s_hat)
-            assert same_bits(new.z, want.z)
-            assert same_bits(trace.v, want.s - state.z)
-            # equal values; a zeroed entry may differ in the sign of its zero
-            assert np.array_equal(new.u, want.u)
-            passing = np.abs(trace.v.view(np.float64)) > cfg.threshold
-            assert 0 < passing.mean() < 1
+        new, trace = admm_step(x, state, bank, cfg)
+        want, want_s_hat = oracles.admm_step(x, state, bank, cfg)
+        assert same_bits(new.s, want.s)
+        assert same_bits(trace.s_hat, want_s_hat)
+        assert same_bits(new.z, want.z)
+        assert same_bits(trace.v, want.s - state.z)
+        # equal values; a zeroed entry may differ in the sign of its zero
+        assert np.array_equal(new.u, want.u)
+        passing = np.abs(trace.v.view(np.float64)) > cfg.threshold
+        assert 0 < passing.mean() < 1
 
     @pytest.mark.parametrize("kernel_shape,image_shape", SWEEP_SHAPES)
     def test_sweep_leaves_its_inputs_alone(self, kernel_shape, image_shape):
         x, state, bank, cfg = sweep_inputs(21, kernel_shape, image_shape, SWEEP_WEIGHTS[1])
-        spectra = kernel_spectra(bank, image_shape[-len(kernel_shape):])
-        inputs = [x, state.s, state.u, state.z, spectra.d, spectra.conj, spectra.power,
+        x_hat, spectra = spectra_of(x, bank)
+        inputs = [x_hat, state.s, state.u, state.z, spectra.d, spectra.conj, spectra.power,
                   bank.kernels]
         before = [a.copy() for a in inputs]
-        new, trace = admm_step_traced(x, state, bank, cfg, spectra=spectra)
+        new, trace = admm_step_traced(x_hat, state, spectra, cfg)
         assert all(same_bits(a, b) for a, b in zip(inputs, before))
-        outputs = [new.s, new.u, new.z, trace.v, trace.s_trace.s_hat, trace.s_trace.x_hat]
+        outputs = [new.s, new.u, new.z, trace.v, trace.s_hat]
         for i, out in enumerate(outputs):
             assert not any(np.shares_memory(out, a) for a in inputs)
             assert not any(np.shares_memory(out, b) for b in outputs[i + 1:])
@@ -381,7 +397,7 @@ class TestSynthesis:
     def test_zero_codes(self):
         bank = random_bank(np.random.default_rng(11), 2, (3, 3))
         s = np.zeros((2, 5, 5), dtype=complex)
-        assert not dictionary_synthesis(bank, s).any()
+        assert not synthesis(bank, s).any()
 
     def test_delta_filter_passthrough(self):
         delta = np.zeros((1, 3, 3))
@@ -389,13 +405,13 @@ class TestSynthesis:
         bank = FilterBank(delta)
         rng = np.random.default_rng(12)
         s = random_complex(rng, (1, 6, 6))
-        assert np.allclose(dictionary_synthesis(bank, s), s[0], atol=1e-12)
+        assert np.allclose(synthesis(bank, s), s[0], atol=1e-12)
 
     def test_matches_direct_convolution_sum(self):
         rng = np.random.default_rng(13)
         bank = random_bank(rng, 2, (3, 3))
         s = random_complex(rng, (2, 4, 5))
-        got = dictionary_synthesis(bank, s)
+        got = synthesis(bank, s)
         want = dense_synthesis(bank.kernels, s)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -404,7 +420,7 @@ class TestSynthesis:
         bank = random_bank(rng, 3, (3, 3, 3))
         s = random_complex(rng, (3, 6, 6, 4))
         want = sum(circular_convolve(bank.kernels[k], s[k]) for k in range(3))
-        assert np.allclose(dictionary_synthesis(bank, s), want, atol=1e-12)
+        assert np.allclose(synthesis(bank, s), want, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(15)
@@ -412,8 +428,8 @@ class TestSynthesis:
         s = random_complex(rng, (2, 6, 6))
         t = random_complex(rng, (2, 6, 6))
         a, b = 1.5 - 0.5j, -0.2 + 2.0j
-        lhs = dictionary_synthesis(bank, a * s + b * t)
-        rhs = a * dictionary_synthesis(bank, s) + b * dictionary_synthesis(bank, t)
+        lhs = synthesis(bank, a * s + b * t)
+        rhs = a * synthesis(bank, s) + b * synthesis(bank, t)
         assert np.allclose(lhs, rhs, atol=1e-11)
 
     def test_adjoint_identity(self):
@@ -424,7 +440,7 @@ class TestSynthesis:
         spectra = filter_spectra(bank, (6, 6))
         # adjoint maps image -> codes through conjugate spectra
         adj = np.fft.ifftn(np.conj(spectra) * np.fft.fftn(x), axes=(1, 2))
-        lhs = np.vdot(dictionary_synthesis(bank, s), x)
+        lhs = np.vdot(synthesis(bank, s), x)
         rhs = np.vdot(s, adj)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -443,7 +459,7 @@ class TestAdmmStep:
         history = transcript_admm(x, bank.kernels, lam, alpha, beta, n_steps=5)
         state = CodeState.zeros(2, (4, 4))
         for s_ref, u_ref, z_ref in history:
-            state, _ = admm_step_traced(x, state, bank, cfg)
+            state, _ = admm_step(x, state, bank, cfg)
             assert np.max(np.abs(state.s - s_ref)) <= 1e-10
             assert np.max(np.abs(state.u - u_ref)) <= 1e-10
             assert np.max(np.abs(state.z - z_ref)) <= 1e-10
@@ -455,7 +471,7 @@ class TestAdmmStep:
         x = random_complex(rng, (6, 6))
         cfg = AdmmConfig(lam=1.0, alpha=0.4, beta=1.0)
         state = run_admm(x, bank, cfg, n_steps=4000)
-        after, _ = admm_step_traced(x, state, bank, cfg)
+        after, _ = admm_step(x, state, bank, cfg)
         assert np.max(np.abs(after.s - state.s)) <= 1e-9
         assert np.max(np.abs(after.u - state.u)) <= 1e-9
         assert np.max(np.abs(after.z - state.z)) <= 1e-9

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import frames_first
+from oracles import frames_first, synthesize
 from ucdl import network
-from ucdl.csc import CodeState, FilterBank, dictionary_synthesis
+from ucdl.csc import CodeState, FilterBank
 from ucdl.dc import NormalOperator, cg_solve
 from ucdl.errors import NonFiniteValue, ShapeMismatch
 from ucdl.network import NetworkConfig, NetworkParams, forward_reconstruct
@@ -275,7 +275,7 @@ class TestDcStep:
         bank = FilterBank(kernels)
         s = random_complex(rng, (1,) + shape)
         state = CodeState(s=s, u=s.copy(), z=np.zeros_like(s))
-        rhs = adjoint_apply(sample.y, coils, mask) + lam * dictionary_synthesis(bank, state.s)
+        rhs = adjoint_apply(sample.y, coils, mask) + lam * synthesize(bank, state.s)
         rhs = frames_first(rhs)
         operator = NormalOperator(coils, mask, lam)
         exact = cg_solve(rhs, operator, np.zeros_like(rhs), 40).image

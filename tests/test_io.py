@@ -1,5 +1,6 @@
 """On-disk tensor, manifest and image format tests."""
 
+import json
 import os
 import re
 import struct
@@ -91,20 +92,35 @@ class TestTensorFormat:
 class TestManifest:
     def test_reads_object_with_keys(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text('{"a": 1, "b": [2]}')
-        assert read_manifest(path, ("a", "b")) == {"a": 1, "b": [2]}
+        path.write_text('{"a": 1, "b": ["2"]}')
+        assert read_manifest(path, {"a": float, "b": list[str]}) == {"a": 1, "b": ["2"]}
 
     def test_missing_key_names_file_and_key(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"a": 1}')
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key 'b'$"):
-            read_manifest(path, ("a", "b"))
+            read_manifest(path, {"a": float, "b": str})
 
     def test_rejects_non_object(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="expected a JSON object"):
-            read_manifest(path, ())
+            read_manifest(path, {})
+
+    @pytest.mark.parametrize("expected,value,accepted", [
+        (float, 1, True), (float, -2.5, True), (float, True, False), (float, "1", False),
+        (float, [1], False), (str, "a", True), (str, 7, False), (dict, {}, True),
+        (dict, 5, False), (list[str], [], True), (list[str], ["a"], True),
+        (list[str], [1], False), (list[str], 3, False), (list[str], "ab", False),
+    ])
+    def test_checks_the_type_of_each_key(self, tmp_path, expected, value, accepted):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"k": value}))
+        if accepted:
+            assert read_manifest(path, {"k": expected}) == {"k": value}
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: key 'k' must be "):
+                read_manifest(path, {"k": expected})
 
 
 class HalfWriter:
@@ -167,6 +183,7 @@ ATOMIC_WRITERS = {
     "sample.json": save_sample,
     "report.json": evaluate_report,
     "report.csv": append_csv_report,
+    "preview.pgm": lambda d, v: write_pgm(d / "preview.pgm", np.full((2, 3), v, np.uint8)),
 }
 
 

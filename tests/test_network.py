@@ -7,8 +7,9 @@ import pytest
 
 import oracles
 from oracles import frames_first_bank
-from ucdl.csc import AdmmConfig, CodeState, FilterBank, dictionary_synthesis
-from ucdl.errors import ShapeMismatch, ZeroFilter
+from ucdl import dc, network
+from ucdl.csc import AdmmConfig, CodeState, FilterBank
+from ucdl.errors import NonFiniteValue, ShapeMismatch, ZeroFilter
 from ucdl.network import (
     NetworkConfig,
     NetworkParams,
@@ -188,7 +189,7 @@ class TestForward:
         result = forward_reconstruct(sample, params, cfg, want_trace=True)
         assert result.image.shape == (8, 6, 4)
         assert result.code_state.s.shape == (2, 4, 8, 6)
-        synth = dictionary_synthesis(params.filters, np.moveaxis(result.code_state.s, 1, -1))
+        synth = oracles.synthesize(params.filters, np.moveaxis(result.code_state.s, 1, -1))
         approx = np.moveaxis(result.trace.outer[-1].approx, 0, -1)
         assert relative_error(approx, synth) <= 1e-13
 
@@ -217,14 +218,14 @@ class TestSweepBuffers:
         # replay every sweep from the plain formulas, from the traced inputs
         admm = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
         bank = frames_first_bank(params.filters)
-        state = CodeState.zeros(3, trace.outer[0].admm[0].s_trace.x_hat.shape)
+        state = CodeState.zeros(3, trace.outer[0].x_hat.shape)
         for outer in trace.outer:
             for step in outer.admm:
                 z_prev = state.z
                 state, s_hat = oracles.admm_step(outer.cg.x0, state, bank, admm)
-                assert step.s_trace.s_hat.tobytes() == s_hat.tobytes()
+                assert step.s_hat.tobytes() == s_hat.tobytes()
                 assert step.v.tobytes() == (state.s - z_prev).tobytes()
-            synth = dictionary_synthesis(bank, state.s)
+            synth = oracles.synthesize(bank, state.s)
             assert relative_error(outer.approx, synth) <= 1e-13
 
     @pytest.mark.parametrize("mode,weights", SWEEP_CASES)
@@ -234,7 +235,7 @@ class TestSweepBuffers:
         cfg = NetworkConfig(mode=mode, n_filters=3, kernel_size=3, n_outer=3, n_cg=4)
         params = NetworkParams(init_network(cfg, rng_seed=2).filters, *weights)
         result = forward_reconstruct(sample, params, cfg, want_trace=True)
-        synth = dictionary_synthesis(frames_first_bank(params.filters), result.code_state.s)
+        synth = oracles.synthesize(frames_first_bank(params.filters), result.code_state.s)
         assert relative_error(result.trace.outer[-1].approx, synth) <= 1e-13
 
 
@@ -273,7 +274,7 @@ class TestSolverBehavior:
         for k in range(n_filters):
             flat = codes[k].ravel()
             flat[spikes] = random_complex(rng, spikes.shape)
-        x_truth = dictionary_synthesis(params.filters, codes)
+        x_truth = oracles.synthesize(params.filters, codes)
         coils = CoilMaps(np.ones((1,) + shape[:2], dtype=complex))
         mask = SamplingMask(np.ones(shape, dtype=bool))
         sample = simulate_measurement(x_truth, coils, mask, sigma=0.0)
@@ -304,7 +305,7 @@ class TestSolverBehavior:
 
         def objective(result):
             resid = forward_apply(result.image, sample.coils, sample.mask) - sample.y
-            synth = dictionary_synthesis(frames_first_bank(params.filters),
+            synth = oracles.synthesize(frames_first_bank(params.filters),
                                          result.code_state.u)
             synth = np.moveaxis(synth, 0, -1)
             l1 = np.abs(result.code_state.u.real).sum() + np.abs(result.code_state.u.imag).sum()
@@ -319,6 +320,47 @@ class TestSolverBehavior:
             cfg = NetworkConfig(**{**base.to_dict(), "n_outer": depth})
             values.append(objective(forward_reconstruct(sample, params, cfg)))
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+
+class TestForwardFailures:
+    """A non-finite value stops the forward in CG, and the error names the
+    outer iteration and the CG step where it showed."""
+
+    def run(self, monkeypatch, module, name, call):
+        """Run a 2-outer-iteration forward whose `call`-th call (from 0) of
+        module.name returns an output with a NaN."""
+        rng = np.random.default_rng(17)
+        _, sample = measured_instance(rng, shape=(8, 8, 2), sigma=0.01)
+        cfg = NetworkConfig(mode="2d", n_filters=2, kernel_size=3, n_outer=2, n_cg=3)
+        original = getattr(module, name)
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if len(calls) == call:
+                out.flat[0] = np.nan
+            calls.append(name)
+            return out
+
+        monkeypatch.setattr(module, name, poisoned)
+        forward_reconstruct(sample, init_network(cfg, rng_seed=1), cfg)
+
+    # per outer iteration: the start residual, then one call per CG step
+    @pytest.mark.parametrize("call,where", [
+        (0, "outer iteration 0: cg_solve: non-finite residual at CG start"),
+        (2, "outer iteration 0: cg_solve: non-finite operator output at CG iteration 1"),
+        (4, "outer iteration 1: cg_solve: non-finite residual at CG start"),
+        (7, "outer iteration 1: cg_solve: non-finite operator output at CG iteration 2"),
+    ])
+    def test_nan_from_the_normal_operator(self, monkeypatch, call, where):
+        with pytest.raises(NonFiniteValue, match=f"^{where}$"):
+            self.run(monkeypatch, dc, "normal_apply", call)
+
+    @pytest.mark.parametrize("call", [0, 1])
+    def test_nan_from_sparse_coding_shows_at_the_next_cg_start(self, monkeypatch, call):
+        with pytest.raises(NonFiniteValue, match=f"^outer iteration {call}: cg_solve: "
+                                                 "non-finite residual at CG start$"):
+            self.run(monkeypatch, network, "dictionary_synthesis", call)
 
 
 class TestCheckpoint:
