@@ -4,7 +4,7 @@ The forward pass records every intermediate needed to pull a loss gradient
 back through T outer iterations: the kernel constants once
 (csc.KernelSpectra), per outer iteration the image spectrum, each ADMM
 sweep's varying part (csc.AdmmStepTrace), the dictionary approximation and
-every CG iteration of the data-consistency solve (dc.CgTrace).  No
+the inputs of every CG iteration of the data-consistency solve (dc.CgTrace).  No
 autodiff framework is used.  Each block's VJP sits beside its forward:
 the sweep, prox, synthesis and kernel-spectra VJPs in :mod:`ucdl.csc`, the
 CG VJP in :mod:`ucdl.dc`.  This module holds the convention they share and

@@ -8,6 +8,7 @@ interleaved re/im float64 payload.  Only complex128 (tag 1) is defined.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -80,31 +81,41 @@ def read_tensor(path: str | Path) -> np.ndarray:
         version, ndim = _read_header_field(fh, path, "<II")
         if version != VERSION:
             raise TensorFormatError(f"{path}: unsupported version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        # check a size the header promises against the file before reading it
+        if 8 * ndim > size - fh.tell():
+            raise TensorFormatError(f"{path}: truncated header")
         dims = _read_header_field(fh, path, f"<{ndim}Q")
         (tag,) = _read_header_field(fh, path, "<I")
         if tag != DTYPE_TAG_COMPLEX128:
             raise TensorFormatError(f"{path}: unsupported dtype tag {tag}")
         if ndim == 0:
             raise TensorFormatError(f"{path}: zero-dimensional tensor")
-        count = int(np.prod(dims))
-        data = np.fromfile(fh, dtype="<c16", count=count)
-        if data.size != count:
+        count = math.prod(dims)
+        if 16 * count > size - fh.tell():
             raise TensorFormatError(f"{path}: truncated payload")
-    return data.reshape(dims).astype(np.complex128)
+        data = np.fromfile(fh, dtype="<c16", count=count)
+    return data.reshape(dims).astype(np.complex128, copy=False)
 
 
-# how a manifest type reads in a message; float stands for any JSON number
-_TYPE_NAMES = {dict: "an object", str: "a string", float: "a number",
+# how a manifest type reads in a message; float stands for any finite JSON number
+_TYPE_NAMES = {dict: "an object", str: "a string", float: "a finite number",
                list[str]: "a list of strings"}
 
 
 def _has_type(value, expected) -> bool:
     """Whether a decoded JSON value is of `expected`, a key of _TYPE_NAMES;
-    a number is an int or a float but not a bool."""
+    a number is an int or a float but not a bool, and converts to a finite
+    float (json decodes NaN and Infinity)."""
     if expected == list[str]:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
     if expected is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
     return isinstance(value, expected)
 
 

@@ -234,47 +234,30 @@ def make_mask(
     nx, ny, nt = shape
     if accel < 1:
         raise ValueError("acceleration factor must be >= 1")
+    if family not in ("columns", "points"):
+        raise ValueError(f"unknown mask family {family!r}")
+    # the candidate cells: k-space columns, or single (k_x, k_y) locations
+    rows = nx if family == "points" else 1
     rng = np.random.default_rng(seed)
-    mask = np.zeros(shape, dtype=bool)
 
     def circular_dist(n: int) -> np.ndarray:
         idx = np.arange(n)
         return np.minimum(idx, n - idx) / max(n / 2.0, 1.0)
 
-    if family == "columns":
-        n_keep = max(1, round(ny / accel))
-        dist = circular_dist(ny)
-        n_center = min(n_keep, max(1, round(center_fraction * ny)))
-        center = np.argsort(dist, kind="stable")[:n_center]
-        weights = np.exp(-0.5 * (dist / 0.35) ** 2)
-        candidates = np.setdiff1d(np.arange(ny), center)
-        for t in range(nt):
-            cols = list(center)
-            extra = n_keep - len(cols)
-            if extra > 0:
-                p = weights[candidates] / weights[candidates].sum()
-                cols.extend(rng.choice(candidates, size=extra, replace=False, p=p))
-            mask[:, sorted(cols), t] = True
-    elif family == "points":
-        n_keep = max(1, round(nx * ny / accel))
-        dx = circular_dist(nx)[:, None]
-        dy = circular_dist(ny)[None, :]
-        rad = np.sqrt(dx**2 + dy**2)
-        n_center = min(n_keep, max(1, round(center_fraction * nx * ny)))
-        center = np.argsort(rad, axis=None, kind="stable")[:n_center]
-        weights = np.exp(-0.5 * (rad / 0.35) ** 2).ravel()
-        candidates = np.setdiff1d(np.arange(nx * ny), center)
-        for t in range(nt):
-            flat = list(center)
-            extra = n_keep - len(flat)
-            if extra > 0:
-                p = weights[candidates] / weights[candidates].sum()
-                flat.extend(rng.choice(candidates, size=extra, replace=False, p=p))
-            frame = np.zeros(nx * ny, dtype=bool)
-            frame[flat] = True
-            mask[:, :, t] = frame.reshape(nx, ny)
-    else:
-        raise ValueError(f"unknown mask family {family!r}")
+    rad = np.sqrt(circular_dist(rows)[:, None] ** 2 + circular_dist(ny)[None, :] ** 2)
+    n_keep = max(1, round(rows * ny / accel))
+    n_center = min(n_keep, max(1, round(center_fraction * rows * ny)))
+    center = np.argsort(rad, axis=None, kind="stable")[:n_center]
+    weights = np.exp(-0.5 * (rad / 0.35) ** 2).ravel()
+    candidates = np.setdiff1d(np.arange(rows * ny), center)
+    mask = np.zeros(shape, dtype=bool)
+    for t in range(nt):
+        frame = np.zeros(rows * ny, dtype=bool)
+        frame[center] = True
+        if n_keep > n_center:
+            p = weights[candidates] / weights[candidates].sum()
+            frame[rng.choice(candidates, size=n_keep - n_center, replace=False, p=p)] = True
+        mask[:, :, t] = frame.reshape(rows, ny)
     return SamplingMask(mask)
 
 

@@ -4,6 +4,8 @@ The package keeps one implementation of each forward block; the helpers
 here exist only so the tests can check those blocks against them.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ucdl.backprop import GradientSet
@@ -211,3 +213,146 @@ def backward(trace, d_image):
     beta_total = gamma_bar / lam - tau_bar * alpha / beta**2
     return GradientSet(d_filters=d_filters, d_log_lam=lam_total * lam,
                        d_log_alpha=tau_bar / beta * alpha, d_log_beta=beta_total * beta)
+
+
+# -- CG that records each iteration's outputs --------------------------------
+#
+# Each record holds the next residual and beta (None on the last record), and
+# the trace keeps r_0 beside its copy p_0, so the backward treats the last
+# iteration and the start apart.  The package's CG records only each
+# iteration's inputs; both must give the same bits.
+
+@dataclass(frozen=True)
+class OutputCgIteration:
+    p: np.ndarray
+    q: np.ndarray
+    r_next: np.ndarray
+    rho: float
+    pi: float
+    alpha: float
+    beta: float | None
+
+
+@dataclass(frozen=True)
+class OutputCgTrace:
+    x0: np.ndarray
+    r0: np.ndarray
+    iterations: tuple
+
+
+def output_cg_solve(rhs, operator, x0, n_cg):
+    """n_cg CG iterations from x0; returns (image, residual norms, trace)."""
+    x = x0.astype(np.complex128, copy=True)
+    r = rhs - operator(x0)
+    r0 = r
+    p = r.copy()
+    rho = float(np.vdot(r, r).real)
+    residuals = [np.sqrt(rho)]
+    records = []
+    for i in range(n_cg):
+        if rho == 0.0:
+            break
+        q = operator(p)
+        pi = float(np.vdot(p, q).real)
+        alpha = rho / pi
+        x = x + alpha * p
+        r_next = r - alpha * q
+        rho_next = float(np.vdot(r_next, r_next).real)
+        residuals.append(np.sqrt(rho_next))
+        last = i == n_cg - 1 or rho_next == 0.0
+        beta = None if last else rho_next / rho
+        records.append(OutputCgIteration(p=p, q=q, r_next=r_next, rho=rho, pi=pi,
+                                         alpha=alpha, beta=beta))
+        if last:
+            break
+        p = r_next + beta * p
+        r = r_next
+        rho = rho_next
+    trace = OutputCgTrace(x0=x0.astype(np.complex128, copy=False), r0=r0,
+                          iterations=tuple(records))
+    return x, tuple(residuals), trace
+
+
+def _real_inner(a, b):
+    return float(np.real(np.vdot(a, b)))
+
+
+def output_cg_backward(trace, x_out_bar, operator, need_x0=True):
+    """VJP of :func:`output_cg_solve`: cotangents of (rhs, x0) and of lam."""
+    lam_bar = 0.0
+    x_bar = np.array(x_out_bar, dtype=np.complex128)
+    p_bar = np.zeros_like(x_bar)
+    r_bar = np.zeros_like(x_bar)
+    rho_bar = 0.0
+    for it in reversed(trace.iterations):
+        rho_prev_bar = 0.0
+        if it.beta is not None:
+            r_bar = r_bar + p_bar
+            beta_bar = _real_inner(p_bar, it.p)
+            p_bar = it.beta * p_bar
+            rho_bar += beta_bar / it.rho
+            rho_prev_bar = -beta_bar * it.beta / it.rho
+            r_bar = r_bar + rho_bar * 2.0 * it.r_next
+        q_bar = -it.alpha * r_bar
+        alpha_bar = -_real_inner(r_bar, it.q)
+        p_bar = p_bar + it.alpha * x_bar
+        alpha_bar += _real_inner(x_bar, it.p)
+        rho_prev_bar += alpha_bar / it.pi
+        pi_bar = -alpha_bar * it.alpha / it.pi
+        p_bar = p_bar + pi_bar * it.q
+        q_bar = q_bar + pi_bar * it.p
+        p_bar = p_bar + operator(q_bar)
+        lam_bar += _real_inner(q_bar, it.p)
+        rho_bar = rho_prev_bar
+    r0_bar = r_bar + p_bar + rho_bar * 2.0 * trace.r0
+    x0_bar = x_bar - operator(r0_bar) if need_x0 else None
+    lam_bar -= _real_inner(r0_bar, trace.x0)
+    return r0_bar, x0_bar, lam_bar
+
+
+# -- the sampling mask with one branch per family -----------------------------
+
+def two_branch_mask(shape, accel=4.0, family="columns", seed=0, center_fraction=0.08):
+    """The variable-density mask drawn by a columns branch and a points branch
+    that each repeat the keep count, centre set, weights and per-frame draw."""
+    nx, ny, nt = shape
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(shape, dtype=bool)
+
+    def circular_dist(n):
+        idx = np.arange(n)
+        return np.minimum(idx, n - idx) / max(n / 2.0, 1.0)
+
+    if family == "columns":
+        n_keep = max(1, round(ny / accel))
+        dist = circular_dist(ny)
+        n_center = min(n_keep, max(1, round(center_fraction * ny)))
+        center = np.argsort(dist, kind="stable")[:n_center]
+        weights = np.exp(-0.5 * (dist / 0.35) ** 2)
+        candidates = np.setdiff1d(np.arange(ny), center)
+        for t in range(nt):
+            cols = list(center)
+            extra = n_keep - len(cols)
+            if extra > 0:
+                p = weights[candidates] / weights[candidates].sum()
+                cols.extend(rng.choice(candidates, size=extra, replace=False, p=p))
+            mask[:, sorted(cols), t] = True
+    else:
+        n_keep = max(1, round(nx * ny / accel))
+        dx = circular_dist(nx)[:, None]
+        dy = circular_dist(ny)[None, :]
+        rad = np.sqrt(dx**2 + dy**2)
+        n_center = min(n_keep, max(1, round(center_fraction * nx * ny)))
+        center = np.argsort(rad, axis=None, kind="stable")[:n_center]
+        weights = np.exp(-0.5 * (rad / 0.35) ** 2).ravel()
+        candidates = np.setdiff1d(np.arange(nx * ny), center)
+        for t in range(nt):
+            flat = list(center)
+            extra = n_keep - len(flat)
+            if extra > 0:
+                p = weights[candidates] / weights[candidates].sum()
+                flat.extend(rng.choice(candidates, size=extra, replace=False, p=p))
+            frame = np.zeros(nx * ny, dtype=bool)
+            frame[flat] = True
+            mask[:, :, t] = frame.reshape(nx, ny)
+    return mask

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,19 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "truncated header" in err
 
+    def test_header_promising_more_than_the_file_exits_one(self, tmp_path, capsys):
+        # 64 bytes on disk, 16 TiB promised by the dims
+        bad = tmp_path / "bad.bin"
+        write_tensor(bad, np.zeros((1, 2), dtype=complex))
+        raw = bytearray(bad.read_bytes())
+        raw[12:28] = struct.pack("<2Q", 2**20, 2**20)
+        bad.write_bytes(bytes(raw))
+        code, out = run_cli("evaluate", "--recon", bad, "--target", bad)
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == f"{bad}: truncated payload\n"
+
 
 class TestExports:
     def test_export_filters(self, workspace, tmp_path):
@@ -392,6 +406,27 @@ class TestBrokenManifests:
         err = capsys.readouterr().err
         assert err.startswith(f"{path}: key {key!r} must be ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("checkpoint.json", "log_lambda", float("nan")),
+        ("checkpoint.json", "log_lambda", float("-inf")),
+        ("sample.json", "sigma", float("inf")),
+        ("sample.json", "sigma", float("nan")),
+    ])
+    def test_non_finite_number(self, workspace, tmp_path, capsys, name, key, value):
+        run, sample = workspace["run"] / "final", workspace["data"] / "sample_000"
+        source = run if name == "checkpoint.json" else sample
+        path = self.edit_manifest(source, tmp_path / "m", name,
+                                  lambda m: m.update({key: value}))
+        assert ("NaN" if np.isnan(value) else "Infinity") in path.read_text()
+        argv = ["reconstruct", "--checkpoint", run, "--sample", sample,
+                "--out", tmp_path / "r.bin"]
+        argv[2 if name == "checkpoint.json" else 4] = tmp_path / "m"
+        code, _ = run_cli(*argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"{path}: key {key!r} must be a finite number, got {value!r}\n"
+        assert not (tmp_path / "r.bin").exists()
 
 
 class TestUsageErrors:

@@ -1,12 +1,16 @@
 """Data-consistency block tests: CG against dense solves and closed forms."""
 
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import frames_first, synthesize
+from oracles import frames_first, output_cg_backward, output_cg_solve, synthesize
 from ucdl import network
 from ucdl.csc import CodeState, FilterBank
-from ucdl.dc import NormalOperator, cg_solve
+from ucdl.dc import NormalOperator, cg_backward, cg_solve
 from ucdl.errors import NonFiniteValue, ShapeMismatch
 from ucdl.network import NetworkConfig, NetworkParams, forward_reconstruct
 from ucdl.operators import (
@@ -19,6 +23,9 @@ from ucdl.operators import (
     simulate_measurement,
 )
 from ucdl.tensors import norm2_sq
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracer import array_bytes  # noqa: E402
 
 
 def random_complex(rng, shape):
@@ -208,16 +215,23 @@ class TestCgSolve:
         assert len(a.residuals) == 8  # initial plus one per iteration
         assert np.array_equal(a.image, b.image)
 
-    def test_only_the_last_iteration_lacks_beta(self):
+    def test_records_hold_each_iterations_inputs(self):
         rng = np.random.default_rng(9)
         shape = (4, 4, 2)
         op = NormalOperator(make_coil_maps(2, shape[:2]), make_mask(shape, seed=2), 0.5)
         rhs = random_complex(rng, frames_first_shape(shape))
         for n_cg in (1, 2, 5):
-            its = cg_solve(rhs, op, np.zeros_like(rhs), n_cg).trace.iterations
+            result = cg_solve(rhs, op, np.zeros_like(rhs), n_cg)
+            assert [f.name for f in fields(result.trace)] == ["x0", "iterations"]
+            its = result.trace.iterations
             assert len(its) == n_cg
-            assert its[-1].beta is None
-            assert all(it.beta is not None for it in its[:-1])
+            assert [f.name for f in fields(its[0])] == ["r", "p", "q", "rho", "pi", "alpha"]
+            assert all(getattr(it, f.name) is not None for it in its for f in fields(it))
+            assert its[0].p is its[0].r
+            for it, nxt in zip(its, its[1:]):
+                assert np.array_equal(nxt.r, it.r - it.alpha * it.q)
+            # x0, then r, p, q per iteration, with the first p being its r
+            assert array_bytes(result.trace) == 3 * n_cg * rhs.nbytes
 
     def test_nonfinite_detection(self):
         shape = (4, 4, 1)
@@ -233,6 +247,54 @@ class TestCgSolve:
         rhs = np.ones(shape, dtype=complex)
         with pytest.raises(NonFiniteValue):
             cg_solve(rhs, BadOp(), np.zeros_like(rhs), 3)
+
+
+def cg_case(family, n_cg, start, lam=0.6):
+    """A 3-coil CG system on a column or points mask, with rhs, start and a
+    cotangent of the solution."""
+    rng = np.random.default_rng(n_cg)
+    shape = (12, 10, 3)
+    op = NormalOperator(make_coil_maps(3, shape[:2]),
+                        make_mask(shape, accel=3.0, family=family, seed=4), lam)
+    rhs = random_complex(rng, frames_first_shape(shape))
+    x0 = {"zero": np.zeros_like(rhs), "warm": random_complex(rng, rhs.shape),
+          "solved": random_complex(rng, rhs.shape)}[start]
+    if start == "solved":
+        rhs = op(x0)
+    return rhs, op, x0, random_complex(rng, rhs.shape)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstOutputRecords:
+    """CG that records each iteration's inputs gives the same bits as CG that
+    records the next residual and beta (tests/oracles.py), forward and
+    backward."""
+
+    @pytest.mark.parametrize("need_x0", [True, False])
+    @pytest.mark.parametrize("start", ["zero", "warm", "solved"])
+    @pytest.mark.parametrize("n_cg", [1, 2, 5, 12])
+    @pytest.mark.parametrize("family", ["columns", "points"])
+    def test_bitwise_equal(self, family, n_cg, start, need_x0):
+        rhs, op, x0, x_bar = cg_case(family, n_cg, start)
+        got = cg_solve(rhs, op, x0, n_cg)
+        image, residuals, trace = output_cg_solve(rhs, op, x0, n_cg)
+        assert len(got.trace.iterations) == len(trace.iterations)
+        assert len(trace.iterations) == (0 if start == "solved" else n_cg)
+        assert same_bits(got.image, image)
+        assert same_bits(got.residuals, residuals)
+        rhs_bar, x0_bar, lam_bar = cg_backward(got.trace, x_bar, op, need_x0=need_x0)
+        want_rhs_bar, want_x0_bar, want_lam_bar = output_cg_backward(
+            trace, x_bar, op, need_x0=need_x0)
+        assert same_bits(rhs_bar, want_rhs_bar)
+        assert same_bits(lam_bar, want_lam_bar)
+        if need_x0:
+            assert same_bits(x0_bar, want_x0_bar)
+        else:
+            assert x0_bar is None is want_x0_bar
 
 
 class TestDcStep:

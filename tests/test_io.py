@@ -78,6 +78,44 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError, match="truncated header"):
             read_tensor(p)
 
+    @pytest.mark.parametrize("dims,message", [
+        ((2**20, 2**20), "truncated payload"), ((2**64 - 1,) * 2, "truncated payload"),
+    ])
+    def test_header_promising_more_than_the_file_rejected(self, tmp_path, dims, message):
+        # a 64-byte file whose dims claim far more payload than it holds
+        p = tmp_path / "t.bin"
+        write_tensor(p, np.zeros((1, 2), dtype=complex))
+        raw = bytearray(p.read_bytes())
+        raw[12:28] = struct.pack("<2Q", *dims)
+        p.write_bytes(bytes(raw))
+        assert len(raw) == 64
+        with pytest.raises(TensorFormatError, match=message):
+            read_tensor(p)
+
+    def test_ndim_beyond_the_file_rejected(self, tmp_path):
+        p = tmp_path / "t.bin"
+        write_tensor(p, np.zeros((1, 2), dtype=complex))
+        raw = bytearray(p.read_bytes())
+        raw[8:12] = struct.pack("<I", 2**32 - 1)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TensorFormatError, match="truncated header"):
+            read_tensor(p)
+
+    def test_payload_is_not_copied(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.bin"
+        write_tensor(p, np.arange(6, dtype=complex).reshape(2, 3))
+        read = []
+        original = np.fromfile
+
+        def spy(*args, **kwargs):
+            read.append(original(*args, **kwargs))
+            return read[-1]
+
+        monkeypatch.setattr(np, "fromfile", spy)
+        out = read_tensor(p)
+        assert np.shares_memory(out, read[0])
+        assert np.array_equal(out, np.arange(6).reshape(2, 3))
+
     def test_header_layout(self, tmp_path):
         p = tmp_path / "t.bin"
         write_tensor(p, np.zeros((2, 3), dtype=complex))
@@ -121,6 +159,19 @@ class TestManifest:
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: key 'k' must be "):
                 read_manifest(path, {"k": expected})
+
+    @pytest.mark.parametrize("text,shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                            ("-Infinity", "-inf"), ("1e400", "inf"),
+                                            ("1" + "0" * 400, None)],
+                             ids=["NaN", "Infinity", "-Infinity", "1e400", "huge-int"])
+    def test_rejects_non_finite_numbers(self, tmp_path, text, shown):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"k": {text}}}')
+        message = f"^{re.escape(str(path))}: key 'k' must be a finite number, got "
+        if shown is not None:
+            message += re.escape(shown) + "$"
+        with pytest.raises(ValueError, match=message):
+            read_manifest(path, {"k": float})
 
 
 class HalfWriter:

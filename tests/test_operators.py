@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from oracles import frames_first
+from oracles import frames_first, two_branch_mask
 from ucdl.errors import ShapeMismatch
 from ucdl.operators import (
     CoilMaps,
@@ -304,6 +304,25 @@ class TestSynthesis:
         a = make_mask((16, 16, 3), accel=3.0, seed=7)
         b = make_mask((16, 16, 3), accel=3.0, seed=7)
         assert np.array_equal(a.mask, b.mask)
+
+    @pytest.mark.parametrize("shape", [(3, 30, 2), (6, 15, 3), (1, 8, 2), (8, 8, 1),
+                                       (5, 7, 2), (30, 3, 2), (12, 20, 5), (16, 16, 4),
+                                       (32, 32, 8), (48, 48, 3)],
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("family", ["columns", "points"])
+    def test_mask_matches_two_branch_draw(self, family, shape):
+        for accel in (1.0, 2.5, 4.0, 8.0):
+            for center_fraction in (0.05, 0.08, 0.3):
+                for seed in range(3):
+                    got = make_mask(shape, accel=accel, family=family, seed=seed,
+                                    center_fraction=center_fraction).mask
+                    want = two_branch_mask(shape, accel=accel, family=family, seed=seed,
+                                           center_fraction=center_fraction)
+                    assert np.array_equal(got, want), (accel, center_fraction, seed)
+
+    def test_unknown_mask_family(self):
+        with pytest.raises(ValueError, match="unknown mask family"):
+            make_mask((8, 8, 2), family="radial")
 
     def test_invalid_mask_rejected(self):
         bad = np.zeros((4, 4, 2), dtype=bool)
