@@ -2,10 +2,11 @@
 
 The forward pass records every intermediate needed to pull a loss gradient
 back through T outer iterations: the kernel constants once
-(csc.KernelSpectra), per outer iteration the image spectrum, each ADMM
-sweep's varying part (csc.AdmmStepTrace), the dictionary approximation and
-the inputs of every CG iteration of the data-consistency solve (dc.CgTrace).  No
-autodiff framework is used.  Each block's VJP sits beside its forward:
+(csc.KernelSpectra), per outer iteration each ADMM sweep's varying part
+(csc.AdmmStepTrace: s_hat, the image c of its closed-form solve, the prox
+input and threshold), the dictionary approximation and the inputs of every
+CG iteration of the data-consistency solve (dc.CgTrace).  No autodiff
+framework is used.  Each block's VJP sits beside its forward:
 the sweep, prox, synthesis and kernel-spectra VJPs in :mod:`ucdl.csc`, the
 CG VJP in :mod:`ucdl.dc`.  This module holds the convention they share and
 :func:`backward`, which chains them through the network trace.
@@ -28,6 +29,10 @@ its kink.  Gradients of the log-parameterized weights are produced by the
 chain rule through lam = exp(log_lam) etc. and gamma = beta/lam,
 tau = alpha/beta; gamma comes from csc.AdmmConfig, as in the forward, so
 both directions use the same bits.
+
+The forward forms the dictionary approximation as F^{-1}(x_hat - gamma c)
+from the last sweep's record; that is the same function of the parameters
+as F^{-1} sum_k d_k s_hat_k, so the synthesis VJP reverses it.
 
 The code cotangent stays in the spectral domain between the synthesis and
 the s-update: the synthesis hands over the cotangent of s_hat, conj(d)
@@ -128,7 +133,7 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
             x_hat_bar = 0.0  # the sweeps share x's spectrum
             for j in range(len(outer.admm) - 1, -1, -1):
                 x_hat_add, u_bar, z_bar, d_add, gamma_add, tau_add = admm_step_backward(
-                    outer.x_hat, outer.admm[j], spectra, admm_cfg, s_hat_bar, u_bar, z_bar,
+                    outer.admm[j], spectra, admm_cfg, s_hat_bar, u_bar, z_bar,
                     need_state=t > 0 or j > 0,
                 )
                 x_hat_bar = x_hat_bar + x_hat_add

@@ -11,8 +11,9 @@ sum of absolute values of its real and imaginary channels.  Scaled ADMM
 alternates three closed-form updates:
 
   s: per-frequency solve of (conj(d) d^T + gamma I) s = r with
-     gamma = beta/lam and r = conj(d) x^f + gamma (u^f + z^f), evaluated
-     with the Sherman-Morrison identity so the cost per frequency is O(K);
+     gamma = beta/lam and r = conj(d) x^f + gamma w^f, w = u + z, in the
+     closed form s^f = w^f + conj(d) c with c = (x^f - d^T w^f)/(gamma + P)
+     and P = sum_k |d_k|^2, so the cost per frequency is O(K);
   u: componentwise soft threshold of s - z at level alpha/beta, applied
      independently to real and imaginary parts;
   z: dual ascent z <- z + (u - s).
@@ -24,11 +25,13 @@ always the trailing axes matching the kernel dimensionality.
 The sweep is posed in the DFT domain (Wohlberg, IEEE TIP 2016).  A forward
 builds the kernel constants once (:class:`KernelSpectra`) and hands them,
 with the image spectrum x^f that the J sweeps of an outer iteration share,
-to every sweep.  A sweep records only what varies (:class:`AdmmStepTrace`),
-and the synthesis reads the last sweep's s^f instead of transforming s.
-The solve and the soft threshold write into buffers of their own; they run
-the plain formulas' operations in the same order and return the same bits,
-except that a code entry the threshold zeroes keeps the sign of its input.
+to every sweep.  A sweep records only what varies (:class:`AdmmStepTrace`):
+s^f, the image c, and the prox input and threshold.  Since
+d^T s^f = x^f - gamma c, the network's synthesis is the inverse DFT of that
+image and needs no K-map product.  The solve and the soft threshold write
+into buffers of their own; they run the plain formulas' operations in the
+same order and return the same bits, except that a code entry the
+threshold zeroes keeps the sign of its input.
 
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records.
@@ -165,27 +168,13 @@ def kernel_spectra(filters: FilterBank, image_shape: tuple) -> KernelSpectra:
     return KernelSpectra(d=d, conj=np.conj(d), power=power, n_spatial=n_spatial)
 
 
-def _solve(spectra: KernelSpectra, b, gamma, scratch):
-    """Overwrite b with (conj(d) d^T + gamma I)^{-1} b per frequency.
-
-    `scratch` is a buffer of b's shape that is overwritten too.  The
-    operations are those of
-    b / gamma - conj(d) * ((d * b).sum(axis=0) / (gamma * g)) with
-    g = gamma + sum_k |d_k|^2, in that order.
-    """
-    np.multiply(spectra.d, b, out=scratch)
-    c = scratch.sum(axis=0)
-    c /= gamma * (gamma + spectra.power)
-    np.multiply(spectra.conj, c[np.newaxis], out=scratch)
-    np.divide(b, gamma, out=b)
-    np.subtract(b, scratch, out=b)
-    return b
-
-
 def s_update_traced(x_hat, u, z, spectra: KernelSpectra, gamma: float):
     """Exact minimizer of the s-subproblem for the image spectrum x_hat.
 
-    Returns the new s and its spectrum s_hat, which the sweep records.
+    Returns the new s and the pair the sweep records: its spectrum
+    s_hat = w_hat + conj(d) c, w = u + z, and the image
+    c = (x_hat - d^T w_hat) / (gamma + P).  The operations are those of the
+    plain formulas, in that order.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -194,14 +183,15 @@ def s_update_traced(x_hat, u, z, spectra: KernelSpectra, gamma: float):
             f"code maps {u.shape} do not extend image shape {x_hat.shape} "
             f"by {len(spectra.d)} filters"
         )
-    w_hat = dft_forward(u + z, ndim=spectra.n_spatial)
-    # right-hand side conj(d) x_hat + gamma w_hat, then the solve in place;
-    # w_hat is dead once scaled into the sum and serves as the scratch
-    s_hat = np.multiply(spectra.conj, x_hat[np.newaxis])
-    np.multiply(gamma, w_hat, out=w_hat)
-    np.add(s_hat, w_hat, out=s_hat)
-    _solve(spectra, s_hat, gamma, scratch=w_hat)
-    return dft_inverse(s_hat, ndim=spectra.n_spatial), s_hat
+    # w_hat becomes s_hat in place
+    s_hat = dft_forward(u + z, ndim=spectra.n_spatial)
+    scratch = np.multiply(spectra.d, s_hat)
+    c = scratch.sum(axis=0)
+    np.subtract(x_hat, c, out=c)
+    c /= gamma + spectra.power
+    np.multiply(spectra.conj, c[np.newaxis], out=scratch)
+    s_hat += scratch
+    return dft_inverse(s_hat, ndim=spectra.n_spatial), (s_hat, c)
 
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
@@ -236,7 +226,9 @@ def _from_channels(channels: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarray:
     """Sum of circular convolutions sum_k d_k * s_k from the code spectrum
-    s_hat, such as the one the last s-update recorded."""
+    s_hat.  For the s_hat of an s-update this is F^{-1}(x_hat - gamma c),
+    which the network forms from the update's record instead; the VJP of
+    either is :func:`synthesis_backward`."""
     if s_hat.shape[0] != len(spectra.d):
         raise ShapeMismatch(
             f"expected {len(spectra.d)} coefficient maps, got {s_hat.shape[0]}"
@@ -249,6 +241,7 @@ class AdmmStepTrace:
     """What varies between the sweeps, kept to reverse one of them."""
 
     s_hat: np.ndarray    # spectrum of the new s
+    c: np.ndarray        # s_hat = w_hat + conj(d) c, so d^T s_hat = x_hat - gamma c
     v: np.ndarray        # u-update input s_new - z_old
     tau: float
 
@@ -256,7 +249,7 @@ class AdmmStepTrace:
 def admm_step_traced(x_hat, state: CodeState, spectra: KernelSpectra, config: AdmmConfig):
     """One s -> u -> z sweep for the image spectrum x_hat, returning the new
     state and its trace."""
-    s_new, s_hat = s_update_traced(x_hat, state.u, state.z, spectra, config.gamma)
+    s_new, (s_hat, c) = s_update_traced(x_hat, state.u, state.z, spectra, config.gamma)
     v = s_new - state.z
     tau = config.threshold
     u_new = soft_threshold(v, tau)
@@ -264,7 +257,7 @@ def admm_step_traced(x_hat, state: CodeState, spectra: KernelSpectra, config: Ad
     z_new = np.subtract(u_new, s_new)
     np.add(state.z, z_new, out=z_new)
     new_state = CodeState(s=s_new, u=u_new, z=z_new)
-    return new_state, AdmmStepTrace(s_hat=s_hat, v=v, tau=tau)
+    return new_state, AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -292,52 +285,52 @@ def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
     return _from_channels(v_bar, v), tau_bar
 
 
-def s_update_backward(x_hat, s_hat, spectra: KernelSpectra, gamma: float,
+def s_update_backward(s_hat, c, spectra: KernelSpectra, gamma: float,
                       s_hat_bar: np.ndarray, need_w: bool = True):
-    """Closed-form VJP of the per-frequency Sherman-Morrison solve.
+    """Closed-form VJP of s_hat = w_hat + conj(d) c with
+    c = (x_hat - d^T w_hat) / (gamma + P), P = sum_k |d_k|^2.
 
-    Takes the s-update's image spectrum x_hat and recorded s_hat, and the
-    cotangent of s_hat, F(s_bar)/N for a cotangent s_bar of
-    s = F^{-1} s_hat, which it overwrites.  s_hat = A^{-1} r with
-    A = conj(d) d^T + gamma I Hermitian, so r_bar = A^{-1} s_hat_bar.
-    With rho = d^T r_bar and the synthesis residual e = d^T s_hat - x_hat,
-    dA s_hat yields the spectra and gamma cotangents below, using
-    gamma (w_hat - s_hat) = conj(d) e.
+    Takes the s-update's recorded s_hat and c, and the cotangent of s_hat,
+    F(s_bar)/N for a cotangent s_bar of s = F^{-1} s_hat, which it
+    overwrites.  With rho = d^T s_hat_bar / (gamma + P), the cotangents are
+
+        x_hat_bar = rho,  w_hat_bar = s_hat_bar - conj(d) rho,
+        d_bar = conj(w_hat_bar) c - conj(s_hat) rho,  gamma_bar = -Re<rho, c>,
+
+    the VJP of the Sherman-Morrison solve, whose synthesis residual
+    d^T s_hat - x_hat is -gamma c.
 
     Returns the cotangents of x_hat (rho, spectral), of w = u + z (spatial;
     None unless `need_w`), of the spectra, reduced over batch axes to the
     (K, *spatial) layout, and of gamma.
     """
-    d = spectra.d
-    scratch = np.empty_like(s_hat_bar)
-    r_bar = _solve(spectra, s_hat_bar, gamma, scratch)
-    # r = conj(d) x_hat + gamma w_hat ; x_hat = F x ; w_hat = F (u + z)
-    rho = np.multiply(d, r_bar, out=scratch).sum(axis=0)
-    e = np.multiply(d, s_hat, out=scratch).sum(axis=0)
-    e -= x_hat
-    d_bar = np.conjugate(r_bar, out=scratch)
-    d_bar *= e[np.newaxis]
-    term = np.conj(s_hat)
-    term *= rho[np.newaxis]
-    d_bar += term
-    d_bar = _sum_batch(d_bar, spectra.n_spatial)
-    np.negative(d_bar, out=d_bar)
-    gamma_bar = float(np.real(np.vdot(rho, e))) / gamma
+    scratch = np.multiply(spectra.d, s_hat_bar)
+    rho = scratch.sum(axis=0)
+    rho /= gamma + spectra.power
+    w_hat_bar = s_hat_bar
+    w_hat_bar -= np.multiply(spectra.conj, rho[np.newaxis], out=scratch)
     w_bar = None
     if need_w:
-        w_bar = dft_inverse(np.multiply(gamma, r_bar, out=r_bar), ndim=spectra.n_spatial)
+        w_bar = dft_inverse(w_hat_bar, ndim=spectra.n_spatial)
         w_bar *= spectra.n_freq
+    # d_bar = conj(w_hat_bar conj(c) - s_hat conj(rho)), conjugated once
+    # after the batch sum
+    d_bar = np.multiply(w_hat_bar, np.conj(c), out=scratch)
+    d_bar -= np.multiply(s_hat, np.conj(rho), out=w_hat_bar)
+    d_bar = _sum_batch(d_bar, spectra.n_spatial)
+    np.conjugate(d_bar, out=d_bar)
+    gamma_bar = -float(np.real(np.vdot(rho, c)))
     return rho, w_bar, d_bar, gamma_bar
 
 
-def admm_step_backward(x_hat, step: AdmmStepTrace, spectra: KernelSpectra,
+def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
                        config: AdmmConfig, s_hat_bar, u_bar, z_bar,
                        need_state: bool = True):
     """VJP of one s -> u -> z ADMM sweep.
 
-    Takes the sweep's inputs and record, and the cotangents of its outputs:
-    s_hat_bar of the new s's spectrum (from the synthesis, which reads the
-    last sweep's s; it may be overwritten), u_bar and z_bar of the new u
+    Takes the sweep's record and constants, and the cotangents of its outputs:
+    s_hat_bar of the new s's spectrum (from the synthesis of the last
+    sweep's s; it may be overwritten), u_bar and z_bar of the new u
     and z.  None stands for a zero cotangent, and u_bar and z_bar are both
     None or both arrays.  Without `need_state` the sweep started from a
     state that carries no parameters, and its cotangents are not computed.
@@ -359,7 +352,7 @@ def admm_step_backward(x_hat, step: AdmmStepTrace, spectra: KernelSpectra,
         s_hat_bar = sz_hat_bar
     # s_new = s_update_traced(x_hat, u_prev, z_prev, spectra, gamma)[0]
     x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
-        x_hat, step.s_hat, spectra, config.gamma, s_hat_bar, need_w=need_state
+        step.s_hat, step.c, spectra, config.gamma, s_hat_bar, need_w=need_state
     )
     if not (np.isfinite(gamma_bar) and np.isfinite(tau_bar)):
         raise NonFiniteValue("non-finite gamma or tau cotangent")

@@ -36,14 +36,13 @@ from .csc import (
     FilterBank,
     KernelSpectra,
     admm_step_traced,
-    dictionary_synthesis,
     kernel_spectra,
 )
 from .dc import CgTrace, NormalOperator, cg_solve
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
 from .io import read_manifest, read_tensor, write_json, write_tensor
 from .operators import KSpaceSample, adjoint_apply
-from .tensors import dft_forward
+from .tensors import dft_forward, dft_inverse
 
 MODE_3D = "3d"
 MODE_2D = "2d"
@@ -169,8 +168,7 @@ def _check_mode_kernels(config: NetworkConfig, filters: FilterBank) -> None:
 class OuterTrace:
     """Intermediates of one outer iteration."""
 
-    x_hat: np.ndarray    # spectrum of the image, shared by the J sweeps
-    admm: tuple          # J AdmmStepTrace entries; the last holds the synthesized s_hat
+    admm: tuple          # J AdmmStepTrace entries; the last one's s_hat and c are synthesized
     approx: np.ndarray   # frames-first dictionary approximation
     cg: CgTrace
 
@@ -216,15 +214,16 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
         for _ in range(config.n_admm):
             state, step_trace = admm_step_traced(x_hat, state, spectra, admm_cfg)
             step_traces.append(step_trace)
-        approx = dictionary_synthesis(spectra, step_trace.s_hat)
+        # sum_k d_k * s_k from the last sweep's record: d^T s_hat = x_hat - gamma c
+        approx = dft_inverse(x_hat - admm_cfg.gamma * step_trace.c, ndim=spectra.n_spatial)
         try:
             cg = cg_solve(aty + lam * approx, operator, x, config.n_cg)
         except NonFiniteValue as err:
             raise NonFiniteValue(f"outer iteration {t}: cg_solve: {err}") from err
         x = cg.image
         if want_trace:
-            outer_traces.append(OuterTrace(x_hat=x_hat, admm=tuple(step_traces),
-                                           approx=approx, cg=cg.trace))
+            outer_traces.append(OuterTrace(admm=tuple(step_traces), approx=approx,
+                                           cg=cg.trace))
     trace = None
     if want_trace:
         trace = NetworkTrace(config=config, params=params, sample=sample,

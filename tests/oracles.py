@@ -82,11 +82,9 @@ def _broadcast(spectra, image_ndim):
 
 
 def s_update(x, u, z, filters, gamma):
-    """The s-update as plain formulas, one temporary per operation.
-
-    Returns (s, s_hat).  The package's in-place solve runs the same
-    operations in the same order, so it must return the same bits.
-    """
+    """The s-update as the Sherman-Morrison solve of
+    (conj(d) d^T + gamma I) s_hat = conj(d) x_hat + gamma w_hat, the
+    reference for the package's closed form; returns (s, s_hat)."""
     n_spatial = len(filters.kernel_shape)
     spectra = filter_spectra(filters, x.shape[-n_spatial:])
     d = _broadcast(spectra, x.ndim)
@@ -96,6 +94,23 @@ def s_update(x, u, z, filters, gamma):
     b = np.conj(d) * x_hat[np.newaxis] + gamma * w_hat
     s_hat = b / gamma - np.conj(d) * ((d * b).sum(axis=0) / (gamma * g))[np.newaxis]
     return dft_inverse(s_hat, ndim=n_spatial), s_hat
+
+
+def closed_form_s_update(x, u, z, filters, gamma):
+    """The closed-form s-update s_hat = w_hat + conj(d) c,
+    c = (x_hat - d^T w_hat) / (gamma + P), as plain formulas, one temporary
+    per operation; returns (s, s_hat, c).  The package's in-place update
+    runs the same operations in the same order, so it must return the same
+    bits."""
+    n_spatial = len(filters.kernel_shape)
+    spectra = filter_spectra(filters, x.shape[-n_spatial:])
+    d = _broadcast(spectra, x.ndim)
+    x_hat = dft_forward(x, ndim=n_spatial)
+    w_hat = dft_forward(u + z, ndim=n_spatial)
+    power = (np.abs(spectra) ** 2).sum(axis=0)
+    c = (x_hat - (d * w_hat).sum(axis=0)) / (gamma + power)
+    s_hat = w_hat + np.conj(d) * c[np.newaxis]
+    return dft_inverse(s_hat, ndim=n_spatial), s_hat, c
 
 
 def soft_threshold(values, tau):
@@ -109,10 +124,11 @@ def soft_threshold(values, tau):
 
 
 def admm_step(x, state, filters, config):
-    """One s -> u -> z sweep from the plain formulas; returns (state, s_hat)."""
-    s, s_hat = s_update(x, state.u, state.z, filters, config.gamma)
+    """One s -> u -> z sweep from the plain formulas; returns
+    (state, s_hat, c)."""
+    s, s_hat, c = closed_form_s_update(x, state.u, state.z, filters, config.gamma)
     u = soft_threshold(s - state.z, config.threshold)
-    return CodeState(s=s, u=u, z=state.z + (u - s)), s_hat
+    return CodeState(s=s, u=u, z=state.z + (u - s)), s_hat, c
 
 
 # -- the backward with the code cotangent handed over in space --------------
@@ -120,6 +136,8 @@ def admm_step(x, state, filters, config):
 # Each VJP below returns spatial cotangents, so the synthesis inverse-
 # transforms its code cotangent and the s-update transforms it back, and
 # every outer iteration computes the cotangents of x and of the start state.
+# The s-update's VJP is that of the Sherman-Morrison solve, which recomputes
+# the synthesis residual from the image spectrum.
 
 def prox_backward(v, tau, u_bar):
     """VJP of u = soft_threshold(v, tau), one real channel at a time."""
@@ -135,15 +153,16 @@ def _sum_batch(arr, n_spatial):
     return arr.sum(axis=tuple(range(1, arr.ndim - n_spatial)))
 
 
-def s_update_backward(x_hat, s_hat, spectra, gamma, s_bar):
-    """VJP of the s-update from the spatial cotangent of s, given its image
-    spectrum, its recorded s_hat and the (K, *spatial) kernel spectra;
-    returns the cotangents of (x, u, z, spectra, gamma)."""
+def sherman_morrison_backward(x_hat, s_hat, spectra, gamma, s_hat_bar):
+    """VJP of the Sherman-Morrison solve s_hat = A^{-1} r, A = conj(d) d^T +
+    gamma I, r = conj(d) x_hat + gamma w_hat, from the cotangent of s_hat:
+    r_bar = A^{-1} s_hat_bar, and with rho = d^T r_bar and the synthesis
+    residual e = d^T s_hat - x_hat recomputed, returns the cotangents
+    (rho, gamma r_bar, d_bar, gamma_bar) of x_hat, w_hat, the (K, *spatial)
+    spectra and gamma."""
     n_spatial = spectra.ndim - 1
     d = _broadcast(spectra, x_hat.ndim)
     g = gamma + (np.abs(spectra) ** 2).sum(axis=0)
-    n_freq = float(np.prod(spectra.shape[1:]))
-    s_hat_bar = dft_forward(s_bar, ndim=n_spatial) / n_freq
     c = (d * s_hat_bar).sum(axis=0) / (gamma * g)
     r_bar = s_hat_bar / gamma - np.conj(d) * c[np.newaxis]
     rho = (d * r_bar).sum(axis=0)
@@ -151,8 +170,20 @@ def s_update_backward(x_hat, s_hat, spectra, gamma, s_bar):
     d_bar = -_sum_batch(np.conj(r_bar) * e[np.newaxis]
                         + rho[np.newaxis] * np.conj(s_hat), n_spatial)
     gamma_bar = float(np.real(np.vdot(rho, e))) / gamma
+    return rho, gamma * r_bar, d_bar, gamma_bar
+
+
+def s_update_backward(x_hat, s_hat, spectra, gamma, s_bar):
+    """VJP of the s-update from the spatial cotangent of s, given its image
+    spectrum, its recorded s_hat and the (K, *spatial) kernel spectra;
+    returns the cotangents of (x, u, z, spectra, gamma)."""
+    n_spatial = spectra.ndim - 1
+    n_freq = float(np.prod(spectra.shape[1:]))
+    s_hat_bar = dft_forward(s_bar, ndim=n_spatial) / n_freq
+    rho, w_hat_bar, d_bar, gamma_bar = sherman_morrison_backward(
+        x_hat, s_hat, spectra, gamma, s_hat_bar)
     x_bar = n_freq * dft_inverse(rho, ndim=n_spatial)
-    w_bar = n_freq * dft_inverse(gamma * r_bar, ndim=n_spatial)
+    w_bar = n_freq * dft_inverse(w_hat_bar, ndim=n_spatial)
     return x_bar, w_bar.copy(), w_bar, d_bar, gamma_bar
 
 
@@ -183,7 +214,8 @@ def synthesis_backward(s_hat, spectra, synth_bar):
 
 def backward(trace, d_image):
     """The network's backward from the spatial-handoff VJPs above, with the
-    kernel spectra and gamma formed from the parameters."""
+    kernel spectra and gamma formed from the parameters and each outer
+    iteration's image spectrum from its CG warm start."""
     params = trace.params
     lam, alpha, beta = params.lam, params.alpha, params.beta
     gamma = beta / lam
@@ -195,13 +227,14 @@ def backward(trace, d_image):
     d_bar = np.zeros_like(spectra)
     lam_bar = gamma_bar = tau_bar = 0.0
     for outer in reversed(trace.outer):
+        x_hat = dft_forward(outer.cg.x0, ndim=spectra.ndim - 1)
         rhs_bar, x_bar, lam_add = cg_backward(outer.cg, x_bar, operator)
         lam_bar += lam_add + float(np.real(np.vdot(rhs_bar, outer.approx)))
         s_bar, d_add = synthesis_backward(outer.admm[-1].s_hat, spectra, lam * rhs_bar)
         d_bar += d_add
         for step in reversed(outer.admm):
             x_add, u_bar, z_bar, d_add, gamma_add, tau_add = admm_step_backward(
-                outer.x_hat, step, spectra, gamma, s_bar, u_bar, z_bar)
+                x_hat, step, spectra, gamma, s_bar, u_bar, z_bar)
             x_bar = x_bar + x_add
             d_bar += d_add
             gamma_bar += gamma_add

@@ -27,7 +27,7 @@ SRC = Path(ucdl.__file__).resolve().parent
 
 REMOVED = {
     "csc": ["s_update", "admm_step", "run_admm", "u_update", "z_update",
-            "csc_objective", "SUpdateTrace", "_broadcast_spectra"],
+            "csc_objective", "SUpdateTrace", "_broadcast_spectra", "_solve"],
     "dc": ["dc_step", "build_rhs", "DcConfig"],
     "tensors": ["inner_product", "as_channels", "from_channels", "circular_convolve"],
     "operators": ["zero_filled_recon"],

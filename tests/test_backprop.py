@@ -165,7 +165,7 @@ class TestProxBackward:
 
 
 # ---------------------------------------------------------------------------
-# Sherman-Morrison s-update
+# Closed-form s-update
 # ---------------------------------------------------------------------------
 
 class TestSUpdateBackward:
@@ -185,10 +185,10 @@ class TestSUpdateBackward:
         weight = random_complex(rng, (2,) + image_shape)
 
         x_hat, spectra = spectra_of(x, bank)
-        s, s_hat = s_update_traced(x_hat, u, z, spectra, gamma)
+        _, (s_hat, c) = s_update_traced(x_hat, u, z, spectra, gamma)
         n_spatial = len(kernel_shape)
         x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
-            x_hat, s_hat, spectra, gamma, spectral(weight, n_spatial)
+            s_hat, c, spectra, gamma, spectral(weight, n_spatial)
         )
         x_bar = spatial(x_hat_bar, n_spatial)
         # w = u + z
@@ -218,8 +218,8 @@ class TestSUpdateBackward:
         self.run_case(np.random.default_rng(23), (4, 4, 3), (3, 3, 3))
 
     def test_converged_admm_state(self):
-        # at an ADMM fixed point u = s, so w_hat - s_hat = F z and the
-        # synthesis residual e are small next to s_hat and x_hat
+        # at an ADMM fixed point u = s, so w_hat - s_hat = F z and c, the
+        # synthesis residual over -gamma, are small next to s_hat and x_hat
         self.run_case(np.random.default_rng(25), (3, 5, 4), (3, 3), admm_steps=2000)
 
 
@@ -262,9 +262,9 @@ class TestAdmmStepBackward:
                 + real_weighted(w_z, new.z)
             )
 
-        x_hat, spectra = spectra_of(x, bank)
+        _, spectra = spectra_of(x, bank)
         x_hat_bar, u_bar, z_bar, d_bar, gamma_bar, tau_bar = admm_step_backward(
-            x_hat, trace, spectra, config(gamma, tau), spectral(w_s, 2), w_u, w_z
+            trace, spectra, config(gamma, tau), spectral(w_s, 2), w_u, w_z
         )
         x_bar = spatial(x_hat_bar, 2)
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
@@ -290,7 +290,7 @@ class TestAdmmStepBackward:
             z_bar = None if u_bar is None else random_complex(rng, (2, 4, 4))
             s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
             _, u_prev_bar, z_prev_bar, *_ = admm_step_backward(
-                x_hat, trace, spectra, cfg, s_hat_bar, u_bar, z_bar
+                trace, spectra, cfg, s_hat_bar, u_bar, z_bar
             )
             assert not np.shares_memory(u_prev_bar, z_prev_bar)
             before = z_prev_bar.copy()
@@ -309,7 +309,7 @@ class TestAdmmStepBackward:
         _, trace = admm_step_traced(x_hat, state, spectra, cfg)
         s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
         u_bar, z_bar = random_complex(rng, (2, 4, 4)), random_complex(rng, (2, 4, 4))
-        inputs = (x_hat, trace, spectra, cfg)
+        inputs = (trace, spectra, cfg)
         full = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar, z_bar)
         skipped = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar, z_bar,
                                      need_state=False)
@@ -697,7 +697,7 @@ class TestNonFiniteCotangents:
         step = outer.admm[-1]
         codes = np.full(step.v.shape, np.nan + 0j)
         params = trace.params
-        inputs = (outer.x_hat, step, trace.spectra,
+        inputs = (step, trace.spectra,
                   AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta))
         with pytest.raises(NonFiniteValue):
             admm_step_backward(*inputs, codes, None, None)

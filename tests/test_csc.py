@@ -20,11 +20,12 @@ from ucdl.csc import (
     dictionary_synthesis,
     filter_spectra,
     kernel_spectra,
+    s_update_backward,
     s_update_traced,
     soft_threshold,
 )
 from ucdl.errors import ShapeMismatch
-from ucdl.tensors import dft_forward, norm2_sq
+from ucdl.tensors import dft_forward, dft_inverse, norm2_sq
 
 
 def random_complex(rng, shape):
@@ -259,6 +260,62 @@ class TestSUpdate:
             s_update(x, u, u, bank, gamma=0.0)
 
 
+# the frames-first image and bank of each benchmark workload:
+# (kernel shape, filters, image shape)
+WORKLOAD_SHAPES = {
+    "fixture-epoch": ((5, 5, 5), 8, (8, 32, 32)),
+    "paper3d-train": ((7, 7, 7), 16, (16, 48, 48)),
+    "recon2d-points": ((9, 9), 96, (8, 32, 32)),
+}
+
+
+def relative_error(got, want):
+    return float(np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want))
+
+
+class TestClosedFormAgainstShermanMorrison:
+    """The closed-form s-update and its VJP against the Sherman-Morrison
+    solve and VJP they replace (tests/oracles.py), at the shapes of the
+    benchmark workloads, for the network's initial gamma and a fitted one.
+    The bounds sit above the reference's own roundoff, which is largest
+    where gamma + P is dominated by P."""
+
+    def run_case(self, workload, gamma):
+        kernel_shape, n_filters, image_shape = WORKLOAD_SHAPES[workload]
+        rng = np.random.default_rng(24)
+        bank = random_bank(rng, n_filters, kernel_shape)
+        x = random_complex(rng, image_shape)
+        u, z, s_bar = (random_complex(rng, (n_filters,) + image_shape) for _ in range(3))
+        x_hat, spectra = spectra_of(x, bank)
+        _, (s_hat, c) = s_update_traced(x_hat, u, z, spectra, gamma)
+        return x, u, z, bank, x_hat, spectra, s_hat, c, s_bar
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.625])
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_forward(self, workload, gamma):
+        x, u, z, bank, x_hat, spectra, s_hat, c, _ = self.run_case(workload, gamma)
+        assert relative_error(s_hat, oracles.s_update(x, u, z, bank, gamma)[1]) <= 1e-14
+        # the synthesis the network forms from the record
+        approx = dft_inverse(x_hat - gamma * c, ndim=spectra.n_spatial)
+        assert relative_error(approx, dictionary_synthesis(spectra, s_hat)) <= 1e-13
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.625])
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_backward(self, workload, gamma):
+        x, _, _, bank, x_hat, spectra, s_hat, c, s_hat_bar = self.run_case(workload, gamma)
+        rho, w_bar, d_bar, gamma_bar = s_update_backward(s_hat, c, spectra, gamma,
+                                                         s_hat_bar.copy())
+        n_spatial = spectra.n_spatial
+        want = oracles.sherman_morrison_backward(
+            x_hat, s_hat, filter_spectra(bank, x.shape[-n_spatial:]), gamma, s_hat_bar)
+        want_rho, want_w_hat_bar, want_d_bar, want_gamma_bar = want
+        assert relative_error(rho, want_rho) <= 1e-12
+        want_w_bar = spectra.n_freq * dft_inverse(want_w_hat_bar, ndim=n_spatial)
+        assert relative_error(w_bar, want_w_bar) <= 1e-14
+        assert relative_error(d_bar, want_d_bar) <= 1e-12
+        assert relative_error(gamma_bar, want_gamma_bar) <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # u-update (prox) and dual update
 # ---------------------------------------------------------------------------
@@ -345,9 +402,10 @@ class TestAgainstPlainFormulas:
     def test_sweep_is_bitwise_equal(self, kernel_shape, image_shape, weights):
         x, state, bank, cfg = sweep_inputs(20, kernel_shape, image_shape, weights)
         new, trace = admm_step(x, state, bank, cfg)
-        want, want_s_hat = oracles.admm_step(x, state, bank, cfg)
+        want, want_s_hat, want_c = oracles.admm_step(x, state, bank, cfg)
         assert same_bits(new.s, want.s)
         assert same_bits(trace.s_hat, want_s_hat)
+        assert same_bits(trace.c, want_c)
         assert same_bits(new.z, want.z)
         assert same_bits(trace.v, want.s - state.z)
         # equal values; a zeroed entry may differ in the sign of its zero
@@ -364,7 +422,7 @@ class TestAgainstPlainFormulas:
         before = [a.copy() for a in inputs]
         new, trace = admm_step_traced(x_hat, state, spectra, cfg)
         assert all(same_bits(a, b) for a, b in zip(inputs, before))
-        outputs = [new.s, new.u, new.z, trace.v, trace.s_hat]
+        outputs = [new.s, new.u, new.z, trace.v, trace.s_hat, trace.c]
         for i, out in enumerate(outputs):
             assert not any(np.shares_memory(out, a) for a in inputs)
             assert not any(np.shares_memory(out, b) for b in outputs[i + 1:])

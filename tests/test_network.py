@@ -218,12 +218,13 @@ class TestSweepBuffers:
         # replay every sweep from the plain formulas, from the traced inputs
         admm = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
         bank = frames_first_bank(params.filters)
-        state = CodeState.zeros(3, trace.outer[0].x_hat.shape)
+        state = CodeState.zeros(3, trace.outer[0].cg.x0.shape)
         for outer in trace.outer:
             for step in outer.admm:
                 z_prev = state.z
-                state, s_hat = oracles.admm_step(outer.cg.x0, state, bank, admm)
+                state, s_hat, c = oracles.admm_step(outer.cg.x0, state, bank, admm)
                 assert step.s_hat.tobytes() == s_hat.tobytes()
+                assert step.c.tobytes() == c.tobytes()
                 assert step.v.tobytes() == (state.s - z_prev).tobytes()
             synth = oracles.synthesize(bank, state.s)
             assert relative_error(outer.approx, synth) <= 1e-13
@@ -326,9 +327,9 @@ class TestForwardFailures:
     """A non-finite value stops the forward in CG, and the error names the
     outer iteration and the CG step where it showed."""
 
-    def run(self, monkeypatch, module, name, call):
+    def run(self, monkeypatch, module, name, call, part=lambda out: out):
         """Run a 2-outer-iteration forward whose `call`-th call (from 0) of
-        module.name returns an output with a NaN."""
+        module.name returns an output with a NaN in the array `part(output)`."""
         rng = np.random.default_rng(17)
         _, sample = measured_instance(rng, shape=(8, 8, 2), sigma=0.01)
         cfg = NetworkConfig(mode="2d", n_filters=2, kernel_size=3, n_outer=2, n_cg=3)
@@ -338,7 +339,7 @@ class TestForwardFailures:
         def poisoned(*args, **kwargs):
             out = original(*args, **kwargs)
             if len(calls) == call:
-                out.flat[0] = np.nan
+                part(out).flat[0] = np.nan
             calls.append(name)
             return out
 
@@ -360,7 +361,8 @@ class TestForwardFailures:
     def test_nan_from_sparse_coding_shows_at_the_next_cg_start(self, monkeypatch, call):
         with pytest.raises(NonFiniteValue, match=f"^outer iteration {call}: cg_solve: "
                                                  "non-finite residual at CG start$"):
-            self.run(monkeypatch, network, "dictionary_synthesis", call)
+            # the sweep's record c, from which the synthesis is formed
+            self.run(monkeypatch, network, "admm_step_traced", call, lambda out: out[1].c)
 
 
 class TestCheckpoint:
