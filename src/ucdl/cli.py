@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import PhantomSpec, load_dataset, save_dataset, synth_dataset
 from .errors import NonFiniteValue, UcdlError
-from .io import atomic_write, quantize_window, read_tensor, write_pgm, write_tensor
+from .io import atomic_write, quantize_window, read_manifest, read_tensor, write_pgm, write_tensor
 from .metrics import append_report_csv, compute_report
 from .network import (
     NetworkConfig,
@@ -171,9 +171,7 @@ def _load_train_settings(args) -> dict:
     """Fields and train() arguments set by the config file or by flags."""
     settings = {}
     if args.config is not None:
-        file_settings = json.loads(Path(args.config).read_text())
-        if not isinstance(file_settings, dict):
-            raise UsageError(f"{args.config}: expected a JSON object")
+        file_settings = read_manifest(args.config, {})
         unknown = sorted(set(file_settings) - set(TRAIN_KEYS))
         if unknown:
             raise UsageError(

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import read_manifest, read_tensor, write_json, write_tensor
+from .errors import ShapeMismatch
+from .io import read_finite_tensor, read_manifest, write_json, write_tensor
 from .operators import (
     CoilMaps,
     load_kspace_sample,
@@ -156,13 +157,17 @@ def save_dataset(directory: str | Path, pairs, settings: dict | None = None) -> 
 
 
 def load_dataset(directory: str | Path):
-    """Read back the (sample, target) pairs written by :func:`save_dataset`."""
+    """Read back the (sample, target) pairs written by :func:`save_dataset`;
+    a target must be finite and of its sample's image shape."""
     directory = Path(directory)
     manifest = read_manifest(directory / MANIFEST_NAME, {"samples": list[str]})
     pairs = []
     for name in manifest["samples"]:
         sub = directory / name
         sample = load_kspace_sample(sub)
-        target = read_tensor(sub / TARGET_NAME)
+        target = read_finite_tensor(sub / TARGET_NAME)
+        if target.shape != sample.image_shape:
+            raise ShapeMismatch(f"{sub / TARGET_NAME}: shape {target.shape}, "
+                                f"the sample's images are {sample.image_shape}")
         pairs.append((sample, target))
     return pairs

@@ -7,9 +7,16 @@ image, the block solves
 
 with a fixed number of conjugate-gradient iterations.  The iteration count
 is part of the network configuration (not adaptive) so that the computation
-graph has static depth; every iteration's inputs are recorded in a trace
-for the hand-written backward pass.  lam > 0 makes the operator Hermitian
-positive definite, so plain CG applies.
+graph has static depth.  lam > 0 makes the operator Hermitian positive
+definite, so plain CG applies.
+
+The backward of a solve depends on how far it got, which :func:`solve_record`
+decides from the forward's own final residual.  A converged solve
+(||r|| <= CONVERGED_RTOL ||rhs||) is x = H^{-1} rhs, so its record keeps only
+x, and :func:`cg_backward` reverses it implicitly: rhs_bar = H^{-1} x_bar by
+CG from zero (:func:`cg_to_tolerance`), lam_bar = -Re<rhs_bar, x>, and the
+warm start drops out.  An unconverged solve keeps every iteration's inputs
+(CgTrace) and is reversed iteration by iteration.
 
 A non-finite value stops the solve with a NonFiniteValue that names the CG
 iteration it showed in.  The solve's VJP, :func:`cg_backward`, sits beside
@@ -24,6 +31,13 @@ import numpy as np
 
 from .errors import NonFiniteValue, ShapeMismatch
 from .operators import CoilMaps, SamplingMask, normal_apply
+
+# a solve whose final residual is at most this fraction of its right-hand
+# side counts as exact; the implicit backward solves to the same fraction
+CONVERGED_RTOL = 1e-9
+# the implicit backward's CG stops with an error after this many times n_cg
+# iterations
+ADJOINT_CAP = 4
 
 
 class NormalOperator:
@@ -63,6 +77,14 @@ class CgTrace:
 
     x0: np.ndarray
     iterations: tuple
+
+
+@dataclass(frozen=True)
+class CgSolution:
+    """The solution of a converged solve, all its implicit backward needs."""
+
+    x: np.ndarray
+    n_cg: int              # the forward's iteration count, which bounds the backward's
 
 
 @dataclass(frozen=True)
@@ -114,15 +136,68 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
-def cg_backward(trace: CgTrace, x_out_bar: np.ndarray, operator: NormalOperator,
-                need_x0: bool = True):
-    """VJP of the truncated CG solve x = cg(rhs, H, x0).
+def solve_record(result: CgResult, rhs: np.ndarray, n_cg: int):
+    """What the backward of the solve `result` of operator(x) = rhs needs:
+    a CgSolution if the solve converged, else its CgTrace."""
+    if result.residuals[-1] <= CONVERGED_RTOL * np.sqrt(_real_inner(rhs, rhs)):
+        return CgSolution(x=result.image, n_cg=n_cg)
+    return result.trace
 
-    Returns cotangents of (rhs, x0) plus the lam contribution collected
-    from every application of H = A^H A + lam I.  Without `need_x0` the
-    start carries no parameters, and its cotangent (one application of H)
-    is None.
+
+def cg_to_tolerance(b: np.ndarray, operator, max_iterations: int):
+    """Solve operator(x) = b by CG from x = 0 until ||r|| <= CONVERGED_RTOL ||b||.
+
+    Returns (x, residual norms, initial value first).  A non-finite b, or
+    not reaching the tolerance within `max_iterations`, raises NonFiniteValue.
     """
+    r = np.asarray(b, dtype=np.complex128)
+    x = np.zeros_like(r)
+    rho = _real_inner(r, r)
+    if not np.isfinite(rho):
+        raise NonFiniteValue("non-finite residual at adjoint CG start")
+    residuals = [np.sqrt(rho)]
+    stop = CONVERGED_RTOL * residuals[0]
+    p = r
+    for i in range(max_iterations):
+        if residuals[-1] <= stop:
+            break
+        if i > 0:
+            p = r + (rho / rho_prev) * p
+        q = operator(p)
+        alpha = rho / _real_inner(p, q)
+        x += alpha * p
+        r = r - alpha * q
+        rho, rho_prev = _real_inner(r, r), rho
+        residuals.append(np.sqrt(rho))
+    if not residuals[-1] <= stop:
+        raise NonFiniteValue(
+            f"adjoint CG left relative residual {residuals[-1] / residuals[0]:.1e} "
+            f"after {max_iterations} iterations"
+        )
+    return x, tuple(residuals)
+
+
+def cg_backward(record, x_out_bar: np.ndarray, operator: NormalOperator,
+                need_x0: bool = True):
+    """VJP of the CG solve x = cg(rhs, H, x0) that left `record`.
+
+    Returns cotangents of (rhs, x0) plus the lam contribution.  Without
+    `need_x0` the start carries no parameters, and its cotangent is None.
+    A CgTrace is reversed iteration by iteration.  A CgSolution is
+    x = H^{-1} rhs, so rhs_bar = H^{-1} x_bar (H is Hermitian),
+    lam_bar = -Re<rhs_bar, x> from dH/dlam = I, and x0's cotangent is zero.
+    """
+    if isinstance(record, CgTrace):
+        return _unrolled_backward(record, x_out_bar, operator, need_x0)
+    rhs_bar, _ = cg_to_tolerance(x_out_bar, operator, ADJOINT_CAP * record.n_cg)
+    x0_bar = np.zeros_like(rhs_bar) if need_x0 else None
+    return rhs_bar, x0_bar, -_real_inner(rhs_bar, record.x)
+
+
+def _unrolled_backward(trace: CgTrace, x_out_bar: np.ndarray, operator: NormalOperator,
+                       need_x0: bool):
+    """VJP of the truncated solve, from the lam contribution of every
+    application of H = A^H A + lam I; x0's cotangent costs one more."""
     lam_bar = 0.0
     x_bar = np.array(x_out_bar, dtype=np.complex128)
     its = trace.iterations

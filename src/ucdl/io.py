@@ -98,6 +98,14 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return data.reshape(dims).astype(np.complex128, copy=False)
 
 
+def read_finite_tensor(path: str | Path) -> np.ndarray:
+    """:func:`read_tensor`, rejecting a tensor with a NaN or Inf entry."""
+    data = read_tensor(path)
+    if not np.isfinite(data).all():
+        raise TensorFormatError(f"{path}: non-finite entries")
+    return data
+
+
 # how a manifest type reads in a message; float stands for any finite JSON number
 _TYPE_NAMES = {dict: "an object", str: "a string", float: "a finite number",
                list[str]: "a list of strings"}
@@ -122,7 +130,10 @@ def _has_type(value, expected) -> bool:
 def read_manifest(path: str | Path, keys: dict) -> dict:
     """The JSON object in `path`, checked to hold every key of `keys` with
     a value of the type `keys` maps it to (see _TYPE_NAMES)."""
-    manifest = json.loads(Path(path).read_text())
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: {err}") from err
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key, expected in keys.items():

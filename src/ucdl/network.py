@@ -38,9 +38,9 @@ from .csc import (
     admm_step_traced,
     kernel_spectra,
 )
-from .dc import CgTrace, NormalOperator, cg_solve
+from .dc import CgSolution, CgTrace, NormalOperator, cg_solve, solve_record
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
-from .io import read_manifest, read_tensor, write_json, write_tensor
+from .io import read_finite_tensor, read_manifest, write_json, write_tensor
 from .operators import KSpaceSample, adjoint_apply
 from .tensors import dft_forward, dft_inverse
 
@@ -170,7 +170,7 @@ class OuterTrace:
 
     admm: tuple          # J AdmmStepTrace entries; the last one's s_hat and c are synthesized
     approx: np.ndarray   # frames-first dictionary approximation
-    cg: CgTrace
+    cg: CgSolution | CgTrace   # the solution of a converged solve, else its iterations
 
 
 @dataclass(frozen=True)
@@ -216,14 +216,15 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
             step_traces.append(step_trace)
         # sum_k d_k * s_k from the last sweep's record: d^T s_hat = x_hat - gamma c
         approx = dft_inverse(x_hat - admm_cfg.gamma * step_trace.c, ndim=spectra.n_spatial)
+        rhs = aty + lam * approx
         try:
-            cg = cg_solve(aty + lam * approx, operator, x, config.n_cg)
+            cg = cg_solve(rhs, operator, x, config.n_cg)
         except NonFiniteValue as err:
             raise NonFiniteValue(f"outer iteration {t}: cg_solve: {err}") from err
         x = cg.image
         if want_trace:
             outer_traces.append(OuterTrace(admm=tuple(step_traces), approx=approx,
-                                           cg=cg.trace))
+                                           cg=solve_record(cg, rhs, config.n_cg)))
     trace = None
     if want_trace:
         trace = NetworkTrace(config=config, params=params, sample=sample,
@@ -266,9 +267,9 @@ def load_checkpoint(directory: str | Path):
         config = NetworkConfig.from_dict(manifest["config"])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
-    kernels = read_tensor(directory / manifest["kernels_file"])
+    kernels = read_finite_tensor(directory / manifest["kernels_file"])
     if np.any(kernels.imag != 0):
-        raise ValueError("checkpoint kernels must be real-valued")
+        raise ValueError(f"{directory / manifest['kernels_file']}: kernels must be real-valued")
     want = (config.n_filters,) + config.kernel_shape
     if kernels.shape != want:
         raise ShapeMismatch(

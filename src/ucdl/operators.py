@@ -29,7 +29,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ShapeMismatch
-from .io import atomic_write, read_manifest, read_tensor, write_tensor
+from .io import atomic_write, read_finite_tensor, read_manifest, read_tensor, write_tensor
 
 DEFAULT_NOISE_SIGMA = 0.02
 
@@ -284,7 +284,7 @@ def load_kspace_sample(directory: str | Path) -> KSpaceSample:
     directory = Path(directory)
     sidecar = read_manifest(directory / "sample.json",
                             {"y": str, "mask": str, "coils": str, "sigma": float})
-    y = read_tensor(directory / sidecar["y"])
+    y = read_finite_tensor(directory / sidecar["y"])
     mask = SamplingMask(read_tensor(directory / sidecar["mask"]).real > 0.5)
-    coils = CoilMaps(read_tensor(directory / sidecar["coils"]))
+    coils = CoilMaps(read_finite_tensor(directory / sidecar["coils"]))
     return KSpaceSample(y=y, mask=mask, coils=coils, noise_sigma=float(sidecar["sigma"]))

@@ -11,8 +11,9 @@ import numpy as np
 from ucdl.backprop import GradientSet
 from ucdl.csc import (CodeState, FilterBank, admm_step_traced, filter_spectra,
                       kernel_spectra, spectra_to_kernel_grad)
-from ucdl.dc import NormalOperator, cg_backward
+from ucdl.dc import CgSolution, NormalOperator, cg_backward
 from ucdl.errors import ShapeMismatch
+from ucdl.operators import adjoint_apply
 from ucdl.tensors import dft_forward, dft_inverse, norm2_sq, zero_pad_filter
 
 
@@ -212,10 +213,32 @@ def synthesis_backward(s_hat, spectra, synth_bar):
     return s_bar, d_bar
 
 
+def solution(record):
+    """The image a traced CG solve ended at, bitwise as the solve formed it."""
+    if isinstance(record, CgSolution):
+        return record.x
+    x = np.array(record.x0, dtype=np.complex128)
+    for it in record.iterations:
+        x += it.alpha * it.p
+    return x
+
+
+def outer_inputs(trace):
+    """Each outer iteration's input image, frames-first: A^H y, then the
+    solution of the previous iteration's solve."""
+    sample = trace.sample
+    x = np.ascontiguousarray(frames_first(adjoint_apply(sample.y, sample.coils, sample.mask)))
+    inputs = []
+    for outer in trace.outer:
+        inputs.append(x)
+        x = solution(outer.cg)
+    return inputs
+
+
 def backward(trace, d_image):
     """The network's backward from the spatial-handoff VJPs above, with the
     kernel spectra and gamma formed from the parameters and each outer
-    iteration's image spectrum from its CG warm start."""
+    iteration's image spectrum from its input image."""
     params = trace.params
     lam, alpha, beta = params.lam, params.alpha, params.beta
     gamma = beta / lam
@@ -226,8 +249,8 @@ def backward(trace, d_image):
     u_bar = z_bar = np.zeros((len(kernels),) + x_bar.shape, dtype=np.complex128)
     d_bar = np.zeros_like(spectra)
     lam_bar = gamma_bar = tau_bar = 0.0
-    for outer in reversed(trace.outer):
-        x_hat = dft_forward(outer.cg.x0, ndim=spectra.ndim - 1)
+    for outer, x in reversed(list(zip(trace.outer, outer_inputs(trace)))):
+        x_hat = dft_forward(x, ndim=spectra.ndim - 1)
         rhs_bar, x_bar, lam_add = cg_backward(outer.cg, x_bar, operator)
         lam_bar += lam_add + float(np.real(np.vdot(rhs_bar, outer.approx)))
         s_bar, d_add = synthesis_backward(outer.admm[-1].s_hat, spectra, lam * rhs_bar)

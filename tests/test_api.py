@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import ucdl
-from ucdl import backprop, cli, network
+from ucdl import backprop, cli, dc, network
+from ucdl.dc import cg_to_tolerance
 from ucdl.network import NetworkConfig, init_network
 from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
 
@@ -43,7 +44,12 @@ def test_trace_target_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"ucdl.{module}"), name))
 
 
-def test_benchmark_counts_a_traced_forward():
+# the same network on two masks: on the points mask its 3-step solves stop
+# short and are reversed step by step; on the columns mask they converge
+# and are reversed by an adjoint solve
+@pytest.mark.parametrize("family,record", [("points", dc.CgTrace), ("columns", dc.CgSolution)],
+                         ids=["unrolled", "converged"])
+def test_benchmark_counts_a_traced_forward(monkeypatch, family, record):
     # T=2 outer iterations of J=2 ADMM sweeps and 3 CG steps on 8x8x2
     config = NetworkConfig(mode="2d", n_filters=2, kernel_size=3, n_outer=2,
                            n_admm=2, n_cg=3)
@@ -51,9 +57,17 @@ def test_benchmark_counts_a_traced_forward():
     rng = np.random.default_rng(0)
     target = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     sample = simulate_measurement(target, make_coil_maps(2, shape[:2]),
-                                  make_mask(shape, accel=2.0, seed=1),
+                                  make_mask(shape, accel=2.0, family=family, seed=1),
                                   sigma=0.01, rng_seed=2)
     params = init_network(config)
+    adjoint_iterations = []
+
+    def counted(b, operator, max_iterations):
+        x, residuals = cg_to_tolerance(b, operator, max_iterations)
+        adjoint_iterations.append(len(residuals) - 1)
+        return x, residuals
+
+    monkeypatch.setattr(dc, "cg_to_tolerance", counted)
     tracer = Tracer()
     # called through their modules, where the tracer rebinds them
     with tracer.installed(ucdl_targets(OPERATION_TARGETS)):
@@ -61,6 +75,7 @@ def test_benchmark_counts_a_traced_forward():
         forward_dfts = tracer.calls["tensors.dft"]
         forward_normals = tracer.calls["operators.normal_apply"]
         backprop.backward(result.trace, result.image - target)
+    assert all(type(outer.cg) is record for outer in result.trace.outer)
     # the kernel spectra, then per outer iteration x, per sweep u + z and the
     # new s, and the synthesis, which reuses the last sweep's s spectrum
     assert forward_dfts == 1 + 2 * (2 * 2 + 2)
@@ -69,9 +84,16 @@ def test_benchmark_counts_a_traced_forward():
     # reads) and w = u + z (none on the first, which starts from zero codes),
     # and x except on iteration 0, then the kernel gradient
     assert tracer.calls["tensors.dft"] - forward_dfts == (1 + 1 + 2 + 1) + (1 + 2 + 1) + 1
-    # per outer iteration one H per CG step and one for the warm start's
-    # cotangent, which iteration 0, starting from A^H y, does without
-    assert tracer.calls["operators.normal_apply"] - forward_normals == 2 * (3 + 1) - 1
+    backward_normals = tracer.calls["operators.normal_apply"] - forward_normals
+    if record is dc.CgTrace:
+        # per outer iteration one H per CG step and one for the warm start's
+        # cotangent, which iteration 0, starting from A^H y, does without
+        assert not adjoint_iterations
+        assert backward_normals == 2 * (3 + 1) - 1
+    else:
+        # one H per adjoint step, none for the warm start, which drops out
+        assert len(adjoint_iterations) == 2 and min(adjoint_iterations) > 0
+        assert backward_normals == sum(adjoint_iterations)
     pattern = active_pattern(result.trace)
     assert len(pattern) == 4
     # (re/im, K, N_t, N_x, N_y)

@@ -5,7 +5,8 @@ real and imaginary channels of every input, evaluated through the same
 forward routines the backward pass reverses.  Block-level tests check each
 VJP in isolation (prox, Sherman-Morrison solve, full ADMM sweep, synthesis,
 CG); whole-network tests pull a reconstruction loss back to the kernels and
-the three log-weights.  All fixtures are checked to sit away from the
+the three log-weights, on solves that converge (reversed implicitly) and
+on solves that stop short (reversed step by step).  All fixtures are checked to sit away from the
 soft-threshold kinks so the subgradient convention never contaminates the
 comparison.  The backward itself, which hands cotangents over as spectra and
 skips those that reach no parameter, is also checked against the plain
@@ -17,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ucdl import backprop
+from ucdl import backprop, network
 from ucdl.backprop import GradientSet, backward
 from ucdl.csc import (
     AdmmConfig,
@@ -33,7 +34,8 @@ from ucdl.csc import (
     spectra_to_kernel_grad,
     synthesis_backward,
 )
-from ucdl.dc import NormalOperator, cg_backward, cg_solve
+from ucdl.data import PhantomSpec, synth_dataset
+from ucdl.dc import CgSolution, CgTrace, NormalOperator, cg_backward, cg_solve
 from ucdl.errors import NonFiniteValue, ShapeMismatch, TraceMismatch
 from ucdl.network import (
     NetworkConfig,
@@ -437,10 +439,10 @@ class TestCgBackward:
 # ---------------------------------------------------------------------------
 
 def make_instance(mode, image_shape, seed, n_outer, n_admm, n_cg, kernel_size=3,
-                  scale=1.0):
+                  scale=1.0, family="columns"):
     rng = np.random.default_rng(seed)
     coils = make_coil_maps(2, image_shape[:2])
-    mask = make_mask(image_shape, accel=1.5, family="columns", seed=seed + 1)
+    mask = make_mask(image_shape, accel=1.5, family=family, seed=seed + 1)
     target = scale * random_complex(rng, image_shape)
     sample = simulate_measurement(target, coils, mask, sigma=0.01, rng_seed=seed + 2)
     config = NetworkConfig(
@@ -465,8 +467,12 @@ def recon_loss(sample, config, params, target):
     return norm2_sq(result.image - target)
 
 
-def check_network_gradients(sample, config, params, target, h=FD_STEP, rel_tol=1e-5):
+def check_network_gradients(sample, config, params, target, record=None, h=FD_STEP,
+                            rel_tol=1e-5):
+    """Finite differences against the backward; with a `record` type
+    (CgSolution or CgTrace), every solve must have left one."""
     result = forward_reconstruct(sample, params, config, want_trace=True)
+    assert record is None or all(type(outer.cg) is record for outer in result.trace.outer)
     assert trace_kink_margin(result.trace) > 50 * h
     grads = backward(result.trace, 2.0 * (result.image - target))
 
@@ -495,29 +501,46 @@ def check_network_gradients(sample, config, params, target, h=FD_STEP, rel_tol=1
 
 
 class TestNetworkGradients:
+    # two coils with sum |S|^2 = 1 on a columns mask: even one CG step
+    # converges, so these solves are reversed implicitly
     def test_single_outer_single_cg(self):
         sample, config, params, target = make_instance(
             "2d", (6, 6, 2), seed=65, n_outer=1, n_admm=1, n_cg=1
         )
-        check_network_gradients(sample, config, params, target)
+        check_network_gradients(sample, config, params, target, CgSolution)
 
     def test_two_outer_deeper_cg(self):
         sample, config, params, target = make_instance(
             "2d", (6, 6, 2), seed=61, n_outer=2, n_admm=1, n_cg=3
         )
-        check_network_gradients(sample, config, params, target)
+        check_network_gradients(sample, config, params, target, CgSolution)
 
     def test_two_admm_sweeps(self):
         sample, config, params, target = make_instance(
             "2d", (6, 6, 2), seed=62, n_outer=2, n_admm=2, n_cg=2
         )
-        check_network_gradients(sample, config, params, target)
+        check_network_gradients(sample, config, params, target, CgSolution)
 
     def test_three_dim_mode(self):
         sample, config, params, target = make_instance(
             "3d", (6, 6, 4), seed=63, n_outer=1, n_admm=1, n_cg=2
         )
-        check_network_gradients(sample, config, params, target)
+        check_network_gradients(sample, config, params, target, CgSolution)
+
+    # on a points mask a few CG steps stop short of the solution, so the
+    # solves keep their iterations and are reversed step by step
+    @pytest.mark.parametrize("mode,image_shape,seed,n_outer,n_admm,n_cg", [
+        ("2d", (6, 6, 2), 65, 1, 1, 1),
+        ("2d", (6, 6, 2), 62, 2, 1, 3),
+        ("2d", (6, 6, 2), 62, 2, 2, 2),
+        ("3d", (6, 6, 4), 65, 2, 1, 3),
+    ])
+    def test_unconverged_solves(self, mode, image_shape, seed, n_outer, n_admm, n_cg):
+        sample, config, params, target = make_instance(
+            mode, image_shape, seed=seed, n_outer=n_outer, n_admm=n_admm, n_cg=n_cg,
+            family="points",
+        )
+        check_network_gradients(sample, config, params, target, CgTrace)
 
     def test_gradients_are_nonvacuous(self):
         # guard against a silently inactive prox or a zero kernel pullback
@@ -536,26 +559,89 @@ def relative_error(got, want):
     return float(np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want))
 
 
+def log_weight_grads(grads):
+    return np.array([grads.d_log_lam, grads.d_log_alpha, grads.d_log_beta])
+
+
+# the benchmark workloads' networks and data recipes: mode, image shape,
+# coils, filters, kernel size, mask family
+WORKLOAD_INSTANCES = {
+    "fixture-epoch": ("3d", (32, 32, 8), 3, 8, 5, "columns"),
+    "paper3d-train": ("3d", (48, 48, 16), 3, 16, 7, "columns"),
+    "recon2d-points": ("2d", (32, 32, 8), 8, 96, 9, "points"),
+}
+
+
+class TestImplicitAgainstUnrolled:
+    """At n_cg = 12 every solve of the workloads converges, and the implicit
+    backward gives the unrolled one's gradients up to the forward's
+    truncation."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_INSTANCES))
+    def test_gradients_agree(self, monkeypatch, name):
+        mode, shape, n_coils, n_filters, kernel_size, family = WORKLOAD_INSTANCES[name]
+        coils = make_coil_maps(n_coils, shape[:2])
+        [(sample, target)] = synth_dataset(PhantomSpec(image_shape=shape, rng_seed=17), 1,
+                                           coils, mask_family=family, sigma=0.02, accel=4.0)
+        config = NetworkConfig(mode=mode, n_filters=n_filters, kernel_size=kernel_size,
+                               n_outer=4, n_admm=1, n_cg=12)
+        params = dataclasses.replace(init_network(config, rng_seed=18),
+                                     log_lam=float(np.log(0.8)),
+                                     log_alpha=float(np.log(0.02)),
+                                     log_beta=float(np.log(1.3)))
+        result = forward_reconstruct(sample, params, config, want_trace=True)
+        assert all(isinstance(outer.cg, CgSolution) for outer in result.trace.outer)
+        image, d_image = result.image, 2.0 * (result.image - target)
+        implicit = backward(result.trace, d_image)
+        del result
+
+        # the same forward, with every solve keeping its iterations
+        monkeypatch.setattr(network, "solve_record", lambda cg, rhs, n_cg: cg.trace)
+        unrolled_result = forward_reconstruct(sample, params, config, want_trace=True)
+        assert all(isinstance(outer.cg, CgTrace) for outer in unrolled_result.trace.outer)
+        assert np.array_equal(unrolled_result.image, image)
+        unrolled = backward(unrolled_result.trace, d_image)
+        assert relative_error(implicit.d_filters, unrolled.d_filters) <= 1e-8
+        assert relative_error(log_weight_grads(implicit), log_weight_grads(unrolled)) <= 1e-8
+
+
 # the two weight sets of test_network.TestSweepBuffers: (log lam, log alpha, log beta)
 HANDOFF_WEIGHTS = [(0.0, 0.0, 0.0), (np.log(0.8), np.log(0.02), np.log(1.3))]
+
+
+def handoff_grid(test):
+    """Run `test` on both modes, J and T in {1, 2} and {1, 3}, and both weight sets."""
+    test = pytest.mark.parametrize("mode", ["2d", "3d"])(test)
+    test = pytest.mark.parametrize("n_admm", [1, 2])(test)
+    test = pytest.mark.parametrize("n_outer", [1, 3])(test)
+    return pytest.mark.parametrize("weights", HANDOFF_WEIGHTS, ids=["unit", "fitted"])(test)
 
 
 class TestAgainstSpatialHandoff:
     """The backward hands the code cotangent over as a spectrum and skips
     what reaches no parameter; the spatial-handoff backward of the oracles
-    computes everything.  Both give the same gradients up to roundoff."""
+    computes everything.  Both give the same gradients up to roundoff, on
+    the columns mask, where the 4-step solves converge and are reversed
+    implicitly, and on the points mask, where they stop short and are
+    reversed step by step."""
 
-    @pytest.mark.parametrize("weights", HANDOFF_WEIGHTS, ids=["unit", "fitted"])
-    @pytest.mark.parametrize("n_outer", [1, 3])
-    @pytest.mark.parametrize("n_admm", [1, 2])
-    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @handoff_grid
     def test_gradients_match(self, mode, n_admm, n_outer, weights):
+        self.check(mode, n_admm, n_outer, weights, "columns", CgSolution)
+
+    @handoff_grid
+    def test_unrolled_gradients_match(self, mode, n_admm, n_outer, weights):
+        self.check(mode, n_admm, n_outer, weights, "points", CgTrace)
+
+    def check(self, mode, n_admm, n_outer, weights, family, record):
         sample, config, params, target = make_instance(
-            mode, (8, 8, 4), seed=81, n_outer=n_outer, n_admm=n_admm, n_cg=4, scale=4.0
+            mode, (8, 8, 4), seed=81, n_outer=n_outer, n_admm=n_admm, n_cg=4, scale=4.0,
+            family=family,
         )
         params = dataclasses.replace(params, log_lam=weights[0], log_alpha=weights[1],
                                      log_beta=weights[2])
         result = forward_reconstruct(sample, params, config, want_trace=True)
+        assert all(type(outer.cg) is record for outer in result.trace.outer)
         passing = np.mean([np.abs(step.v.view(np.float64)) > step.tau
                            for outer in result.trace.outer for step in outer.admm])
         assert 0 < passing < 1
@@ -563,11 +649,7 @@ class TestAgainstSpatialHandoff:
         got = backward(result.trace, d_image)
         want = oracles.backward(result.trace, d_image)
         assert relative_error(got.d_filters, want.d_filters) <= 1e-12
-
-        def log_weights(g):
-            return np.array([g.d_log_lam, g.d_log_alpha, g.d_log_beta])
-
-        assert relative_error(log_weights(got), log_weights(want)) <= 1e-12
+        assert relative_error(log_weight_grads(got), log_weight_grads(want)) <= 1e-12
 
 
 class TestBackwardApi:
@@ -690,8 +772,11 @@ class TestNonFiniteCotangents:
         outer = trace.outer[-1]
         operator = NormalOperator(trace.sample.coils, trace.sample.mask, trace.params.lam)
         bad = np.full(outer.approx.shape, np.nan + 0j)
+        assert isinstance(outer.cg, CgSolution)
         with pytest.raises(NonFiniteValue):
             cg_backward(outer.cg, bad, operator)
+        with pytest.raises(NonFiniteValue):
+            cg_backward(cg_solve(outer.approx, operator, outer.approx, 2).trace, bad, operator)
         with pytest.raises(NonFiniteValue):
             synthesis_backward(trace.spectra, outer.admm[-1].s_hat, bad)
         step = outer.admm[-1]

@@ -121,6 +121,16 @@ class TestTrain:
         assert written["n_filters"] == 2
         assert written["n_cg"] == 2
 
+    def test_malformed_config_file_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"K": 2,}')
+        code, _ = run_cli("train", "--data", tmp_path / "d", "--val", tmp_path / "d",
+                          "--out", tmp_path / "run", "--config", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cfg}: Expecting property name") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         data = gen_data(tmp_path / "d", samples=1, seed=3)
         cfg = tmp_path / "cfg.json"
@@ -186,22 +196,19 @@ class TestReconstruct:
         assert len(frames) == 4
         assert read_pgm_header(frames[0]) == (16, 16)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_nonfinite_input_exits_two(self, workspace, tmp_path, capsys):
-        sample_dir = tmp_path / "bad_sample"
-        src = workspace["data"] / "sample_000"
-        sample_dir.mkdir()
-        for name in ("y.bin", "mask.bin", "coils.bin", "sample.json"):
-            (sample_dir / name).write_bytes((src / name).read_bytes())
-        y = read_tensor(sample_dir / "y.bin")
-        y[0, 0] = np.inf
-        write_tensor(sample_dir / "y.bin", y)
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflowing_input_exits_two(self, workspace, tmp_path, capsys):
+        # finite data whose reconstruction overflows is a numerical failure
+        sample_dir = tmp_path / "huge_sample"
+        shutil.copytree(workspace["data"] / "sample_000", sample_dir)
+        write_tensor(sample_dir / "y.bin", 1e300 * read_tensor(sample_dir / "y.bin"))
         code, _ = run_cli(
             "reconstruct", "--checkpoint", workspace["run"] / "final",
             "--sample", sample_dir, "--out", tmp_path / "r.bin",
         )
         assert code == 2
-        assert capsys.readouterr().err != ""
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not (tmp_path / "r.bin").exists()
 
 
 class TestEvaluate:
@@ -427,6 +434,76 @@ class TestBrokenManifests:
         err = capsys.readouterr().err
         assert err == f"{path}: key {key!r} must be a finite number, got {value!r}\n"
         assert not (tmp_path / "r.bin").exists()
+
+    @pytest.mark.parametrize("name", ["checkpoint.json", "sample.json", "dataset.json"])
+    def test_malformed_json(self, workspace, tmp_path, capsys, name):
+        run, sample = workspace["run"] / "final", workspace["data"] / "sample_000"
+        source = {"checkpoint.json": run, "sample.json": sample,
+                  "dataset.json": workspace["data"]}[name]
+        shutil.copytree(source, tmp_path / "m")
+        (tmp_path / "m" / name).write_text("{'samples': 1}")
+        argv = {
+            "checkpoint.json": ["export-filters", "--checkpoint", tmp_path / "m",
+                                "--out", tmp_path / "filters"],
+            "sample.json": ["reconstruct", "--checkpoint", run, "--sample", tmp_path / "m",
+                            "--out", tmp_path / "r.bin"],
+            "dataset.json": ["train", "--data", tmp_path / "m", "--val", workspace["val"],
+                             "--out", tmp_path / "run", "--K", 2, "--kf", 3, "--epochs", 1],
+        }[name]
+        code, _ = run_cli(*argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{tmp_path / 'm' / name}: Expecting property name")
+        assert err.count("\n") == 1
+
+
+class TestBadTensors:
+    """A tensor read from disk with a NaN entry, or a target that does not
+    fit its sample, exits 1 with one line that names the file, before any
+    output is written."""
+
+    @pytest.mark.parametrize("source,name,value", [("checkpoint", "filters.bin", np.nan),
+                                                   ("sample", "y.bin", np.inf),
+                                                   ("sample", "coils.bin", np.nan)],
+                             ids=["filters", "y", "coils"])
+    def test_non_finite_reconstruct_input(self, workspace, tmp_path, capsys, source, name,
+                                          value):
+        argv = {"checkpoint": workspace["run"] / "final",
+                "sample": workspace["data"] / "sample_000"}
+        argv[source] = tmp_path / source
+        shutil.copytree(workspace["run"] / "final" if source == "checkpoint"
+                        else workspace["data"] / "sample_000", argv[source])
+        path = argv[source] / name
+        values = read_tensor(path)
+        values.flat[1] = value
+        write_tensor(path, values)
+        code, _ = run_cli("reconstruct", "--checkpoint", argv["checkpoint"],
+                          "--sample", argv["sample"], "--out", tmp_path / "r.bin")
+        assert code == 1
+        assert capsys.readouterr().err == f"{path}: non-finite entries\n"
+        assert not (tmp_path / "r.bin").exists()
+
+    @pytest.mark.parametrize("defect", ["non-finite", "frame count"])
+    def test_bad_training_target(self, workspace, tmp_path, capsys, defect):
+        data = tmp_path / "d"
+        shutil.copytree(workspace["data"], data)
+        path = data / "sample_001" / "target.bin"
+        target = read_tensor(path)
+        if defect == "non-finite":
+            target[2, 3, 1] = np.nan
+        else:
+            target = target[:, :, :3]
+        write_tensor(path, target)
+        code, _ = run_cli("train", "--data", data, "--val", workspace["val"],
+                          "--out", tmp_path / "run", "--K", 2, "--kf", 3, "--epochs", 1)
+        assert code == 1
+        err = capsys.readouterr().err
+        if defect == "non-finite":
+            assert err == f"{path}: non-finite entries\n"
+        else:
+            assert err == (f"{path}: shape (16, 16, 3), "
+                           f"the sample's images are (16, 16, 4)\n")
+        assert not (tmp_path / "run").exists()
 
 
 class TestUsageErrors:

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from oracles import frames_first, output_cg_backward, output_cg_solve, synthesize
 from ucdl import network
 from ucdl.csc import CodeState, FilterBank
-from ucdl.dc import NormalOperator, cg_backward, cg_solve
+from ucdl.dc import (CONVERGED_RTOL, CgSolution, NormalOperator, cg_backward,
+                     cg_solve, cg_to_tolerance, solve_record)
 from ucdl.errors import NonFiniteValue, ShapeMismatch
 from ucdl.network import NetworkConfig, NetworkParams, forward_reconstruct
 from ucdl.operators import (
@@ -295,6 +297,79 @@ class TestAgainstOutputRecords:
             assert same_bits(x0_bar, want_x0_bar)
         else:
             assert x0_bar is None is want_x0_bar
+
+
+    @pytest.mark.parametrize("start", ["zero", "warm"])
+    def test_oracle_replays_the_solution(self, start):
+        rhs, op, x0, _ = cg_case("points", 5, start)
+        result = cg_solve(rhs, op, x0, 5)
+        assert same_bits(oracles.solution(result.trace), result.image)
+
+
+def real_inner(a, b):
+    return float(np.real(np.vdot(a, b)))
+
+
+class TestImplicitBackward:
+    """A converged solve keeps only its solution and is reversed by an
+    adjoint solve that stops on its own residual."""
+
+    @pytest.mark.parametrize("family", ["columns", "points"])
+    def test_solves_to_its_tolerance(self, family):
+        _, op, _, b = cg_case(family, 3, "zero")
+        x, residuals = cg_to_tolerance(b, op, 200)
+        assert residuals[0] == pytest.approx(np.linalg.norm(b), rel=1e-15)
+        assert residuals[-1] <= CONVERGED_RTOL * residuals[0] < residuals[-2]
+        assert np.linalg.norm(op(x) - b) <= 10 * CONVERGED_RTOL * residuals[0]
+
+    def test_zero_right_hand_side_takes_no_step(self):
+        _, op, _, b = cg_case("points", 3, "zero")
+        x, residuals = cg_to_tolerance(np.zeros_like(b), op, 5)
+        assert residuals == (0.0,) and not x.any()
+
+    def test_cap_and_non_finite_values_raise(self):
+        _, op, _, b = cg_case("points", 3, "zero")
+        with pytest.raises(NonFiniteValue, match="after 2 iterations"):
+            cg_to_tolerance(b, op, 2)
+        b[0, 1, 2] = np.nan
+        with pytest.raises(NonFiniteValue, match="^non-finite residual at adjoint CG start"):
+            cg_to_tolerance(b, op, 50)
+
+    def test_record_follows_the_final_residual(self):
+        rhs, op, x0, _ = cg_case("points", 3, "warm")
+        short = cg_solve(rhs, op, x0, 3)
+        assert solve_record(short, rhs, 3) is short.trace
+        long = cg_solve(rhs, op, x0, 80)
+        assert long.residuals[-1] <= CONVERGED_RTOL * np.linalg.norm(rhs)
+        record = solve_record(long, rhs, 80)
+        assert type(record) is CgSolution and record.x is long.image and record.n_cg == 80
+
+    @pytest.mark.parametrize("need_x0", [True, False])
+    def test_vjp_of_the_exact_solve(self, need_x0):
+        rhs, op, x0, x_bar = cg_case("points", 4, "warm")
+        result = cg_solve(rhs, op, x0, 80)
+        record = solve_record(result, rhs, 80)
+        rhs_bar, x0_bar, lam_bar = cg_backward(record, x_bar, op, need_x0=need_x0)
+        # H rhs_bar = x_bar, and the start drops out
+        assert np.linalg.norm(op(rhs_bar) - x_bar) <= 1e-8 * np.linalg.norm(x_bar)
+        if need_x0:
+            assert x0_bar.shape == x0.shape and not x0_bar.any()
+        else:
+            assert x0_bar is None
+        # lam_bar = d/dlam Re<x_bar, H(lam)^{-1} rhs> by central differences
+        h = 1e-5
+
+        def loss(lam):
+            shifted = NormalOperator(op.coils, op.mask, lam)
+            return real_inner(x_bar, cg_solve(rhs, shifted, x0, 80).image)
+
+        fd = (loss(op.lam + h) - loss(op.lam - h)) / (2 * h)
+        assert abs(lam_bar - fd) <= 1e-6 * abs(fd)
+        # the unrolled VJP of the same solve agrees up to its truncation
+        unrolled_rhs_bar, _, unrolled_lam_bar = cg_backward(result.trace, x_bar, op)
+        assert (np.linalg.norm(rhs_bar - unrolled_rhs_bar)
+                <= 1e-7 * np.linalg.norm(unrolled_rhs_bar))
+        assert abs(lam_bar - unrolled_lam_bar) <= 1e-7 * abs(unrolled_lam_bar)
 
 
 class TestDcStep:
