@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeMismatch
-from .io import read_finite_tensor, read_manifest, write_json, write_tensor
+from .io import read_manifest, read_tensor, write_json, write_tensor
 from .operators import (
     CoilMaps,
     load_kspace_sample,
@@ -165,7 +165,7 @@ def load_dataset(directory: str | Path):
     for name in manifest["samples"]:
         sub = directory / name
         sample = load_kspace_sample(sub)
-        target = read_finite_tensor(sub / TARGET_NAME)
+        target = read_tensor(sub / TARGET_NAME)
         if target.shape != sample.image_shape:
             raise ShapeMismatch(f"{sub / TARGET_NAME}: shape {target.shape}, "
                                 f"the sample's images are {sample.image_shape}")

@@ -73,7 +73,8 @@ def _read_header_field(fh, path, fmt: str) -> tuple:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a tensor written by :func:`write_tensor`."""
+    """Read a tensor written by :func:`write_tensor`, rejecting one with a
+    NaN or Inf entry."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -95,15 +96,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
         if 16 * count > size - fh.tell():
             raise TensorFormatError(f"{path}: truncated payload")
         data = np.fromfile(fh, dtype="<c16", count=count)
-    return data.reshape(dims).astype(np.complex128, copy=False)
-
-
-def read_finite_tensor(path: str | Path) -> np.ndarray:
-    """:func:`read_tensor`, rejecting a tensor with a NaN or Inf entry."""
-    data = read_tensor(path)
     if not np.isfinite(data).all():
         raise TensorFormatError(f"{path}: non-finite entries")
-    return data
+    return data.reshape(dims).astype(np.complex128, copy=False)
 
 
 # how a manifest type reads in a message; float stands for any finite JSON number

@@ -1,10 +1,11 @@
 """Unrolled reconstruction network alternating sparse coding and data consistency.
 
-The network runs T outer iterations.  Each iteration applies J ADMM sweeps
-to the convolutional sparse-coding state for the current image estimate,
-synthesizes the dictionary approximation, and solves the regularized
-data-consistency system with n_cg CG iterations, warm-started from the
-current estimate.  The initial estimate is the zero-filled adjoint A^H y.
+The network runs T outer iterations, each one call of :func:`outer_iteration`.
+Each iteration applies J ADMM sweeps to the convolutional sparse-coding
+state for the current image estimate, synthesizes the dictionary
+approximation, and solves the regularized data-consistency system with n_cg
+CG iterations, warm-started from the current estimate.  The initial
+estimate is the zero-filled adjoint A^H y.
 
 Trainable parameters are the filter bank plus log_lambda, log_alpha and
 log_beta; the weights themselves are exp-transformed so positivity holds
@@ -40,7 +41,7 @@ from .csc import (
 )
 from .dc import CgSolution, CgTrace, NormalOperator, cg_solve, solve_record
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
-from .io import read_finite_tensor, read_manifest, write_json, write_tensor
+from .io import read_manifest, read_tensor, write_json, write_tensor
 from .operators import KSpaceSample, adjoint_apply
 from .tensors import dft_forward, dft_inverse
 
@@ -191,13 +192,31 @@ class ReconResult:
     trace: NetworkTrace | None = None
 
 
+def outer_iteration(x: np.ndarray, state: CodeState, aty: np.ndarray, spectra: KernelSpectra,
+                    operator: NormalOperator, admm_cfg: AdmmConfig, config: NetworkConfig):
+    """One outer iteration from the frames-first image x: J ADMM sweeps, the
+    synthesis and the CG solve warm-started at x.  Returns the next (x, state)
+    and the iteration's OuterTrace; nothing else of it outlives the call."""
+    x_hat = dft_forward(x, ndim=spectra.n_spatial)
+    steps = []
+    for _ in range(config.n_admm):
+        state, step = admm_step_traced(x_hat, state, spectra, admm_cfg)
+        steps.append(step)
+    # sum_k d_k * s_k from the last sweep's record: d^T s_hat = x_hat - gamma c
+    approx = dft_inverse(x_hat - admm_cfg.gamma * step.c, ndim=spectra.n_spatial)
+    rhs = aty + operator.lam * approx
+    cg = cg_solve(rhs, operator, x, config.n_cg)
+    record = OuterTrace(admm=tuple(steps), approx=approx,
+                        cg=solve_record(cg, rhs, config.n_cg))
+    return cg.image, state, record
+
+
 def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
                         config: NetworkConfig, want_trace: bool = False) -> ReconResult:
     """Run the unrolled network on one measured sample."""
     _check_mode_kernels(config, params.filters)
-    lam, alpha, beta = params.lam, params.alpha, params.beta
-    admm_cfg = AdmmConfig(lam=lam, alpha=alpha, beta=beta)
-    operator = NormalOperator(sample.coils, sample.mask, lam)
+    admm_cfg = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
+    operator = NormalOperator(sample.coils, sample.mask, admm_cfg.lam)
     filters = FilterBank(_kernels_frames_first(params.filters.kernels))
 
     aty = np.ascontiguousarray(
@@ -209,22 +228,15 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
 
     outer_traces = []
     for t in range(config.n_outer):
-        step_traces = []
-        x_hat = dft_forward(x, ndim=spectra.n_spatial)
-        for _ in range(config.n_admm):
-            state, step_trace = admm_step_traced(x_hat, state, spectra, admm_cfg)
-            step_traces.append(step_trace)
-        # sum_k d_k * s_k from the last sweep's record: d^T s_hat = x_hat - gamma c
-        approx = dft_inverse(x_hat - admm_cfg.gamma * step_trace.c, ndim=spectra.n_spatial)
-        rhs = aty + lam * approx
         try:
-            cg = cg_solve(rhs, operator, x, config.n_cg)
-        except NonFiniteValue as err:
+            x, state, record = outer_iteration(x, state, aty, spectra, operator, admm_cfg, config)
+        except NonFiniteValue as err:  # only CG checks; see the module docstring
             raise NonFiniteValue(f"outer iteration {t}: cg_solve: {err}") from err
-        x = cg.image
         if want_trace:
-            outer_traces.append(OuterTrace(admm=tuple(step_traces), approx=approx,
-                                           cg=solve_record(cg, rhs, config.n_cg)))
+            outer_traces.append(record)
+        # an untraced forward keeps no record: drop it before the next
+        # iteration's sweeps allocate theirs
+        del record
     trace = None
     if want_trace:
         trace = NetworkTrace(config=config, params=params, sample=sample,
@@ -267,7 +279,13 @@ def load_checkpoint(directory: str | Path):
         config = NetworkConfig.from_dict(manifest["config"])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
-    kernels = read_finite_tensor(directory / manifest["kernels_file"])
+    for key in ("log_lambda", "log_alpha", "log_beta"):
+        with np.errstate(over="ignore"):
+            weight = np.exp(manifest[key])
+        if not 0 < weight < np.inf:
+            raise ValueError(f"{path}: key {key!r} gives the weight exp({manifest[key]!r}) = "
+                             f"{weight}, not a finite positive number")
+    kernels = read_tensor(directory / manifest["kernels_file"])
     if np.any(kernels.imag != 0):
         raise ValueError(f"{directory / manifest['kernels_file']}: kernels must be real-valued")
     want = (config.n_filters,) + config.kernel_shape

@@ -21,7 +21,6 @@ of sampled k-space locations, ordered row-major over ``(N_x, N_y, N_t)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ShapeMismatch
-from .io import atomic_write, read_finite_tensor, read_manifest, read_tensor, write_tensor
+from .io import read_manifest, read_tensor, write_json, write_tensor
 
 DEFAULT_NOISE_SIGMA = 0.02
 
@@ -186,8 +185,8 @@ def simulate_measurement(
     The noise has standard deviation `sigma` per real component and is
     reproducible from `rng_seed`.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     y = forward_apply(x_truth, coils, mask)
     if sigma > 0:
         rng = np.random.default_rng(rng_seed)
@@ -232,8 +231,8 @@ def make_mask(
     undersampling factor.
     """
     nx, ny, nt = shape
-    if accel < 1:
-        raise ValueError("acceleration factor must be >= 1")
+    if not (np.isfinite(accel) and accel >= 1):
+        raise ValueError(f"accel must be a finite number >= 1, got {accel}")
     if family not in ("columns", "points"):
         raise ValueError(f"unknown mask family {family!r}")
     # the candidate cells: k-space columns, or single (k_x, k_y) locations
@@ -275,8 +274,7 @@ def save_kspace_sample(directory: str | Path, sample: KSpaceSample, seed: int | 
         "sigma": sample.noise_sigma,
         "seed": seed,
     }
-    with atomic_write(directory / "sample.json") as fh:
-        fh.write(json.dumps(sidecar, indent=2) + "\n")
+    write_json(directory / "sample.json", sidecar)
 
 
 def load_kspace_sample(directory: str | Path) -> KSpaceSample:
@@ -284,7 +282,10 @@ def load_kspace_sample(directory: str | Path) -> KSpaceSample:
     directory = Path(directory)
     sidecar = read_manifest(directory / "sample.json",
                             {"y": str, "mask": str, "coils": str, "sigma": float})
-    y = read_finite_tensor(directory / sidecar["y"])
-    mask = SamplingMask(read_tensor(directory / sidecar["mask"]).real > 0.5)
-    coils = CoilMaps(read_finite_tensor(directory / sidecar["coils"]))
-    return KSpaceSample(y=y, mask=mask, coils=coils, noise_sigma=float(sidecar["sigma"]))
+    y = read_tensor(directory / sidecar["y"])
+    mask = read_tensor(directory / sidecar["mask"])
+    if not np.isin(mask, (0, 1)).all():
+        raise ValueError(f"{directory / sidecar['mask']}: entries must be 0 or 1")
+    coils = CoilMaps(read_tensor(directory / sidecar["coils"]))
+    return KSpaceSample(y=y, mask=SamplingMask(mask == 1), coils=coils,
+                        noise_sigma=float(sidecar["sigma"]))

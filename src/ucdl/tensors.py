@@ -48,6 +48,12 @@ def dft_inverse(x: np.ndarray, ndim: int | None = None) -> np.ndarray:
     return scipy.fft.ifftn(x, axes=_spatial_axes(x, ndim))
 
 
+def _check_fits(kernel: tuple[int, ...], shape: tuple[int, ...]) -> None:
+    """Raise ShapeMismatch unless a kernel of shape `kernel` fits inside `shape`."""
+    if len(kernel) != len(shape) or any(k > n for k, n in zip(kernel, shape)):
+        raise ShapeMismatch(f"kernel shape {tuple(kernel)} does not fit inside {tuple(shape)}")
+
+
 def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray:
     """Embed a small kernel into an image-sized array for spectral use.
 
@@ -62,14 +68,7 @@ def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.nda
         corresponding target dimension.
     """
     kernel = np.asarray(kernel)
-    if kernel.ndim != len(target_shape):
-        raise ShapeMismatch(
-            f"kernel is {kernel.ndim}-d but target shape has {len(target_shape)} dims"
-        )
-    if any(k > n for k, n in zip(kernel.shape, target_shape)):
-        raise ShapeMismatch(
-            f"kernel shape {kernel.shape} does not fit inside {tuple(target_shape)}"
-        )
+    _check_fits(kernel.shape, target_shape)
     out = np.zeros(target_shape, dtype=COMPLEX_DTYPE)
     out[tuple(slice(0, k) for k in kernel.shape)] = kernel
     shift = [-(k // 2) for k in kernel.shape]
@@ -79,14 +78,7 @@ def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.nda
 def crop_filter(padded: np.ndarray, kernel_shape: tuple[int, ...]) -> np.ndarray:
     """Adjoint of :func:`zero_pad_filter`: read the kernel entries back out."""
     padded = np.asarray(padded)
-    if padded.ndim != len(kernel_shape):
-        raise ShapeMismatch(
-            f"array is {padded.ndim}-d but kernel shape has {len(kernel_shape)} dims"
-        )
-    if any(k > n for k, n in zip(kernel_shape, padded.shape)):
-        raise ShapeMismatch(
-            f"kernel shape {tuple(kernel_shape)} does not fit inside {padded.shape}"
-        )
+    _check_fits(kernel_shape, padded.shape)
     shift = [k // 2 for k in kernel_shape]
     rolled = np.roll(padded, shift, axis=tuple(range(padded.ndim)))
     return rolled[tuple(slice(0, k) for k in kernel_shape)]

@@ -197,6 +197,9 @@ def train(dataset, val_dataset, config: NetworkConfig,
         raise ValueError("training and validation datasets must be nonempty")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    # lr = 0 is allowed: it runs the loop with every parameter frozen
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be a finite number >= 0, got {lr}")
     params = init_network(config, rng_seed=seed)
     state = AdamState.init(params, lr=lr)
     rng = np.random.default_rng(seed)

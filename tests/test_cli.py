@@ -505,6 +505,79 @@ class TestBadTensors:
                            f"the sample's images are (16, 16, 4)\n")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("name", ["recon", "target"])
+    def test_non_finite_evaluate_input(self, workspace, tmp_path, capsys, name):
+        paths = {"recon": tmp_path / "recon.bin", "target": tmp_path / "target.bin"}
+        write_tensor(paths["recon"], read_tensor(workspace["recon"]))
+        shutil.copy(workspace["data"] / "sample_000" / "target.bin", paths["target"])
+        values = read_tensor(paths[name])
+        values[3, 4, 1] = np.nan
+        write_tensor(paths[name], values)
+        code, out = run_cli("evaluate", "--recon", paths["recon"], "--target", paths["target"],
+                            "--json", tmp_path / "report.json")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"{paths[name]}: non-finite entries\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("value,message", [(np.nan, "non-finite entries"),
+                                               (0.7, "entries must be 0 or 1")])
+    def test_bad_mask_entry(self, workspace, tmp_path, capsys, value, message):
+        shutil.copytree(workspace["data"] / "sample_000", tmp_path / "s")
+        path = tmp_path / "s" / "mask.bin"
+        values = read_tensor(path)
+        values[0, 0, 0] = value  # k-space DC, always sampled
+        write_tensor(path, values)
+        code, _ = run_cli("reconstruct", "--checkpoint", workspace["run"] / "final",
+                          "--sample", tmp_path / "s", "--out", tmp_path / "r.bin")
+        assert code == 1
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+        assert not (tmp_path / "r.bin").exists()
+
+
+class TestBadSettings:
+    """A setting that cannot work exits 1 with one line naming it, before
+    anything is written."""
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--lr", "-1.0"], None), (["--lr", "nan"], None), ([], '{"lr": 1e400}'),
+    ], ids=["negative", "nan", "inf-in-config"])
+    def test_learning_rate(self, workspace, tmp_path, capsys, flags, config):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            flags = ["--config", tmp_path / "cfg.json"]
+        code, _ = run_cli("train", "--data", workspace["data"], "--val", workspace["val"],
+                          "--out", tmp_path / "run", "--K", 2, "--kf", 3, "--T", 1,
+                          "--epochs", 1, *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lr must be a finite number >= 0, got ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--accel"])
+    def test_non_finite_gen_data_setting(self, tmp_path, capsys, flag):
+        code, _ = run_cli("gen-data", "--out", tmp_path / "d", "--samples", 1, "--nx", 8,
+                          "--ny", 8, "--nt", 2, flag, "nan")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{flag[2:]} must be a finite number") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("key,value", [("log_lambda", 800.0), ("log_beta", -800.0)])
+    def test_log_weight_without_a_finite_positive_exp(self, workspace, tmp_path, capsys,
+                                                      key, value):
+        shutil.copytree(workspace["run"] / "final", tmp_path / "ck")
+        path = tmp_path / "ck" / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        code, _ = run_cli("reconstruct", "--checkpoint", tmp_path / "ck",
+                          "--sample", workspace["data"] / "sample_000", "--out", tmp_path / "r.bin")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: key {key!r} gives the weight exp({value!r}) = ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.bin").exists()
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):

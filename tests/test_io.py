@@ -17,6 +17,7 @@ from ucdl.io import (
     quantize_window,
     read_manifest,
     read_tensor,
+    write_json,
     write_pgm,
     write_tensor,
 )
@@ -116,6 +117,16 @@ class TestTensorFormat:
         assert np.shares_memory(out, read[0])
         assert np.array_equal(out, np.arange(6).reshape(2, 3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_non_finite_entries_rejected(self, tmp_path, value):
+        p = tmp_path / "t.bin"
+        arr = np.ones((3, 4), dtype=complex)
+        arr[2, 1] = value
+        write_tensor(p, arr)
+        with pytest.raises(TensorFormatError, match=f"^{re.escape(str(p))}: non-finite entries$"):
+            read_tensor(p)
+
     def test_header_layout(self, tmp_path):
         p = tmp_path / "t.bin"
         write_tensor(p, np.zeros((2, 3), dtype=complex))
@@ -172,6 +183,13 @@ class TestManifest:
             message += re.escape(shown) + "$"
         with pytest.raises(ValueError, match=message):
             read_manifest(path, {"k": float})
+
+
+def test_sample_manifest_is_written_like_the_others(tmp_path):
+    save_sample(tmp_path, 3)
+    text = (tmp_path / "sample.json").read_text()
+    write_json(tmp_path / "again.json", json.loads(text))
+    assert (tmp_path / "again.json").read_text() == text
 
 
 class HalfWriter:

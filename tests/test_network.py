@@ -1,6 +1,7 @@
 """Unrolled network assembly tests: modes, determinism, checkpoints."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -241,6 +242,78 @@ class TestSweepBuffers:
         result = forward_reconstruct(sample, params, cfg, want_trace=True)
         synth = oracles.synthesize(frames_first_bank(params.filters), result.code_state.s)
         assert relative_error(result.trace.outer[-1].approx, synth) <= 1e-13
+
+
+class TestIterationLifetime:
+    """Nothing of outer iteration t but its traced record outlives it: its
+    sweep arrays and its solve's iterates are freed before iteration t+1's
+    first sweep allocates."""
+
+    def run(self, monkeypatch, want_trace):
+        """A 3-outer-iteration forward with J = 2 on a mask where every
+        solve converges.  Returns the result, per iteration t+1 >= 1 how
+        many of iteration t's arrays were still alive at its first sweep,
+        and each solve's image."""
+        rng = np.random.default_rng(4)
+        _, sample = measured_instance(rng)
+        cfg = NetworkConfig(mode="3d", n_filters=2, kernel_size=3, n_outer=3,
+                            n_admm=2, n_cg=4)
+        sweep_refs, cg_refs, alive, solutions = [], [], [], []
+        admm_step, solve = network.admm_step_traced, network.cg_solve
+
+        def watched_step(*args):
+            if len(sweep_refs) % cfg.n_admm == 0 and cg_refs:
+                alive.append({"sweep": sum(r() is not None for r in sweep_refs),
+                              "cg": sum(r() is not None for r in cg_refs)})
+                sweep_refs.clear()
+                cg_refs.clear()
+            state, step = admm_step(*args)
+            sweep_refs.extend(weakref.ref(a) for a in (step.s_hat, step.c, step.v))
+            return state, step
+
+        def watched_solve(*args):
+            result = solve(*args)
+            solutions.append(result.image)
+            cg_refs.extend(weakref.ref(a) for it in result.trace.iterations
+                           for a in (it.r, it.p, it.q))
+            return result
+
+        monkeypatch.setattr(network, "admm_step_traced", watched_step)
+        monkeypatch.setattr(network, "cg_solve", watched_solve)
+        result = forward_reconstruct(sample, init_network(cfg, rng_seed=0), cfg,
+                                     want_trace=want_trace)
+        assert len(alive) == cfg.n_outer - 1
+        return result, alive, solutions
+
+    def test_untraced_keeps_nothing(self, monkeypatch):
+        _, alive, _ = self.run(monkeypatch, want_trace=False)
+        assert alive == [{"sweep": 0, "cg": 0}] * 2
+
+    def test_traced_keeps_only_the_solution(self, monkeypatch):
+        result, alive, solutions = self.run(monkeypatch, want_trace=True)
+        # the record keeps both sweeps' three arrays
+        assert alive == [{"sweep": 6, "cg": 0}] * 2
+        assert all(isinstance(o.cg, dc.CgSolution) for o in result.trace.outer)
+        assert all(o.cg.x is x for o, x in zip(result.trace.outer, solutions))
+
+    @pytest.mark.parametrize("want_trace", [False, True])
+    def test_one_call_per_outer_iteration(self, monkeypatch, want_trace):
+        rng = np.random.default_rng(5)
+        _, sample = measured_instance(rng)
+        cfg = NetworkConfig(mode="2d", n_filters=2, kernel_size=3, n_outer=3, n_cg=4)
+        calls = []
+        original = network.outer_iteration
+
+        def counted(*args):
+            calls.append(len(calls))
+            return original(*args)
+
+        monkeypatch.setattr(network, "outer_iteration", counted)
+        result = forward_reconstruct(sample, init_network(cfg, rng_seed=0), cfg,
+                                     want_trace=want_trace)
+        assert len(calls) == cfg.n_outer
+        if want_trace:
+            assert len(result.trace.outer) == cfg.n_outer
 
 
 def relative_error(got, want):

@@ -1,11 +1,14 @@
 """Measurement operator tests: adjointness, linearity, noise statistics."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.fft
 
 from oracles import frames_first, two_branch_mask
 from ucdl.errors import ShapeMismatch
+from ucdl.io import write_tensor
 from ucdl.operators import (
     CoilMaps,
     KSpaceSample,
@@ -282,6 +285,13 @@ class TestSimulation:
         assert comps.size >= 2 * 10**5
         assert abs(comps.var() - sigma**2) / sigma**2 < 0.05
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_bad_sigma_rejected(self, sigma):
+        rng = np.random.default_rng(8)
+        coils, mask = random_setup(rng)
+        with pytest.raises(ValueError, match="^sigma must be a finite number >= 0, got "):
+            simulate_measurement(random_complex(rng, (8, 8, 3)), coils, mask, sigma=sigma)
+
 
 class TestSynthesis:
     def test_coil_maps_sum_of_squares_is_one(self):
@@ -324,6 +334,11 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="unknown mask family"):
             make_mask((8, 8, 2), family="radial")
 
+    @pytest.mark.parametrize("accel", [np.nan, np.inf, 0.5])
+    def test_bad_accel_rejected(self, accel):
+        with pytest.raises(ValueError, match="^accel must be a finite number >= 1, got "):
+            make_mask((8, 8, 2), accel=accel)
+
     def test_invalid_mask_rejected(self):
         bad = np.zeros((4, 4, 2), dtype=bool)
         bad[:, :, 0] = True  # frame 1 has no samples
@@ -349,3 +364,19 @@ class TestSerialization:
         mask = make_mask((8, 8, 2), accel=2.0)
         with pytest.raises(ShapeMismatch):
             KSpaceSample(y=np.zeros((2, 3), dtype=complex), mask=mask, coils=coils)
+
+    @pytest.mark.parametrize("value,message", [(np.nan, "non-finite entries"),
+                                               (0.7, "entries must be 0 or 1"),
+                                               (1j, "entries must be 0 or 1"),
+                                               (2.0, "entries must be 0 or 1")])
+    def test_mask_entries_other_than_zero_or_one_rejected(self, tmp_path, value, message):
+        rng = np.random.default_rng(10)
+        coils, mask = random_setup(rng)
+        sample = simulate_measurement(random_complex(rng, (8, 8, 3)), coils, mask, sigma=0.0)
+        save_kspace_sample(tmp_path, sample)
+        path = tmp_path / "mask.bin"
+        values = mask.mask.astype(complex)
+        values[np.unravel_index(np.argmax(mask.mask), mask.shape)] = value  # a sampled point
+        write_tensor(path, values)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_kspace_sample(tmp_path)

@@ -238,6 +238,13 @@ class TestTrainLoop:
             assert record.train_loss == history[0].train_loss
             assert record.val_loss == history[0].val_loss
 
+    @pytest.mark.parametrize("lr", [-1.0, np.inf, np.nan])
+    def test_bad_learning_rate_rejected_before_any_work(self, tmp_path, lr):
+        with pytest.raises(ValueError, match="^lr must be a finite number >= 0, got "):
+            train(tiny_dataset(1, seed=10), tiny_dataset(1, seed=11), tiny_config(),
+                  epochs=1, lr=lr, run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_history_shape_and_epoch_zero_row(self):
         data = tiny_dataset(2, seed=12)
         val = tiny_dataset(1, seed=13)
