@@ -6,12 +6,12 @@ back through T outer iterations: the kernel constants once
 (csc.AdmmStepTrace: s_hat, the image c of its closed-form solve, the prox
 input and threshold), the dictionary approximation and the record of the
 data-consistency solve: its solution alone if it converged (dc.CgSolution),
-else the inputs of every CG iteration (dc.CgTrace).  No autodiff
-framework is used.  Each block's VJP sits beside its forward:
+else its start and the scalars of every CG iteration (dc.CgTrace).  No
+autodiff framework is used.  Each block's VJP sits beside its forward:
 the sweep, prox, synthesis and kernel-spectra VJPs in :mod:`ucdl.csc`, the
 CG VJP in :mod:`ucdl.dc`, which reverses a converged solve implicitly by the
 last rule below (one adjoint CG solve, and no cotangent reaches the warm
-start) and any other step by step.  This module holds the convention they
+start) and replays any other, then reverses it step by step.  This module holds the convention they
 share and :func:`backward`, which chains them through the network trace.
 
 Cotangent convention for a complex quantity w: w_bar = dL/dRe(w) + i dL/dIm(w).

@@ -60,6 +60,8 @@ class PhantomSpec:
         # largest admissible half-axis: ellipse plus motion must stay inside
         if self.motion_amplitude + 0.1 >= 0.5:
             raise ValueError("motion amplitude leaves no room for ellipses")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 def _smooth_phase(rng, nx, ny, scale):

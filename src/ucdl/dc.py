@@ -10,13 +10,19 @@ is part of the network configuration (not adaptive) so that the computation
 graph has static depth.  lam > 0 makes the operator Hermitian positive
 definite, so plain CG applies.
 
+Every CG here (the forward solve, the implicit backward's adjoint solve and
+an unrolled backward's replay) is one loop that updates x, r and p in place
+and keeps of an iteration only its scalars rho, pi and alpha.
+
 The backward of a solve depends on how far it got, which :func:`solve_record`
 decides from the forward's own final residual.  A converged solve
 (||r|| <= CONVERGED_RTOL ||rhs||) is x = H^{-1} rhs, so its record keeps only
 x, and :func:`cg_backward` reverses it implicitly: rhs_bar = H^{-1} x_bar by
 CG from zero (:func:`cg_to_tolerance`), lam_bar = -Re<rhs_bar, x>, and the
-warm start drops out.  An unconverged solve keeps every iteration's inputs
-(CgTrace) and is reversed iteration by iteration.
+warm start drops out.  An unconverged solve keeps its start x0, r0 and the
+iterations' scalars (CgTrace); its backward replays it from there (n_cg more
+applications of H), checks the replayed scalars against the record, and
+reverses it iteration by iteration.
 
 A non-finite value stops the solve with a NonFiniteValue that names the CG
 iteration it showed in.  The solve's VJP, :func:`cg_backward`, sits beside
@@ -57,15 +63,8 @@ class NormalOperator:
 
 @dataclass(frozen=True)
 class CgIteration:
-    """The inputs of one CG iteration, kept for the backward pass.
+    """The scalars of one CG iteration; beta_{i-1} is its[i].rho / its[i-1].rho."""
 
-    The first iteration's p is its r.  beta_{i-1} is its[i].rho /
-    its[i-1].rho, and an iteration's outgoing residual is the next record's r.
-    """
-
-    r: np.ndarray
-    p: np.ndarray
-    q: np.ndarray          # H p
     rho: float             # ||r||^2
     pi: float              # Re<p, H p>
     alpha: float           # rho / pi
@@ -73,9 +72,11 @@ class CgIteration:
 
 @dataclass(frozen=True)
 class CgTrace:
-    """The start of one solve plus its per-iteration records."""
+    """The start of one solve and the scalars of each iteration it ran, from
+    which its backward replays the iterations' r, p and H p."""
 
     x0: np.ndarray
+    r0: np.ndarray         # rhs - H x0
     iterations: tuple
 
 
@@ -94,6 +95,45 @@ class CgResult:
     trace: CgTrace
 
 
+def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.real(np.vdot(a, b)))
+
+
+def _run_cg(x, r, operator, max_iterations: int, rtol: float, name: str, kept=None):
+    """CG on operator(x) = b in place from x and r = b - operator(x), until
+    ||r|| <= rtol ||r_0|| or for `max_iterations` iterations.  Returns the
+    CgIterations and the residual norms, initial value first; a list `kept`
+    gets a copy of each iteration's (r, p, H p).  p *= beta; p += r and
+    q *= alpha; r -= q give the bits of r + beta p and r - alpha q."""
+    rho = _real_inner(r, r)
+    if not np.isfinite(rho):
+        raise NonFiniteValue(f"non-finite residual at {name} start")
+    residuals = [np.sqrt(rho)]
+    iterations = []
+    while len(iterations) < max_iterations and not residuals[-1] <= rtol * residuals[0]:
+        if iterations:
+            p *= rho / iterations[-1].rho
+            p += r
+        else:
+            p = r.copy()
+        q = operator(p)
+        if not np.all(np.isfinite(q)):
+            raise NonFiniteValue(
+                f"non-finite operator output at {name} iteration {len(iterations)}")
+        pi = _real_inner(p, q)
+        it = CgIteration(rho=rho, pi=pi, alpha=rho / pi)
+        iterations.append(it)
+        if kept is not None:
+            kept.append((r.copy(), p.copy(), q.copy()))
+        q *= it.alpha
+        r -= q
+        np.multiply(p, it.alpha, out=q)  # H p is spent: q now holds alpha p
+        x += q
+        rho = _real_inner(r, r)
+        residuals.append(np.sqrt(rho))
+    return iterations, residuals
+
+
 def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, n_cg: int) -> CgResult:
     """Run exactly n_cg CG iterations on operator(x) = rhs from x0.
 
@@ -104,36 +144,12 @@ def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, n_cg: int) -> CgResult:
     if rhs.shape != x0.shape:
         raise ShapeMismatch(f"rhs shape {rhs.shape} vs start shape {x0.shape}")
     x = x0.astype(np.complex128, copy=True)
-    r = rhs - operator(x0)
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteValue("non-finite residual at CG start")
-    p = r
-    rho = float(np.vdot(r, r).real)
-    residuals = [np.sqrt(rho)]
-    records = []
-    for i in range(n_cg):
-        if rho == 0.0:
-            break
-        if records:
-            p = r + (rho / records[-1].rho) * p
-        q = operator(p)
-        if not np.all(np.isfinite(q)):
-            raise NonFiniteValue(f"non-finite operator output at CG iteration {i}")
-        pi = float(np.vdot(p, q).real)
-        alpha = rho / pi
-        x += alpha * p
-        records.append(CgIteration(r=r, p=p, q=q, rho=rho, pi=pi, alpha=alpha))
-        r = r - alpha * q
-        rho = float(np.vdot(r, r).real)
-        residuals.append(np.sqrt(rho))
+    r0 = rhs - operator(x0)
+    iterations, residuals = _run_cg(x, r0.copy(), operator, n_cg, 0.0, "CG")
     if not np.all(np.isfinite(x)):
-        raise NonFiniteValue(f"non-finite CG iterate after {len(records)} iterations")
-    trace = CgTrace(x0=x0.astype(np.complex128, copy=False), iterations=tuple(records))
+        raise NonFiniteValue(f"non-finite CG iterate after {len(iterations)} iterations")
+    trace = CgTrace(x0=x0.astype(np.complex128, copy=False), r0=r0, iterations=tuple(iterations))
     return CgResult(image=x, residuals=tuple(residuals), trace=trace)
-
-
-def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
 
 
 def solve_record(result: CgResult, rhs: np.ndarray, n_cg: int):
@@ -147,29 +163,14 @@ def solve_record(result: CgResult, rhs: np.ndarray, n_cg: int):
 def cg_to_tolerance(b: np.ndarray, operator, max_iterations: int):
     """Solve operator(x) = b by CG from x = 0 until ||r|| <= CONVERGED_RTOL ||b||.
 
-    Returns (x, residual norms, initial value first).  A non-finite b, or
-    not reaching the tolerance within `max_iterations`, raises NonFiniteValue.
+    Returns (x, residual norms, initial value first).  A non-finite value,
+    or not reaching the tolerance within `max_iterations`, raises
+    NonFiniteValue.
     """
-    r = np.asarray(b, dtype=np.complex128)
-    x = np.zeros_like(r)
-    rho = _real_inner(r, r)
-    if not np.isfinite(rho):
-        raise NonFiniteValue("non-finite residual at adjoint CG start")
-    residuals = [np.sqrt(rho)]
-    stop = CONVERGED_RTOL * residuals[0]
-    p = r
-    for i in range(max_iterations):
-        if residuals[-1] <= stop:
-            break
-        if i > 0:
-            p = r + (rho / rho_prev) * p
-        q = operator(p)
-        alpha = rho / _real_inner(p, q)
-        x += alpha * p
-        r = r - alpha * q
-        rho, rho_prev = _real_inner(r, r), rho
-        residuals.append(np.sqrt(rho))
-    if not residuals[-1] <= stop:
+    x = np.zeros_like(b, dtype=np.complex128)
+    _, residuals = _run_cg(x, np.array(b, dtype=np.complex128), operator, max_iterations,
+                           CONVERGED_RTOL, "adjoint CG")
+    if not residuals[-1] <= CONVERGED_RTOL * residuals[0]:
         raise NonFiniteValue(
             f"adjoint CG left relative residual {residuals[-1] / residuals[0]:.1e} "
             f"after {max_iterations} iterations"
@@ -183,61 +184,61 @@ def cg_backward(record, x_out_bar: np.ndarray, operator: NormalOperator,
 
     Returns cotangents of (rhs, x0) plus the lam contribution.  Without
     `need_x0` the start carries no parameters, and its cotangent is None.
-    A CgTrace is reversed iteration by iteration.  A CgSolution is
-    x = H^{-1} rhs, so rhs_bar = H^{-1} x_bar (H is Hermitian),
+    A CgTrace is replayed and reversed iteration by iteration.  A CgSolution
+    is x = H^{-1} rhs, so rhs_bar = H^{-1} x_bar (H is Hermitian),
     lam_bar = -Re<rhs_bar, x> from dH/dlam = I, and x0's cotangent is zero.
     """
-    if isinstance(record, CgTrace):
-        return _unrolled_backward(record, x_out_bar, operator, need_x0)
-    rhs_bar, _ = cg_to_tolerance(x_out_bar, operator, ADJOINT_CAP * record.n_cg)
-    x0_bar = np.zeros_like(rhs_bar) if need_x0 else None
-    return rhs_bar, x0_bar, -_real_inner(rhs_bar, record.x)
-
-
-def _unrolled_backward(trace: CgTrace, x_out_bar: np.ndarray, operator: NormalOperator,
-                       need_x0: bool):
-    """VJP of the truncated solve, from the lam contribution of every
-    application of H = A^H A + lam I; x0's cotangent costs one more."""
+    if isinstance(record, CgSolution):
+        rhs_bar, _ = cg_to_tolerance(x_out_bar, operator, ADJOINT_CAP * record.n_cg)
+        x0_bar = np.zeros_like(rhs_bar) if need_x0 else None
+        return rhs_bar, x0_bar, -_real_inner(rhs_bar, record.x)
+    # the replay regenerates each iteration's r, p and H p; the lam
+    # contribution then comes from every application of H = A^H A + lam I
+    its, kept = record.iterations, []
+    replayed, _ = _run_cg(record.x0.copy(), record.r0.copy(), operator, len(its), 0.0,
+                          "replayed CG", kept)
+    if tuple(replayed) != its:
+        raise NonFiniteValue("the replayed CG iterations differ from the solve's record")
     lam_bar = 0.0
     x_bar = np.array(x_out_bar, dtype=np.complex128)
-    its = trace.iterations
     p_bar = np.zeros_like(x_bar)   # cotangent of p_{i+1}, then of p_i
     r_bar = np.zeros_like(x_bar)   # cotangent of r_{i+1}, then of r_i
     rho_bar = 0.0                  # beta_i's share of the cotangent of rho_{i+1}
     for i in range(len(its) - 1, -1, -1):
         it = its[i]
+        r, p, q = kept.pop()
         # r_{i+1} = r_i - alpha_i q_i
         q_bar = -it.alpha * r_bar
-        alpha_bar = -_real_inner(r_bar, it.q)
+        alpha_bar = -_real_inner(r_bar, q)
         # x_{i+1} = x_i + alpha_i p_i
         p_bar += it.alpha * x_bar
-        alpha_bar += _real_inner(x_bar, it.p)
+        alpha_bar += _real_inner(x_bar, p)
         # alpha_i = rho_i / pi_i
         rho_bar += alpha_bar / it.pi
         pi_bar = -alpha_bar * it.alpha / it.pi
         # pi_i = Re<p_i, q_i>
-        p_bar += pi_bar * it.q
-        q_bar += pi_bar * it.p
+        p_bar += pi_bar * q
+        q_bar += pi_bar * p
         # q_i = H p_i
         p_bar += operator(q_bar)
-        lam_bar += _real_inner(q_bar, it.p)
+        lam_bar += _real_inner(q_bar, p)
         # p_i = r_i + beta_{i-1} p_{i-1}, with p_0 = r_0
         r_bar += p_bar
         rho_prev_bar = 0.0
         if i > 0:
             prev = its[i - 1]
             beta = it.rho / prev.rho
-            beta_bar = _real_inner(p_bar, prev.p)
+            beta_bar = _real_inner(p_bar, kept[-1][1])
             p_bar *= beta
             # beta_{i-1} = rho_i / rho_{i-1}
             rho_bar += beta_bar / prev.rho
             rho_prev_bar = -beta_bar * beta / prev.rho
         # rho_i = <r_i, r_i>
-        r_bar += rho_bar * 2.0 * it.r
+        r_bar += rho_bar * 2.0 * r
         rho_bar = rho_prev_bar
     # r_0 = rhs - H x0, so r_bar is the cotangent of rhs
     x0_bar = x_bar - operator(r_bar) if need_x0 else None
-    lam_bar -= _real_inner(r_bar, trace.x0)
+    lam_bar -= _real_inner(r_bar, record.x0)
     if not np.isfinite(lam_bar):
         raise NonFiniteValue("non-finite lam cotangent")
     return r_bar, x0_bar, lam_bar

@@ -200,15 +200,13 @@ def train(dataset, val_dataset, config: NetworkConfig,
     # lr = 0 is allowed: it runs the loop with every parameter frozen
     if not (np.isfinite(lr) and lr >= 0):
         raise ValueError(f"lr must be a finite number >= 0, got {lr}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     params = init_network(config, rng_seed=seed)
     state = AdamState.init(params, lr=lr)
     rng = np.random.default_rng(seed)
 
-    if run_dir is not None:
-        run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_run_config(run_dir, config, epochs, seed, lr)
-
+    # the epoch-0 losses check the kernels against every image before any write
     history = [
         EpochRecord(
             epoch=0,
@@ -217,6 +215,9 @@ def train(dataset, val_dataset, config: NetworkConfig,
         )
     ]
     if run_dir is not None:
+        run_dir = Path(run_dir)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_run_config(run_dir, config, epochs, seed, lr)
         save_checkpoint(run_dir / "checkpoints" / "epoch_000", params, config)
         write_loss_log(run_dir / "losses.csv", history)
 

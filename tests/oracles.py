@@ -213,13 +213,20 @@ def synthesis_backward(s_hat, spectra, synth_bar):
     return s_bar, d_bar
 
 
-def solution(record):
-    """The image a traced CG solve ended at, bitwise as the solve formed it."""
+def solution(record, operator):
+    """The image a traced CG solve ended at, bitwise as the solve formed it;
+    a CgTrace's iterations are rerun out of place from its start with the
+    recorded scalars."""
     if isinstance(record, CgSolution):
         return record.x
-    x = np.array(record.x0, dtype=np.complex128)
-    for it in record.iterations:
-        x += it.alpha * it.p
+    x, r = record.x0, record.r0
+    p = r
+    for i, it in enumerate(record.iterations):
+        if i > 0:
+            p = r + (it.rho / record.iterations[i - 1].rho) * p
+        q = operator(p)
+        x = x + it.alpha * p
+        r = r - it.alpha * q
     return x
 
 
@@ -227,11 +234,12 @@ def outer_inputs(trace):
     """Each outer iteration's input image, frames-first: A^H y, then the
     solution of the previous iteration's solve."""
     sample = trace.sample
+    operator = NormalOperator(sample.coils, sample.mask, trace.params.lam)
     x = np.ascontiguousarray(frames_first(adjoint_apply(sample.y, sample.coils, sample.mask)))
     inputs = []
     for outer in trace.outer:
         inputs.append(x)
-        x = solution(outer.cg)
+        x = solution(outer.cg, operator)
     return inputs
 
 

@@ -86,10 +86,12 @@ def test_benchmark_counts_a_traced_forward(monkeypatch, family, record):
     assert tracer.calls["tensors.dft"] - forward_dfts == (1 + 1 + 2 + 1) + (1 + 2 + 1) + 1
     backward_normals = tracer.calls["operators.normal_apply"] - forward_normals
     if record is dc.CgTrace:
-        # per outer iteration one H per CG step and one for the warm start's
-        # cotangent, which iteration 0, starting from A^H y, does without
+        # per outer iteration one H per CG step to replay the solve, whose
+        # record keeps only its start and scalars, one per CG step to reverse
+        # it, and one for the warm start's cotangent, which iteration 0,
+        # starting from A^H y, does without
         assert not adjoint_iterations
-        assert backward_normals == 2 * (3 + 1) - 1
+        assert backward_normals == 2 * 3 + 2 * (3 + 1) - 1
     else:
         # one H per adjoint step, none for the warm start, which drops out
         assert len(adjoint_iterations) == 2 and min(adjoint_iterations) > 0

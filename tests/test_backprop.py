@@ -742,6 +742,26 @@ class TestNonFiniteCotangents:
                            match=r"^backward outer iteration 2: cg_backward: non-finite"):
             backward(trace, d_image)
 
+    @pytest.mark.parametrize("field", ["rho", "alpha"])
+    def test_replay_that_departs_from_the_record(self, field):
+        # on a points mask the 2-step solves stop short and keep their scalars
+        sample, config, params, target = make_instance(
+            "2d", (6, 6, 2), seed=74, n_outer=3, n_admm=1, n_cg=2, family="points"
+        )
+        result = forward_reconstruct(sample, params, config, want_trace=True)
+        outer = list(result.trace.outer)
+        record = outer[1].cg
+        assert isinstance(record, CgTrace)
+        its = list(record.iterations)
+        its[-1] = dataclasses.replace(
+            its[-1], **{field: np.nextafter(getattr(its[-1], field), np.inf)})
+        outer[1] = dataclasses.replace(
+            outer[1], cg=dataclasses.replace(record, iterations=tuple(its)))
+        trace = dataclasses.replace(result.trace, outer=tuple(outer))
+        with pytest.raises(NonFiniteValue, match=r"^backward outer iteration 1: cg_backward: "
+                                                 r"the replayed CG iterations differ"):
+            backward(trace, 2.0 * (result.image - target))
+
     # (block with a poisoned output, which output, on which of its calls,
     # counted from 0 in the order backward makes them, J, where the error
     # is reported)

@@ -562,6 +562,34 @@ class TestBadSettings:
         assert err.startswith(f"{flag[2:]} must be a finite number") and err.count("\n") == 1
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("command,config", [
+        ("gen-data", None), ("train", None), ("train", '{"seed": -1}'),
+    ], ids=["gen-data", "train", "train-config"])
+    def test_negative_seed(self, workspace, tmp_path, capsys, command, config):
+        if command == "gen-data":
+            argv = ["gen-data", "--samples", 1, "--nx", 8, "--ny", 8, "--nt", 2, "--seed", -1]
+        else:
+            argv = ["train", "--data", workspace["data"], "--val", workspace["val"],
+                    "--K", 2, "--kf", 3, "--T", 1, "--epochs", 1]
+            if config is None:
+                argv += ["--seed", -1]
+            else:
+                (tmp_path / "cfg.json").write_text(config)
+                argv += ["--config", tmp_path / "cfg.json"]
+        code, _ = run_cli(*argv, "--out", tmp_path / "out")
+        assert code == 1
+        assert capsys.readouterr().err == "seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_kernels_larger_than_the_images(self, tmp_path, capsys):
+        data = gen_data(tmp_path / "d", samples=1, nx=8, ny=8, nt=2)
+        code, _ = run_cli("train", "--data", data, "--val", data, "--out", tmp_path / "run",
+                          "--kf", 20, "--epochs", 1)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "kernel shape (20, 20, 20) does not fit inside (2, 8, 8)\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key,value", [("log_lambda", 800.0), ("log_beta", -800.0)])
     def test_log_weight_without_a_finite_positive_exp(self, workspace, tmp_path, capsys,
                                                       key, value):

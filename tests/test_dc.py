@@ -1,7 +1,8 @@
 """Data-consistency block tests: CG against dense solves and closed forms."""
 
 import sys
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -222,18 +223,31 @@ class TestCgSolve:
         shape = (4, 4, 2)
         op = NormalOperator(make_coil_maps(2, shape[:2]), make_mask(shape, seed=2), 0.5)
         rhs = random_complex(rng, frames_first_shape(shape))
+        x0 = random_complex(rng, rhs.shape)
         for n_cg in (1, 2, 5):
-            result = cg_solve(rhs, op, np.zeros_like(rhs), n_cg)
-            assert [f.name for f in fields(result.trace)] == ["x0", "iterations"]
+            result = cg_solve(rhs, op, x0, n_cg)
+            assert [f.name for f in fields(result.trace)] == ["x0", "r0", "iterations"]
+            assert result.trace.x0 is x0
+            assert same_bits(result.trace.r0, rhs - op(x0))
             its = result.trace.iterations
             assert len(its) == n_cg
-            assert [f.name for f in fields(its[0])] == ["r", "p", "q", "rho", "pi", "alpha"]
-            assert all(getattr(it, f.name) is not None for it in its for f in fields(it))
-            assert its[0].p is its[0].r
-            for it, nxt in zip(its, its[1:]):
-                assert np.array_equal(nxt.r, it.r - it.alpha * it.q)
-            # x0, then r, p, q per iteration, with the first p being its r
-            assert array_bytes(result.trace) == 3 * n_cg * rhs.nbytes
+            assert [f.name for f in fields(its[0])] == ["rho", "pi", "alpha"]
+            # rho is the squared norm of the iteration's incoming residual
+            assert [it.rho for it in its] == pytest.approx(
+                np.square(result.residuals[:-1]), rel=1e-14)
+            assert all(it.alpha == it.rho / it.pi for it in its)
+
+    def test_memory_does_not_grow_with_n_cg(self):
+        rhs, op, x0, b = cg_case("points", 12, "warm", shape=(32, 32, 4))
+        for n_cg in (1, 5, 12):
+            assert array_bytes(cg_solve(rhs, op, x0, n_cg).trace) == 2 * rhs.nbytes
+        # each solve allocates its work arrays once, so ten more iterations
+        # add less than one image to its peak; the adjoint solve stops at its
+        # cap short of its tolerance
+        for solve in (lambda n: cg_solve(rhs, op, x0, n),
+                      lambda n: pytest.raises(NonFiniteValue, cg_to_tolerance, b, op, n)):
+            short, long = (traced_peak(lambda: solve(n)) for n in (2, 12))
+            assert long - short < rhs.nbytes
 
     def test_nonfinite_detection(self):
         shape = (4, 4, 1)
@@ -251,11 +265,10 @@ class TestCgSolve:
             cg_solve(rhs, BadOp(), np.zeros_like(rhs), 3)
 
 
-def cg_case(family, n_cg, start, lam=0.6):
+def cg_case(family, n_cg, start, lam=0.6, shape=(12, 10, 3)):
     """A 3-coil CG system on a column or points mask, with rhs, start and a
     cotangent of the solution."""
     rng = np.random.default_rng(n_cg)
-    shape = (12, 10, 3)
     op = NormalOperator(make_coil_maps(3, shape[:2]),
                         make_mask(shape, accel=3.0, family=family, seed=4), lam)
     rhs = random_complex(rng, frames_first_shape(shape))
@@ -264,6 +277,16 @@ def cg_case(family, n_cg, start, lam=0.6):
     if start == "solved":
         rhs = op(x0)
     return rhs, op, x0, random_complex(rng, rhs.shape)
+
+
+def traced_peak(call):
+    """The peak of the memory that `call()` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def same_bits(a, b):
@@ -303,7 +326,16 @@ class TestAgainstOutputRecords:
     def test_oracle_replays_the_solution(self, start):
         rhs, op, x0, _ = cg_case("points", 5, start)
         result = cg_solve(rhs, op, x0, 5)
-        assert same_bits(oracles.solution(result.trace), result.image)
+        assert same_bits(oracles.solution(result.trace, op), result.image)
+
+    @pytest.mark.parametrize("field", ["rho", "alpha"])
+    def test_replay_that_departs_from_the_record_raises(self, field):
+        rhs, op, x0, x_bar = cg_case("points", 5, "warm")
+        trace = cg_solve(rhs, op, x0, 5).trace
+        its = list(trace.iterations)
+        its[2] = replace(its[2], **{field: np.nextafter(getattr(its[2], field), np.inf)})
+        with pytest.raises(NonFiniteValue, match="^the replayed CG iterations differ"):
+            cg_backward(replace(trace, iterations=tuple(its)), x_bar, op)
 
 
 def real_inner(a, b):

@@ -246,8 +246,8 @@ class TestSweepBuffers:
 
 class TestIterationLifetime:
     """Nothing of outer iteration t but its traced record outlives it: its
-    sweep arrays and its solve's iterates are freed before iteration t+1's
-    first sweep allocates."""
+    sweep arrays and its solve's start residual are freed before iteration
+    t+1's first sweep allocates."""
 
     def run(self, monkeypatch, want_trace):
         """A 3-outer-iteration forward with J = 2 on a mask where every
@@ -274,8 +274,7 @@ class TestIterationLifetime:
         def watched_solve(*args):
             result = solve(*args)
             solutions.append(result.image)
-            cg_refs.extend(weakref.ref(a) for it in result.trace.iterations
-                           for a in (it.r, it.p, it.q))
+            cg_refs.append(weakref.ref(result.trace.r0))
             return result
 
         monkeypatch.setattr(network, "admm_step_traced", watched_step)
