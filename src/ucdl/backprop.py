@@ -60,7 +60,7 @@ from .csc import AdmmConfig, admm_step_backward, spectra_to_kernel_grad, synthes
 from .dc import NormalOperator, cg_backward
 from .errors import NonFiniteValue, ShapeMismatch, TraceMismatch
 from .network import NetworkTrace, _kernels_frames_first, _kernels_public
-from .tensors import dft_inverse
+from .tensors import dft_inverse, real_inner
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
             lam_bar += lam_add
             # rhs = A^H y + lam * approx
             approx_bar = lam * rhs_bar
-            lam_bar += float(np.real(np.vdot(rhs_bar, outer.approx)))
+            lam_bar += real_inner(rhs_bar, outer.approx)
             block = "synthesis_backward"
             s_hat_bar, d_add = synthesis_backward(spectra, outer.admm[-1].s_hat, approx_bar)
             d_bar += d_add

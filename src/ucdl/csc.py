@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValue, ShapeMismatch
-from .tensors import crop_filter, dft_forward, dft_inverse, zero_pad_filter
+from .tensors import crop_filter, dft_forward, dft_inverse, real_inner, zero_pad_filter
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
     passing = np.greater(scratch, tau)
     v_bar = np.multiply(_channels(np.asarray(u_bar, dtype=v.dtype)), passing)
     np.sign(channels, out=scratch)
-    tau_bar = -float(np.multiply(scratch, v_bar, out=scratch).sum())
+    tau_bar = -real_inner(scratch, v_bar)
     return _from_channels(v_bar, v), tau_bar
 
 
@@ -319,7 +319,7 @@ def s_update_backward(s_hat, c, spectra: KernelSpectra, gamma: float,
     d_bar -= np.multiply(s_hat, np.conj(rho), out=w_hat_bar)
     d_bar = _sum_batch(d_bar, spectra.n_spatial)
     np.conjugate(d_bar, out=d_bar)
-    gamma_bar = -float(np.real(np.vdot(rho, c)))
+    gamma_bar = -real_inner(rho, c)
     return rho, w_bar, d_bar, gamma_bar
 
 

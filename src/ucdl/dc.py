@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, ShapeMismatch
 from .operators import CoilMaps, SamplingMask, normal_apply
+from .tensors import real_inner
 
 # a solve whose final residual is at most this fraction of its right-hand
 # side counts as exact; the implicit backward solves to the same fraction
@@ -95,17 +96,13 @@ class CgResult:
     trace: CgTrace
 
 
-def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
-
-
 def _run_cg(x, r, operator, max_iterations: int, rtol: float, name: str, kept=None):
     """CG on operator(x) = b in place from x and r = b - operator(x), until
     ||r|| <= rtol ||r_0|| or for `max_iterations` iterations.  Returns the
     CgIterations and the residual norms, initial value first; a list `kept`
     gets a copy of each iteration's (r, p, H p).  p *= beta; p += r and
     q *= alpha; r -= q give the bits of r + beta p and r - alpha q."""
-    rho = _real_inner(r, r)
+    rho = real_inner(r, r)
     if not np.isfinite(rho):
         raise NonFiniteValue(f"non-finite residual at {name} start")
     residuals = [np.sqrt(rho)]
@@ -120,7 +117,7 @@ def _run_cg(x, r, operator, max_iterations: int, rtol: float, name: str, kept=No
         if not np.all(np.isfinite(q)):
             raise NonFiniteValue(
                 f"non-finite operator output at {name} iteration {len(iterations)}")
-        pi = _real_inner(p, q)
+        pi = real_inner(p, q)
         it = CgIteration(rho=rho, pi=pi, alpha=rho / pi)
         iterations.append(it)
         if kept is not None:
@@ -129,7 +126,7 @@ def _run_cg(x, r, operator, max_iterations: int, rtol: float, name: str, kept=No
         r -= q
         np.multiply(p, it.alpha, out=q)  # H p is spent: q now holds alpha p
         x += q
-        rho = _real_inner(r, r)
+        rho = real_inner(r, r)
         residuals.append(np.sqrt(rho))
     return iterations, residuals
 
@@ -155,7 +152,7 @@ def cg_solve(rhs: np.ndarray, operator, x0: np.ndarray, n_cg: int) -> CgResult:
 def solve_record(result: CgResult, rhs: np.ndarray, n_cg: int):
     """What the backward of the solve `result` of operator(x) = rhs needs:
     a CgSolution if the solve converged, else its CgTrace."""
-    if result.residuals[-1] <= CONVERGED_RTOL * np.sqrt(_real_inner(rhs, rhs)):
+    if result.residuals[-1] <= CONVERGED_RTOL * np.sqrt(real_inner(rhs, rhs)):
         return CgSolution(x=result.image, n_cg=n_cg)
     return result.trace
 
@@ -191,7 +188,7 @@ def cg_backward(record, x_out_bar: np.ndarray, operator: NormalOperator,
     if isinstance(record, CgSolution):
         rhs_bar, _ = cg_to_tolerance(x_out_bar, operator, ADJOINT_CAP * record.n_cg)
         x0_bar = np.zeros_like(rhs_bar) if need_x0 else None
-        return rhs_bar, x0_bar, -_real_inner(rhs_bar, record.x)
+        return rhs_bar, x0_bar, -real_inner(rhs_bar, record.x)
     # the replay regenerates each iteration's r, p and H p; the lam
     # contribution then comes from every application of H = A^H A + lam I
     its, kept = record.iterations, []
@@ -209,10 +206,10 @@ def cg_backward(record, x_out_bar: np.ndarray, operator: NormalOperator,
         r, p, q = kept.pop()
         # r_{i+1} = r_i - alpha_i q_i
         q_bar = -it.alpha * r_bar
-        alpha_bar = -_real_inner(r_bar, q)
+        alpha_bar = -real_inner(r_bar, q)
         # x_{i+1} = x_i + alpha_i p_i
         p_bar += it.alpha * x_bar
-        alpha_bar += _real_inner(x_bar, p)
+        alpha_bar += real_inner(x_bar, p)
         # alpha_i = rho_i / pi_i
         rho_bar += alpha_bar / it.pi
         pi_bar = -alpha_bar * it.alpha / it.pi
@@ -221,14 +218,14 @@ def cg_backward(record, x_out_bar: np.ndarray, operator: NormalOperator,
         q_bar += pi_bar * p
         # q_i = H p_i
         p_bar += operator(q_bar)
-        lam_bar += _real_inner(q_bar, p)
+        lam_bar += real_inner(q_bar, p)
         # p_i = r_i + beta_{i-1} p_{i-1}, with p_0 = r_0
         r_bar += p_bar
         rho_prev_bar = 0.0
         if i > 0:
             prev = its[i - 1]
             beta = it.rho / prev.rho
-            beta_bar = _real_inner(p_bar, kept[-1][1])
+            beta_bar = real_inner(p_bar, kept[-1][1])
             p_bar *= beta
             # beta_{i-1} = rho_i / rho_{i-1}
             rho_bar += beta_bar / prev.rho
@@ -238,7 +235,7 @@ def cg_backward(record, x_out_bar: np.ndarray, operator: NormalOperator,
         rho_bar = rho_prev_bar
     # r_0 = rhs - H x0, so r_bar is the cotangent of rhs
     x0_bar = x_bar - operator(r_bar) if need_x0 else None
-    lam_bar -= _real_inner(r_bar, record.x0)
+    lam_bar -= real_inner(r_bar, record.x0)
     if not np.isfinite(lam_bar):
         raise NonFiniteValue("non-finite lam cotangent")
     return r_bar, x0_bar, lam_bar

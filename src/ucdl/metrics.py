@@ -22,6 +22,7 @@ from scipy.signal import fftconvolve
 
 from .errors import RoiTooLarge, ShapeMismatch, ZeroReference
 from .io import atomic_write
+from .tensors import real_inner
 
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
@@ -107,10 +108,11 @@ def psnr(x: np.ndarray, ref: np.ndarray) -> float:
 
 
 def _nrmse_frame(x: np.ndarray, ref: np.ndarray) -> float:
-    denom = float(np.linalg.norm(ref))
+    denom = real_inner(ref, ref)
     if denom == 0.0:
         raise ZeroReference("reference frame is identically zero")
-    return float(np.linalg.norm(x - ref) / denom)
+    err = x - ref
+    return float(np.sqrt(real_inner(err, err) / denom))
 
 
 def nrmse(x: np.ndarray, ref: np.ndarray) -> float:

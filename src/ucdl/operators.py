@@ -201,6 +201,8 @@ def make_coil_maps(n_coils: int, spatial_shape: tuple[int, int]) -> CoilMaps:
     Each coil is a complex Gaussian bump centered on a ring around the field
     of view with a mild linear phase; construction is deterministic.
     """
+    if n_coils < 1:
+        raise ValueError(f"coils must be >= 1, got {n_coils}")
     nx, ny = spatial_shape
     xs = np.linspace(-1.0, 1.0, nx)[:, None]
     ys = np.linspace(-1.0, 1.0, ny)[None, :]

@@ -35,7 +35,7 @@ from .network import (
     project_filters,
     save_checkpoint,
 )
-from .tensors import norm2_sq
+from .tensors import real_inner
 
 DEFAULT_LR = 5e-4
 DEFAULT_EPOCHS = 16
@@ -48,18 +48,15 @@ ADAM_EPS = 1e-8
 def loss_mse(x_out: np.ndarray, x_target: np.ndarray) -> float:
     """Squared L2 error summed over real and imaginary channels."""
     if x_out.shape != x_target.shape:
-        raise ShapeMismatch(
-            f"output shape {x_out.shape} vs target shape {x_target.shape}"
-        )
-    return norm2_sq(x_out - x_target)
+        raise ShapeMismatch(f"output shape {x_out.shape} vs target shape {x_target.shape}")
+    err = x_out - x_target
+    return real_inner(err, err)
 
 
 def loss_mse_grad(x_out: np.ndarray, x_target: np.ndarray) -> np.ndarray:
     """Cotangent of loss_mse on x_out, dL/dRe + i dL/dIm."""
     if x_out.shape != x_target.shape:
-        raise ShapeMismatch(
-            f"output shape {x_out.shape} vs target shape {x_target.shape}"
-        )
+        raise ShapeMismatch(f"output shape {x_out.shape} vs target shape {x_target.shape}")
     return 2.0 * (x_out - x_target)
 
 

@@ -14,7 +14,7 @@ from ucdl.csc import (CodeState, FilterBank, admm_step_traced, filter_spectra,
 from ucdl.dc import CgSolution, NormalOperator, cg_backward
 from ucdl.errors import ShapeMismatch
 from ucdl.operators import adjoint_apply
-from ucdl.tensors import dft_forward, dft_inverse, norm2_sq, zero_pad_filter
+from ucdl.tensors import dft_forward, dft_inverse, real_inner, zero_pad_filter
 
 
 def frames_first(image):
@@ -54,9 +54,10 @@ def synthesize(filters, s):
 def csc_objective(x, state, filters, config) -> float:
     """Augmented objective: fidelity + sparsity of u + scaled-dual penalty."""
     synth = synthesize(filters, state.s)
-    fidelity = 0.5 * config.lam * norm2_sq(x - synth)
+    fidelity = 0.5 * config.lam * real_inner(x - synth, x - synth)
     l1 = np.abs(state.u.real).sum() + np.abs(state.u.imag).sum()
-    penalty = 0.5 * config.beta * norm2_sq(state.u - state.s + state.z)
+    gap = state.u - state.s + state.z
+    penalty = 0.5 * config.beta * real_inner(gap, gap)
     return float(fidelity + config.alpha * l1 + penalty)
 
 
@@ -170,7 +171,7 @@ def sherman_morrison_backward(x_hat, s_hat, spectra, gamma, s_hat_bar):
     e = (d * s_hat).sum(axis=0) - x_hat
     d_bar = -_sum_batch(np.conj(r_bar) * e[np.newaxis]
                         + rho[np.newaxis] * np.conj(s_hat), n_spatial)
-    gamma_bar = float(np.real(np.vdot(rho, e))) / gamma
+    gamma_bar = real_inner(rho, e) / gamma
     return rho, gamma * r_bar, d_bar, gamma_bar
 
 
@@ -260,7 +261,7 @@ def backward(trace, d_image):
     for outer, x in reversed(list(zip(trace.outer, outer_inputs(trace)))):
         x_hat = dft_forward(x, ndim=spectra.ndim - 1)
         rhs_bar, x_bar, lam_add = cg_backward(outer.cg, x_bar, operator)
-        lam_bar += lam_add + float(np.real(np.vdot(rhs_bar, outer.approx)))
+        lam_bar += lam_add + real_inner(rhs_bar, outer.approx)
         s_bar, d_add = synthesis_backward(outer.admm[-1].s_hat, spectra, lam * rhs_bar)
         d_bar += d_add
         for step in reversed(outer.admm):
@@ -310,18 +311,18 @@ def output_cg_solve(rhs, operator, x0, n_cg):
     r = rhs - operator(x0)
     r0 = r
     p = r.copy()
-    rho = float(np.vdot(r, r).real)
+    rho = real_inner(r, r)
     residuals = [np.sqrt(rho)]
     records = []
     for i in range(n_cg):
         if rho == 0.0:
             break
         q = operator(p)
-        pi = float(np.vdot(p, q).real)
+        pi = real_inner(p, q)
         alpha = rho / pi
         x = x + alpha * p
         r_next = r - alpha * q
-        rho_next = float(np.vdot(r_next, r_next).real)
+        rho_next = real_inner(r_next, r_next)
         residuals.append(np.sqrt(rho_next))
         last = i == n_cg - 1 or rho_next == 0.0
         beta = None if last else rho_next / rho
@@ -337,10 +338,6 @@ def output_cg_solve(rhs, operator, x0, n_cg):
     return x, tuple(residuals), trace
 
 
-def _real_inner(a, b):
-    return float(np.real(np.vdot(a, b)))
-
-
 def output_cg_backward(trace, x_out_bar, operator, need_x0=True):
     """VJP of :func:`output_cg_solve`: cotangents of (rhs, x0) and of lam."""
     lam_bar = 0.0
@@ -352,25 +349,25 @@ def output_cg_backward(trace, x_out_bar, operator, need_x0=True):
         rho_prev_bar = 0.0
         if it.beta is not None:
             r_bar = r_bar + p_bar
-            beta_bar = _real_inner(p_bar, it.p)
+            beta_bar = real_inner(p_bar, it.p)
             p_bar = it.beta * p_bar
             rho_bar += beta_bar / it.rho
             rho_prev_bar = -beta_bar * it.beta / it.rho
             r_bar = r_bar + rho_bar * 2.0 * it.r_next
         q_bar = -it.alpha * r_bar
-        alpha_bar = -_real_inner(r_bar, it.q)
+        alpha_bar = -real_inner(r_bar, it.q)
         p_bar = p_bar + it.alpha * x_bar
-        alpha_bar += _real_inner(x_bar, it.p)
+        alpha_bar += real_inner(x_bar, it.p)
         rho_prev_bar += alpha_bar / it.pi
         pi_bar = -alpha_bar * it.alpha / it.pi
         p_bar = p_bar + pi_bar * it.q
         q_bar = q_bar + pi_bar * it.p
         p_bar = p_bar + operator(q_bar)
-        lam_bar += _real_inner(q_bar, it.p)
+        lam_bar += real_inner(q_bar, it.p)
         rho_bar = rho_prev_bar
     r0_bar = r_bar + p_bar + rho_bar * 2.0 * trace.r0
     x0_bar = x_bar - operator(r0_bar) if need_x0 else None
-    lam_bar -= _real_inner(r0_bar, trace.x0)
+    lam_bar -= real_inner(r0_bar, trace.x0)
     return r0_bar, x0_bar, lam_bar
 
 

@@ -44,7 +44,7 @@ from ucdl.operators import (
     make_mask,
     simulate_measurement,
 )
-from ucdl.tensors import dft_forward, dft_inverse, norm2_sq
+from ucdl.tensors import dft_forward, dft_inverse, real_inner
 from ucdl.training import train
 
 
@@ -317,7 +317,7 @@ class TestCriterion6Admm:
 
         def consensus_objective(state):
             synth = synthesize(bank, state.u)
-            fidelity = 0.5 * config.lam * norm2_sq(x - synth)
+            fidelity = 0.5 * config.lam * real_inner(x - synth, x - synth)
             l1 = np.abs(state.u.real).sum() + np.abs(state.u.imag).sum()
             return float(fidelity + config.alpha * l1)
 

@@ -1,7 +1,7 @@
 """Public surface checks: the benchmark's trace targets resolve, the trace
 fields it reads exist, names removed from the package stay out of it, no
 module reaches into the private helpers of the solvers, and no module of
-the package uses numpy's FFT."""
+the package uses numpy's FFT or reduces an inner product through BLAS."""
 
 import ast
 import importlib
@@ -29,8 +29,8 @@ SRC = Path(ucdl.__file__).resolve().parent
 REMOVED = {
     "csc": ["s_update", "admm_step", "run_admm", "u_update", "z_update",
             "csc_objective", "SUpdateTrace", "_broadcast_spectra", "_solve"],
-    "dc": ["dc_step", "build_rhs", "DcConfig"],
-    "tensors": ["inner_product", "as_channels", "from_channels", "circular_convolve"],
+    "dc": ["dc_step", "build_rhs", "DcConfig", "_real_inner"],
+    "tensors": ["inner_product", "as_channels", "from_channels", "circular_convolve", "norm2_sq"],
     "operators": ["zero_filled_recon"],
     "network": ["replace_filters", "mode_2d_merge", "mode_2d_split"],
     "errors": ["NonPositiveGamma", "NonPositiveBeta", "FilterTooLarge"],
@@ -199,3 +199,46 @@ def test_one_fft_backend(path):
     # every DFT goes through scipy.fft, so the operator's two paths and the
     # sparse-coding transforms share one backend's roundoff
     assert numpy_fft_uses(path.read_text()) == [], path.name
+
+
+# numpy functions whose reductions run through BLAS, and so in an order
+# that follows its thread count
+BLAS_REDUCTIONS = {"vdot", "dot", "inner", "matmul"}
+
+
+def blas_reduction_uses(source: str) -> list[int]:
+    """Lines of `source` that reduce through BLAS: numpy's vdot, dot, inner
+    or matmul (also as an array method), numpy.linalg.norm, or the @
+    operator."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+            hit = node.attr in BLAS_REDUCTIONS or (node.attr == "norm" and owner == "linalg")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = ((module == "numpy" and any(a.name in BLAS_REDUCTIONS for a in node.names))
+                   or (module == "numpy.linalg" and any(a.name == "norm" for a in node.names)))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_blas_reduction_guard_sees_each_spelling():
+    source = ("import numpy as np\na = np.vdot(x, y)\nb = numpy.dot(x, y)\nc = x.dot(y)\n"
+              "d = np.inner(x, y)\ne = np.matmul(x, y)\nf = np.linalg.norm(x)\n"
+              "g = x @ y\nx @= y\nfrom numpy import vdot\nfrom numpy.linalg import norm\n"
+              "from numpy import linalg\nh = linalg.norm(x)\ni = np.einsum('i,i->', x, y)\n"
+              "k = np.linalg.LinAlgError\nfrom numpy.linalg import LinAlgError\n")
+    assert blas_reduction_uses(source) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_inner_product(path):
+    # every inner product and norm is tensors.real_inner, whose order, and
+    # so whose bits, do not depend on the BLAS thread count
+    assert blas_reduction_uses(path.read_text()) == [], path.name

@@ -14,6 +14,11 @@ spatial-handoff backward of the oracles module.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +48,7 @@ from ucdl.network import (
     init_network,
 )
 from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
-from ucdl.tensors import dft_forward, dft_inverse, norm2_sq
+from ucdl.tensors import dft_forward, dft_inverse, real_inner
 
 import oracles
 from oracles import run_admm, spectra_of
@@ -182,7 +187,8 @@ class TestSUpdateBackward:
         if admm_steps:
             config = AdmmConfig(lam=1.0, alpha=0.05, beta=gamma)
             state = run_admm(x, bank, config, n_steps=admm_steps)
-            assert norm2_sq(state.u - state.s) < 1e-20 * norm2_sq(state.s)
+            gap = state.u - state.s
+            assert real_inner(gap, gap) < 1e-20 * real_inner(state.s, state.s)
             u, z = state.u, state.z
         weight = random_complex(rng, (2,) + image_shape)
 
@@ -464,7 +470,8 @@ def make_instance(mode, image_shape, seed, n_outer, n_admm, n_cg, kernel_size=3,
 
 def recon_loss(sample, config, params, target):
     result = forward_reconstruct(sample, params, config)
-    return norm2_sq(result.image - target)
+    err = result.image - target
+    return real_inner(err, err)
 
 
 def check_network_gradients(sample, config, params, target, record=None, h=FD_STEP,
@@ -808,3 +815,46 @@ class TestNonFiniteCotangents:
             admm_step_backward(*inputs, codes, None, None)
         with pytest.raises(NonFiniteValue):
             admm_step_backward(*inputs, None, codes, np.zeros_like(codes))
+
+
+# one paper-scale forward and backward, printed as the sha256 of each output
+# field; tau = alpha/beta = 0.05 lets codes pass the threshold, so every
+# GradientSet field is nonzero
+PAPER3D_GRADIENTS = """
+import hashlib
+import json
+import dataclasses
+import numpy as np
+from ucdl.backprop import backward
+from ucdl.data import PhantomSpec, make_phantom
+from ucdl.network import NetworkConfig, forward_reconstruct, init_network
+from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
+shape = (48, 48, 16)
+target = make_phantom(PhantomSpec(image_shape=shape, rng_seed=0))
+sample = simulate_measurement(target, make_coil_maps(3, shape[:2]),
+                              make_mask(shape, accel=4.0, seed=1), sigma=0.02, rng_seed=2)
+config = NetworkConfig(mode="3d", n_filters=16, kernel_size=7, n_outer=4, n_admm=1, n_cg=12)
+params = dataclasses.replace(init_network(config), log_alpha=float(np.log(0.05)))
+result = forward_reconstruct(sample, params, config, want_trace=True)
+grads = backward(result.trace, result.image - target)
+fields = {"image": result.image, **dataclasses.asdict(grads)}
+assert all(np.any(np.asarray(v) != 0) for v in fields.values())
+print(json.dumps({k: hashlib.sha256(np.asarray(v).tobytes()).hexdigest()
+                  for k, v in fields.items()}))
+"""
+
+
+def test_gradient_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product across its threads; every inner
+    # product of the package is reduced by NumPy in one fixed order instead
+    src = str(Path(network.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", PAPER3D_GRADIENTS], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert set(digests[0]) == {"image", *(f.name for f in dataclasses.fields(GradientSet))}
+    assert digests[0] == digests[1]

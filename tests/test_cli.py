@@ -562,6 +562,14 @@ class TestBadSettings:
         assert err.startswith(f"{flag[2:]} must be a finite number") and err.count("\n") == 1
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("coils", [0, -1])
+    def test_coil_count_below_one(self, tmp_path, capsys, coils):
+        code, _ = run_cli("gen-data", "--out", tmp_path / "d", "--samples", 1, "--nx", 8,
+                          "--ny", 8, "--nt", 2, "--coils", coils)
+        assert code == 1
+        assert capsys.readouterr().err == f"coils must be >= 1, got {coils}\n"
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("command,config", [
         ("gen-data", None), ("train", None), ("train", '{"seed": -1}'),
     ], ids=["gen-data", "train", "train-config"])

@@ -25,7 +25,7 @@ from ucdl.csc import (
     soft_threshold,
 )
 from ucdl.errors import ShapeMismatch
-from ucdl.tensors import dft_forward, dft_inverse, norm2_sq
+from ucdl.tensors import dft_forward, dft_inverse, real_inner
 
 
 def random_complex(rng, shape):
@@ -236,7 +236,8 @@ class TestSUpdate:
 
         def quad(s):
             synth = oracles.synthesize(bank, s)
-            return 0.5 * lam * norm2_sq(x - synth) + 0.5 * beta * norm2_sq(u - s + z)
+            err, gap = x - synth, u - s + z
+            return 0.5 * lam * real_inner(err, err) + 0.5 * beta * real_inner(gap, gap)
 
         s_new = s_update(x, u, z, bank, gamma)
         assert quad(s_new) <= quad(s_old) + 1e-12
@@ -571,7 +572,7 @@ class TestObjective:
         x = random_complex(rng, (4, 4))
         cfg = AdmmConfig(lam=0.8, alpha=1.0, beta=1.0)
         state = CodeState.zeros(2, (4, 4))
-        assert csc_objective(x, state, bank, cfg) == pytest.approx(0.4 * norm2_sq(x))
+        assert csc_objective(x, state, bank, cfg) == pytest.approx(0.4 * real_inner(x, x))
 
     def test_hand_computed_instance(self):
         # 2x2 image, K=1 identity kernel, lam=2, alpha=3, beta=4:

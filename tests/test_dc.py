@@ -25,7 +25,7 @@ from ucdl.operators import (
     make_mask,
     simulate_measurement,
 )
-from ucdl.tensors import norm2_sq
+from ucdl.tensors import real_inner
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import array_bytes  # noqa: E402
@@ -338,10 +338,6 @@ class TestAgainstOutputRecords:
             cg_backward(replace(trace, iterations=tuple(its)), x_bar, op)
 
 
-def real_inner(a, b):
-    return float(np.real(np.vdot(a, b)))
-
-
 class TestImplicitBackward:
     """A converged solve keeps only its solution and is reversed by an
     adjoint solve that stops on its own residual."""
@@ -426,7 +422,8 @@ class TestDcStep:
 
         def objective(img):
             resid = forward_apply(img, sample.coils, sample.mask) - sample.y
-            return norm2_sq(resid) / 2.0 + lam * norm2_sq(img - synth) / 2.0
+            err = img - synth
+            return real_inner(resid, resid) / 2.0 + lam * real_inner(err, err) / 2.0
 
         x0 = adjoint_apply(sample.y, sample.coils, sample.mask)
         assert objective(result.image) < objective(x0)

@@ -29,7 +29,7 @@ from ucdl.operators import (
     make_mask,
     simulate_measurement,
 )
-from ucdl.tensors import norm2_sq
+from ucdl.tensors import real_inner
 
 
 def random_complex(rng, shape):
@@ -383,11 +383,11 @@ class TestSolverBehavior:
             resid = forward_apply(result.image, sample.coils, sample.mask) - sample.y
             synth = oracles.synthesize(frames_first_bank(params.filters),
                                          result.code_state.u)
-            synth = np.moveaxis(synth, 0, -1)
+            err = result.image - np.moveaxis(synth, 0, -1)
             l1 = np.abs(result.code_state.u.real).sum() + np.abs(result.code_state.u.imag).sum()
             return (
-                0.5 * norm2_sq(resid)
-                + 0.5 * params.lam * norm2_sq(result.image - synth)
+                0.5 * real_inner(resid, resid)
+                + 0.5 * params.lam * real_inner(err, err)
                 + params.alpha * l1
             )
 

@@ -10,7 +10,7 @@ from ucdl.tensors import (
     crop_filter,
     dft_forward,
     dft_inverse,
-    norm2_sq,
+    real_inner,
     zero_pad_filter,
 )
 
@@ -186,11 +186,43 @@ class TestInnerProduct:
     def test_self_inner_product_is_squared_norm(self):
         rng = np.random.default_rng(11)
         a = random_complex(rng, (5, 5))
-        sq = norm2_sq(a)
+        sq = real_inner(a, a)
         assert isinstance(sq, float)
         assert np.isclose(sq, (a.real**2).sum() + (a.imag**2).sum())
 
     def test_parseval_scale_factor(self):
         rng = np.random.default_rng(13)
         a = random_complex(rng, (6, 7))
-        assert np.isclose(norm2_sq(a), norm2_sq(dft_forward(a)) / a.size, rtol=1e-12)
+        a_hat = dft_forward(a)
+        assert np.isclose(real_inner(a, a), real_inner(a_hat, a_hat) / a.size, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["complex", "float64", "strided", "mixed"])
+    def test_matches_vdot(self, kind):
+        rng = np.random.default_rng(17)
+        a = random_complex(rng, (4, 48, 48))
+        b = a + 0.1 * random_complex(rng, a.shape)  # keeps Re<a, b> away from zero
+        if kind == "float64":
+            a, b = a.real.copy(), b.real.copy()
+        elif kind == "strided":
+            a, b = a[:, ::2].T, b[:, ::2].T
+            assert not a.flags.c_contiguous
+        elif kind == "mixed":
+            b = b.real.copy()
+        want = np.vdot(a, b).real
+        assert abs(real_inner(a, b) - want) <= 1e-14 * abs(want)
+
+    def test_same_bits_at_every_alignment(self):
+        # the reduction's order follows the size alone, so shifting both
+        # buffers by 8 bytes at a time gives the same bits
+        rng = np.random.default_rng(19)
+        n = 2 * 36864
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        values = set()
+        for offset in range(8):
+            xs, ys = np.empty(n + 8), np.empty(n + 8)
+            xs[offset:offset + n] = x
+            ys[7 - offset:7 - offset + n] = y
+            xs, ys = xs[offset:offset + n], ys[7 - offset:7 - offset + n]
+            values.add(real_inner(xs, ys))
+            values.add(real_inner(xs.view(np.complex128), ys.view(np.complex128)))
+        assert len(values) == 1
