@@ -48,6 +48,10 @@ codes, so it computes no cotangent of x (neither CG's warm start nor the
 sweeps' image) nor of its first sweep's start state.  The sweeps of one
 outer iteration share x's spectrum, so their x cotangents are summed as
 spectra and transformed once.
+
+The sweep VJPs work in the cotangent buffers they are handed, and each
+K-map cotangent is dropped once it is summed, so the backward holds about
+six K-map stacks beyond its trace.  The trace itself is read-only.
 """
 
 from __future__ import annotations
@@ -132,6 +136,7 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
             block = "synthesis_backward"
             s_hat_bar, d_add = synthesis_backward(spectra, outer.admm[-1].s_hat, approx_bar)
             d_bar += d_add
+            del d_add  # each K-map cotangent lives only until it is summed
             block = "admm_step_backward"
             x_hat_bar = 0.0  # the sweeps share x's spectrum
             for j in range(len(outer.admm) - 1, -1, -1):
@@ -141,6 +146,7 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
                 )
                 x_hat_bar = x_hat_bar + x_hat_add
                 d_bar += d_add
+                del d_add
                 gamma_bar += gamma_add
                 tau_bar += tau_add
                 s_hat_bar = None  # earlier sweeps' s is not read

@@ -248,6 +248,8 @@ def _tile_grid(cells, rows: int, cols: int, fill: float) -> np.ndarray:
 
 
 def cmd_export_filters(args) -> int:
+    if args.zoom < 1:
+        raise ValueError(f"zoom must be >= 1, got {args.zoom}")
     params, config = load_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,8 +269,7 @@ def cmd_export_filters(args) -> int:
         ]
         rows, cols = kernels.shape[0], kernels.shape[3]
     grid = _tile_grid(cells, rows, cols, fill=-peak)
-    zoom = max(1, args.zoom)
-    grid = np.kron(grid, np.ones((zoom, zoom)))
+    grid = np.kron(grid, np.ones((args.zoom, args.zoom)))
     write_pgm(out / "filters.pgm", quantize_window(grid, -peak, peak))
     print(f"wrote {kernels.shape[0]} filters to {out}")
     return 0

@@ -274,12 +274,16 @@ def _sum_batch(arr: np.ndarray, n_spatial: int) -> np.ndarray:
 def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
     """VJP of u = soft_threshold(v, tau), in one pass over the float64
     channels: a channel passes where |v| > tau, v_bar = u_bar there and 0
-    elsewhere, and tau_bar = -<sign v, v_bar>."""
+    elsewhere, and tau_bar = -<sign v, v_bar>.
+
+    v_bar is formed in u_bar's buffer when u_bar is a C-contiguous array of
+    v's dtype, which it overwrites; else in a buffer of its own."""
     v = np.asarray(v)
     channels = _channels(v)
     scratch = np.abs(channels)
     passing = np.greater(scratch, tau)
-    v_bar = np.multiply(_channels(np.asarray(u_bar, dtype=v.dtype)), passing)
+    v_bar = _channels(np.asarray(u_bar, dtype=v.dtype))
+    np.multiply(v_bar, passing, out=v_bar)
     np.sign(channels, out=scratch)
     tau_bar = -real_inner(scratch, v_bar)
     return _from_channels(v_bar, v), tau_bar
@@ -330,10 +334,12 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
 
     Takes the sweep's record and constants, and the cotangents of its outputs:
     s_hat_bar of the new s's spectrum (from the synthesis of the last
-    sweep's s; it may be overwritten), u_bar and z_bar of the new u
-    and z.  None stands for a zero cotangent, and u_bar and z_bar are both
-    None or both arrays.  Without `need_state` the sweep started from a
-    state that carries no parameters, and its cotangents are not computed.
+    sweep's s), u_bar and z_bar of the new u and z, all three
+    C-contiguous complex arrays, which it overwrites: s_hat_bar and u_bar
+    become scratch, and z_bar holds the cotangent of z_prev.  None stands
+    for a zero cotangent, and u_bar and z_bar are both None or both arrays.
+    Without `need_state` the sweep started from a state that carries no
+    parameters, and its cotangents are not computed.
 
     Returns the cotangent of x_hat (spectral), those of (u_prev, z_prev)
     (spatial, or None), and the spectra/gamma/tau pieces.
@@ -343,13 +349,15 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
     if u_bar is not None:
         # z_new = z_prev + (u_new - s_new); u_new = soft_threshold(v, tau)
         # with v = s_new - z_prev: s_new gets v_bar - z_bar, z_prev the negation
-        v_bar, tau_bar = prox_backward(step.v, step.tau, u_bar + z_bar)
+        u_bar += z_bar
+        v_bar, tau_bar = prox_backward(step.v, step.tau, u_bar)
         sz_bar = np.subtract(v_bar, z_bar, out=v_bar)
         sz_hat_bar = dft_forward(sz_bar, ndim=spectra.n_spatial)
         sz_hat_bar /= spectra.n_freq
-        if s_hat_bar is not None:
-            sz_hat_bar += s_hat_bar
-        s_hat_bar = sz_hat_bar
+        # the sum goes into the synthesis cotangent's buffer; IEEE addition commutes
+        s_hat_bar = (sz_hat_bar if s_hat_bar is None
+                     else np.add(s_hat_bar, sz_hat_bar, out=s_hat_bar))
+        del sz_hat_bar
     # s_new = s_update_traced(x_hat, u_prev, z_prev, spectra, gamma)[0]
     x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
         step.s_hat, step.c, spectra, config.gamma, s_hat_bar, need_w=need_state
@@ -358,7 +366,7 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
         raise NonFiniteValue("non-finite gamma or tau cotangent")
     z_prev_bar = None
     if need_state:
-        z_prev_bar = w_bar.copy() if sz_bar is None else np.subtract(w_bar, sz_bar)
+        z_prev_bar = w_bar.copy() if sz_bar is None else np.subtract(w_bar, sz_bar, out=z_bar)
     return x_hat_bar, w_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
 
 

@@ -19,6 +19,8 @@ the whole volume, a "2d" bank on each frame, the frame axis being a batch
 axis.  Kernels keep the public (K, k_x, k_y[, k_t]) layout in parameters
 and files; a 3D bank runs as (K, k_t, k_x, k_y).
 
+A traced forward records read-only arrays; its output image is its own.
+
 A non-finite value stops the forward with an error naming the outer
 iteration and the CG step where it showed.  Sparse coding has no check of
 its own: a non-finite value from it surfaces at the next CG start.
@@ -26,7 +28,7 @@ its own: a non-finite value from it surfaces at the next CG start.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -233,16 +235,29 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
         except NonFiniteValue as err:  # only CG checks; see the module docstring
             raise NonFiniteValue(f"outer iteration {t}: cg_solve: {err}") from err
         if want_trace:
-            outer_traces.append(record)
+            outer_traces.append(_read_only(record))
         # an untraced forward keeps no record: drop it before the next
         # iteration's sweeps allocate theirs
         del record
     trace = None
     if want_trace:
         trace = NetworkTrace(config=config, params=params, sample=sample,
-                             spectra=spectra, outer=tuple(outer_traces))
-    return ReconResult(image=np.ascontiguousarray(np.moveaxis(x, 0, -1)),
-                       code_state=state, trace=trace)
+                             spectra=_read_only(spectra), outer=tuple(outer_traces))
+    # a copy even where the transpose is a view (N_t = 1): x is recorded
+    return ReconResult(image=np.moveaxis(x, 0, -1).copy(), code_state=state, trace=trace)
+
+
+def _read_only(record):
+    """`record` with `writeable` cleared on every array it and the records in
+    it hold, so that a VJP writing into the trace raises instead of changing
+    what a second backward reads."""
+    for value in vars(record).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
+            elif is_dataclass(item):
+                _read_only(item)
+    return record
 
 
 # ---------------------------------------------------------------------------

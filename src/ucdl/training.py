@@ -153,10 +153,12 @@ def evaluate_loss(dataset, params: NetworkParams, config: NetworkConfig) -> floa
 def train_step(sample, target, params, config, state: AdamState):
     """Forward, backward, and Adam update on one sample; returns its loss."""
     result = forward_reconstruct(sample, params, config, want_trace=True)
-    loss = loss_mse(result.image, target)
+    image, trace = result.image, result.trace
+    del result  # the backward reads the trace alone: the final code maps go now
+    loss = loss_mse(image, target)
     if not np.isfinite(loss):
         raise NonFiniteValue(f"non-finite training loss {loss}")
-    grads = backward(result.trace, loss_mse_grad(result.image, target))
+    grads = backward(trace, loss_mse_grad(image, target))
     params, state = adam_step(
         params, grads, state, update_filters=config.train_filters
     )

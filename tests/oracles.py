@@ -1,9 +1,10 @@
-"""Reference computations shared by the tests.
+"""Reference computations and measurement helpers shared by the tests.
 
 The package keeps one implementation of each forward block; the helpers
 here exist only so the tests can check those blocks against them.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +230,33 @@ def solution(record, operator):
         x = x + it.alpha * p
         r = r - it.alpha * q
     return x
+
+
+def recorded_arrays(trace):
+    """(name, array) for every array a NetworkTrace records: the kernel
+    constants, and per outer iteration its sweeps' records, its approximation
+    and its solve's record."""
+    spectra = trace.spectra
+    arrays = [("spectra.d", spectra.d), ("spectra.conj", spectra.conj),
+              ("spectra.power", spectra.power)]
+    for t, outer in enumerate(trace.outer):
+        for j, step in enumerate(outer.admm):
+            arrays += [(f"outer[{t}].admm[{j}].{name}", getattr(step, name))
+                       for name in ("s_hat", "c", "v")]
+        arrays.append((f"outer[{t}].approx", outer.approx))
+        names = ("x",) if isinstance(outer.cg, CgSolution) else ("x0", "r0")
+        arrays += [(f"outer[{t}].cg.{name}", getattr(outer.cg, name)) for name in names]
+    return arrays
+
+
+def traced_peak(call):
+    """The peak of the memory that `call()` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def outer_inputs(trace):

@@ -14,6 +14,7 @@ spatial-handoff backward of the oracles module.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -49,9 +50,10 @@ from ucdl.network import (
 )
 from ucdl.operators import make_coil_maps, make_mask, simulate_measurement
 from ucdl.tensors import dft_forward, dft_inverse, real_inner
+from ucdl.training import AdamState, loss_mse_grad, train_step
 
 import oracles
-from oracles import run_admm, spectra_of
+from oracles import run_admm, spectra_of, traced_peak
 
 FD_STEP = 1e-6
 
@@ -147,7 +149,8 @@ class TestProxBackward:
         weight = random_complex(rng, (3, 4))
         assert prox_kink_margin(v, tau) > 1e-3
 
-        v_bar, tau_bar = prox_backward(v, tau, weight)
+        # the VJP overwrites its cotangent; the losses below still read weight
+        v_bar, tau_bar = prox_backward(v, tau, weight.copy())
         fd_v = numeric_grad(lambda a: real_weighted(weight, soft_threshold(a, tau)), v)
         fd_tau = numeric_grad_scalar(
             lambda t: real_weighted(weight, soft_threshold(v, t)), tau
@@ -271,8 +274,9 @@ class TestAdmmStepBackward:
             )
 
         _, spectra = spectra_of(x, bank)
+        # the VJP overwrites its cotangents; loss() still reads w_u and w_z
         x_hat_bar, u_bar, z_bar, d_bar, gamma_bar, tau_bar = admm_step_backward(
-            trace, spectra, config(gamma, tau), spectral(w_s, 2), w_u, w_z
+            trace, spectra, config(gamma, tau), spectral(w_s, 2), w_u.copy(), w_z.copy()
         )
         x_bar = spatial(x_hat_bar, 2)
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
@@ -318,8 +322,8 @@ class TestAdmmStepBackward:
         s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
         u_bar, z_bar = random_complex(rng, (2, 4, 4)), random_complex(rng, (2, 4, 4))
         inputs = (trace, spectra, cfg)
-        full = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar, z_bar)
-        skipped = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar, z_bar,
+        full = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar.copy(), z_bar.copy())
+        skipped = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar.copy(), z_bar.copy(),
                                      need_state=False)
         assert skipped[1] is None and skipped[2] is None
         for a, b in zip(full[:1] + full[3:], skipped[:1] + skipped[3:]):
@@ -445,7 +449,7 @@ class TestCgBackward:
 # ---------------------------------------------------------------------------
 
 def make_instance(mode, image_shape, seed, n_outer, n_admm, n_cg, kernel_size=3,
-                  scale=1.0, family="columns"):
+                  scale=1.0, family="columns", n_filters=2):
     rng = np.random.default_rng(seed)
     coils = make_coil_maps(2, image_shape[:2])
     mask = make_mask(image_shape, accel=1.5, family=family, seed=seed + 1)
@@ -453,7 +457,7 @@ def make_instance(mode, image_shape, seed, n_outer, n_admm, n_cg, kernel_size=3,
     sample = simulate_measurement(target, coils, mask, sigma=0.01, rng_seed=seed + 2)
     config = NetworkConfig(
         mode=mode,
-        n_filters=2,
+        n_filters=n_filters,
         kernel_size=kernel_size,
         n_outer=n_outer,
         n_admm=n_admm,
@@ -657,6 +661,65 @@ class TestAgainstSpatialHandoff:
         want = oracles.backward(result.trace, d_image)
         assert relative_error(got.d_filters, want.d_filters) <= 1e-12
         assert relative_error(log_weight_grads(got), log_weight_grads(want)) <= 1e-12
+
+
+class TestTraceReuse:
+    """The VJPs work in the cotangent buffers they are handed, never in the
+    trace: a second backward on one trace reads what the first one did."""
+
+    @pytest.mark.parametrize("family,record", [("columns", CgSolution), ("points", CgTrace)])
+    def test_second_backward_gives_the_same_bits(self, family, record):
+        sample, config, params, target = make_instance(
+            "3d", (8, 8, 4), seed=91, n_outer=3, n_admm=2, n_cg=4, scale=4.0, family=family)
+        result = forward_reconstruct(sample, params, config, want_trace=True)
+        assert all(type(outer.cg) is record for outer in result.trace.outer)
+
+        def digests():
+            return [(name, hashlib.sha256(a.tobytes()).hexdigest())
+                    for name, a in oracles.recorded_arrays(result.trace)]
+
+        before = digests()
+        d_image = 2.0 * (result.image - target)
+        first, second = (backward(result.trace, d_image) for _ in range(2))
+        for field in dataclasses.fields(GradientSet):
+            a, b = (np.asarray(getattr(g, field.name)) for g in (first, second))
+            assert a.tobytes() == b.tobytes(), field.name
+        assert digests() == before
+
+
+class TestStepMemory:
+    """A train step holds, beyond its trace, only what its remaining work
+    reads.  K-map stacks (K, N_t, N_x, N_y) dominate the images here, and
+    the bounds are in K-maps: the backward peaks at about 6.3 of them above
+    its trace and the train step at about 6.4, the traced forward's own
+    peak.  A new buffer for each sweep cotangent, or the final code maps
+    held through the backward, breaks the bound."""
+
+    n_filters = 32
+
+    def instance(self, n_admm=1, n_cg=12, family="columns"):
+        sample, config, params, target = make_instance(
+            "3d", (16, 16, 8), seed=93, n_outer=3, n_admm=n_admm, n_cg=n_cg,
+            family=family, n_filters=self.n_filters)
+        kmap = self.n_filters * np.prod(sample.image_shape) * np.dtype(np.complex128).itemsize
+        return sample, config, params, target, kmap
+
+    @pytest.mark.parametrize("n_admm,n_cg,family", [(1, 12, "columns"), (2, 3, "points")])
+    def test_backward_peak_above_its_trace(self, n_admm, n_cg, family):
+        sample, config, params, target, kmap = self.instance(n_admm, n_cg, family)
+        result = forward_reconstruct(sample, params, config, want_trace=True)
+        trace, d_image = result.trace, loss_mse_grad(result.image, target)
+        del result
+        assert traced_peak(lambda: backward(trace, d_image)) <= 7 * kmap
+
+    def test_train_step_holds_no_code_maps(self):
+        sample, config, params, target, kmap = self.instance()
+        trace = forward_reconstruct(sample, params, config, want_trace=True).trace
+        trace_bytes = sum(a.nbytes for _, a in oracles.recorded_arrays(trace))
+        del trace
+        state = AdamState.init(params)
+        peak = traced_peak(lambda: train_step(sample, target, params, config, state))
+        assert peak - trace_bytes <= 7 * kmap
 
 
 class TestBackwardApi:

@@ -589,6 +589,14 @@ class TestBadSettings:
         assert capsys.readouterr().err == "seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("zoom", [0, -2])
+    def test_zoom_below_one(self, workspace, tmp_path, capsys, zoom):
+        code, _ = run_cli("export-filters", "--checkpoint", workspace["run"] / "final",
+                          "--out", tmp_path / "filters", "--zoom", zoom)
+        assert code == 1
+        assert capsys.readouterr().err == f"zoom must be >= 1, got {zoom}\n"
+        assert not (tmp_path / "filters").exists()
+
     def test_kernels_larger_than_the_images(self, tmp_path, capsys):
         data = gen_data(tmp_path / "d", samples=1, nx=8, ny=8, nt=2)
         code, _ = run_cli("train", "--data", data, "--val", data, "--out", tmp_path / "run",

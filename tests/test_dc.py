@@ -1,7 +1,6 @@
 """Data-consistency block tests: CG against dense solves and closed forms."""
 
 import sys
-import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,7 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import frames_first, output_cg_backward, output_cg_solve, synthesize
+from oracles import (frames_first, output_cg_backward, output_cg_solve, synthesize,
+                     traced_peak)
 from ucdl import network
 from ucdl.csc import CodeState, FilterBank
 from ucdl.dc import (CONVERGED_RTOL, CgSolution, NormalOperator, cg_backward,
@@ -277,16 +277,6 @@ def cg_case(family, n_cg, start, lam=0.6, shape=(12, 10, 3)):
     if start == "solved":
         rhs = op(x0)
     return rhs, op, x0, random_complex(rng, rhs.shape)
-
-
-def traced_peak(call):
-    """The peak of the memory that `call()` allocates, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def same_bits(a, b):

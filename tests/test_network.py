@@ -315,6 +315,43 @@ class TestIterationLifetime:
             assert len(result.trace.outer) == cfg.n_outer
 
 
+class TestReadOnlyTrace:
+    """A traced forward records read-only arrays, so a VJP that wrote into
+    the trace would raise instead of changing what a second backward reads;
+    its output image stays the caller's own."""
+
+    @pytest.mark.parametrize("n_cg,kind", [(4, dc.CgSolution), (1, dc.CgTrace)])
+    def test_every_recorded_array_is_read_only(self, n_cg, kind):
+        rng = np.random.default_rng(21)
+        _, sample = measured_instance(rng)
+        cfg = NetworkConfig(mode="3d", n_filters=2, kernel_size=3, n_outer=2,
+                            n_admm=2, n_cg=n_cg)
+        trace = forward_reconstruct(sample, init_network(cfg, rng_seed=0), cfg,
+                                    want_trace=True).trace
+        assert all(isinstance(outer.cg, kind) for outer in trace.outer)
+        for name, a in oracles.recorded_arrays(trace):
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a *= 1.0
+
+    @pytest.mark.parametrize("n_frames", [1, 4])
+    @pytest.mark.parametrize("n_cg", [1, 4])
+    def test_output_image_is_writable_and_its_own(self, n_frames, n_cg):
+        # with one frame the public transpose of the recorded x is a view of it
+        rng = np.random.default_rng(22)
+        _, sample = measured_instance(rng, shape=(8, 8, n_frames))
+        cfg = NetworkConfig(mode="2d", n_filters=2, kernel_size=3, n_outer=2, n_cg=n_cg)
+        params = init_network(cfg, rng_seed=0)
+        result = forward_reconstruct(sample, params, cfg, want_trace=True)
+        image = result.image
+        assert image.flags.writeable and image.flags.c_contiguous
+        assert not any(np.shares_memory(image, a)
+                       for _, a in oracles.recorded_arrays(result.trace))
+        last = oracles.solution(result.trace.outer[-1].cg,
+                                dc.NormalOperator(sample.coils, sample.mask, params.lam))
+        assert image.tobytes() == np.moveaxis(last, 0, -1).copy().tobytes()
+
+
 def relative_error(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
