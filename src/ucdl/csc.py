@@ -28,10 +28,12 @@ with the image spectrum x^f that the J sweeps of an outer iteration share,
 to every sweep.  A sweep records only what varies (:class:`AdmmStepTrace`):
 s^f, the image c, and the prox input and threshold.  Since
 d^T s^f = x^f - gamma c, the network's synthesis is the inverse DFT of that
-image and needs no K-map product.  The solve and the soft threshold write
-into buffers of their own; they run the plain formulas' operations in the
-same order and return the same bits, except that a code entry the
-threshold zeroes keeps the sign of its input.
+image and needs no K-map product.  A sweep consumes its input state: w = u + z
+and then s^f are formed in u's buffer, and the new s and z in the old ones'
+buffers, so only the new u and the records v and c are fresh arrays.  The
+solve and the soft threshold run the plain formulas' operations in the same
+order and return the same bits, except that a code entry the threshold
+zeroes keeps the sign of its input.
 
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records.
@@ -82,13 +84,26 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class CodeState:
-    """ADMM iterate: coefficient maps s, auxiliaries u, scaled duals z."""
+    """ADMM iterate: coefficient maps s, auxiliaries u, scaled duals z.
+
+    A sweep writes the next state into these buffers, so each field is a
+    distinct, writable, C-contiguous complex128 array: a field that is not
+    one, or that may share memory with an earlier field, is stored as a copy.
+    """
 
     s: np.ndarray
     u: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
+        held = []
+        for name in ("s", "u", "z"):
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) and value.dtype == np.complex128
+                    and value.flags.c_contiguous and value.flags.writeable
+                    and not any(np.may_share_memory(value, other) for other in held)):
+                object.__setattr__(self, name, np.array(value, dtype=np.complex128, order="C"))
+            held.append(getattr(self, name))
         if not (self.s.shape == self.u.shape == self.z.shape):
             raise ShapeMismatch(
                 f"code state parts disagree: {self.s.shape}, {self.u.shape}, {self.z.shape}"
@@ -142,12 +157,12 @@ class KernelSpectra:
     """Kernel spectra at one image shape, with the constants every sweep and
     every sweep VJP derive from them.
 
-    d and conj carry singleton batch axes between the filter axis and the
-    spatial axes, so they broadcast against (K, *image) code maps.
+    d carries singleton batch axes between the filter axis and the spatial
+    axes, so it broadcasts against (K, *image) code maps.  conj(d) is not
+    kept: a product conj(d) y is formed as conj(d conj(y)) in its own buffer.
     """
 
     d: np.ndarray       # (K, 1, ..., 1, *spatial)
-    conj: np.ndarray    # conj(d)
     power: np.ndarray   # (*spatial), sum_k |d_k|^2
     n_spatial: int
 
@@ -165,33 +180,42 @@ def kernel_spectra(filters: FilterBank, image_shape: tuple) -> KernelSpectra:
     d = filter_spectra(filters, tuple(image_shape[n_batch:]))
     power = (np.abs(d) ** 2).sum(axis=0)
     d = d.reshape(d.shape[:1] + (1,) * n_batch + d.shape[1:])
-    return KernelSpectra(d=d, conj=np.conj(d), power=power, n_spatial=n_spatial)
+    return KernelSpectra(d=d, power=power, n_spatial=n_spatial)
 
 
-def s_update_traced(x_hat, u, z, spectra: KernelSpectra, gamma: float):
-    """Exact minimizer of the s-subproblem for the image spectrum x_hat.
+def _conj_times(d: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """conj(d) y for filter spectra d and an image y, as conj(d conj(y)) in
+    `out` (a fresh array if None): the bits of conj(d) y except where an
+    imaginary part cancels exactly, whose zero may carry the other sign."""
+    out = np.multiply(d, np.conj(y)[np.newaxis], out=out)
+    return np.conjugate(out, out=out)
+
+
+def s_update_traced(x_hat, w, spectra: KernelSpectra, gamma: float, out: np.ndarray):
+    """Exact minimizer of the s-subproblem for the image spectrum x_hat and
+    w = u + z.
 
     Returns the new s and the pair the sweep records: its spectrum
-    s_hat = w_hat + conj(d) c, w = u + z, and the image
-    c = (x_hat - d^T w_hat) / (gamma + P).  The operations are those of the
-    plain formulas, in that order.
+    s_hat = w_hat + conj(d) c and the image c = (x_hat - d^T w_hat) / (gamma + P).
+    The operations are those of the plain formulas, in that order.  Both
+    w and `out` are overwritten: s_hat is formed in w's buffer and the new s
+    in `out`'s, when each is a C-contiguous complex128 array.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if u.shape != spectra.d.shape[:1] + x_hat.shape or z.shape != u.shape:
+    if w.shape != spectra.d.shape[:1] + x_hat.shape:
         raise ShapeMismatch(
-            f"code maps {u.shape} do not extend image shape {x_hat.shape} "
+            f"code maps {w.shape} do not extend image shape {x_hat.shape} "
             f"by {len(spectra.d)} filters"
         )
-    # w_hat becomes s_hat in place
-    s_hat = dft_forward(u + z, ndim=spectra.n_spatial)
+    s_hat = dft_forward(w, ndim=spectra.n_spatial, overwrite_x=True)
     scratch = np.multiply(spectra.d, s_hat)
     c = scratch.sum(axis=0)
     np.subtract(x_hat, c, out=c)
     c /= gamma + spectra.power
-    np.multiply(spectra.conj, c[np.newaxis], out=scratch)
-    s_hat += scratch
-    return dft_inverse(s_hat, ndim=spectra.n_spatial), (s_hat, c)
+    s_hat += _conj_times(spectra.d, c, out=scratch)
+    np.copyto(out, s_hat)
+    return dft_inverse(out, ndim=spectra.n_spatial, overwrite_x=True), (s_hat, c)
 
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
@@ -248,16 +272,21 @@ class AdmmStepTrace:
 
 def admm_step_traced(x_hat, state: CodeState, spectra: KernelSpectra, config: AdmmConfig):
     """One s -> u -> z sweep for the image spectrum x_hat, returning the new
-    state and its trace."""
-    s_new, (s_hat, c) = s_update_traced(x_hat, state.u, state.z, spectra, config.gamma)
-    v = s_new - state.z
+    state and its trace.
+
+    The sweep consumes `state`: w = u + z is formed in u's buffer and becomes
+    the recorded s_hat, and the new s and z are formed in the old s's and z's
+    buffers.  Only the new u and the recorded v and c are fresh arrays.  A
+    caller that reads `state` afterwards hands over a copy.
+    """
+    s, u, z = state.s, state.u, state.z
+    s, (s_hat, c) = s_update_traced(x_hat, np.add(u, z, out=u), spectra, config.gamma, s)
+    v = np.subtract(s, z)
     tau = config.threshold
-    u_new = soft_threshold(v, tau)
-    # grouping keeps z bitwise unchanged at a fixed point (u == s)
-    z_new = np.subtract(u_new, s_new)
-    np.add(state.z, z_new, out=z_new)
-    new_state = CodeState(s=s_new, u=u_new, z=z_new)
-    return new_state, AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=tau)
+    u = soft_threshold(v, tau)
+    # z + (u - s): the grouping keeps z bitwise unchanged at a fixed point (u == s)
+    z += np.subtract(u, s)
+    return CodeState(s=s, u=u, z=z), AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +341,7 @@ def s_update_backward(s_hat, c, spectra: KernelSpectra, gamma: float,
     rho = scratch.sum(axis=0)
     rho /= gamma + spectra.power
     w_hat_bar = s_hat_bar
-    w_hat_bar -= np.multiply(spectra.conj, rho[np.newaxis], out=scratch)
+    w_hat_bar -= _conj_times(spectra.d, rho, out=scratch)
     w_bar = None
     if need_w:
         w_bar = dft_inverse(w_hat_bar, ndim=spectra.n_spatial)
@@ -358,7 +387,7 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
         s_hat_bar = (sz_hat_bar if s_hat_bar is None
                      else np.add(s_hat_bar, sz_hat_bar, out=s_hat_bar))
         del sz_hat_bar
-    # s_new = s_update_traced(x_hat, u_prev, z_prev, spectra, gamma)[0]
+    # s_new = s_update_traced(x_hat, u_prev + z_prev, spectra, gamma, s_prev)[0]
     x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
         step.s_hat, step.c, spectra, config.gamma, s_hat_bar, need_w=need_state
     )
@@ -380,7 +409,7 @@ def synthesis_backward(spectra: KernelSpectra, s_hat: np.ndarray, synth_bar: np.
     f_synth_bar /= spectra.n_freq
     if not np.all(np.isfinite(f_synth_bar)):
         raise NonFiniteValue("non-finite synthesis cotangent")
-    s_hat_bar = spectra.conj * f_synth_bar[np.newaxis]
+    s_hat_bar = _conj_times(spectra.d, f_synth_bar)
     d_bar = np.conj(s_hat)
     d_bar *= f_synth_bar[np.newaxis]
     return s_hat_bar, _sum_batch(d_bar, spectra.n_spatial)

@@ -19,7 +19,10 @@ the whole volume, a "2d" bank on each frame, the frame axis being a batch
 axis.  Kernels keep the public (K, k_x, k_y[, k_t]) layout in parameters
 and files; a 3D bank runs as (K, k_t, k_x, k_y).
 
-A traced forward records read-only arrays; its output image is its own.
+Each sweep writes the next code state into the buffers of the state it
+replaces (:func:`ucdl.csc.admm_step_traced`), so a forward holds one code
+state at a time beside what the sweeps record.  A traced forward records
+read-only arrays; its output image is its own.
 
 A non-finite value stops the forward with an error naming the outer
 iteration and the CG step where it showed.  Sparse coding has no check of
@@ -198,7 +201,8 @@ def outer_iteration(x: np.ndarray, state: CodeState, aty: np.ndarray, spectra: K
                     operator: NormalOperator, admm_cfg: AdmmConfig, config: NetworkConfig):
     """One outer iteration from the frames-first image x: J ADMM sweeps, the
     synthesis and the CG solve warm-started at x.  Returns the next (x, state)
-    and the iteration's OuterTrace; nothing else of it outlives the call."""
+    and the iteration's OuterTrace; nothing else of it outlives the call.
+    The sweeps consume `state`: the next one lives in its buffers."""
     x_hat = dft_forward(x, ndim=spectra.n_spatial)
     steps = []
     for _ in range(config.n_admm):

@@ -32,20 +32,22 @@ def _spatial_axes(x: np.ndarray, ndim: int | None) -> tuple[int, ...]:
     return tuple(range(x.ndim - ndim, x.ndim))
 
 
-def dft_forward(x: np.ndarray, ndim: int | None = None) -> np.ndarray:
+def dft_forward(x: np.ndarray, ndim: int | None = None, overwrite_x: bool = False) -> np.ndarray:
     """Unnormalized forward DFT over the trailing `ndim` axes.
 
     By default all axes are transformed.  Leading axes that are not
-    transformed act as batch dimensions.
+    transformed act as batch dimensions.  With `overwrite_x` the transform
+    may destroy `x`; scipy.fft then returns it in `x`'s own buffer when `x`
+    is a C-contiguous complex128 array, with the same bits.
     """
     x = np.asarray(x, dtype=COMPLEX_DTYPE)
-    return scipy.fft.fftn(x, axes=_spatial_axes(x, ndim))
+    return scipy.fft.fftn(x, axes=_spatial_axes(x, ndim), overwrite_x=overwrite_x)
 
 
-def dft_inverse(x: np.ndarray, ndim: int | None = None) -> np.ndarray:
+def dft_inverse(x: np.ndarray, ndim: int | None = None, overwrite_x: bool = False) -> np.ndarray:
     """Inverse of :func:`dft_forward`, including the 1/N normalization."""
     x = np.asarray(x, dtype=COMPLEX_DTYPE)
-    return scipy.fft.ifftn(x, axes=_spatial_axes(x, ndim))
+    return scipy.fft.ifftn(x, axes=_spatial_axes(x, ndim), overwrite_x=overwrite_x)
 
 
 def _check_fits(kernel: tuple[int, ...], shape: tuple[int, ...]) -> None:

@@ -62,6 +62,12 @@ def csc_objective(x, state, filters, config) -> float:
     return float(fidelity + config.alpha * l1 + penalty)
 
 
+def copy_state(state):
+    """A copy of `state` in buffers of its own, for a test that reads a state
+    after handing it to a sweep, which writes into its buffers."""
+    return CodeState(s=state.s.copy(), u=state.u.copy(), z=state.z.copy())
+
+
 def spectra_of(x, filters):
     """The image spectrum and kernel constants a sweep on image x takes."""
     spectra = kernel_spectra(filters, x.shape)
@@ -237,8 +243,7 @@ def recorded_arrays(trace):
     constants, and per outer iteration its sweeps' records, its approximation
     and its solve's record."""
     spectra = trace.spectra
-    arrays = [("spectra.d", spectra.d), ("spectra.conj", spectra.conj),
-              ("spectra.power", spectra.power)]
+    arrays = [("spectra.d", spectra.d), ("spectra.power", spectra.power)]
     for t, outer in enumerate(trace.outer):
         for j, step in enumerate(outer.admm):
             arrays += [(f"outer[{t}].admm[{j}].{name}", getattr(step, name))

@@ -155,7 +155,7 @@ class TestCriterion2ShermanMorrison:
                 z = random_complex(rng, (n_filters,) + spatial)
 
                 x_hat, bank_spectra = spectra_of(x, bank)
-                s, _ = s_update_traced(x_hat, u, z, bank_spectra, gamma)
+                s, _ = s_update_traced(x_hat, u + z, bank_spectra, gamma, np.empty_like(u))
 
                 # dense oracle: one K x K system per frequency
                 spectra = filter_spectra(bank, spatial)

@@ -196,7 +196,7 @@ class TestSUpdateBackward:
         weight = random_complex(rng, (2,) + image_shape)
 
         x_hat, spectra = spectra_of(x, bank)
-        _, (s_hat, c) = s_update_traced(x_hat, u, z, spectra, gamma)
+        _, (s_hat, c) = s_update_traced(x_hat, u + z, spectra, gamma, np.empty_like(u))
         n_spatial = len(kernel_shape)
         x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
             s_hat, c, spectra, gamma, spectral(weight, n_spatial)
@@ -207,7 +207,8 @@ class TestSUpdateBackward:
 
         def loss(x_=x, u_=u, z_=z, bank_=bank, gamma_=gamma):
             x_hat_, spectra_ = spectra_of(x_, bank_)
-            return real_weighted(weight, s_update_traced(x_hat_, u_, z_, spectra_, gamma_)[0])
+            return real_weighted(weight, s_update_traced(x_hat_, u_ + z_, spectra_, gamma_,
+                                                        np.empty_like(u_))[0])
 
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
         assert_grad_close(numeric_grad(lambda a: loss(u_=a), u), u_bar)
@@ -259,7 +260,7 @@ class TestAdmmStepBackward:
 
         def run(x_=x, u_=state.u, z_=state.z, bank_=bank, gamma_=gamma, tau_=tau):
             x_hat_, spectra_ = spectra_of(x_, bank_)
-            st = CodeState(s=state.s, u=u_, z=z_)
+            st = oracles.copy_state(CodeState(s=state.s, u=u_, z=z_))
             return admm_step_traced(x_hat_, st, spectra_, config(gamma_, tau_))
 
         new_state, trace = run()

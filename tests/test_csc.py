@@ -35,7 +35,7 @@ def random_complex(rng, shape):
 def s_update(x, u, z, bank, gamma):
     """The package's s-update on image x with `bank`: the new s."""
     x_hat, spectra = spectra_of(x, bank)
-    return s_update_traced(x_hat, u, z, spectra, gamma)[0]
+    return s_update_traced(x_hat, u + z, spectra, gamma, np.empty_like(u))[0]
 
 
 def admm_step(x, state, bank, config):
@@ -288,7 +288,7 @@ class TestClosedFormAgainstShermanMorrison:
         x = random_complex(rng, image_shape)
         u, z, s_bar = (random_complex(rng, (n_filters,) + image_shape) for _ in range(3))
         x_hat, spectra = spectra_of(x, bank)
-        _, (s_hat, c) = s_update_traced(x_hat, u, z, spectra, gamma)
+        _, (s_hat, c) = s_update_traced(x_hat, u + z, spectra, gamma, np.empty_like(u))
         return x, u, z, bank, x_hat, spectra, s_hat, c, s_bar
 
     @pytest.mark.parametrize("gamma", [1.0, 1.625])
@@ -355,8 +355,8 @@ class TestUUpdate:
         state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
         cfg = AdmmConfig(lam=0.8, alpha=0.3, beta=1.1)
         scaled = AdmmConfig(lam=0.8 * 7.0, alpha=0.3 * 7.0, beta=1.1 * 7.0)
-        a, _ = admm_step(x, state, bank, cfg)
-        b, _ = admm_step(x, state, bank, scaled)
+        a, _ = admm_step(x, oracles.copy_state(state), bank, cfg)
+        b, _ = admm_step(x, oracles.copy_state(state), bank, scaled)
         assert np.allclose(a.u, b.u, atol=1e-12)
 
     def test_z_update(self):
@@ -366,7 +366,7 @@ class TestUUpdate:
         x = random_complex(rng, (3, 3))
         state = CodeState(*(random_complex(rng, (2, 3, 3)) for _ in range(3)))
         cfg = AdmmConfig(lam=1.0, alpha=0.2, beta=1.3)
-        new, _ = admm_step(x, state, bank, cfg)
+        new, _ = admm_step(x, oracles.copy_state(state), bank, cfg)
         assert np.array_equal(new.z, state.z + (new.u - new.s))
 
 
@@ -394,6 +394,12 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_buffer(a, b):
+    """Whether a and b are the same memory, start and size."""
+    return (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and a.nbytes == b.nbytes)
+
+
 class TestAgainstPlainFormulas:
     """The in-place solve and prox run the plain formulas' operations in
     their order, so one sweep returns the same bits."""
@@ -402,7 +408,7 @@ class TestAgainstPlainFormulas:
     @pytest.mark.parametrize("weights", SWEEP_WEIGHTS)
     def test_sweep_is_bitwise_equal(self, kernel_shape, image_shape, weights):
         x, state, bank, cfg = sweep_inputs(20, kernel_shape, image_shape, weights)
-        new, trace = admm_step(x, state, bank, cfg)
+        new, trace = admm_step(x, oracles.copy_state(state), bank, cfg)
         want, want_s_hat, want_c = oracles.admm_step(x, state, bank, cfg)
         assert same_bits(new.s, want.s)
         assert same_bits(trace.s_hat, want_s_hat)
@@ -416,17 +422,25 @@ class TestAgainstPlainFormulas:
 
     @pytest.mark.parametrize("kernel_shape,image_shape", SWEEP_SHAPES)
     def test_sweep_leaves_its_inputs_alone(self, kernel_shape, image_shape):
+        # the sweep consumes its state and keeps x_hat, the spectra and the kernels
         x, state, bank, cfg = sweep_inputs(21, kernel_shape, image_shape, SWEEP_WEIGHTS[1])
         x_hat, spectra = spectra_of(x, bank)
-        inputs = [x_hat, state.s, state.u, state.z, spectra.d, spectra.conj, spectra.power,
-                  bank.kernels]
+        inputs = [x_hat, spectra.d, spectra.power, bank.kernels]
         before = [a.copy() for a in inputs]
+        old = [state.s, state.u, state.z]
         new, trace = admm_step_traced(x_hat, state, spectra, cfg)
         assert all(same_bits(a, b) for a, b in zip(inputs, before))
         outputs = [new.s, new.u, new.z, trace.v, trace.s_hat, trace.c]
         for i, out in enumerate(outputs):
             assert not any(np.shares_memory(out, a) for a in inputs)
+            # one of the old state's buffers, whole, or a fresh array
+            reused = [a for a in old if np.shares_memory(out, a)]
+            assert not reused or (len(reused) == 1 and same_buffer(out, reused[0]))
             assert not any(np.shares_memory(out, b) for b in outputs[i + 1:])
+        # s_hat is formed in u's buffer, the new s and z in their own
+        assert same_buffer(new.s, old[0])
+        assert same_buffer(trace.s_hat, old[1])
+        assert same_buffer(new.z, old[2])
 
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.25])
     def test_soft_threshold_matches_plain_formula(self, tau):
@@ -446,6 +460,47 @@ class TestAgainstPlainFormulas:
             assert np.array_equal(got, want)
             assert same_bits(np.asarray(values), before)
             assert not np.shares_memory(got, values)
+
+
+class TestCodeStateBuffers:
+    """A sweep writes its new state into its input state's buffers, so a
+    CodeState holds three distinct, writable, C-contiguous complex128 arrays
+    and copies any field that is not one."""
+
+    def fields(self, case, state):
+        s, u, z = state.s, state.u, state.z
+        if case == "u_is_z":
+            return s, u, u
+        if case == "fortran":
+            return s, np.asfortranarray(u), z
+        if case == "float64":
+            return s, u.real.copy(), z
+        read_only = z.copy()
+        read_only.flags.writeable = False
+        return s, u, read_only
+
+    @pytest.mark.parametrize("case", ["u_is_z", "fortran", "float64", "read_only"])
+    def test_sweep_matches_distinct_copies(self, case):
+        x, state, bank, cfg = sweep_inputs(23, (3, 3), (3, 8, 6), SWEEP_WEIGHTS[1])
+        fields = self.fields(case, state)
+        copies = [np.array(a, dtype=np.complex128, order="C") for a in fields]
+        given = CodeState(*fields)
+        for i, a in enumerate((given.s, given.u, given.z)):
+            assert a.dtype == np.complex128 and a.flags.c_contiguous and a.flags.writeable
+            assert not any(np.may_share_memory(a, b) for b in (given.s, given.u, given.z)[:i])
+        x_hat, spectra = spectra_of(x, bank)
+        new, trace = admm_step_traced(x_hat, given, spectra, cfg)
+        want, want_trace = admm_step_traced(x_hat, CodeState(*copies), spectra, cfg)
+        for name in ("s", "u", "z"):
+            assert same_bits(getattr(new, name), getattr(want, name)), name
+        for name in ("s_hat", "c", "v"):
+            assert same_bits(getattr(trace, name), getattr(want_trace, name)), name
+
+    def test_distinct_arrays_are_kept(self):
+        _, state, _, _ = sweep_inputs(23, (3, 3), (3, 8, 6), SWEEP_WEIGHTS[1])
+        arrays = (state.s, state.u, state.z)
+        kept = CodeState(*arrays)
+        assert all(a is b for a, b in zip((kept.s, kept.u, kept.z), arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +585,7 @@ class TestAdmmStep:
         x = random_complex(rng, (6, 6))
         cfg = AdmmConfig(lam=1.0, alpha=0.4, beta=1.0)
         state = run_admm(x, bank, cfg, n_steps=4000)
-        after, _ = admm_step(x, state, bank, cfg)
+        after, _ = admm_step(x, oracles.copy_state(state), bank, cfg)
         assert np.max(np.abs(after.s - state.s)) <= 1e-9
         assert np.max(np.abs(after.u - state.u)) <= 1e-9
         assert np.max(np.abs(after.z - state.z)) <= 1e-9

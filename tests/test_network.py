@@ -352,6 +352,41 @@ class TestReadOnlyTrace:
         assert image.tobytes() == np.moveaxis(last, 0, -1).copy().tobytes()
 
 
+class TestForwardMemory:
+    """Each sweep writes its new state into the buffers of the state it
+    replaces, so a forward holds, beyond what it records, the code state, the
+    sweep's scratch and little else.  K-map stacks (K, N_t, N_x, N_y)
+    dominate the images here, and the bounds are in K-maps: the traced
+    forward peaks about 4 of them above its trace at every J, the untraced
+    one about 7.2 in all.  Fresh buffers for the sweep's s, s_hat or z, or an
+    input state kept alive through the sweeps, break the bounds."""
+
+    n_filters = 32
+
+    def instance(self, n_admm):
+        rng = np.random.default_rng(93)
+        _, sample = measured_instance(rng, shape=(16, 16, 8), accel=1.5, sigma=0.01)
+        cfg = NetworkConfig(mode="3d", n_filters=self.n_filters, kernel_size=3, n_outer=3,
+                            n_admm=n_admm, n_cg=6)
+        kmap = self.n_filters * np.prod(sample.image_shape) * np.dtype(np.complex128).itemsize
+        return sample, cfg, init_network(cfg, rng_seed=0), kmap
+
+    @pytest.mark.parametrize("n_admm", [1, 2])
+    def test_traced_peak_above_its_trace(self, n_admm):
+        sample, cfg, params, kmap = self.instance(n_admm)
+        trace = forward_reconstruct(sample, params, cfg, want_trace=True).trace
+        trace_bytes = sum(a.nbytes for _, a in oracles.recorded_arrays(trace))
+        del trace
+        peak = oracles.traced_peak(lambda: forward_reconstruct(sample, params, cfg,
+                                                               want_trace=True))
+        assert peak - trace_bytes <= 4.5 * kmap
+
+    def test_untraced_peak(self):
+        sample, cfg, params, kmap = self.instance(1)
+        peak = oracles.traced_peak(lambda: forward_reconstruct(sample, params, cfg))
+        assert peak <= 8.5 * kmap
+
+
 def relative_error(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
