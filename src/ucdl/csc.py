@@ -30,10 +30,15 @@ s^f, the image c, and the prox input and threshold.  Since
 d^T s^f = x^f - gamma c, the network's synthesis is the inverse DFT of that
 image and needs no K-map product.  A sweep consumes its input state: w = u + z
 and then s^f are formed in u's buffer, and the new s and z in the old ones'
-buffers, so only the new u and the records v and c are fresh arrays.  The
-solve and the soft threshold run the plain formulas' operations in the same
-order and return the same bits, except that a code entry the threshold
-zeroes keeps the sign of its input.
+buffers, so the new u and the recorded v are its only fresh K-map arrays.
+Between its two whole-array DFTs it runs elementwise passes over blocks of
+filters, each in a block-sized scratch array; d^T w^f is summed one filter
+at a time, in filter order, as sum(axis=0) does.  The forward's first sweep
+starts from zero codes (state None) and skips u + z, its transform and
+d^T w^f: c = x^f / (gamma + P) and s^f = +0 + conj(d) c.  The solve and the
+soft threshold run the plain formulas' operations in the same order and
+return the same bits, except that a code entry the threshold zeroes keeps
+the sign of its input.
 
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records.
@@ -41,6 +46,7 @@ convention of :mod:`ucdl.backprop`, and reads the same two records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,47 +197,98 @@ def _conj_times(d: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> 
     return np.conjugate(out, out=out)
 
 
-def s_update_traced(x_hat, w, spectra: KernelSpectra, gamma: float, out: np.ndarray):
+# bytes of the scratch block that a sweep's elementwise passes share; a
+# filter's map larger than this makes a block of one filter
+_BLOCK_BYTES = 256 * 1024
+
+
+def _filter_blocks(maps_shape: tuple) -> list:
+    """(slice, scratch) for each block of at most _BLOCK_BYTES along the
+    filter axis of (K, *image) maps, in filter order; the scratch arrays,
+    shaped like the block, are views of one buffer."""
+    n_filters, image_shape = maps_shape[0], maps_shape[1:]
+    step = min(n_filters, max(1, _BLOCK_BYTES // (16 * math.prod(image_shape))))
+    buffer = np.empty((step,) + image_shape, dtype=np.complex128)
+    return [(slice(lo, lo + step), buffer[:min(step, n_filters - lo)])
+            for lo in range(0, n_filters, step)]
+
+
+def s_update_traced(x_hat, w, spectra: KernelSpectra, gamma: float,
+                    out: np.ndarray | None = None):
     """Exact minimizer of the s-subproblem for the image spectrum x_hat and
     w = u + z.
 
     Returns the new s and the pair the sweep records: its spectrum
     s_hat = w_hat + conj(d) c and the image c = (x_hat - d^T w_hat) / (gamma + P).
-    The operations are those of the plain formulas, in that order.  Both
-    w and `out` are overwritten: s_hat is formed in w's buffer and the new s
-    in `out`'s, when each is a C-contiguous complex128 array.
+    The operations are those of the plain formulas, in that order: d^T w_hat
+    is summed one filter at a time from +0, as sum(axis=0) does.  w is
+    overwritten, s_hat being formed in its buffer, and the new s is formed in
+    `out`'s (when each is a C-contiguous complex128 array) or, if `out` is
+    None, in a fresh array.  w = None stands for zero codes, the forward's
+    start: s_hat = +0 + conj(d) c with c = x_hat / (gamma + P), the bits of
+    the same update from zeros without the transform of w or d^T w_hat.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if w.shape != spectra.d.shape[:1] + x_hat.shape:
+    d = spectra.d
+    shape = d.shape[:1] + x_hat.shape
+    if w is not None and w.shape != shape:
         raise ShapeMismatch(
             f"code maps {w.shape} do not extend image shape {x_hat.shape} "
-            f"by {len(spectra.d)} filters"
+            f"by {len(d)} filters"
         )
-    s_hat = dft_forward(w, ndim=spectra.n_spatial, overwrite_x=True)
-    scratch = np.multiply(spectra.d, s_hat)
-    c = scratch.sum(axis=0)
-    np.subtract(x_hat, c, out=c)
-    c /= gamma + spectra.power
-    s_hat += _conj_times(spectra.d, c, out=scratch)
-    np.copyto(out, s_hat)
+    blocks = _filter_blocks(shape)
+    if w is None:
+        s_hat = np.empty(shape, dtype=np.complex128)
+        c = np.divide(x_hat, gamma + spectra.power)
+    else:
+        s_hat = dft_forward(w, ndim=spectra.n_spatial, overwrite_x=True)
+        c = np.zeros_like(x_hat)
+        for blk, scratch in blocks:
+            for product in np.multiply(d[blk], s_hat[blk], out=scratch):
+                c += product
+        np.subtract(x_hat, c, out=c)
+        c /= gamma + spectra.power
+    conj_c = np.conj(c)
+    for blk, scratch in blocks:
+        # conj(d) c, formed as conj(d conj(c))
+        part = np.multiply(d[blk], conj_c, out=scratch)
+        np.conjugate(part, out=part)
+        np.add(0.0 if w is None else s_hat[blk], part, out=s_hat[blk])
+        if out is not None:
+            np.copyto(out[blk], s_hat[blk])
+    if out is None:
+        return dft_inverse(s_hat, ndim=spectra.n_spatial), (s_hat, c)
     return dft_inverse(out, ndim=spectra.n_spatial, overwrite_x=True), (s_hat, c)
+
+
+def _check_tau(tau) -> None:
+    """Raise ValueError unless every entry of tau is a finite real number >= 0."""
+    tau = np.asarray(tau)
+    if not (tau.dtype.kind in "biuf" and np.all(np.isfinite(tau) & (tau >= 0))):
+        raise ValueError(f"tau must be a finite number >= 0, got {tau}")
 
 
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     """Shrink real and imaginary channels toward zero by tau, clamping at zero.
 
-    Runs in place on one output buffer over the interleaved float64
-    channels.  An entry shrunk to zero keeps the sign of its input, so a
-    negative one reads -0.0.
+    Runs on one output buffer over the interleaved float64 channels.  An
+    entry shrunk to zero keeps the sign of its input, so a negative one reads
+    -0.0.  tau must be a finite number >= 0.
     """
+    _check_tau(tau)
     values = np.asarray(values)
     channels = _channels(values)
-    out = np.abs(channels)
-    np.subtract(out, tau, out=out)
-    np.maximum(out, 0.0, out=out)
-    np.copysign(out, channels, out=out)
-    return _from_channels(out, values)
+    return _from_channels(_shrink(channels, tau, np.empty_like(channels)), values)
+
+
+def _shrink(channels: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """sign(v) max(|v| - tau, 0) of the float64 channels v into `out`, as
+    v - clip(v, -tau, tau) with v's sign: the same bits, -0.0 included, in
+    one pass fewer."""
+    np.clip(channels, -tau, tau, out=out)
+    np.subtract(channels, out, out=out)
+    return np.copysign(out, channels, out=out)
 
 
 def _channels(values: np.ndarray) -> np.ndarray:
@@ -270,22 +327,33 @@ class AdmmStepTrace:
     tau: float
 
 
-def admm_step_traced(x_hat, state: CodeState, spectra: KernelSpectra, config: AdmmConfig):
+def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
+                     config: AdmmConfig):
     """One s -> u -> z sweep for the image spectrum x_hat, returning the new
     state and its trace.
 
     The sweep consumes `state`: w = u + z is formed in u's buffer and becomes
     the recorded s_hat, and the new s and z are formed in the old s's and z's
-    buffers.  Only the new u and the recorded v and c are fresh arrays.  A
-    caller that reads `state` afterwards hands over a copy.
+    buffers.  Only the new u and the recorded v are fresh K-map arrays: the
+    elementwise passes run over blocks of filters, each in a block-sized
+    scratch array.  A caller that reads `state` afterwards hands over a copy.
+    None stands for zero codes, from which the sweep returns the bits of a
+    sweep from zeros, in fresh arrays, without transforming them.
     """
-    s, u, z = state.s, state.u, state.z
-    s, (s_hat, c) = s_update_traced(x_hat, np.add(u, z, out=u), spectra, config.gamma, s)
-    v = np.subtract(s, z)
+    if state is None:
+        s, (s_hat, c) = s_update_traced(x_hat, None, spectra, config.gamma)
+        z = np.empty_like(s)
+    else:
+        s, u, z = state.s, state.u, state.z
+        s, (s_hat, c) = s_update_traced(x_hat, np.add(u, z, out=u), spectra, config.gamma, s)
     tau = config.threshold
-    u = soft_threshold(v, tau)
-    # z + (u - s): the grouping keeps z bitwise unchanged at a fixed point (u == s)
-    z += np.subtract(u, s)
+    v, u = np.empty_like(s), np.empty_like(s)
+    for blk, scratch in _filter_blocks(s.shape):
+        z_old = 0.0 if state is None else z[blk]
+        np.subtract(s[blk], z_old, out=v[blk])
+        _shrink(v[blk].view(np.float64), tau, u[blk].view(np.float64))
+        # z + (u - s): the grouping keeps z bitwise unchanged at a fixed point (u == s)
+        np.add(z_old, np.subtract(u[blk], s[blk], out=scratch), out=z[blk])
     return CodeState(s=s, u=u, z=z), AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=tau)
 
 
@@ -303,10 +371,12 @@ def _sum_batch(arr: np.ndarray, n_spatial: int) -> np.ndarray:
 def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
     """VJP of u = soft_threshold(v, tau), in one pass over the float64
     channels: a channel passes where |v| > tau, v_bar = u_bar there and 0
-    elsewhere, and tau_bar = -<sign v, v_bar>.
+    elsewhere, and tau_bar = -<sign v, v_bar>.  tau must be a finite number
+    >= 0.
 
     v_bar is formed in u_bar's buffer when u_bar is a C-contiguous array of
     v's dtype, which it overwrites; else in a buffer of its own."""
+    _check_tau(tau)
     v = np.asarray(v)
     channels = _channels(v)
     scratch = np.abs(channels)

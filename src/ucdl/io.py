@@ -74,7 +74,7 @@ def _read_header_field(fh, path, fmt: str) -> tuple:
 
 def read_tensor(path: str | Path) -> np.ndarray:
     """Read a tensor written by :func:`write_tensor`, rejecting one with a
-    NaN or Inf entry."""
+    NaN or Inf entry or with bytes after its payload."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -95,6 +95,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
         count = math.prod(dims)
         if 16 * count > size - fh.tell():
             raise TensorFormatError(f"{path}: truncated payload")
+        if 16 * count < size - fh.tell():
+            raise TensorFormatError(f"{path}: {size - fh.tell() - 16 * count} bytes "
+                                    f"after the payload")
         data = np.fromfile(fh, dtype="<c16", count=count)
     if not np.isfinite(data).all():
         raise TensorFormatError(f"{path}: non-finite entries")

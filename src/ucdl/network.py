@@ -21,8 +21,10 @@ and files; a 3D bank runs as (K, k_t, k_x, k_y).
 
 Each sweep writes the next code state into the buffers of the state it
 replaces (:func:`ucdl.csc.admm_step_traced`), so a forward holds one code
-state at a time beside what the sweeps record.  A traced forward records
-read-only arrays; its output image is its own.
+state at a time beside what the sweeps record.  The codes start at zero,
+which outer iteration 0 hands its first sweep as None, so that sweep does
+not transform them.  A traced forward records read-only arrays; its output
+image is its own.
 
 A non-finite value stops the forward with an error naming the outer
 iteration and the CG step where it showed.  Sparse coding has no check of
@@ -197,12 +199,14 @@ class ReconResult:
     trace: NetworkTrace | None = None
 
 
-def outer_iteration(x: np.ndarray, state: CodeState, aty: np.ndarray, spectra: KernelSpectra,
-                    operator: NormalOperator, admm_cfg: AdmmConfig, config: NetworkConfig):
+def outer_iteration(x: np.ndarray, state: CodeState | None, aty: np.ndarray,
+                    spectra: KernelSpectra, operator: NormalOperator, admm_cfg: AdmmConfig,
+                    config: NetworkConfig):
     """One outer iteration from the frames-first image x: J ADMM sweeps, the
     synthesis and the CG solve warm-started at x.  Returns the next (x, state)
     and the iteration's OuterTrace; nothing else of it outlives the call.
-    The sweeps consume `state`: the next one lives in its buffers."""
+    The sweeps consume `state`: the next one lives in its buffers.  None
+    stands for zero codes, the forward's start."""
     x_hat = dft_forward(x, ndim=spectra.n_spatial)
     steps = []
     for _ in range(config.n_admm):
@@ -230,7 +234,7 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     )
     x = aty
     spectra = kernel_spectra(filters, aty.shape)
-    state = CodeState.zeros(filters.count, aty.shape)
+    state = None  # zero codes, which the first sweep does not transform
 
     outer_traces = []
     for t in range(config.n_outer):
@@ -247,6 +251,8 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     if want_trace:
         trace = NetworkTrace(config=config, params=params, sample=sample,
                              spectra=_read_only(spectra), outer=tuple(outer_traces))
+    if state is None:  # n_outer = 0
+        state = CodeState.zeros(filters.count, aty.shape)
     # a copy even where the transpose is a view (N_t = 1): x is recorded
     return ReconResult(image=np.moveaxis(x, 0, -1).copy(), code_state=state, trace=trace)
 

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ucdl import csc
 from ucdl.backprop import GradientSet
-from ucdl.csc import (CodeState, FilterBank, admm_step_traced, filter_spectra,
-                      kernel_spectra, spectra_to_kernel_grad)
+from ucdl.csc import (AdmmStepTrace, CodeState, FilterBank, filter_spectra, kernel_spectra,
+                      spectra_to_kernel_grad)
 from ucdl.dc import CgSolution, NormalOperator, cg_backward
 from ucdl.errors import ShapeMismatch
 from ucdl.operators import adjoint_apply
@@ -75,12 +76,12 @@ def spectra_of(x, filters):
 
 
 def run_admm(x, filters, config, n_steps, state=None):
-    """`n_steps` sweeps of admm_step_traced, cold-started from zero codes."""
+    """`n_steps` sweeps of the package's admm_step_traced, cold-started from zero codes."""
     if state is None:
         state = CodeState.zeros(filters.count, x.shape)
     x_hat, spectra = spectra_of(x, filters)
     for _ in range(n_steps):
-        state, _ = admm_step_traced(x_hat, state, spectra, config)
+        state, _ = csc.admm_step_traced(x_hat, state, spectra, config)
     return state
 
 
@@ -130,6 +131,37 @@ def soft_threshold(values, tau):
         im = np.sign(values.imag) * np.maximum(np.abs(values.imag) - tau, 0.0)
         return re + 1j * im
     return np.sign(values) * np.maximum(np.abs(values) - tau, 0.0)
+
+
+def threshold_channels(values, tau):
+    """The soft threshold as abs -> subtract -> max -> copysign over the
+    float64 channels, in fresh arrays: the package's bits, -0.0 included."""
+    values = np.asarray(values)
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    channels = np.ascontiguousarray(values, dtype=dtype).view(np.float64)
+    out = np.copysign(np.maximum(np.abs(channels) - tau, 0.0), channels)
+    return out.view(dtype).reshape(values.shape)
+
+
+def admm_step_traced(x_hat, state, spectra, config):
+    """The package's sweep with whole-array passes, as it ran before its
+    elementwise passes went over blocks of filters: the reference whose
+    state and record the blocked sweep must match bit for bit.  It consumes
+    `state` as the package's sweep does."""
+    d, n_spatial, gamma = spectra.d, spectra.n_spatial, config.gamma
+    s, u, z = state.s, state.u, state.z
+    s_hat = dft_forward(np.add(u, z, out=u), ndim=n_spatial, overwrite_x=True)
+    c = np.multiply(d, s_hat).sum(axis=0)
+    np.subtract(x_hat, c, out=c)
+    c /= gamma + spectra.power
+    s_hat += np.conjugate(np.multiply(d, np.conj(c)[np.newaxis]))
+    np.copyto(s, s_hat)
+    s = dft_inverse(s, ndim=n_spatial, overwrite_x=True)
+    v = np.subtract(s, z)
+    tau = config.threshold
+    u = threshold_channels(v, tau)
+    z += np.subtract(u, s)
+    return CodeState(s=s, u=u, z=z), AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=tau)
 
 
 def admm_step(x, state, filters, config):

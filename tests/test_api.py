@@ -77,8 +77,9 @@ def test_benchmark_counts_a_traced_forward(monkeypatch, family, record):
         backprop.backward(result.trace, result.image - target)
     assert all(type(outer.cg) is record for outer in result.trace.outer)
     # the kernel spectra, then per outer iteration x, per sweep u + z and the
-    # new s, and the synthesis, which reuses the last sweep's s spectrum
-    assert forward_dfts == 1 + 2 * (2 * 2 + 2)
+    # new s, and the synthesis, which reuses the last sweep's s spectrum;
+    # less u + z of the first sweep, which starts from zero codes
+    assert forward_dfts == 1 + 2 * (2 * 2 + 2) - 1
     # per outer iteration the synthesis cotangent, per sweep the prox and
     # dual cotangent (none on the very last sweep, whose u and z nothing
     # reads) and w = u + z (none on the first, which starts from zero codes),

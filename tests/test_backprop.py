@@ -165,6 +165,18 @@ class TestProxBackward:
         assert np.all(v_bar == 0)
         assert tau_bar == 0.0
 
+    @pytest.mark.parametrize("tau", [-0.5, np.nan, np.inf])
+    def test_rejects_a_threshold_that_is_not_finite_and_nonnegative(self, tau):
+        v = np.array([0.3 - 0.2j])
+        with pytest.raises(ValueError, match="tau"):
+            prox_backward(v, tau, np.ones_like(v))
+
+    def test_zero_threshold_passes_every_nonzero_channel(self):
+        v = np.array([0.3 - 0.2j, 0.0 + 1.0j])
+        v_bar, tau_bar = prox_backward(v, 0.0, np.array([2.0 + 3.0j, 2.0 + 3.0j]))
+        assert np.array_equal(v_bar, np.array([2.0 + 3.0j, 3.0j]))
+        assert tau_bar == -(2.0 - 3.0 + 3.0)
+
     def test_mixed_activity_channels(self):
         # one channel active, the other clamped, in the same component
         v = np.array([2.0 + 0.1j])

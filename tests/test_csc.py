@@ -12,6 +12,7 @@ import pytest
 import oracles
 from oracles import circular_convolve, csc_objective, run_admm, spectra_of
 
+from ucdl import csc
 from ucdl.csc import (
     AdmmConfig,
     CodeState,
@@ -342,6 +343,11 @@ class TestUUpdate:
             got = soft_threshold(np.array(v), tau)
             assert abs(got - want) <= 1e-4
 
+    @pytest.mark.parametrize("tau", [-0.5, np.nan, np.inf])
+    def test_rejects_a_threshold_that_is_not_finite_and_nonnegative(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            soft_threshold(np.array(0.3 - 0.2j), tau)
+
     def test_componentwise_on_complex(self):
         v = np.array([1.0 - 0.2j, -0.4 + 2.0j])
         out = soft_threshold(v, 0.5)
@@ -458,6 +464,8 @@ class TestAgainstPlainFormulas:
             want = oracles.soft_threshold(values, tau)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
+            # the whole-array threshold's bits, the signs of zeros included
+            assert same_bits(got, oracles.threshold_channels(values, tau))
             assert same_bits(np.asarray(values), before)
             assert not np.shares_memory(got, values)
 
@@ -501,6 +509,98 @@ class TestCodeStateBuffers:
         arrays = (state.s, state.u, state.z)
         kept = CodeState(*arrays)
         assert all(a is b for a, b in zip((kept.s, kept.u, kept.z), arrays))
+
+
+# ---------------------------------------------------------------------------
+# Sweep over blocks of filters against the whole-array sweep
+# ---------------------------------------------------------------------------
+
+# (n_filters, kernel shape, image shape, block budget in filter maps; None
+# for the package's own budget)
+BLOCK_CASES = [
+    (7, (3, 3), (3, 8, 6), 3),          # K not a multiple of the block
+    (1, (3, 3), (3, 8, 6), 3),          # one filter
+    (4, (3, 3, 3), (6, 8, 4), 0.4),     # a filter's map larger than the block
+    (5, (3, 3, 3), (6, 8, 4), 2),       # a 3d bank
+    (6, (3, 3), (8, 6), 100),           # one block holds every filter
+    (3, (3, 3), (5, 72, 64), None),     # the package's budget, one filter per block
+]
+BLOCK_IDS = ["K7_by3", "K1", "map_over_budget", "3d_K5_by2", "one_block", "own_budget"]
+
+
+def sweep_record(state, trace):
+    return [state.s, state.u, state.z, trace.s_hat, trace.c, trace.v]
+
+
+class TestBlockedSweep:
+    """The sweep's elementwise passes run over blocks of filters; state and
+    record must be the whole-array sweep's, bit for bit."""
+
+    def setup_case(self, monkeypatch, n_filters, kernel_shape, image_shape, budget):
+        map_bytes = 16 * int(np.prod(image_shape))
+        if budget is not None:
+            monkeypatch.setattr(csc, "_BLOCK_BYTES", int(budget * map_bytes))
+        step = max(1, min(n_filters, int(csc._BLOCK_BYTES // map_bytes)))
+        blocks = csc._filter_blocks((n_filters,) + image_shape)
+        assert [len(scratch) for _, scratch in blocks] == [
+            min(step, n_filters - lo) for lo in range(0, n_filters, step)]
+        return self.inputs(n_filters, kernel_shape, image_shape)
+
+    @staticmethod
+    def inputs(n_filters, kernel_shape, image_shape):
+        rng = np.random.default_rng(n_filters)
+        bank = random_bank(rng, n_filters, kernel_shape)
+        x = random_complex(rng, image_shape)
+        state = CodeState(*(random_complex(rng, (n_filters,) + image_shape) for _ in range(3)))
+        return x, state, bank
+
+    @pytest.mark.parametrize("n_filters,kernel_shape,image_shape,budget", BLOCK_CASES,
+                             ids=BLOCK_IDS)
+    @pytest.mark.parametrize("n_sweeps", [1, 2, 3])
+    def test_matches_the_whole_array_sweep(self, monkeypatch, n_filters, kernel_shape,
+                                           image_shape, budget, n_sweeps):
+        x, state, bank = self.setup_case(monkeypatch, n_filters, kernel_shape, image_shape,
+                                         budget)
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(*SWEEP_WEIGHTS[1])
+        want = oracles.copy_state(state)
+        for _ in range(n_sweeps):
+            state, trace = admm_step_traced(x_hat, state, spectra, cfg)
+            want, want_trace = oracles.admm_step_traced(x_hat, want, spectra, cfg)
+            got, expected = sweep_record(state, trace), sweep_record(want, want_trace)
+            assert all(same_bits(a, b) for a, b in zip(got, expected))
+            assert trace.tau == want_trace.tau
+
+    @pytest.mark.parametrize("n_filters,kernel_shape,image_shape,budget", BLOCK_CASES,
+                             ids=BLOCK_IDS)
+    @pytest.mark.parametrize("n_sweeps", [1, 2, 3])
+    def test_zero_start_matches_a_sweep_from_zeros(self, monkeypatch, n_filters, kernel_shape,
+                                                   image_shape, budget, n_sweeps):
+        # None stands for zero codes, which the first sweep does not transform
+        x, _, bank = self.setup_case(monkeypatch, n_filters, kernel_shape, image_shape, budget)
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(*SWEEP_WEIGHTS[0])
+        state, zeros = None, CodeState.zeros(n_filters, image_shape)
+        want = oracles.copy_state(zeros)
+        for _ in range(n_sweeps):
+            state, trace = admm_step_traced(x_hat, state, spectra, cfg)
+            zeros, zeros_trace = admm_step_traced(x_hat, zeros, spectra, cfg)
+            want, want_trace = oracles.admm_step_traced(x_hat, want, spectra, cfg)
+            expected = sweep_record(want, want_trace)
+            assert all(same_bits(a, b) for a, b in zip(sweep_record(state, trace), expected))
+            assert all(same_bits(a, b) for a, b in zip(sweep_record(zeros, zeros_trace),
+                                                       expected))
+
+    def test_sweep_allocates_only_what_it_returns(self):
+        # from a non-zero state the new u and the recorded v are the only
+        # fresh K-maps; the whole-array sweep also held d w_hat and u - s
+        n_filters, image_shape = 64, (4, 32, 32)
+        x, state, bank = self.inputs(n_filters, (3, 3), image_shape)
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(*SWEEP_WEIGHTS[1])
+        k_map = 16 * n_filters * int(np.prod(image_shape))
+        peak = oracles.traced_peak(lambda: admm_step_traced(x_hat, state, spectra, cfg))
+        assert peak <= 2.5 * k_map, peak / k_map
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,14 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError):
             read_tensor(p)
 
+    @pytest.mark.parametrize("extra", [1, 40])
+    def test_bytes_after_the_payload_rejected(self, tmp_path, extra):
+        p = tmp_path / "t.bin"
+        write_tensor(p, np.arange(3, dtype=complex))
+        p.write_bytes(p.read_bytes() + bytes(extra))
+        with pytest.raises(TensorFormatError, match=f"t.bin: {extra} bytes after the payload"):
+            read_tensor(p)
+
     @pytest.mark.parametrize("keep", [6, 10, 16, 20])
     def test_truncated_header_rejected(self, tmp_path, keep):
         p = tmp_path / "t.bin"
