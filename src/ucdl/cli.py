@@ -164,7 +164,11 @@ def _config_value(key, value):
         raise UsageError(
             f"config key {key!r} must be {TYPE_NAMES[kind]}, got {value!r}"
         )
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise UsageError(f"config key {key!r} must be {TYPE_NAMES[kind]} within the float "
+                         f"range, got an integer of {len(str(abs(value)))} digits") from None
 
 
 def _load_train_settings(args) -> dict:

@@ -22,23 +22,25 @@ Arrays carrying coefficient maps have shape (K, *image_shape); the image
 shape may include leading batch axes ahead of the spatial axes, which are
 always the trailing axes matching the kernel dimensionality.
 
-The sweep is posed in the DFT domain (Wohlberg, IEEE TIP 2016).  A forward
-builds the kernel constants once (:class:`KernelSpectra`) and hands them,
-with the image spectrum x^f that the J sweeps of an outer iteration share,
-to every sweep.  A sweep records only what varies (:class:`AdmmStepTrace`):
-s^f, the image c, and the prox input and threshold.  Since
-d^T s^f = x^f - gamma c, the network's synthesis is the inverse DFT of that
-image and needs no K-map product.  A sweep consumes its input state: w = u + z
-and then s^f are formed in u's buffer, and the new s and z in the old ones'
-buffers, so the new u and the recorded v are its only fresh K-map arrays.
-Between its two whole-array DFTs it runs elementwise passes over blocks of
-filters, each in a block-sized scratch array; d^T w^f is summed one filter
-at a time, in filter order, as sum(axis=0) does.  The forward's first sweep
-starts from zero codes (state None) and skips u + z, its transform and
-d^T w^f: c = x^f / (gamma + P) and s^f = +0 + conj(d) c.  The solve and the
-soft threshold run the plain formulas' operations in the same order and
-return the same bits, except that a code entry the threshold zeroes keeps
-the sign of its input.
+The sweep is posed in the DFT domain (Wohlberg, IEEE TIP 2016) and is one
+function, :func:`admm_step_traced`, as its VJP is :func:`admm_step_backward`.
+A forward builds the kernel constants once (:class:`KernelSpectra`) and hands
+them, with the image spectrum x^f that the J sweeps of an outer iteration
+share, to every sweep.  A sweep records only what varies
+(:class:`AdmmStepTrace`): s^f, the image c, and the prox input and
+threshold.  Since d^T s^f = x^f - gamma c, the network's synthesis is the
+inverse DFT of that image and needs no K-map product.  A sweep consumes its
+input state: w = u + z and then s^f are formed in u's buffer, and the new s
+and z in the old ones' buffers, so the new u and the recorded v are its only
+fresh K-map arrays.  Between its two whole-array DFTs it runs elementwise
+passes over blocks of filters, all in one block-sized scratch array; d^T w^f
+is summed one filter at a time, in filter order, as sum(axis=0) does.  The
+forward's first sweep starts from zero codes (state None) and skips u + z,
+its transform and d^T w^f: c = x^f / (gamma + P) and s^f = +0 + conj(d) c.
+The solve and the soft threshold run the plain formulas' operations in the
+same order and return the same bits, except that a code entry the threshold
+zeroes keeps the sign of its input.  :class:`AdmmConfig` rejects weights
+whose gamma or tau is not a finite number > 0.
 
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records.
@@ -127,7 +129,9 @@ class CodeState:
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Weights of the sparse-coding problem."""
+    """Weights of the sparse-coding problem, and the two the sweep derives
+    from them, gamma = beta/lam and the threshold tau = alpha/beta: each a
+    finite number > 0."""
 
     lam: float
     alpha: float
@@ -140,6 +144,10 @@ class AdmmConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive, got {self.beta}")
+        for name, value in (("gamma = beta/lam", self.gamma), ("tau = alpha/beta", self.threshold)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value} "
+                                 f"(lam={self.lam}, alpha={self.alpha}, beta={self.beta})")
 
     @property
     def gamma(self) -> float:
@@ -213,55 +221,6 @@ def _filter_blocks(maps_shape: tuple) -> list:
             for lo in range(0, n_filters, step)]
 
 
-def s_update_traced(x_hat, w, spectra: KernelSpectra, gamma: float,
-                    out: np.ndarray | None = None):
-    """Exact minimizer of the s-subproblem for the image spectrum x_hat and
-    w = u + z.
-
-    Returns the new s and the pair the sweep records: its spectrum
-    s_hat = w_hat + conj(d) c and the image c = (x_hat - d^T w_hat) / (gamma + P).
-    The operations are those of the plain formulas, in that order: d^T w_hat
-    is summed one filter at a time from +0, as sum(axis=0) does.  w is
-    overwritten, s_hat being formed in its buffer, and the new s is formed in
-    `out`'s (when each is a C-contiguous complex128 array) or, if `out` is
-    None, in a fresh array.  w = None stands for zero codes, the forward's
-    start: s_hat = +0 + conj(d) c with c = x_hat / (gamma + P), the bits of
-    the same update from zeros without the transform of w or d^T w_hat.
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    d = spectra.d
-    shape = d.shape[:1] + x_hat.shape
-    if w is not None and w.shape != shape:
-        raise ShapeMismatch(
-            f"code maps {w.shape} do not extend image shape {x_hat.shape} "
-            f"by {len(d)} filters"
-        )
-    blocks = _filter_blocks(shape)
-    if w is None:
-        s_hat = np.empty(shape, dtype=np.complex128)
-        c = np.divide(x_hat, gamma + spectra.power)
-    else:
-        s_hat = dft_forward(w, ndim=spectra.n_spatial, overwrite_x=True)
-        c = np.zeros_like(x_hat)
-        for blk, scratch in blocks:
-            for product in np.multiply(d[blk], s_hat[blk], out=scratch):
-                c += product
-        np.subtract(x_hat, c, out=c)
-        c /= gamma + spectra.power
-    conj_c = np.conj(c)
-    for blk, scratch in blocks:
-        # conj(d) c, formed as conj(d conj(c))
-        part = np.multiply(d[blk], conj_c, out=scratch)
-        np.conjugate(part, out=part)
-        np.add(0.0 if w is None else s_hat[blk], part, out=s_hat[blk])
-        if out is not None:
-            np.copyto(out[blk], s_hat[blk])
-    if out is None:
-        return dft_inverse(s_hat, ndim=spectra.n_spatial), (s_hat, c)
-    return dft_inverse(out, ndim=spectra.n_spatial, overwrite_x=True), (s_hat, c)
-
-
 def _check_tau(tau) -> None:
     """Raise ValueError unless every entry of tau is a finite real number >= 0."""
     tau = np.asarray(tau)
@@ -330,25 +289,51 @@ class AdmmStepTrace:
 def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
                      config: AdmmConfig):
     """One s -> u -> z sweep for the image spectrum x_hat, returning the new
-    state and its trace.
+    state and its trace; the module docstring gives its formulas and order.
 
     The sweep consumes `state`: w = u + z is formed in u's buffer and becomes
     the recorded s_hat, and the new s and z are formed in the old s's and z's
-    buffers.  Only the new u and the recorded v are fresh K-map arrays: the
-    elementwise passes run over blocks of filters, each in a block-sized
-    scratch array.  A caller that reads `state` afterwards hands over a copy.
+    buffers, so a caller that reads `state` afterwards hands over a copy.
     None stands for zero codes, from which the sweep returns the bits of a
     sweep from zeros, in fresh arrays, without transforming them.
     """
+    d = spectra.d
+    shape = d.shape[:1] + x_hat.shape
+    if state is not None and state.s.shape != shape:
+        raise ShapeMismatch(
+            f"code maps {state.s.shape} do not extend image shape {x_hat.shape} "
+            f"by {len(d)} filters"
+        )
+    blocks = _filter_blocks(shape)
     if state is None:
-        s, (s_hat, c) = s_update_traced(x_hat, None, spectra, config.gamma)
-        z = np.empty_like(s)
+        s_hat = np.empty(shape, dtype=np.complex128)
+        c = np.divide(x_hat, config.gamma + spectra.power)
     else:
         s, u, z = state.s, state.u, state.z
-        s, (s_hat, c) = s_update_traced(x_hat, np.add(u, z, out=u), spectra, config.gamma, s)
+        s_hat = dft_forward(np.add(u, z, out=u), ndim=spectra.n_spatial, overwrite_x=True)
+        c = np.zeros_like(x_hat)
+        for blk, scratch in blocks:
+            for product in np.multiply(d[blk], s_hat[blk], out=scratch):
+                c += product
+        np.subtract(x_hat, c, out=c)
+        c /= config.gamma + spectra.power
+    conj_c = np.conj(c)
+    for blk, scratch in blocks:
+        # conj(d) c, formed as conj(d conj(c))
+        part = np.multiply(d[blk], conj_c, out=scratch)
+        np.conjugate(part, out=part)
+        np.add(0.0 if state is None else s_hat[blk], part, out=s_hat[blk])
+        if state is not None:
+            np.copyto(s[blk], s_hat[blk])
+    del conj_c
+    if state is None:
+        s = dft_inverse(s_hat, ndim=spectra.n_spatial)
+        z = np.empty_like(s)
+    else:
+        s = dft_inverse(s, ndim=spectra.n_spatial, overwrite_x=True)
     tau = config.threshold
     v, u = np.empty_like(s), np.empty_like(s)
-    for blk, scratch in _filter_blocks(s.shape):
+    for blk, scratch in blocks:
         z_old = 0.0 if state is None else z[blk]
         np.subtract(s[blk], z_old, out=v[blk])
         _shrink(v[blk].view(np.float64), tau, u[blk].view(np.float64))
@@ -388,44 +373,6 @@ def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
     return _from_channels(v_bar, v), tau_bar
 
 
-def s_update_backward(s_hat, c, spectra: KernelSpectra, gamma: float,
-                      s_hat_bar: np.ndarray, need_w: bool = True):
-    """Closed-form VJP of s_hat = w_hat + conj(d) c with
-    c = (x_hat - d^T w_hat) / (gamma + P), P = sum_k |d_k|^2.
-
-    Takes the s-update's recorded s_hat and c, and the cotangent of s_hat,
-    F(s_bar)/N for a cotangent s_bar of s = F^{-1} s_hat, which it
-    overwrites.  With rho = d^T s_hat_bar / (gamma + P), the cotangents are
-
-        x_hat_bar = rho,  w_hat_bar = s_hat_bar - conj(d) rho,
-        d_bar = conj(w_hat_bar) c - conj(s_hat) rho,  gamma_bar = -Re<rho, c>,
-
-    the VJP of the Sherman-Morrison solve, whose synthesis residual
-    d^T s_hat - x_hat is -gamma c.
-
-    Returns the cotangents of x_hat (rho, spectral), of w = u + z (spatial;
-    None unless `need_w`), of the spectra, reduced over batch axes to the
-    (K, *spatial) layout, and of gamma.
-    """
-    scratch = np.multiply(spectra.d, s_hat_bar)
-    rho = scratch.sum(axis=0)
-    rho /= gamma + spectra.power
-    w_hat_bar = s_hat_bar
-    w_hat_bar -= _conj_times(spectra.d, rho, out=scratch)
-    w_bar = None
-    if need_w:
-        w_bar = dft_inverse(w_hat_bar, ndim=spectra.n_spatial)
-        w_bar *= spectra.n_freq
-    # d_bar = conj(w_hat_bar conj(c) - s_hat conj(rho)), conjugated once
-    # after the batch sum
-    d_bar = np.multiply(w_hat_bar, np.conj(c), out=scratch)
-    d_bar -= np.multiply(s_hat, np.conj(rho), out=w_hat_bar)
-    d_bar = _sum_batch(d_bar, spectra.n_spatial)
-    np.conjugate(d_bar, out=d_bar)
-    gamma_bar = -real_inner(rho, c)
-    return rho, w_bar, d_bar, gamma_bar
-
-
 def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
                        config: AdmmConfig, s_hat_bar, u_bar, z_bar,
                        need_state: bool = True):
@@ -440,8 +387,20 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
     Without `need_state` the sweep started from a state that carries no
     parameters, and its cotangents are not computed.
 
-    Returns the cotangent of x_hat (spectral), those of (u_prev, z_prev)
-    (spatial, or None), and the spectra/gamma/tau pieces.
+    The s-update s_hat = w_hat + conj(d) c, c = (x_hat - d^T w_hat) / (gamma + P),
+    is reversed in closed form from the recorded s_hat and c and the
+    cotangent of s_hat, F(s_bar)/N for a cotangent s_bar of s = F^{-1} s_hat.
+    With rho = d^T s_hat_bar / (gamma + P), the cotangents are
+
+        x_hat_bar = rho,  w_hat_bar = s_hat_bar - conj(d) rho,
+        d_bar = conj(w_hat_bar) c - conj(s_hat) rho,  gamma_bar = -Re<rho, c>,
+
+    the VJP of the Sherman-Morrison solve, whose synthesis residual
+    d^T s_hat - x_hat is -gamma c.
+
+    Returns the cotangent of x_hat (rho, spectral), those of (u_prev, z_prev)
+    (spatial, or None), that of the spectra, reduced over batch axes to the
+    (K, *spatial) layout, and the gamma and tau pieces.
     """
     tau_bar = 0.0
     sz_bar = None
@@ -457,23 +416,37 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
         s_hat_bar = (sz_hat_bar if s_hat_bar is None
                      else np.add(s_hat_bar, sz_hat_bar, out=s_hat_bar))
         del sz_hat_bar
-    # s_new = s_update_traced(x_hat, u_prev + z_prev, spectra, gamma, s_prev)[0]
-    x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
-        step.s_hat, step.c, spectra, config.gamma, s_hat_bar, need_w=need_state
-    )
+    # the s-update, with w = u_prev + z_prev
+    scratch = np.multiply(spectra.d, s_hat_bar)
+    rho = scratch.sum(axis=0)
+    rho /= config.gamma + spectra.power
+    w_hat_bar = s_hat_bar
+    w_hat_bar -= _conj_times(spectra.d, rho, out=scratch)
+    w_bar = None
+    if need_state:
+        w_bar = dft_inverse(w_hat_bar, ndim=spectra.n_spatial)
+        w_bar *= spectra.n_freq
+    # d_bar = conj(w_hat_bar conj(c) - s_hat conj(rho)), conjugated once
+    # after the batch sum
+    d_bar = np.multiply(w_hat_bar, np.conj(step.c), out=scratch)
+    del scratch
+    d_bar -= np.multiply(step.s_hat, np.conj(rho), out=w_hat_bar)
+    d_bar = _sum_batch(d_bar, spectra.n_spatial)
+    np.conjugate(d_bar, out=d_bar)
+    gamma_bar = -real_inner(rho, step.c)
     if not (np.isfinite(gamma_bar) and np.isfinite(tau_bar)):
         raise NonFiniteValue("non-finite gamma or tau cotangent")
     z_prev_bar = None
     if need_state:
         z_prev_bar = w_bar.copy() if sz_bar is None else np.subtract(w_bar, sz_bar, out=z_bar)
-    return x_hat_bar, w_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
+    return rho, w_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
 
 
 def synthesis_backward(spectra: KernelSpectra, s_hat: np.ndarray, synth_bar: np.ndarray):
     """VJP of dictionary_synthesis(spectra, s_hat).
 
     Returns the cotangent of s_hat, conj(d) F(synth_bar)/N, which the
-    s-update's VJP takes as it is, and that of the spectra.
+    sweep's VJP takes as it is, and that of the spectra.
     """
     f_synth_bar = dft_forward(synth_bar, ndim=spectra.n_spatial)
     f_synth_bar /= spectra.n_freq

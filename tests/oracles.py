@@ -11,8 +11,8 @@ import numpy as np
 
 from ucdl import csc
 from ucdl.backprop import GradientSet
-from ucdl.csc import (AdmmStepTrace, CodeState, FilterBank, filter_spectra, kernel_spectra,
-                      spectra_to_kernel_grad)
+from ucdl.csc import (AdmmConfig, AdmmStepTrace, CodeState, FilterBank, filter_spectra,
+                      kernel_spectra, spectra_to_kernel_grad)
 from ucdl.dc import CgSolution, NormalOperator, cg_backward
 from ucdl.errors import ShapeMismatch
 from ucdl.operators import adjoint_apply
@@ -73,6 +73,15 @@ def spectra_of(x, filters):
     """The image spectrum and kernel constants a sweep on image x takes."""
     spectra = kernel_spectra(filters, x.shape)
     return dft_forward(x, ndim=spectra.n_spatial), spectra
+
+
+def s_update_sweep(x_hat, u, z, spectra, gamma):
+    """One sweep of the package from (u, z), under weights that give it
+    `gamma`: its new s, its record and its weights.  u and z are not written."""
+    config = AdmmConfig(lam=1.0, alpha=1.0, beta=gamma)
+    state = CodeState(s=np.empty_like(u), u=u.copy(), z=z.copy())
+    new_state, step = csc.admm_step_traced(x_hat, state, spectra, config)
+    return new_state.s, step, config
 
 
 def run_admm(x, filters, config, n_steps, state=None):

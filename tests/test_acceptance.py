@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import spectra_of, synthesize
+from oracles import s_update_sweep, spectra_of, synthesize
 from test_backprop import check_network_gradients, make_instance
 
 from ucdl.csc import (
@@ -25,7 +25,6 @@ from ucdl.csc import (
     dictionary_synthesis,
     filter_spectra,
     kernel_spectra,
-    s_update_traced,
     soft_threshold,
 )
 from ucdl.data import PhantomSpec, make_phantom
@@ -155,7 +154,7 @@ class TestCriterion2ShermanMorrison:
                 z = random_complex(rng, (n_filters,) + spatial)
 
                 x_hat, bank_spectra = spectra_of(x, bank)
-                s, _ = s_update_traced(x_hat, u + z, bank_spectra, gamma, np.empty_like(u))
+                s, _, _ = s_update_sweep(x_hat, u, z, bank_spectra, gamma)
 
                 # dense oracle: one K x K system per frequency
                 spectra = filter_spectra(bank, spatial)

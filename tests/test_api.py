@@ -1,7 +1,8 @@
 """Public surface checks: the benchmark's trace targets resolve, the trace
 fields it reads exist, names removed from the package stay out of it, no
-module reaches into the private helpers of the solvers, and no module of
-the package uses numpy's FFT or reduces an inner product through BLAS."""
+module reaches into the private helpers of the solvers, no public function
+or class is there for the tests alone, and no module of the package uses
+numpy's FFT or reduces an inner product through BLAS."""
 
 import ast
 import importlib
@@ -28,7 +29,8 @@ SRC = Path(ucdl.__file__).resolve().parent
 
 REMOVED = {
     "csc": ["s_update", "admm_step", "run_admm", "u_update", "z_update",
-            "csc_objective", "SUpdateTrace", "_broadcast_spectra", "_solve"],
+            "csc_objective", "SUpdateTrace", "_broadcast_spectra", "_solve", "s_update_traced",
+            "s_update_backward"],
     "dc": ["dc_step", "build_rhs", "DcConfig", "_real_inner"],
     "tensors": ["inner_product", "as_channels", "from_channels", "circular_convolve", "norm2_sq"],
     "operators": ["zero_filled_recon"],
@@ -166,6 +168,36 @@ def test_no_module_uses_private_solver_names(path):
     # each block's VJP sits beside its forward, so the solvers' helpers
     # stay private to them
     assert private_solver_names(path.read_text()) == [], path.name
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """(module, name) of each public module-level function or class in
+    `sources` (module name -> source) that no module of them reads by name,
+    bare or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return [(module, node.name) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_unreferenced_definition_guard_sees_each_spelling():
+    sources = {"a": "def bare():\n    pass\nclass Attr:\n    pass\ndef unused():\n    pass\n"
+                    "def _private():\n    pass\ny = bare()\n",
+               "b": "from .a import unused\nz = a.Attr\ndef also_unused(x):\n    return x\n"}
+    assert unreferenced_definitions(sources) == [("a", "unused"), ("b", "also_unused")]
+
+
+def test_no_public_definition_only_the_tests_call():
+    # a public function or class is read inside the package, exported, or
+    # timed by the benchmark (which reads dictionary_synthesis alone)
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    timed = {(module, name) for module, name, *_ in OPERATION_TARGETS + SETUP_TARGETS}
+    unused = [(module, name) for module, name in unreferenced_definitions(sources)
+              if name not in ucdl.__all__ and (module, name) not in timed]
+    assert unused == []
 
 
 def numpy_fft_uses(source: str) -> list[int]:

@@ -34,8 +34,6 @@ from ucdl.csc import (
     admm_step_traced,
     kernel_spectra,
     prox_backward,
-    s_update_backward,
-    s_update_traced,
     soft_threshold,
     spectra_to_kernel_grad,
     synthesis_backward,
@@ -53,7 +51,7 @@ from ucdl.tensors import dft_forward, dft_inverse, real_inner
 from ucdl.training import AdamState, loss_mse_grad, train_step
 
 import oracles
-from oracles import run_admm, spectra_of, traced_peak
+from oracles import run_admm, s_update_sweep, spectra_of, traced_peak
 
 FD_STEP = 1e-6
 
@@ -208,19 +206,17 @@ class TestSUpdateBackward:
         weight = random_complex(rng, (2,) + image_shape)
 
         x_hat, spectra = spectra_of(x, bank)
-        _, (s_hat, c) = s_update_traced(x_hat, u + z, spectra, gamma, np.empty_like(u))
+        _, step, config = s_update_sweep(x_hat, u, z, spectra, gamma)
         n_spatial = len(kernel_shape)
-        x_hat_bar, w_bar, d_bar, gamma_bar = s_update_backward(
-            s_hat, c, spectra, gamma, spectral(weight, n_spatial)
+        # the VJP of the sweep's s-update alone: no cotangent of its u and z
+        x_hat_bar, u_bar, z_bar, d_bar, gamma_bar, _ = admm_step_backward(
+            step, spectra, config, spectral(weight, n_spatial), None, None
         )
         x_bar = spatial(x_hat_bar, n_spatial)
-        # w = u + z
-        u_bar = z_bar = w_bar
 
         def loss(x_=x, u_=u, z_=z, bank_=bank, gamma_=gamma):
             x_hat_, spectra_ = spectra_of(x_, bank_)
-            return real_weighted(weight, s_update_traced(x_hat_, u_ + z_, spectra_, gamma_,
-                                                        np.empty_like(u_))[0])
+            return real_weighted(weight, s_update_sweep(x_hat_, u_, z_, spectra_, gamma_)[0])
 
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
         assert_grad_close(numeric_grad(lambda a: loss(u_=a), u), u_bar)

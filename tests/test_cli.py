@@ -165,6 +165,8 @@ class TestTrain:
     @pytest.mark.parametrize("key,value", [
         ("T", "4"), ("K", True), ("epochs", 1.5), ("seed", None), ("lr", "fast"),
         ("fixed_filters", 1), ("mode", 3),
+        # a JSON integer of 401 digits, beyond the float range
+        pytest.param("lr", 10**400, id="lr-int-beyond-float"),
     ])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"

@@ -10,19 +10,18 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import circular_convolve, csc_objective, run_admm, spectra_of
+from oracles import circular_convolve, csc_objective, run_admm, s_update_sweep, spectra_of
 
 from ucdl import csc
 from ucdl.csc import (
     AdmmConfig,
     CodeState,
     FilterBank,
+    admm_step_backward,
     admm_step_traced,
     dictionary_synthesis,
     filter_spectra,
     kernel_spectra,
-    s_update_backward,
-    s_update_traced,
     soft_threshold,
 )
 from ucdl.errors import ShapeMismatch
@@ -34,9 +33,9 @@ def random_complex(rng, shape):
 
 
 def s_update(x, u, z, bank, gamma):
-    """The package's s-update on image x with `bank`: the new s."""
+    """The package's s-update on image x with `bank`: the new s of one sweep."""
     x_hat, spectra = spectra_of(x, bank)
-    return s_update_traced(x_hat, u + z, spectra, gamma, np.empty_like(u))[0]
+    return s_update_sweep(x_hat, u, z, spectra, gamma)[0]
 
 
 def admm_step(x, state, bank, config):
@@ -175,6 +174,16 @@ class TestTypes:
             with pytest.raises(ValueError):
                 AdmmConfig(**bad)
 
+    @pytest.mark.parametrize("weights,derived", [
+        (dict(lam=1e300, alpha=1.0, beta=1e-300), "gamma = beta/lam"),   # gamma = 0
+        (dict(lam=1.0, alpha=1e300, beta=1e-300), "tau = alpha/beta"),   # tau = inf
+    ], ids=["gamma-zero", "tau-inf"])
+    def test_config_rejects_derived_weights(self, weights, derived):
+        # three positive weights whose ratio leaves the float range
+        with pytest.raises(ValueError, match=f"^{derived} must be a finite number > 0, ") as err:
+            AdmmConfig(**weights)
+        assert all(f"{name}={value}" in str(err.value) for name, value in weights.items())
+
     def test_code_state_zeros(self):
         state = CodeState.zeros(2, (4, 4))
         assert state.s.shape == (2, 4, 4)
@@ -289,27 +298,27 @@ class TestClosedFormAgainstShermanMorrison:
         x = random_complex(rng, image_shape)
         u, z, s_bar = (random_complex(rng, (n_filters,) + image_shape) for _ in range(3))
         x_hat, spectra = spectra_of(x, bank)
-        _, (s_hat, c) = s_update_traced(x_hat, u + z, spectra, gamma, np.empty_like(u))
-        return x, u, z, bank, x_hat, spectra, s_hat, c, s_bar
+        _, step, config = s_update_sweep(x_hat, u, z, spectra, gamma)
+        return x, u, z, bank, x_hat, spectra, step, config, s_bar
 
     @pytest.mark.parametrize("gamma", [1.0, 1.625])
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
     def test_forward(self, workload, gamma):
-        x, u, z, bank, x_hat, spectra, s_hat, c, _ = self.run_case(workload, gamma)
-        assert relative_error(s_hat, oracles.s_update(x, u, z, bank, gamma)[1]) <= 1e-14
+        x, u, z, bank, x_hat, spectra, step, _, _ = self.run_case(workload, gamma)
+        assert relative_error(step.s_hat, oracles.s_update(x, u, z, bank, gamma)[1]) <= 1e-14
         # the synthesis the network forms from the record
-        approx = dft_inverse(x_hat - gamma * c, ndim=spectra.n_spatial)
-        assert relative_error(approx, dictionary_synthesis(spectra, s_hat)) <= 1e-13
+        approx = dft_inverse(x_hat - gamma * step.c, ndim=spectra.n_spatial)
+        assert relative_error(approx, dictionary_synthesis(spectra, step.s_hat)) <= 1e-13
 
     @pytest.mark.parametrize("gamma", [1.0, 1.625])
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
     def test_backward(self, workload, gamma):
-        x, _, _, bank, x_hat, spectra, s_hat, c, s_hat_bar = self.run_case(workload, gamma)
-        rho, w_bar, d_bar, gamma_bar = s_update_backward(s_hat, c, spectra, gamma,
-                                                         s_hat_bar.copy())
+        x, _, _, bank, x_hat, spectra, step, config, s_hat_bar = self.run_case(workload, gamma)
+        rho, w_bar, _, d_bar, gamma_bar, _ = admm_step_backward(
+            step, spectra, config, s_hat_bar.copy(), None, None)
         n_spatial = spectra.n_spatial
         want = oracles.sherman_morrison_backward(
-            x_hat, s_hat, filter_spectra(bank, x.shape[-n_spatial:]), gamma, s_hat_bar)
+            x_hat, step.s_hat, filter_spectra(bank, x.shape[-n_spatial:]), gamma, s_hat_bar)
         want_rho, want_w_hat_bar, want_d_bar, want_gamma_bar = want
         assert relative_error(rho, want_rho) <= 1e-12
         want_w_bar = spectra.n_freq * dft_inverse(want_w_hat_bar, ndim=n_spatial)

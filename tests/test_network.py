@@ -174,6 +174,16 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward_reconstruct(sample, params, cfg)
 
+    def test_weights_whose_threshold_overflows_rejected(self):
+        # exp(400) / exp(-400) is beyond the float range: tau = inf
+        _, sample = measured_instance(np.random.default_rng(8))
+        cfg = NetworkConfig(mode="3d", n_filters=2, kernel_size=3, n_outer=1)
+        params = NetworkParams(filters=init_network(cfg).filters, log_alpha=400.0,
+                               log_beta=-400.0)
+        with pytest.raises(ValueError, match="^tau = alpha/beta must be a finite number > 0, "
+                                             "got inf "):
+            forward_reconstruct(sample, params, cfg)
+
     def test_2d_mode_runs(self):
         rng = np.random.default_rng(7)
         _, sample = measured_instance(rng, shape=(8, 8, 3))
