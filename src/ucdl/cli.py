@@ -8,7 +8,6 @@ failure (non-finite values, singular solves) aborts the computation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -309,8 +308,7 @@ def main(argv=None) -> int:
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (UcdlError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (UcdlError, OSError, ValueError, KeyError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -43,7 +43,9 @@ zeroes keeps the sign of its input.  :class:`AdmmConfig` rejects weights
 whose gamma or tau is not a finite number > 0.
 
 Each block's vector-Jacobian product sits beside it, in the cotangent
-convention of :mod:`ucdl.backprop`, and reads the same two records.
+convention of :mod:`ucdl.backprop`, and reads the same two records; the
+sweep's VJP reverses its soft threshold inline, on the float64 channels of
+the recorded v.
 """
 
 from __future__ import annotations
@@ -138,12 +140,10 @@ class AdmmConfig:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        for name in ("lam", "alpha", "beta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive, got {value}")
         for name, value in (("gamma = beta/lam", self.gamma), ("tau = alpha/beta", self.threshold)):
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value} "
@@ -221,13 +221,6 @@ def _filter_blocks(maps_shape: tuple) -> list:
             for lo in range(0, n_filters, step)]
 
 
-def _check_tau(tau) -> None:
-    """Raise ValueError unless every entry of tau is a finite real number >= 0."""
-    tau = np.asarray(tau)
-    if not (tau.dtype.kind in "biuf" and np.all(np.isfinite(tau) & (tau >= 0))):
-        raise ValueError(f"tau must be a finite number >= 0, got {tau}")
-
-
 def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     """Shrink real and imaginary channels toward zero by tau, clamping at zero.
 
@@ -235,10 +228,15 @@ def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     entry shrunk to zero keeps the sign of its input, so a negative one reads
     -0.0.  tau must be a finite number >= 0.
     """
-    _check_tau(tau)
+    tau_array = np.asarray(tau)
+    if not (tau_array.dtype.kind in "biuf"
+            and np.all(np.isfinite(tau_array) & (tau_array >= 0))):
+        raise ValueError(f"tau must be a finite number >= 0, got {tau_array}")
     values = np.asarray(values)
-    channels = _channels(values)
-    return _from_channels(_shrink(channels, tau, np.empty_like(channels)), values)
+    values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64, copy=False)
+    out = np.empty(values.shape, dtype=values.dtype)
+    _shrink(np.ravel(values).view(np.float64), tau, out.reshape(-1).view(np.float64))
+    return out
 
 
 def _shrink(channels: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
@@ -248,20 +246,6 @@ def _shrink(channels: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
     np.clip(channels, -tau, tau, out=out)
     np.subtract(channels, out, out=out)
     return np.copysign(out, channels, out=out)
-
-
-def _channels(values: np.ndarray) -> np.ndarray:
-    """The real and imaginary float64 channels of `values`, interleaved in
-    one flat array: a view of a C-contiguous complex128 or float64 input,
-    a copy of any other."""
-    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
-    return np.ravel(values.astype(dtype, copy=False)).view(np.float64)
-
-
-def _from_channels(channels: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_channels`: `channels` as an array shaped like `like`."""
-    values = channels.view(np.complex128) if np.iscomplexobj(like) else channels
-    return values.reshape(like.shape)
 
 
 def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarray:
@@ -353,26 +337,6 @@ def _sum_batch(arr: np.ndarray, n_spatial: int) -> np.ndarray:
     return arr.sum(axis=axes) if axes else arr
 
 
-def prox_backward(v: np.ndarray, tau: float, u_bar: np.ndarray):
-    """VJP of u = soft_threshold(v, tau), in one pass over the float64
-    channels: a channel passes where |v| > tau, v_bar = u_bar there and 0
-    elsewhere, and tau_bar = -<sign v, v_bar>.  tau must be a finite number
-    >= 0.
-
-    v_bar is formed in u_bar's buffer when u_bar is a C-contiguous array of
-    v's dtype, which it overwrites; else in a buffer of its own."""
-    _check_tau(tau)
-    v = np.asarray(v)
-    channels = _channels(v)
-    scratch = np.abs(channels)
-    passing = np.greater(scratch, tau)
-    v_bar = _channels(np.asarray(u_bar, dtype=v.dtype))
-    np.multiply(v_bar, passing, out=v_bar)
-    np.sign(channels, out=scratch)
-    tau_bar = -real_inner(scratch, v_bar)
-    return _from_channels(v_bar, v), tau_bar
-
-
 def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
                        config: AdmmConfig, s_hat_bar, u_bar, z_bar,
                        need_state: bool = True):
@@ -387,9 +351,12 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
     Without `need_state` the sweep started from a state that carries no
     parameters, and its cotangents are not computed.
 
-    The s-update s_hat = w_hat + conj(d) c, c = (x_hat - d^T w_hat) / (gamma + P),
-    is reversed in closed form from the recorded s_hat and c and the
-    cotangent of s_hat, F(s_bar)/N for a cotangent s_bar of s = F^{-1} s_hat.
+    The threshold u = soft_threshold(v, tau) is reversed per float64 channel
+    of the recorded v: v_bar = u_bar where |v| > tau and 0 elsewhere, and
+    tau_bar = -<sign v, v_bar>.  The s-update s_hat = w_hat + conj(d) c,
+    c = (x_hat - d^T w_hat) / (gamma + P), is reversed in closed form from the
+    recorded s_hat and c and the cotangent of s_hat, F(s_bar)/N for a
+    cotangent s_bar of s = F^{-1} s_hat.
     With rho = d^T s_hat_bar / (gamma + P), the cotangents are
 
         x_hat_bar = rho,  w_hat_bar = s_hat_bar - conj(d) rho,
@@ -408,8 +375,15 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
         # z_new = z_prev + (u_new - s_new); u_new = soft_threshold(v, tau)
         # with v = s_new - z_prev: s_new gets v_bar - z_bar, z_prev the negation
         u_bar += z_bar
-        v_bar, tau_bar = prox_backward(step.v, step.tau, u_bar)
-        sz_bar = np.subtract(v_bar, z_bar, out=v_bar)
+        # the threshold's VJP over the float64 channels, into u_bar's buffer
+        channels = step.v.reshape(-1).view(np.float64)
+        v_bar = u_bar.reshape(-1).view(np.float64)
+        scratch = np.abs(channels)
+        np.multiply(v_bar, np.greater(scratch, step.tau), out=v_bar)
+        np.sign(channels, out=scratch)
+        tau_bar = -real_inner(scratch, v_bar)
+        del scratch
+        sz_bar = np.subtract(u_bar, z_bar, out=u_bar)
         sz_hat_bar = dft_forward(sz_bar, ndim=spectra.n_spatial)
         sz_hat_bar /= spectra.n_freq
         # the sum goes into the synthesis cotangent's buffer; IEEE addition commutes

@@ -129,8 +129,8 @@ def read_manifest(path: str | Path, keys: dict) -> dict:
     """The JSON object in `path`, checked to hold every key of `keys` with
     a value of the type `keys` maps it to (see _TYPE_NAMES)."""
     try:
-        manifest = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # bad JSON, an oversized integer or bytes that are not UTF-8
         raise ValueError(f"{path}: {err}") from err
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")

@@ -30,7 +30,7 @@ SRC = Path(ucdl.__file__).resolve().parent
 REMOVED = {
     "csc": ["s_update", "admm_step", "run_admm", "u_update", "z_update",
             "csc_objective", "SUpdateTrace", "_broadcast_spectra", "_solve", "s_update_traced",
-            "s_update_backward"],
+            "s_update_backward", "prox_backward", "_channels", "_from_channels", "_check_tau"],
     "dc": ["dc_step", "build_rhs", "DcConfig", "_real_inner"],
     "tensors": ["inner_product", "as_channels", "from_channels", "circular_convolve", "norm2_sq"],
     "operators": ["zero_filled_recon"],

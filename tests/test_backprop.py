@@ -3,8 +3,8 @@
 The oracle throughout is central finite differences of a scalar loss on the
 real and imaginary channels of every input, evaluated through the same
 forward routines the backward pass reverses.  Block-level tests check each
-VJP in isolation (prox, Sherman-Morrison solve, full ADMM sweep, synthesis,
-CG); whole-network tests pull a reconstruction loss back to the kernels and
+VJP in isolation (the prox, through the sweep's VJP, Sherman-Morrison solve,
+full ADMM sweep, synthesis, CG); whole-network tests pull a reconstruction loss back to the kernels and
 the three log-weights, on solves that converge (reversed implicitly) and
 on solves that stop short (reversed step by step).  All fixtures are checked to sit away from the
 soft-threshold kinks so the subgradient convention never contaminates the
@@ -32,8 +32,8 @@ from ucdl.csc import (
     FilterBank,
     admm_step_backward,
     admm_step_traced,
+    filter_spectra,
     kernel_spectra,
-    prox_backward,
     soft_threshold,
     spectra_to_kernel_grad,
     synthesis_backward,
@@ -139,49 +139,95 @@ def trace_kink_margin(trace):
 # Soft-threshold prox
 # ---------------------------------------------------------------------------
 
+def prox_through_sweep(v, tau, u_bar):
+    """The soft threshold's VJP as admm_step_backward runs it, beside the oracle's.
+
+    A zero-start sweep on a random image of v's (K, nx, ny) shape gives a
+    record whose prox input and threshold are replaced by v and tau; both
+    VJPs reverse it from the cotangent u_bar of the new u alone (zero s and
+    z cotangents).  Returns the package's and the oracle's
+    (u_prev_bar, z_prev_bar, tau_bar), and the package's v_bar, read back as
+    u_prev_bar - z_prev_bar: with a zero z cotangent, u_prev_bar = w_bar and
+    z_prev_bar = w_bar - v_bar.
+    """
+    rng = np.random.default_rng(7)
+    n_filters, nx, ny = v.shape
+    bank = random_bank(rng, n_filters, (min(3, nx), min(3, ny)))
+    x_hat, spectra = spectra_of(random_complex(rng, (nx, ny)), bank)
+    config = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
+    _, step = admm_step_traced(x_hat, None, spectra, config)
+    step = dataclasses.replace(step, v=np.asarray(v, dtype=np.complex128), tau=tau)
+    zeros = np.zeros(v.shape, dtype=np.complex128)
+    _, u_prev_bar, z_prev_bar, _, _, tau_bar = admm_step_backward(
+        step, spectra, config, None, np.array(u_bar, dtype=np.complex128), zeros.copy())
+    want = oracles.admm_step_backward(x_hat, step, filter_spectra(bank, (nx, ny)),
+                                      config.gamma, zeros, u_bar, zeros)
+    return (u_prev_bar, z_prev_bar, tau_bar), (want[1], want[2], want[5]), u_prev_bar - z_prev_bar
+
+
+def assert_matches_oracle(got, want):
+    """The package's u/z cotangents and tau_bar against the oracle's, which
+    sum in another order."""
+    for a, b in zip(got[:2], want[:2]):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * float(np.abs(b).max()))
+    assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0)
+
+
 class TestProxBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        v = 1.5 * random_complex(rng, (3, 4))
+        v = 1.5 * random_complex(rng, (2, 3, 4))
         tau = 0.4
-        weight = random_complex(rng, (3, 4))
+        weight = random_complex(rng, (2, 3, 4))
         assert prox_kink_margin(v, tau) > 1e-3
 
-        # the VJP overwrites its cotangent; the losses below still read weight
-        v_bar, tau_bar = prox_backward(v, tau, weight.copy())
+        got, want, v_bar = prox_through_sweep(v, tau, weight)
+        assert_matches_oracle(got, want)
         fd_v = numeric_grad(lambda a: real_weighted(weight, soft_threshold(a, tau)), v)
         fd_tau = numeric_grad_scalar(
             lambda t: real_weighted(weight, soft_threshold(v, t)), tau
         )
         assert_grad_close(fd_v, v_bar)
-        assert_grad_close(fd_tau, tau_bar)
+        assert_grad_close(fd_tau, got[2])
 
     def test_inactive_components_get_zero(self):
         rng = np.random.default_rng(12)
-        v = 0.1 * random_complex(rng, (4, 4))
-        v_bar, tau_bar = prox_backward(v, 5.0, random_complex(rng, (4, 4)))
-        assert np.all(v_bar == 0)
-        assert tau_bar == 0.0
-
-    @pytest.mark.parametrize("tau", [-0.5, np.nan, np.inf])
-    def test_rejects_a_threshold_that_is_not_finite_and_nonnegative(self, tau):
-        v = np.array([0.3 - 0.2j])
-        with pytest.raises(ValueError, match="tau"):
-            prox_backward(v, tau, np.ones_like(v))
+        v = 0.1 * random_complex(rng, (2, 4, 4))
+        got, want, _ = prox_through_sweep(v, 5.0, random_complex(rng, (2, 4, 4)))
+        # no channel passes, so every cotangent of the sweep is zero
+        assert np.all(got[0] == 0) and np.all(got[1] == 0)
+        assert got[2] == 0.0
+        assert_matches_oracle(got, want)
 
     def test_zero_threshold_passes_every_nonzero_channel(self):
-        v = np.array([0.3 - 0.2j, 0.0 + 1.0j])
-        v_bar, tau_bar = prox_backward(v, 0.0, np.array([2.0 + 3.0j, 2.0 + 3.0j]))
-        assert np.array_equal(v_bar, np.array([2.0 + 3.0j, 3.0j]))
-        assert tau_bar == -(2.0 - 3.0 + 3.0)
+        v = np.array([[[0.3 - 0.2j, 0.0 + 1.0j]]])
+        got, want, v_bar = prox_through_sweep(v, 0.0, np.array([[[2.0 + 3.0j, 2.0 + 3.0j]]]))
+        np.testing.assert_allclose(v_bar, [[[2.0 + 3.0j, 3.0j]]], rtol=0, atol=1e-14)
+        assert got[2] == -(2.0 - 3.0 + 3.0)
+        assert_matches_oracle(got, want)
 
     def test_mixed_activity_channels(self):
         # one channel active, the other clamped, in the same component
-        v = np.array([2.0 + 0.1j])
-        weight = np.array([1.0 + 1.0j])
-        v_bar, tau_bar = prox_backward(v, 0.5, weight)
-        assert v_bar[0] == 1.0 + 0.0j
-        assert tau_bar == -1.0
+        v = np.array([[[2.0 + 0.1j]]])
+        got, want, v_bar = prox_through_sweep(v, 0.5, np.array([[[1.0 + 1.0j]]]))
+        np.testing.assert_allclose(v_bar, [[[1.0 + 0.0j]]], rtol=0, atol=1e-15)
+        assert got[2] == -1.0
+        assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 5e-324], ids=["zero", "half", "subnormal"])
+    def test_channels_at_the_kink_at_signed_zero_and_subnormal(self, tau):
+        # every channel value sits on a kink or at the edge of the float range;
+        # the package and the oracle must pass the same channels
+        tiny, smallest_normal = np.finfo(float).smallest_subnormal, np.finfo(float).smallest_normal
+        reals = [tau, -tau, 0.0, -0.0, tiny, -tiny, smallest_normal, -smallest_normal]
+        v = np.zeros((2, 2, 2), dtype=np.complex128)
+        v.real.flat, v.imag.flat = reals, reals[::-1]  # assigned, so -0.0 stays -0.0
+        weight = random_complex(np.random.default_rng(13), v.shape)
+        got, want, v_bar = prox_through_sweep(v, tau, weight)
+        assert_matches_oracle(got, want)
+        for part in ("real", "imag"):
+            passed = np.where(np.abs(getattr(v, part)) > tau, getattr(weight, part), 0.0)
+            np.testing.assert_allclose(getattr(v_bar, part), passed, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,39 @@ class TestBrokenManifests:
         assert err.startswith(f"{tmp_path / 'm' / name}: Expecting property name")
         assert err.count("\n") == 1
 
+    # json.loads rejects an integer of more than 4,300 digits with a ValueError
+    # that is not a JSONDecodeError, and bytes that are not UTF-8 fail to decode
+    @pytest.mark.parametrize("defect", ["int-over-digit-limit", "not-utf8"])
+    @pytest.mark.parametrize("name", ["config.json", "checkpoint.json", "sample.json",
+                                      "dataset.json"])
+    def test_undecodable_json(self, workspace, tmp_path, capsys, name, defect):
+        run, sample = workspace["run"] / "final", workspace["data"] / "sample_000"
+        if name == "config.json":
+            path = tmp_path / name
+        else:
+            source = {"checkpoint.json": run, "sample.json": sample,
+                      "dataset.json": workspace["data"]}[name]
+            shutil.copytree(source, tmp_path / "m")
+            path = tmp_path / "m" / name
+        path.write_bytes({"int-over-digit-limit": b'{"n": ' + b"1" * 5001 + b"}",
+                          "not-utf8": b'{"n": "\xff"}'}[defect])
+        argv = {
+            "config.json": ["train", "--data", workspace["data"], "--val", workspace["val"],
+                            "--out", tmp_path / "run", "--config", path],
+            "checkpoint.json": ["export-filters", "--checkpoint", tmp_path / "m",
+                                "--out", tmp_path / "filters"],
+            "sample.json": ["reconstruct", "--checkpoint", run, "--sample", tmp_path / "m",
+                            "--out", tmp_path / "r.bin"],
+            "dataset.json": ["train", "--data", tmp_path / "m", "--val", workspace["val"],
+                             "--out", tmp_path / "run", "--K", 2, "--kf", 3, "--epochs", 1],
+        }[name]
+        code, _ = run_cli(*argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not any((tmp_path / out).exists() for out in ("run", "filters", "r.bin"))
+
 
 class TestBadTensors:
     """A tensor read from disk with a NaN entry, or a target that does not
