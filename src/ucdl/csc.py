@@ -45,7 +45,13 @@ whose gamma or tau is not a finite number > 0.
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records; the
 sweep's VJP reverses its soft threshold inline, on the float64 channels of
-the recorded v.
+the recorded v.  The sweep and synthesis VJPs work in the buffers they are
+handed: each adds its kernel cotangent into the caller's accumulator one
+filter block at a time, the synthesis VJP hands on an image f for the code
+cotangent conj(d) f, which the sweep's VJP forms block by block, and the
+sweep's VJP runs its two K-map DFTs in place, so beyond its inputs it
+allocates only the threshold VJP's |v| scratch, two block-sized scratch
+arrays and images.  Their sums run in the forward's order and keep its bits.
 """
 
 from __future__ import annotations
@@ -197,11 +203,12 @@ def kernel_spectra(filters: FilterBank, image_shape: tuple) -> KernelSpectra:
     return KernelSpectra(d=d, power=power, n_spatial=n_spatial)
 
 
-def _conj_times(d: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """conj(d) y for filter spectra d and an image y, as conj(d conj(y)) in
-    `out` (a fresh array if None): the bits of conj(d) y except where an
-    imaginary part cancels exactly, whose zero may carry the other sign."""
-    out = np.multiply(d, np.conj(y)[np.newaxis], out=out)
+def _conj_times(d: np.ndarray, conj_y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """conj(d) y for filter spectra d and the conjugate of an image y, as
+    conj(d conj(y)) in `out` (a fresh array if None): the bits of conj(d) y
+    except where an imaginary part cancels exactly, whose zero may carry the
+    other sign."""
+    out = np.multiply(d, conj_y, out=out)
     return np.conjugate(out, out=out)
 
 
@@ -252,7 +259,8 @@ def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarra
     """Sum of circular convolutions sum_k d_k * s_k from the code spectrum
     s_hat.  For the s_hat of an s-update this is F^{-1}(x_hat - gamma c),
     which the network forms from the update's record instead; the VJP of
-    either is :func:`synthesis_backward`."""
+    either is :func:`synthesis_backward`, which hands on the image whose
+    product with conj(d) is the cotangent of s_hat."""
     if s_hat.shape[0] != len(spectra.d):
         raise ShapeMismatch(
             f"expected {len(spectra.d)} coefficient maps, got {s_hat.shape[0]}"
@@ -338,18 +346,24 @@ def _sum_batch(arr: np.ndarray, n_spatial: int) -> np.ndarray:
 
 
 def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
-                       config: AdmmConfig, s_hat_bar, u_bar, z_bar,
+                       config: AdmmConfig, s_hat_bar, u_bar, z_bar, d_bar: np.ndarray,
                        need_state: bool = True):
     """VJP of one s -> u -> z ADMM sweep.
 
     Takes the sweep's record and constants, and the cotangents of its outputs:
-    s_hat_bar of the new s's spectrum (from the synthesis of the last
-    sweep's s), u_bar and z_bar of the new u and z, all three
-    C-contiguous complex arrays, which it overwrites: s_hat_bar and u_bar
-    become scratch, and z_bar holds the cotangent of z_prev.  None stands
-    for a zero cotangent, and u_bar and z_bar are both None or both arrays.
-    Without `need_state` the sweep started from a state that carries no
-    parameters, and its cotangents are not computed.
+    s_hat_bar of the new s's spectrum, u_bar and z_bar of the new u and z.
+    s_hat_bar is a (K, *image) array, or the image f that
+    :func:`synthesis_backward` returns, which stands for conj(d) f; None
+    stands for a zero cotangent.  u_bar and z_bar are both None or both
+    C-contiguous complex arrays, and the VJP works in the buffers it is
+    handed: it overwrites a (K, *image) s_hat_bar, u_bar and z_bar, and
+    returns the cotangents of u_prev and z_prev in u_bar's and z_bar's
+    buffers (without u_bar, in the buffer of the s_hat cotangent and a
+    copy).  It adds the
+    spectra's cotangent into d_bar, the (K, *spatial) accumulator of the
+    backward, one filter block at a time.  Without `need_state` the sweep
+    started from a state that carries no parameters, and its cotangents are
+    not computed.
 
     The threshold u = soft_threshold(v, tau) is reversed per float64 channel
     of the recorded v: v_bar = u_bar where |v| > tau and 0 elsewhere, and
@@ -366,11 +380,12 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
     d^T s_hat - x_hat is -gamma c.
 
     Returns the cotangent of x_hat (rho, spectral), those of (u_prev, z_prev)
-    (spatial, or None), that of the spectra, reduced over batch axes to the
-    (K, *spatial) layout, and the gamma and tau pieces.
+    (spatial, or None), and the gamma and tau pieces.
     """
+    d, n_spatial = spectra.d, spectra.n_spatial
+    shape = step.s_hat.shape
+    synth_hat_bar = s_hat_bar if s_hat_bar is not None and s_hat_bar.ndim < d.ndim else None
     tau_bar = 0.0
-    sz_bar = None
     if u_bar is not None:
         # z_new = z_prev + (u_new - s_new); u_new = soft_threshold(v, tau)
         # with v = s_new - z_prev: s_new gets v_bar - z_bar, z_prev the negation
@@ -383,53 +398,71 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
         np.sign(channels, out=scratch)
         tau_bar = -real_inner(scratch, v_bar)
         del scratch
-        sz_bar = np.subtract(u_bar, z_bar, out=u_bar)
-        sz_hat_bar = dft_forward(sz_bar, ndim=spectra.n_spatial)
+        # s_bar - z_bar in u_bar's buffer, kept in z_bar's for z_prev_bar,
+        # and then transformed in place
+        np.copyto(z_bar, np.subtract(u_bar, z_bar, out=u_bar))
+        sz_hat_bar = dft_forward(u_bar, ndim=n_spatial, overwrite_x=True)
         sz_hat_bar /= spectra.n_freq
-        # the sum goes into the synthesis cotangent's buffer; IEEE addition commutes
-        s_hat_bar = (sz_hat_bar if s_hat_bar is None
-                     else np.add(s_hat_bar, sz_hat_bar, out=s_hat_bar))
-        del sz_hat_bar
-    # the s-update, with w = u_prev + z_prev
-    scratch = np.multiply(spectra.d, s_hat_bar)
-    rho = scratch.sum(axis=0)
+        # the sums go into sz_hat_bar's buffer; IEEE addition commutes
+        if s_hat_bar is not None and synth_hat_bar is None:
+            sz_hat_bar += s_hat_bar
+        s_hat_bar = sz_hat_bar
+    elif synth_hat_bar is not None:
+        # without a prox part, conj(d) f is the whole cotangent, in a fresh array
+        s_hat_bar, synth_hat_bar = _conj_times(d, np.conj(synth_hat_bar)), None
+    # the scratch blocks are allocated once the threshold's scratch is freed
+    blocks, others = _filter_blocks(shape), _filter_blocks(shape)
+    conj_f = None if synth_hat_bar is None else np.conj(synth_hat_bar)
+    # the s-update, with w = u_prev + z_prev; rho is summed from zero one
+    # filter at a time, in filter order, as sum(axis=0) does
+    rho = np.zeros(step.c.shape, dtype=np.complex128)
+    for blk, scratch in blocks:
+        if conj_f is not None:
+            s_hat_bar[blk] += _conj_times(d[blk], conj_f, out=scratch)
+        for product in np.multiply(d[blk], s_hat_bar[blk], out=scratch):
+            rho += product
     rho /= config.gamma + spectra.power
+    conj_rho, conj_c = np.conj(rho), np.conj(step.c)
     w_hat_bar = s_hat_bar
-    w_hat_bar -= _conj_times(spectra.d, rho, out=scratch)
-    w_bar = None
-    if need_state:
-        w_bar = dft_inverse(w_hat_bar, ndim=spectra.n_spatial)
-        w_bar *= spectra.n_freq
-    # d_bar = conj(w_hat_bar conj(c) - s_hat conj(rho)), conjugated once
-    # after the batch sum
-    d_bar = np.multiply(w_hat_bar, np.conj(step.c), out=scratch)
-    del scratch
-    d_bar -= np.multiply(step.s_hat, np.conj(rho), out=w_hat_bar)
-    d_bar = _sum_batch(d_bar, spectra.n_spatial)
-    np.conjugate(d_bar, out=d_bar)
+    for (blk, scratch), (_, other) in zip(blocks, others):
+        w_hat_bar[blk] -= _conj_times(d[blk], conj_rho, out=scratch)
+        # d_bar += conj(w_hat_bar conj(c) - s_hat conj(rho)), conjugated
+        # once after the batch sum
+        piece = np.multiply(w_hat_bar[blk], conj_c, out=scratch)
+        piece -= np.multiply(step.s_hat[blk], conj_rho, out=other)
+        piece = _sum_batch(piece, n_spatial)
+        d_bar[blk] += np.conjugate(piece, out=piece)
+    del blocks, others, conj_f, conj_rho, conj_c
     gamma_bar = -real_inner(rho, step.c)
     if not (np.isfinite(gamma_bar) and np.isfinite(tau_bar)):
         raise NonFiniteValue("non-finite gamma or tau cotangent")
-    z_prev_bar = None
-    if need_state:
-        z_prev_bar = w_bar.copy() if sz_bar is None else np.subtract(w_bar, sz_bar, out=z_bar)
-    return rho, w_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
+    if not need_state:
+        return rho, None, None, gamma_bar, tau_bar
+    w_bar = dft_inverse(w_hat_bar, ndim=n_spatial, overwrite_x=True)
+    w_bar *= spectra.n_freq
+    z_prev_bar = w_bar.copy() if u_bar is None else np.subtract(w_bar, z_bar, out=z_bar)
+    return rho, w_bar, z_prev_bar, gamma_bar, tau_bar
 
 
-def synthesis_backward(spectra: KernelSpectra, s_hat: np.ndarray, synth_bar: np.ndarray):
+def synthesis_backward(spectra: KernelSpectra, s_hat: np.ndarray, synth_bar: np.ndarray,
+                       d_bar: np.ndarray) -> np.ndarray:
     """VJP of dictionary_synthesis(spectra, s_hat).
 
-    Returns the cotangent of s_hat, conj(d) F(synth_bar)/N, which the
-    sweep's VJP takes as it is, and that of the spectra.
+    Adds the spectra's cotangent conj(s_hat) f, summed over batch axes, into
+    the (K, *spatial) accumulator d_bar one filter block at a time, and
+    returns f = F(synth_bar)/N, the cotangent of the synthesis spectrum
+    d^T s_hat.  The cotangent of s_hat is conj(d) f, which
+    :func:`admm_step_backward` forms from f itself.
     """
     f_synth_bar = dft_forward(synth_bar, ndim=spectra.n_spatial)
     f_synth_bar /= spectra.n_freq
     if not np.all(np.isfinite(f_synth_bar)):
         raise NonFiniteValue("non-finite synthesis cotangent")
-    s_hat_bar = _conj_times(spectra.d, f_synth_bar)
-    d_bar = np.conj(s_hat)
-    d_bar *= f_synth_bar[np.newaxis]
-    return s_hat_bar, _sum_batch(d_bar, spectra.n_spatial)
+    for blk, scratch in _filter_blocks(s_hat.shape):
+        piece = np.conjugate(s_hat[blk], out=scratch)
+        piece *= f_synth_bar
+        d_bar[blk] += _sum_batch(piece, spectra.n_spatial)
+    return f_synth_bar
 
 
 def spectra_to_kernel_grad(d_bar: np.ndarray, kernel_shape: tuple) -> np.ndarray:

@@ -72,33 +72,41 @@ def _read_header_field(fh, path, fmt: str) -> tuple:
     return struct.unpack(fmt, blob)
 
 
+def _named(path, err: OSError) -> OSError:
+    """`err`, of its own type, as the one line `<path>: <reason>`."""
+    return type(err)(f"{path}: {err.strerror or err}")
+
+
 def read_tensor(path: str | Path) -> np.ndarray:
     """Read a tensor written by :func:`write_tensor`, rejecting one with a
     NaN or Inf entry or with bytes after its payload."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise TensorFormatError(f"{path}: bad magic {magic!r}")
-        version, ndim = _read_header_field(fh, path, "<II")
-        if version != VERSION:
-            raise TensorFormatError(f"{path}: unsupported version {version}")
-        size = os.fstat(fh.fileno()).st_size
-        # check a size the header promises against the file before reading it
-        if 8 * ndim > size - fh.tell():
-            raise TensorFormatError(f"{path}: truncated header")
-        dims = _read_header_field(fh, path, f"<{ndim}Q")
-        (tag,) = _read_header_field(fh, path, "<I")
-        if tag != DTYPE_TAG_COMPLEX128:
-            raise TensorFormatError(f"{path}: unsupported dtype tag {tag}")
-        if ndim == 0:
-            raise TensorFormatError(f"{path}: zero-dimensional tensor")
-        count = math.prod(dims)
-        if 16 * count > size - fh.tell():
-            raise TensorFormatError(f"{path}: truncated payload")
-        if 16 * count < size - fh.tell():
-            raise TensorFormatError(f"{path}: {size - fh.tell() - 16 * count} bytes "
-                                    f"after the payload")
-        data = np.fromfile(fh, dtype="<c16", count=count)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != MAGIC:
+                raise TensorFormatError(f"{path}: bad magic {magic!r}")
+            version, ndim = _read_header_field(fh, path, "<II")
+            if version != VERSION:
+                raise TensorFormatError(f"{path}: unsupported version {version}")
+            size = os.fstat(fh.fileno()).st_size
+            # check a size the header promises against the file before reading it
+            if 8 * ndim > size - fh.tell():
+                raise TensorFormatError(f"{path}: truncated header")
+            dims = _read_header_field(fh, path, f"<{ndim}Q")
+            (tag,) = _read_header_field(fh, path, "<I")
+            if tag != DTYPE_TAG_COMPLEX128:
+                raise TensorFormatError(f"{path}: unsupported dtype tag {tag}")
+            if ndim == 0:
+                raise TensorFormatError(f"{path}: zero-dimensional tensor")
+            count = math.prod(dims)
+            if 16 * count > size - fh.tell():
+                raise TensorFormatError(f"{path}: truncated payload")
+            if 16 * count < size - fh.tell():
+                raise TensorFormatError(f"{path}: {size - fh.tell() - 16 * count} bytes "
+                                        f"after the payload")
+            data = np.fromfile(fh, dtype="<c16", count=count)
+    except OSError as err:  # a missing file, a directory, a failed read
+        raise _named(path, err) from err
     if not np.isfinite(data).all():
         raise TensorFormatError(f"{path}: non-finite entries")
     return data.reshape(dims).astype(np.complex128, copy=False)
@@ -130,6 +138,8 @@ def read_manifest(path: str | Path, keys: dict) -> dict:
     a value of the type `keys` maps it to (see _TYPE_NAMES)."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:  # a missing file, a directory, a failed read
+        raise _named(path, err) from err
     except ValueError as err:  # bad JSON, an oversized integer or bytes that are not UTF-8
         raise ValueError(f"{path}: {err}") from err
     if not isinstance(manifest, dict):

@@ -75,6 +75,12 @@ def spectra_of(x, filters):
     return dft_forward(x, ndim=spectra.n_spatial), spectra
 
 
+def kernel_accumulator(spectra):
+    """A zero (K, *spatial) spectra cotangent, into which the sweep and
+    synthesis VJPs add theirs."""
+    return np.zeros(spectra.d.shape[:1] + spectra.power.shape, dtype=np.complex128)
+
+
 def s_update_sweep(x_hat, u, z, spectra, gamma):
     """One sweep of the package from (u, z), under weights that give it
     `gamma`: its new s, its record and its weights.  u and z are not written."""

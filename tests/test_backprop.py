@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ucdl import backprop, network
+from ucdl import backprop, csc, network
 from ucdl.backprop import GradientSet, backward
 from ucdl.csc import (
     AdmmConfig,
@@ -51,7 +51,7 @@ from ucdl.tensors import dft_forward, dft_inverse, real_inner
 from ucdl.training import AdamState, loss_mse_grad, train_step
 
 import oracles
-from oracles import run_admm, s_update_sweep, spectra_of, traced_peak
+from oracles import kernel_accumulator, run_admm, s_update_sweep, spectra_of, traced_peak
 
 FD_STEP = 1e-6
 
@@ -158,8 +158,9 @@ def prox_through_sweep(v, tau, u_bar):
     _, step = admm_step_traced(x_hat, None, spectra, config)
     step = dataclasses.replace(step, v=np.asarray(v, dtype=np.complex128), tau=tau)
     zeros = np.zeros(v.shape, dtype=np.complex128)
-    _, u_prev_bar, z_prev_bar, _, _, tau_bar = admm_step_backward(
-        step, spectra, config, None, np.array(u_bar, dtype=np.complex128), zeros.copy())
+    _, u_prev_bar, z_prev_bar, _, tau_bar = admm_step_backward(
+        step, spectra, config, None, np.array(u_bar, dtype=np.complex128), zeros.copy(),
+        kernel_accumulator(spectra))
     want = oracles.admm_step_backward(x_hat, step, filter_spectra(bank, (nx, ny)),
                                       config.gamma, zeros, u_bar, zeros)
     return (u_prev_bar, z_prev_bar, tau_bar), (want[1], want[2], want[5]), u_prev_bar - z_prev_bar
@@ -255,8 +256,9 @@ class TestSUpdateBackward:
         _, step, config = s_update_sweep(x_hat, u, z, spectra, gamma)
         n_spatial = len(kernel_shape)
         # the VJP of the sweep's s-update alone: no cotangent of its u and z
-        x_hat_bar, u_bar, z_bar, d_bar, gamma_bar, _ = admm_step_backward(
-            step, spectra, config, spectral(weight, n_spatial), None, None
+        d_bar = kernel_accumulator(spectra)
+        x_hat_bar, u_bar, z_bar, gamma_bar, _ = admm_step_backward(
+            step, spectra, config, spectral(weight, n_spatial), None, None, d_bar
         )
         x_bar = spatial(x_hat_bar, n_spatial)
 
@@ -330,8 +332,9 @@ class TestAdmmStepBackward:
 
         _, spectra = spectra_of(x, bank)
         # the VJP overwrites its cotangents; loss() still reads w_u and w_z
-        x_hat_bar, u_bar, z_bar, d_bar, gamma_bar, tau_bar = admm_step_backward(
-            trace, spectra, config(gamma, tau), spectral(w_s, 2), w_u.copy(), w_z.copy()
+        d_bar = kernel_accumulator(spectra)
+        x_hat_bar, u_bar, z_bar, gamma_bar, tau_bar = admm_step_backward(
+            trace, spectra, config(gamma, tau), spectral(w_s, 2), w_u.copy(), w_z.copy(), d_bar
         )
         x_bar = spatial(x_hat_bar, 2)
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
@@ -357,7 +360,7 @@ class TestAdmmStepBackward:
             z_bar = None if u_bar is None else random_complex(rng, (2, 4, 4))
             s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
             _, u_prev_bar, z_prev_bar, *_ = admm_step_backward(
-                trace, spectra, cfg, s_hat_bar, u_bar, z_bar
+                trace, spectra, cfg, s_hat_bar, u_bar, z_bar, kernel_accumulator(spectra)
             )
             assert not np.shares_memory(u_prev_bar, z_prev_bar)
             before = z_prev_bar.copy()
@@ -377,12 +380,58 @@ class TestAdmmStepBackward:
         s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
         u_bar, z_bar = random_complex(rng, (2, 4, 4)), random_complex(rng, (2, 4, 4))
         inputs = (trace, spectra, cfg)
-        full = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar.copy(), z_bar.copy())
+        full_d_bar, skipped_d_bar = kernel_accumulator(spectra), kernel_accumulator(spectra)
+        full = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar.copy(), z_bar.copy(),
+                                  full_d_bar)
         skipped = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar.copy(), z_bar.copy(),
-                                     need_state=False)
+                                     skipped_d_bar, need_state=False)
         assert skipped[1] is None and skipped[2] is None
-        for a, b in zip(full[:1] + full[3:], skipped[:1] + skipped[3:]):
+        for a, b in zip(full[:1] + full[3:] + (full_d_bar,),
+                        skipped[:1] + skipped[3:] + (skipped_d_bar,)):
             np.testing.assert_array_equal(a, b)
+
+
+class TestBlockedVjps:
+    """The sweep and synthesis VJPs run their elementwise passes over blocks
+    of filters: every output, the kernel cotangent included, must be the
+    one-block run's, bit for bit, and the synthesis image f must give the
+    bits of the (K, *image) cotangent conj(d) f it stands for."""
+
+    @pytest.mark.parametrize("n_filters,kernel_shape,image_shape,budget", [
+        (7, (3, 3), (3, 8, 6), 3),          # K not a multiple of the block, batched frames
+        (4, (3, 3, 3), (6, 8, 4), 0.4),     # a filter's map larger than the block
+        (5, (3, 3, 3), (6, 8, 4), 2),       # a 3d bank
+    ], ids=["K7_by3", "map_over_budget", "3d_K5_by2"])
+    @pytest.mark.parametrize("prox", [True, False], ids=["prox", "no_prox"])
+    def test_blocks_and_synthesis_image_keep_the_bits(self, monkeypatch, n_filters,
+                                                     kernel_shape, image_shape, budget, prox):
+        rng = np.random.default_rng(n_filters)
+        bank = random_bank(rng, n_filters, kernel_shape)
+        x_hat, spectra = spectra_of(random_complex(rng, image_shape), bank)
+        maps = (n_filters,) + image_shape
+        state = CodeState(*(random_complex(rng, maps) for _ in range(3)))
+        cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
+        _, step = admm_step_traced(x_hat, state, spectra, cfg)
+        synth_bar = random_complex(rng, image_shape)
+        u_bar, z_bar = (random_complex(rng, maps) if prox else None for _ in range(2))
+
+        def run(s_hat_bar_of):
+            d_bar = kernel_accumulator(spectra)
+            f = synthesis_backward(spectra, step.s_hat, synth_bar, d_bar)
+            out = admm_step_backward(step, spectra, cfg, s_hat_bar_of(f),
+                                     *(None if a is None else a.copy() for a in (u_bar, z_bar)),
+                                     d_bar)
+            return [np.asarray(a).tobytes() for a in out + (d_bar,)]
+
+        def as_maps(f):
+            return np.conj(spectra.d * np.conj(f))
+
+        monkeypatch.setattr(csc, "_BLOCK_BYTES", 100 * 16 * int(np.prod(maps)))
+        whole = run(lambda f: f)
+        assert run(as_maps) == whole
+        monkeypatch.setattr(csc, "_BLOCK_BYTES", int(budget * 16 * int(np.prod(image_shape))))
+        assert len(csc._filter_blocks(maps)) > 1
+        assert run(lambda f: f) == whole
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +449,10 @@ class TestSynthesisBackward:
 
         spectra = kernel_spectra(bank, code_shape[1:])
         s_hat = dft_forward(s, ndim=len(kernel_shape))
-        s_hat_bar, d_bar = synthesis_backward(spectra, s_hat, weight)
-        s_bar = spatial(s_hat_bar, len(kernel_shape))
+        d_bar = kernel_accumulator(spectra)
+        f = synthesis_backward(spectra, s_hat, weight, d_bar)
+        # the cotangent of s_hat is conj(d) f
+        s_bar = spatial(np.conj(spectra.d) * f, len(kernel_shape))
         assert_grad_close(numeric_grad(lambda a: loss(s_=a), s), s_bar)
         fd_kernels = numeric_grad(lambda k: loss(bank_=FilterBank(k)), bank.kernels)
         assert_grad_close(fd_kernels, spectra_to_kernel_grad(d_bar, kernel_shape))
@@ -745,9 +796,10 @@ class TestTraceReuse:
 class TestStepMemory:
     """A train step holds, beyond its trace, only what its remaining work
     reads.  K-map stacks (K, N_t, N_x, N_y) dominate the images here, and
-    the bounds are in K-maps: the backward peaks at about 6.3 of them above
-    its trace and the train step at about 6.4, the traced forward's own
-    peak.  A new buffer for each sweep cotangent, or the final code maps
+    the bounds are in K-maps: the backward peaks at about 4.4 of them above
+    its trace (the kernel cotangent, u_bar, z_bar and the threshold's |v|
+    scratch) and the train step at about 4.4.  A new buffer for each sweep
+    cotangent, an out-of-place DFT in a sweep's VJP, or the final code maps
     held through the backward, breaks the bound."""
 
     n_filters = 32
@@ -765,7 +817,7 @@ class TestStepMemory:
         result = forward_reconstruct(sample, params, config, want_trace=True)
         trace, d_image = result.trace, loss_mse_grad(result.image, target)
         del result
-        assert traced_peak(lambda: backward(trace, d_image)) <= 7 * kmap
+        assert traced_peak(lambda: backward(trace, d_image)) <= 5 * kmap
 
     def test_train_step_holds_no_code_maps(self):
         sample, config, params, target, kmap = self.instance()
@@ -774,7 +826,21 @@ class TestStepMemory:
         del trace
         state = AdamState.init(params)
         peak = traced_peak(lambda: train_step(sample, target, params, config, state))
-        assert peak - trace_bytes <= 7 * kmap
+        assert peak - trace_bytes <= 5 * kmap
+
+    def test_sweep_vjp_allocates_one_scratch_stack(self):
+        # with a prox part and the synthesis cotangent: beyond its inputs,
+        # only the threshold's |v| scratch, block scratch and images
+        sample, config, params, target, kmap = self.instance()
+        trace = forward_reconstruct(sample, params, config, want_trace=True).trace
+        step, spectra = trace.outer[1].admm[-1], trace.spectra
+        rng = np.random.default_rng(94)
+        u_bar, z_bar = (random_complex(rng, step.s_hat.shape) for _ in range(2))
+        f = random_complex(rng, step.c.shape)
+        d_bar = kernel_accumulator(spectra)
+        cfg = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
+        peak = traced_peak(lambda: admm_step_backward(step, spectra, cfg, f, u_bar, z_bar, d_bar))
+        assert peak <= 1.3 * kmap
 
 
 class TestBackwardApi:
@@ -904,7 +970,8 @@ class TestNonFiniteCotangents:
         def poisoned(*args, **kwargs):
             out = original(*args, **kwargs)
             if len(calls) == call:
-                out[output].flat[0] = np.nan
+                # synthesis_backward returns one array, the others a tuple
+                (out[output] if isinstance(out, tuple) else out).flat[0] = np.nan
             calls.append(block)
             return out
 
@@ -923,16 +990,18 @@ class TestNonFiniteCotangents:
         with pytest.raises(NonFiniteValue):
             cg_backward(cg_solve(outer.approx, operator, outer.approx, 2).trace, bad, operator)
         with pytest.raises(NonFiniteValue):
-            synthesis_backward(trace.spectra, outer.admm[-1].s_hat, bad)
+            synthesis_backward(trace.spectra, outer.admm[-1].s_hat, bad,
+                               kernel_accumulator(trace.spectra))
         step = outer.admm[-1]
         codes = np.full(step.v.shape, np.nan + 0j)
         params = trace.params
         inputs = (step, trace.spectra,
                   AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta))
+        d_bar = kernel_accumulator(trace.spectra)
         with pytest.raises(NonFiniteValue):
-            admm_step_backward(*inputs, codes, None, None)
+            admm_step_backward(*inputs, codes, None, None, d_bar)
         with pytest.raises(NonFiniteValue):
-            admm_step_backward(*inputs, None, codes, np.zeros_like(codes))
+            admm_step_backward(*inputs, None, codes, np.zeros_like(codes), d_bar)
 
 
 # one paper-scale forward and backward, printed as the sha256 of each output

@@ -492,6 +492,49 @@ class TestBrokenManifests:
         assert not any((tmp_path / out).exists() for out in ("run", "filters", "r.bin"))
 
 
+class TestUnreadableFiles:
+    """A manifest or tensor that is missing, or is a directory, exits 1 with
+    one line that starts with its path, before any output is written: the
+    reader, not its caller, names the path."""
+
+    @pytest.mark.parametrize("defect", ["missing", "directory"])
+    @pytest.mark.parametrize("name", ["config.json", "checkpoint.json", "sample.json",
+                                      "dataset.json", "y.bin", "recon.bin"])
+    def test_file_that_cannot_be_read(self, workspace, tmp_path, capsys, name, defect):
+        run, sample = workspace["run"] / "final", workspace["data"] / "sample_000"
+        source = {"checkpoint.json": run, "sample.json": sample, "y.bin": sample,
+                  "dataset.json": workspace["data"]}.get(name)
+        if source is None:
+            path = tmp_path / name
+        else:
+            shutil.copytree(source, tmp_path / "m")
+            path = tmp_path / "m" / name
+            path.unlink()
+        if defect == "directory":
+            path.mkdir()
+        outputs = [tmp_path / out for out in ("run", "filters", "r.bin", "report.json")]
+        argv = {
+            "config.json": ["train", "--data", workspace["data"], "--val", workspace["val"],
+                            "--out", outputs[0], "--config", path],
+            "checkpoint.json": ["export-filters", "--checkpoint", tmp_path / "m",
+                                "--out", outputs[1]],
+            "sample.json": ["reconstruct", "--checkpoint", run, "--sample", tmp_path / "m",
+                            "--out", outputs[2]],
+            "y.bin": ["reconstruct", "--checkpoint", run, "--sample", tmp_path / "m",
+                      "--out", outputs[2]],
+            "dataset.json": ["train", "--data", tmp_path / "m", "--val", workspace["val"],
+                             "--out", outputs[0], "--K", 2, "--kf", 3, "--epochs", 1],
+            "recon.bin": ["evaluate", "--recon", path, "--target", sample / "target.bin",
+                          "--json", outputs[3]],
+        }[name]
+        code, out = run_cli(*argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and err.count("\n") == 1
+        assert "Errno" not in err and "Traceback" not in err
+        assert out == "" and not any(p.exists() for p in outputs)
+
+
 class TestBadTensors:
     """A tensor read from disk with a NaN entry, or a target that does not
     fit its sample, exits 1 with one line that names the file, before any

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import circular_convolve, csc_objective, run_admm, s_update_sweep, spectra_of
+from oracles import (circular_convolve, csc_objective, kernel_accumulator, run_admm,
+                     s_update_sweep, spectra_of)
 
 from ucdl import csc
 from ucdl.csc import (
@@ -314,8 +315,9 @@ class TestClosedFormAgainstShermanMorrison:
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
     def test_backward(self, workload, gamma):
         x, _, _, bank, x_hat, spectra, step, config, s_hat_bar = self.run_case(workload, gamma)
-        rho, w_bar, _, d_bar, gamma_bar, _ = admm_step_backward(
-            step, spectra, config, s_hat_bar.copy(), None, None)
+        d_bar = kernel_accumulator(spectra)
+        rho, w_bar, _, gamma_bar, _ = admm_step_backward(
+            step, spectra, config, s_hat_bar.copy(), None, None, d_bar)
         n_spatial = spectra.n_spatial
         want = oracles.sherman_morrison_backward(
             x_hat, step.s_hat, filter_spectra(bank, x.shape[-n_spatial:]), gamma, s_hat_bar)
