@@ -230,13 +230,14 @@ def cmd_evaluate(args) -> int:
     size = tuple(args.roi) if args.roi is not None else None
     report = compute_report(recon, target, size=size)
     text = report.to_json()
-    print(text)
+    # the files first, so that a failed write prints no report
     if args.json_out:
         with atomic_write(args.json_out) as fh:
             fh.write(text + "\n")
     if args.csv:
         label = args.label or Path(args.recon).name
         append_report_csv(args.csv, report, label=label)
+    print(text)
     return 0
 
 

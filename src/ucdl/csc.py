@@ -31,12 +31,16 @@ share, to every sweep.  A sweep records only what varies
 threshold.  Since d^T s^f = x^f - gamma c, the network's synthesis is the
 inverse DFT of that image and needs no K-map product.  A sweep consumes its
 input state: w = u + z and then s^f are formed in u's buffer, and the new s
-and z in the old ones' buffers, so the new u and the recorded v are its only
-fresh K-map arrays.  Between its two whole-array DFTs it runs elementwise
-passes over blocks of filters, all in one block-sized scratch array; d^T w^f
-is summed one filter at a time, in filter order, as sum(axis=0) does.  The
-forward's first sweep starts from zero codes (state None) and skips u + z,
-its transform and d^T w^f: c = x^f / (gamma + P) and s^f = +0 + conj(d) c.
+and z in the old ones' buffers, so a traced sweep's only fresh K-map arrays
+are the new u and the recorded v.  An untraced sweep records only c and tau:
+it forms v in its block scratch and the new u in s^f's buffer, so it
+allocates no K-map array.  Between its two whole-array DFTs it runs
+elementwise passes over blocks of filters, all in one block-sized scratch
+array; d^T w^f is summed one filter at a time, in filter order, as
+sum(axis=0) does.  The forward's first sweep starts from zero codes (state
+None) and skips u + z, its transform and d^T w^f: c = x^f / (gamma + P) and
+s^f = +0 + conj(d) c; untraced, it inverts s^f in place and allocates only
+the s, u and z it returns.
 The solve and the soft threshold run the plain formulas' operations in the
 same order and return the same bits, except that a code entry the threshold
 zeroes keeps the sign of its input.  :class:`AdmmConfig` rejects weights
@@ -270,24 +274,29 @@ def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class AdmmStepTrace:
-    """What varies between the sweeps, kept to reverse one of them."""
+    """What varies between the sweeps, kept to reverse one of them; an
+    untraced sweep's record holds only c and tau."""
 
-    s_hat: np.ndarray    # spectrum of the new s
-    c: np.ndarray        # s_hat = w_hat + conj(d) c, so d^T s_hat = x_hat - gamma c
-    v: np.ndarray        # u-update input s_new - z_old
+    s_hat: np.ndarray | None   # spectrum of the new s
+    c: np.ndarray              # s_hat = w_hat + conj(d) c, so d^T s_hat = x_hat - gamma c
+    v: np.ndarray | None       # u-update input s_new - z_old
     tau: float
 
 
 def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
-                     config: AdmmConfig):
+                     config: AdmmConfig, want_trace: bool = True):
     """One s -> u -> z sweep for the image spectrum x_hat, returning the new
-    state and its trace; the module docstring gives its formulas and order.
+    state and its record; the module docstring gives its formulas and order.
 
     The sweep consumes `state`: w = u + z is formed in u's buffer and becomes
     the recorded s_hat, and the new s and z are formed in the old s's and z's
     buffers, so a caller that reads `state` afterwards hands over a copy.
     None stands for zero codes, from which the sweep returns the bits of a
-    sweep from zeros, in fresh arrays, without transforming them.
+    sweep from zeros, in fresh arrays, without transforming them.  Without
+    `want_trace` the sweep records neither s_hat nor v, so it forms v in its
+    block scratch and the new u in s_hat's buffer, which is dead once s is
+    formed; from zero codes it then inverts s_hat in place, and allocates
+    only the s, u and z it returns.
     """
     d = spectra.d
     shape = d.shape[:1] + x_hat.shape
@@ -319,19 +328,24 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
             np.copyto(s[blk], s_hat[blk])
     del conj_c
     if state is None:
-        s = dft_inverse(s_hat, ndim=spectra.n_spatial)
+        s = dft_inverse(s_hat, ndim=spectra.n_spatial, overwrite_x=not want_trace)
         z = np.empty_like(s)
     else:
         s = dft_inverse(s, ndim=spectra.n_spatial, overwrite_x=True)
     tau = config.threshold
-    v, u = np.empty_like(s), np.empty_like(s)
+    if want_trace:
+        v, u = np.empty_like(s), np.empty_like(s)
+    else:
+        v, u = None, (np.empty_like(s) if state is None else s_hat)
     for blk, scratch in blocks:
         z_old = 0.0 if state is None else z[blk]
-        np.subtract(s[blk], z_old, out=v[blk])
-        _shrink(v[blk].view(np.float64), tau, u[blk].view(np.float64))
+        v_blk = scratch if v is None else v[blk]
+        np.subtract(s[blk], z_old, out=v_blk)
+        _shrink(v_blk.view(np.float64), tau, u[blk].view(np.float64))
         # z + (u - s): the grouping keeps z bitwise unchanged at a fixed point (u == s)
         np.add(z_old, np.subtract(u[blk], s[blk], out=scratch), out=z[blk])
-    return CodeState(s=s, u=u, z=z), AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=tau)
+    return CodeState(s=s, u=u, z=z), AdmmStepTrace(s_hat=s_hat if want_trace else None,
+                                                   c=c, v=v, tau=tau)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,22 @@ def atomic_write(path: str | Path, mode: str = "w"):
     Readers see the old file or the whole new one.  If the block raises,
     `path` keeps its old bytes and the temporary file is removed.  Nothing
     is synced to disk, so this guards against a crashed process, not
-    against a lost machine.
+    against a lost machine.  A failure to open the temporary file or to
+    replace `path` reads `<path>: <reason>`, naming `path` alone.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        fh = open(tmp, mode)
+    except OSError as err:  # a missing directory, one that cannot be written
+        raise _named(path, err) from err
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:  # a directory in path's place
+            raise _named(path, err) from err
     finally:
         tmp.unlink(missing_ok=True)
 

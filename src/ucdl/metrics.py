@@ -21,7 +21,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import RoiTooLarge, ShapeMismatch, ZeroReference
-from .io import atomic_write
+from .io import _named, atomic_write
 from .tensors import real_inner
 
 SSIM_K1 = 0.01
@@ -229,7 +229,10 @@ def append_report_csv(path: str | Path, report: MetricReport, label: str = "") -
     if "," in label or "\n" in label:
         raise ValueError(f"label {label!r} must not contain ',' or newlines")
     path = Path(path)
-    old = path.read_bytes() if path.exists() else b""
+    try:
+        old = path.read_bytes() if path.exists() else b""
+    except OSError as err:  # a directory in path's place, a failed read
+        raise _named(path, err) from err
     h, w = report.roi_size
     row = (
         f"{label},{repr(float(report.psnr))},{repr(float(report.nrmse))},"

@@ -21,10 +21,13 @@ and files; a 3D bank runs as (K, k_t, k_x, k_y).
 
 Each sweep writes the next code state into the buffers of the state it
 replaces (:func:`ucdl.csc.admm_step_traced`), so a forward holds one code
-state at a time beside what the sweeps record.  The codes start at zero,
-which outer iteration 0 hands its first sweep as None, so that sweep does
-not transform them.  A traced forward records read-only arrays; its output
-image is its own.
+state at a time beside what the sweeps record.  An untraced forward hands
+its want_trace down to the sweeps, which then record no K-map array and
+form v and the new u in their block scratch and the state's own buffers:
+such a forward holds about one code state and little else.  The codes start
+at zero, which outer iteration 0 hands its first sweep as None, so that
+sweep does not transform them.  A traced forward records read-only arrays;
+its output image is its own.
 
 A non-finite value stops the forward with an error naming the outer
 iteration and the CG step where it showed.  Sparse coding has no check of
@@ -201,16 +204,17 @@ class ReconResult:
 
 def outer_iteration(x: np.ndarray, state: CodeState | None, aty: np.ndarray,
                     spectra: KernelSpectra, operator: NormalOperator, admm_cfg: AdmmConfig,
-                    config: NetworkConfig):
+                    config: NetworkConfig, want_trace: bool):
     """One outer iteration from the frames-first image x: J ADMM sweeps, the
     synthesis and the CG solve warm-started at x.  Returns the next (x, state)
     and the iteration's OuterTrace; nothing else of it outlives the call.
     The sweeps consume `state`: the next one lives in its buffers.  None
-    stands for zero codes, the forward's start."""
+    stands for zero codes, the forward's start.  Without `want_trace` the
+    sweeps record only c and tau, which is all an untraced forward reads."""
     x_hat = dft_forward(x, ndim=spectra.n_spatial)
     steps = []
     for _ in range(config.n_admm):
-        state, step = admm_step_traced(x_hat, state, spectra, admm_cfg)
+        state, step = admm_step_traced(x_hat, state, spectra, admm_cfg, want_trace)
         steps.append(step)
     # sum_k d_k * s_k from the last sweep's record: d^T s_hat = x_hat - gamma c
     approx = dft_inverse(x_hat - admm_cfg.gamma * step.c, ndim=spectra.n_spatial)
@@ -239,7 +243,8 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
     outer_traces = []
     for t in range(config.n_outer):
         try:
-            x, state, record = outer_iteration(x, state, aty, spectra, operator, admm_cfg, config)
+            x, state, record = outer_iteration(x, state, aty, spectra, operator, admm_cfg,
+                                               config, want_trace)
         except NonFiniteValue as err:  # only CG checks; see the module docstring
             raise NonFiniteValue(f"outer iteration {t}: cg_solve: {err}") from err
         if want_trace:

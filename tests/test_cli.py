@@ -535,6 +535,36 @@ class TestUnreadableFiles:
         assert out == "" and not any(p.exists() for p in outputs)
 
 
+class TestUnwritableFiles:
+    """An output path that cannot be written, a directory or one in a missing
+    directory, exits 1 with one line that starts with that path and names no
+    temporary file, prints nothing and leaves no temporary file behind."""
+
+    @pytest.mark.parametrize("flag,defect", [("--json", "directory"), ("--json", "missing"),
+                                             ("--csv", "directory"), ("--out", "directory")])
+    def test_output_that_cannot_be_written(self, workspace, tmp_path, capsys, flag, defect):
+        sample = workspace["data"] / "sample_000"
+        if defect == "directory":
+            path = tmp_path / "out"
+            path.mkdir()
+        else:
+            path = tmp_path / "missing" / "x.json"
+        if flag == "--out":
+            argv = ["reconstruct", "--checkpoint", workspace["run"] / "final",
+                    "--sample", sample, "--out", path]
+        else:
+            argv = ["evaluate", "--recon", workspace["recon"], "--target",
+                    sample / "target.bin", "--roi", 12, 12, flag, path]
+        code, out = run_cli(*argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and err.count("\n") == 1
+        assert "Errno" not in err and ".tmp" not in err and "Traceback" not in err
+        assert out == ""
+        assert [p.name for p in tmp_path.rglob("*")] == (["out"] if defect == "directory"
+                                                         else [])
+
+
 class TestBadTensors:
     """A tensor read from disk with a NaN entry, or a target that does not
     fit its sample, exits 1 with one line that names the file, before any

@@ -545,7 +545,8 @@ def sweep_record(state, trace):
 
 class TestBlockedSweep:
     """The sweep's elementwise passes run over blocks of filters; state and
-    record must be the whole-array sweep's, bit for bit."""
+    record must be the whole-array sweep's, bit for bit, and an untraced
+    sweep's state the traced sweep's, in its input state's buffers."""
 
     def setup_case(self, monkeypatch, n_filters, kernel_shape, image_shape, budget):
         map_bytes = 16 * int(np.prod(image_shape))
@@ -612,6 +613,44 @@ class TestBlockedSweep:
         k_map = 16 * n_filters * int(np.prod(image_shape))
         peak = oracles.traced_peak(lambda: admm_step_traced(x_hat, state, spectra, cfg))
         assert peak <= 2.5 * k_map, peak / k_map
+
+    @pytest.mark.parametrize("n_filters,kernel_shape,image_shape,budget", BLOCK_CASES,
+                             ids=BLOCK_IDS)
+    @pytest.mark.parametrize("zero_start", [False, True], ids=["state", "zeros"])
+    def test_untraced_matches_the_traced_sweep(self, monkeypatch, n_filters, kernel_shape,
+                                               image_shape, budget, zero_start):
+        x, state, bank = self.setup_case(monkeypatch, n_filters, kernel_shape, image_shape,
+                                         budget)
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(*SWEEP_WEIGHTS[1])
+        untraced = None if zero_start else state
+        traced = None if zero_start else oracles.copy_state(state)
+        for _ in range(3):
+            old = None if untraced is None else (untraced.s, untraced.u, untraced.z)
+            untraced, record = admm_step_traced(x_hat, untraced, spectra, cfg, False)
+            traced, want = admm_step_traced(x_hat, traced, spectra, cfg)
+            new = (untraced.s, untraced.u, untraced.z)
+            assert all(same_bits(a, b) for a, b in zip(new, (traced.s, traced.u, traced.z)))
+            assert same_bits(record.c, want.c) and record.tau == want.tau
+            assert record.s_hat is None and record.v is None
+            # the record holds nothing of the returned state
+            assert not any(np.shares_memory(record.c, a) for a in new)
+            if old is not None:
+                assert all(same_buffer(a, b) for a, b in zip(new, old))
+
+    @pytest.mark.parametrize("zero_start,bound", [(False, 0.3), (True, 3.3)],
+                             ids=["state", "zeros"])
+    def test_untraced_sweep_allocates_only_what_it_returns(self, zero_start, bound):
+        # from a state, c, conj(c) and the block scratch; from zeros, the s,
+        # u and z it returns
+        n_filters, image_shape = 64, (4, 32, 32)
+        x, state, bank = self.inputs(n_filters, (3, 3), image_shape)
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(*SWEEP_WEIGHTS[1])
+        state = None if zero_start else state
+        k_map = 16 * n_filters * int(np.prod(image_shape))
+        peak = oracles.traced_peak(lambda: admm_step_traced(x_hat, state, spectra, cfg, False))
+        assert peak <= bound * k_map, peak / k_map
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import oracles
 from oracles import frames_first_bank
 from ucdl import dc, network
 from ucdl.csc import AdmmConfig, CodeState, FilterBank
+from ucdl.data import PhantomSpec, make_phantom
 from ucdl.errors import NonFiniteValue, ShapeMismatch, ZeroFilter
 from ucdl.network import (
     NetworkConfig,
@@ -278,7 +279,9 @@ class TestIterationLifetime:
                 sweep_refs.clear()
                 cg_refs.clear()
             state, step = admm_step(*args)
-            sweep_refs.extend(weakref.ref(a) for a in (step.s_hat, step.c, step.v))
+            # an untraced record holds neither s_hat nor v
+            sweep_refs.extend(weakref.ref(a) for a in (step.s_hat, step.c, step.v)
+                              if a is not None)
             return state, step
 
         def watched_solve(*args):
@@ -368,8 +371,10 @@ class TestForwardMemory:
     sweep's scratch and little else.  K-map stacks (K, N_t, N_x, N_y)
     dominate the images here, and the bounds are in K-maps: the traced
     forward peaks about 4 of them above its trace at every J, the untraced
-    one about 7.2 in all.  Fresh buffers for the sweep's s, s_hat or z, or an
-    input state kept alive through the sweeps, break the bounds."""
+    one about 4.6 in all, and 3.3 at the recon2d-points shape, where the
+    images weigh less beside the codes.  Fresh buffers for the sweep's s,
+    s_hat or z, or an input state kept alive through the sweeps, break the
+    bounds; at the recon2d-points shape, so do a fresh v or new u."""
 
     n_filters = 32
 
@@ -395,6 +400,59 @@ class TestForwardMemory:
         sample, cfg, params, kmap = self.instance(1)
         peak = oracles.traced_peak(lambda: forward_reconstruct(sample, params, cfg))
         assert peak <= 8.5 * kmap
+
+    def test_untraced_peak_at_the_recon2d_shape(self):
+        # 96 filters of 9^2 on 32x32x8 with 8 coils: the images weigh little
+        # beside the code state, which the sweeps reuse for v and the new u
+        sample = network_sample((32, 32, 8), 8, "points")
+        cfg = NetworkConfig(mode="2d")
+        params = init_network(cfg, rng_seed=0)
+        kmap = cfg.n_filters * np.prod(sample.image_shape) * np.dtype(np.complex128).itemsize
+        peak = oracles.traced_peak(lambda: forward_reconstruct(sample, params, cfg))
+        assert peak <= 3.6 * kmap, peak / kmap
+
+
+def network_sample(shape, n_coils, family):
+    """A phantom measured on `family`'s mask at 4x, with noise."""
+    truth = make_phantom(PhantomSpec(image_shape=shape, rng_seed=0))
+    mask = make_mask(shape, accel=4.0, family=family, seed=1)
+    return simulate_measurement(truth, make_coil_maps(n_coils, shape[:2]), mask,
+                                sigma=0.01, rng_seed=2)
+
+
+# (image shape, coils, mask family, network): the paper3d, fixture and
+# recon2d-points workloads' networks, an unconverged one, J = 3, one frame
+UNTRACED_CASES = {
+    "paper3d": ((48, 48, 16), 3, "columns", dict(mode="3d")),
+    "fixture": ((32, 32, 8), 3, "columns", dict(mode="3d", n_filters=8, kernel_size=5)),
+    "recon2d": ((32, 32, 8), 8, "points", dict(mode="2d")),
+    "unconverged": ((24, 24, 4), 3, "points", dict(mode="2d", n_filters=12, kernel_size=5,
+                                                   n_outer=3, n_admm=2, n_cg=3)),
+    "j3": ((24, 24, 8), 3, "columns", dict(mode="3d", n_filters=8, kernel_size=5,
+                                           n_outer=3, n_admm=3)),
+    "one_frame": ((24, 24, 1), 3, "columns", dict(mode="2d", n_filters=8, kernel_size=5,
+                                                  n_outer=3, n_admm=2, n_cg=5)),
+}
+
+
+class TestUntracedForward:
+    """An untraced forward runs its sweeps in the code state's own buffers and
+    returns the traced forward's image and codes bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(UNTRACED_CASES))
+    def test_same_bits_as_the_traced_forward(self, case):
+        shape, n_coils, family, settings = UNTRACED_CASES[case]
+        sample = network_sample(shape, n_coils, family)
+        cfg = NetworkConfig(**settings)
+        params = NetworkParams(init_network(cfg, rng_seed=0).filters,
+                               log_alpha=float(np.log(0.05)))
+        untraced = forward_reconstruct(sample, params, cfg)
+        traced = forward_reconstruct(sample, params, cfg, want_trace=True)
+        assert untraced.trace is None
+        assert untraced.image.tobytes() == traced.image.tobytes()
+        for name in ("s", "u", "z"):
+            got, want = getattr(untraced.code_state, name), getattr(traced.code_state, name)
+            assert got.tobytes() == want.tobytes(), name
 
 
 def relative_error(got, want):
