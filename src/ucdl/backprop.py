@@ -38,24 +38,23 @@ from the last sweep's record; that is the same function of the parameters
 as F^{-1} sum_k d_k s_hat_k, so the synthesis VJP reverses it.
 
 The code cotangent stays in the spectral domain between the synthesis and
-the s-update: the synthesis hands over the image f = F(approx_bar)/N, whose
-product conj(d) f is the cotangent of s_hat by the second F^{-1} rule, and
-the last sweep adds that product to its prox and dual parts
-F(v_bar - z_bar)/N one filter block at a time, so each sweep transforms
-one K-map cotangent forward and one back, each in place.  Cotangents that
-reach no parameter are not computed: nothing reads the last sweep's u and
-z, so its prox VJP and that transform are skipped, and outer iteration 0
-starts from x = A^H y and zero codes, so it computes no cotangent of x
-(neither CG's warm start nor the sweeps' image) nor of its first sweep's
-start state.  The sweeps of one
-outer iteration share x's spectrum, so their x cotangents are summed as
-spectra and transformed once.
+the s-update: the synthesis VJP hands over the image f = F(approx_bar)/N
+alone, and the last sweep's VJP, which owns every pass over its record,
+forms from f the cotangent conj(d) f of s_hat (the second F^{-1} rule) and
+the synthesis's kernel share conj(s_hat) f one filter block at a time.
+Each sweep transforms one K-map cotangent forward and one back, each in
+place.  Cotangents that reach no parameter are not computed: nothing reads
+the last sweep's u and z, so its prox VJP and that transform are skipped,
+and outer iteration 0 starts from x = A^H y and zero codes, so it computes
+no cotangent of x (neither CG's warm start nor the sweeps' image) nor of
+its first sweep's start state.  The sweeps of one outer iteration share x's
+spectrum, so their x cotangents are summed as spectra and transformed once.
 
-The sweep VJPs work in the cotangent buffers they are handed, and the
-sweep and synthesis VJPs add their kernel cotangents into backward's one
-accumulator, so the backward holds about four and a half K-map stacks beyond
-its trace: the accumulator, u_bar, z_bar and the threshold VJP's |v|
-scratch.  The trace itself is read-only.
+The sweep VJPs work in the cotangent buffers they are handed and add the
+kernel cotangents into backward's one accumulator, so the backward holds
+about four and a half K-map stacks beyond its trace: the accumulator,
+u_bar, z_bar and the threshold VJP's |v| scratch.  The trace itself is
+read-only.
 """
 
 from __future__ import annotations
@@ -138,18 +137,18 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
             approx_bar = lam * rhs_bar
             lam_bar += real_inner(rhs_bar, outer.approx)
             block = "synthesis_backward"
-            s_hat_bar = synthesis_backward(spectra, outer.admm[-1].s_hat, approx_bar, d_bar)
+            f = synthesis_backward(spectra, approx_bar)
             block = "admm_step_backward"
             x_hat_bar = 0.0  # the sweeps share x's spectrum
             for j in range(len(outer.admm) - 1, -1, -1):
                 x_hat_add, u_bar, z_bar, gamma_add, tau_add = admm_step_backward(
-                    outer.admm[j], spectra, admm_cfg, s_hat_bar, u_bar, z_bar, d_bar,
+                    outer.admm[j], spectra, admm_cfg, f, u_bar, z_bar, d_bar,
                     need_state=t > 0 or j > 0,
                 )
                 x_hat_bar = x_hat_bar + x_hat_add
                 gamma_bar += gamma_add
                 tau_bar += tau_add
-                s_hat_bar = None  # earlier sweeps' s is not read
+                f = None  # earlier sweeps' s is not synthesized
         except NonFiniteValue as err:
             raise NonFiniteValue(f"backward outer iteration {t}: {block}: {err}") from err
         if t > 0:

@@ -213,13 +213,14 @@ def cmd_reconstruct(args) -> int:
     result = forward_reconstruct(sample, params, config)
     if not np.isfinite(result.image).all():
         raise NonFiniteValue("reconstruction produced non-finite values")
-    write_tensor(args.out, result.image)
+    # the previews first, so that a failed write leaves no result behind
     if args.pgm:
         magnitude = np.abs(result.image)
         hi = float(magnitude.max()) or 1.0
         for t in range(magnitude.shape[2]):
             frame = quantize_window(magnitude[:, :, t], 0.0, hi)
             write_pgm(f"{args.pgm}_t{t:02d}.pgm", frame)
+    write_tensor(args.out, result.image)
     print(f"wrote reconstruction to {args.out}")
     return 0
 

@@ -49,13 +49,15 @@ whose gamma or tau is not a finite number > 0.
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records; the
 sweep's VJP reverses its soft threshold inline, on the float64 channels of
-the recorded v.  The sweep and synthesis VJPs work in the buffers they are
-handed: each adds its kernel cotangent into the caller's accumulator one
-filter block at a time, the synthesis VJP hands on an image f for the code
-cotangent conj(d) f, which the sweep's VJP forms block by block, and the
-sweep's VJP runs its two K-map DFTs in place, so beyond its inputs it
-allocates only the threshold VJP's |v| scratch, two block-sized scratch
-arrays and images.  Their sums run in the forward's order and keep its bits.
+the recorded v.  The synthesis VJP only turns its cotangent into the
+image f = F(approx_bar)/N, and the VJP of the sweep whose s is synthesized
+runs every K-map pass over its record: from f it forms the code cotangent
+conj(d) f and the synthesis's kernel share conj(s^f) f.  It works in the
+buffers it is handed, adds the kernel cotangents into the caller's
+accumulator one filter block at a time and runs its two K-map DFTs in
+place, so beyond its inputs it allocates only the threshold VJP's |v|
+scratch (without a prox part, a zero s^f cotangent), two block-sized
+scratch arrays and images.  Its sums keep the forward's order and bits.
 """
 
 from __future__ import annotations
@@ -207,11 +209,11 @@ def kernel_spectra(filters: FilterBank, image_shape: tuple) -> KernelSpectra:
     return KernelSpectra(d=d, power=power, n_spatial=n_spatial)
 
 
-def _conj_times(d: np.ndarray, conj_y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _conj_times(d: np.ndarray, conj_y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """conj(d) y for filter spectra d and the conjugate of an image y, as
-    conj(d conj(y)) in `out` (a fresh array if None): the bits of conj(d) y
-    except where an imaginary part cancels exactly, whose zero may carry the
-    other sign."""
+    conj(d conj(y)) in the block scratch `out`: the bits of conj(d) y except
+    where an imaginary part cancels exactly, whose zero may carry the other
+    sign."""
     out = np.multiply(d, conj_y, out=out)
     return np.conjugate(out, out=out)
 
@@ -262,9 +264,10 @@ def _shrink(channels: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
 def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarray:
     """Sum of circular convolutions sum_k d_k * s_k from the code spectrum
     s_hat.  For the s_hat of an s-update this is F^{-1}(x_hat - gamma c),
-    which the network forms from the update's record instead; the VJP of
-    either is :func:`synthesis_backward`, which hands on the image whose
-    product with conj(d) is the cotangent of s_hat."""
+    which the network forms from the update's record instead.  The VJP of
+    either is :func:`synthesis_backward`, which hands on f = F(synth_bar)/N,
+    and the sweep's VJP, which forms from f the cotangents of s_hat and of
+    the spectra."""
     if s_hat.shape[0] != len(spectra.d):
         raise ShapeMismatch(
             f"expected {len(spectra.d)} coefficient maps, got {s_hat.shape[0]}"
@@ -360,31 +363,29 @@ def _sum_batch(arr: np.ndarray, n_spatial: int) -> np.ndarray:
 
 
 def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
-                       config: AdmmConfig, s_hat_bar, u_bar, z_bar, d_bar: np.ndarray,
+                       config: AdmmConfig, f, u_bar, z_bar, d_bar: np.ndarray,
                        need_state: bool = True):
     """VJP of one s -> u -> z ADMM sweep.
 
     Takes the sweep's record and constants, and the cotangents of its outputs:
-    s_hat_bar of the new s's spectrum, u_bar and z_bar of the new u and z.
-    s_hat_bar is a (K, *image) array, or the image f that
-    :func:`synthesis_backward` returns, which stands for conj(d) f; None
-    stands for a zero cotangent.  u_bar and z_bar are both None or both
-    C-contiguous complex arrays, and the VJP works in the buffers it is
-    handed: it overwrites a (K, *image) s_hat_bar, u_bar and z_bar, and
-    returns the cotangents of u_prev and z_prev in u_bar's and z_bar's
-    buffers (without u_bar, in the buffer of the s_hat cotangent and a
-    copy).  It adds the
-    spectra's cotangent into d_bar, the (K, *spatial) accumulator of the
-    backward, one filter block at a time.  Without `need_state` the sweep
-    started from a state that carries no parameters, and its cotangents are
-    not computed.
+    the image f that :func:`synthesis_backward` returns if this sweep's s is
+    synthesized (else None), which stands for the cotangent conj(d) f of
+    s_hat and the kernel share conj(s_hat) f, and u_bar and z_bar of the new
+    u and z, both None or both C-contiguous complex arrays.  The VJP works in
+    the buffers it is handed: it overwrites u_bar and z_bar and returns the
+    cotangents of u_prev and z_prev in their buffers (without u_bar, in the
+    buffer of a zero s_hat cotangent and a copy).  It adds the synthesis's
+    and then the sweep's spectra cotangent into d_bar, the (K, *spatial)
+    accumulator of the backward, one filter block at a time.  Without
+    `need_state` the sweep started from a state that carries no parameters,
+    and its cotangents are not computed.
 
     The threshold u = soft_threshold(v, tau) is reversed per float64 channel
     of the recorded v: v_bar = u_bar where |v| > tau and 0 elsewhere, and
     tau_bar = -<sign v, v_bar>.  The s-update s_hat = w_hat + conj(d) c,
     c = (x_hat - d^T w_hat) / (gamma + P), is reversed in closed form from the
-    recorded s_hat and c and the cotangent of s_hat, F(s_bar)/N for a
-    cotangent s_bar of s = F^{-1} s_hat.
+    recorded s_hat and c and the cotangent s_hat_bar of s_hat, which is
+    F(s_bar)/N for a cotangent s_bar of s = F^{-1} s_hat plus conj(d) f.
     With rho = d^T s_hat_bar / (gamma + P), the cotangents are
 
         x_hat_bar = rho,  w_hat_bar = s_hat_bar - conj(d) rho,
@@ -398,7 +399,9 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
     """
     d, n_spatial = spectra.d, spectra.n_spatial
     shape = step.s_hat.shape
-    synth_hat_bar = s_hat_bar if s_hat_bar is not None and s_hat_bar.ndim < d.ndim else None
+    if f is not None and f.shape != step.c.shape:
+        raise ShapeMismatch(f"synthesis cotangent shape {f.shape}, "
+                            f"expected the image shape {step.c.shape}")
     tau_bar = 0.0
     if u_bar is not None:
         # z_new = z_prev + (u_new - s_new); u_new = soft_threshold(v, tau)
@@ -415,18 +418,20 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
         # s_bar - z_bar in u_bar's buffer, kept in z_bar's for z_prev_bar,
         # and then transformed in place
         np.copyto(z_bar, np.subtract(u_bar, z_bar, out=u_bar))
-        sz_hat_bar = dft_forward(u_bar, ndim=n_spatial, overwrite_x=True)
-        sz_hat_bar /= spectra.n_freq
-        # the sums go into sz_hat_bar's buffer; IEEE addition commutes
-        if s_hat_bar is not None and synth_hat_bar is None:
-            sz_hat_bar += s_hat_bar
-        s_hat_bar = sz_hat_bar
-    elif synth_hat_bar is not None:
-        # without a prox part, conj(d) f is the whole cotangent, in a fresh array
-        s_hat_bar, synth_hat_bar = _conj_times(d, np.conj(synth_hat_bar)), None
+        s_hat_bar = dft_forward(u_bar, ndim=n_spatial, overwrite_x=True)
+        s_hat_bar /= spectra.n_freq
+    else:
+        s_hat_bar = np.zeros(shape, dtype=np.complex128)
     # the scratch blocks are allocated once the threshold's scratch is freed
     blocks, others = _filter_blocks(shape), _filter_blocks(shape)
-    conj_f = None if synth_hat_bar is None else np.conj(synth_hat_bar)
+    conj_f = None if f is None else np.conj(f)
+    if f is not None:
+        # the synthesis's kernel share conj(s_hat) f, summed over batch axes, in
+        # a pass of its own, so that each pass's block streams stay in cache
+        for blk, other in others:
+            piece = np.conjugate(step.s_hat[blk], out=other)
+            piece *= f
+            d_bar[blk] += _sum_batch(piece, n_spatial)
     # the s-update, with w = u_prev + z_prev; rho is summed from zero one
     # filter at a time, in filter order, as sum(axis=0) does
     rho = np.zeros(step.c.shape, dtype=np.complex128)
@@ -458,25 +463,19 @@ def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
     return rho, w_bar, z_prev_bar, gamma_bar, tau_bar
 
 
-def synthesis_backward(spectra: KernelSpectra, s_hat: np.ndarray, synth_bar: np.ndarray,
-                       d_bar: np.ndarray) -> np.ndarray:
-    """VJP of dictionary_synthesis(spectra, s_hat).
+def synthesis_backward(spectra: KernelSpectra, synth_bar: np.ndarray) -> np.ndarray:
+    """VJP of dictionary_synthesis(spectra, s_hat) up to the synthesis
+    spectrum d^T s_hat: returns its cotangent f = F(synth_bar)/N.
 
-    Adds the spectra's cotangent conj(s_hat) f, summed over batch axes, into
-    the (K, *spatial) accumulator d_bar one filter block at a time, and
-    returns f = F(synth_bar)/N, the cotangent of the synthesis spectrum
-    d^T s_hat.  The cotangent of s_hat is conj(d) f, which
-    :func:`admm_step_backward` forms from f itself.
+    The cotangents f stands for, conj(d) f of s_hat and conj(s_hat) f of the
+    spectra, are formed by the VJP of the sweep whose s_hat is synthesized,
+    :func:`admm_step_backward`, in its own pass over s_hat.
     """
-    f_synth_bar = dft_forward(synth_bar, ndim=spectra.n_spatial)
-    f_synth_bar /= spectra.n_freq
-    if not np.all(np.isfinite(f_synth_bar)):
+    f = dft_forward(synth_bar, ndim=spectra.n_spatial)
+    f /= spectra.n_freq
+    if not np.all(np.isfinite(f)):
         raise NonFiniteValue("non-finite synthesis cotangent")
-    for blk, scratch in _filter_blocks(s_hat.shape):
-        piece = np.conjugate(s_hat[blk], out=scratch)
-        piece *= f_synth_bar
-        d_bar[blk] += _sum_batch(piece, spectra.n_spatial)
-    return f_synth_bar
+    return f
 
 
 def spectra_to_kernel_grad(d_bar: np.ndarray, kernel_shape: tuple) -> np.ndarray:

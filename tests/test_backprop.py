@@ -250,21 +250,23 @@ class TestSUpdateBackward:
             gap = state.u - state.s
             assert real_inner(gap, gap) < 1e-20 * real_inner(state.s, state.s)
             u, z = state.u, state.z
-        weight = random_complex(rng, (2,) + image_shape)
+        weight = random_complex(rng, image_shape)
 
         x_hat, spectra = spectra_of(x, bank)
         _, step, config = s_update_sweep(x_hat, u, z, spectra, gamma)
         n_spatial = len(kernel_shape)
-        # the VJP of the sweep's s-update alone: no cotangent of its u and z
+        # the VJP of the sweep's s-update and the synthesis of its s: no
+        # cotangent of its u and z
         d_bar = kernel_accumulator(spectra)
         x_hat_bar, u_bar, z_bar, gamma_bar, _ = admm_step_backward(
-            step, spectra, config, spectral(weight, n_spatial), None, None, d_bar
+            step, spectra, config, synthesis_backward(spectra, weight), None, None, d_bar
         )
         x_bar = spatial(x_hat_bar, n_spatial)
 
         def loss(x_=x, u_=u, z_=z, bank_=bank, gamma_=gamma):
             x_hat_, spectra_ = spectra_of(x_, bank_)
-            return real_weighted(weight, s_update_sweep(x_hat_, u_, z_, spectra_, gamma_)[0])
+            s_new = s_update_sweep(x_hat_, u_, z_, spectra_, gamma_)[0]
+            return real_weighted(weight, oracles.synthesize(bank_, s_new))
 
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
         assert_grad_close(numeric_grad(lambda a: loss(u_=a), u), u_bar)
@@ -306,7 +308,7 @@ class TestAdmmStepBackward:
             z=0.5 * random_complex(rng, (2, 4, 4)),
         )
         gamma, tau = 0.8, 0.15
-        w_s = random_complex(rng, (2, 4, 4))
+        w_s = random_complex(rng, (4, 4))
         w_u = random_complex(rng, (2, 4, 4))
         w_z = random_complex(rng, (2, 4, 4))
 
@@ -324,8 +326,9 @@ class TestAdmmStepBackward:
 
         def loss(**kw):
             new, _ = run(**kw)
+            # the new s is read through its synthesis, as the network reads it
             return (
-                real_weighted(w_s, new.s)
+                real_weighted(w_s, oracles.synthesize(kw.get("bank_", bank), new.s))
                 + real_weighted(w_u, new.u)
                 + real_weighted(w_z, new.z)
             )
@@ -334,7 +337,8 @@ class TestAdmmStepBackward:
         # the VJP overwrites its cotangents; loss() still reads w_u and w_z
         d_bar = kernel_accumulator(spectra)
         x_hat_bar, u_bar, z_bar, gamma_bar, tau_bar = admm_step_backward(
-            trace, spectra, config(gamma, tau), spectral(w_s, 2), w_u.copy(), w_z.copy(), d_bar
+            trace, spectra, config(gamma, tau), synthesis_backward(spectra, w_s), w_u.copy(),
+            w_z.copy(), d_bar
         )
         x_bar = spatial(x_hat_bar, 2)
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
@@ -358,9 +362,9 @@ class TestAdmmStepBackward:
         # with the outputs u and z read, and with only s read
         for u_bar in (random_complex(rng, (2, 4, 4)), None):
             z_bar = None if u_bar is None else random_complex(rng, (2, 4, 4))
-            s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
+            f = spectral(random_complex(rng, (4, 4)), 2)
             _, u_prev_bar, z_prev_bar, *_ = admm_step_backward(
-                trace, spectra, cfg, s_hat_bar, u_bar, z_bar, kernel_accumulator(spectra)
+                trace, spectra, cfg, f, u_bar, z_bar, kernel_accumulator(spectra)
             )
             assert not np.shares_memory(u_prev_bar, z_prev_bar)
             before = z_prev_bar.copy()
@@ -377,25 +381,36 @@ class TestAdmmStepBackward:
         x_hat, spectra = spectra_of(x, bank)
         cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
         _, trace = admm_step_traced(x_hat, state, spectra, cfg)
-        s_hat_bar = spectral(random_complex(rng, (2, 4, 4)), 2)
+        f = spectral(random_complex(rng, (4, 4)), 2)
         u_bar, z_bar = random_complex(rng, (2, 4, 4)), random_complex(rng, (2, 4, 4))
-        inputs = (trace, spectra, cfg)
+        inputs = (trace, spectra, cfg, f)
         full_d_bar, skipped_d_bar = kernel_accumulator(spectra), kernel_accumulator(spectra)
-        full = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar.copy(), z_bar.copy(),
-                                  full_d_bar)
-        skipped = admm_step_backward(*inputs, s_hat_bar.copy(), u_bar.copy(), z_bar.copy(),
-                                     skipped_d_bar, need_state=False)
+        full = admm_step_backward(*inputs, u_bar.copy(), z_bar.copy(), full_d_bar)
+        skipped = admm_step_backward(*inputs, u_bar.copy(), z_bar.copy(), skipped_d_bar,
+                                     need_state=False)
         assert skipped[1] is None and skipped[2] is None
         for a, b in zip(full[:1] + full[3:] + (full_d_bar,),
                         skipped[:1] + skipped[3:] + (skipped_d_bar,)):
             np.testing.assert_array_equal(a, b)
 
+    def test_rejects_a_code_cotangent_that_is_not_an_image(self):
+        # the synthesis cotangent is one image; a (K, *image) array would
+        # broadcast against a block of filter spectra
+        rng = np.random.default_rng(27)
+        bank = random_bank(rng, 2, (3, 3))
+        x_hat, spectra = spectra_of(random_complex(rng, (4, 4)), bank)
+        cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
+        _, trace = admm_step_traced(x_hat, None, spectra, cfg)
+        codes = spectral(random_complex(rng, (2, 4, 4)), 2)
+        with pytest.raises(ShapeMismatch, match="synthesis cotangent"):
+            admm_step_backward(trace, spectra, cfg, codes, None, None,
+                               kernel_accumulator(spectra))
+
 
 class TestBlockedVjps:
-    """The sweep and synthesis VJPs run their elementwise passes over blocks
-    of filters: every output, the kernel cotangent included, must be the
-    one-block run's, bit for bit, and the synthesis image f must give the
-    bits of the (K, *image) cotangent conj(d) f it stands for."""
+    """The sweep's VJP runs its elementwise passes, the synthesis's kernel
+    share among them, over blocks of filters: every output, the kernel
+    cotangent included, must be the one-block run's, bit for bit."""
 
     @pytest.mark.parametrize("n_filters,kernel_shape,image_shape,budget", [
         (7, (3, 3), (3, 8, 6), 3),          # K not a multiple of the block, batched frames
@@ -415,23 +430,18 @@ class TestBlockedVjps:
         synth_bar = random_complex(rng, image_shape)
         u_bar, z_bar = (random_complex(rng, maps) if prox else None for _ in range(2))
 
-        def run(s_hat_bar_of):
+        def run():
             d_bar = kernel_accumulator(spectra)
-            f = synthesis_backward(spectra, step.s_hat, synth_bar, d_bar)
-            out = admm_step_backward(step, spectra, cfg, s_hat_bar_of(f),
+            out = admm_step_backward(step, spectra, cfg, synthesis_backward(spectra, synth_bar),
                                      *(None if a is None else a.copy() for a in (u_bar, z_bar)),
                                      d_bar)
             return [np.asarray(a).tobytes() for a in out + (d_bar,)]
 
-        def as_maps(f):
-            return np.conj(spectra.d * np.conj(f))
-
         monkeypatch.setattr(csc, "_BLOCK_BYTES", 100 * 16 * int(np.prod(maps)))
-        whole = run(lambda f: f)
-        assert run(as_maps) == whole
+        whole = run()
         monkeypatch.setattr(csc, "_BLOCK_BYTES", int(budget * 16 * int(np.prod(image_shape))))
         assert len(csc._filter_blocks(maps)) > 1
-        assert run(lambda f: f) == whole
+        assert run() == whole
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +458,21 @@ class TestSynthesisBackward:
             return real_weighted(weight, oracles.synthesize(bank_, s_))
 
         spectra = kernel_spectra(bank, code_shape[1:])
-        s_hat = dft_forward(s, ndim=len(kernel_shape))
-        d_bar = kernel_accumulator(spectra)
-        f = synthesis_backward(spectra, s_hat, weight, d_bar)
+        n_spatial = len(kernel_shape)
+        s_hat = dft_forward(s, ndim=n_spatial)
+        f = synthesis_backward(spectra, weight)
         # the cotangent of s_hat is conj(d) f
-        s_bar = spatial(np.conj(spectra.d) * f, len(kernel_shape))
+        s_bar = spatial(np.conj(spectra.d) * f, n_spatial)
         assert_grad_close(numeric_grad(lambda a: loss(s_=a), s), s_bar)
+        # the kernel share conj(s_hat) f is added by the VJP of the sweep whose
+        # s is synthesized; on a record with c = 0 that sweep's own share is
+        # -conj(s_hat) rho, which is added back
+        record = csc.AdmmStepTrace(s_hat=s_hat, c=np.zeros(code_shape[1:], dtype=complex),
+                                   v=None, tau=1.0)
+        d_bar = kernel_accumulator(spectra)
+        rho, *_ = admm_step_backward(record, spectra, AdmmConfig(lam=1.0, alpha=1.0, beta=1.0),
+                                     f, None, None, d_bar, need_state=False)
+        d_bar += oracles._sum_batch(np.conj(s_hat) * rho, n_spatial)
         fd_kernels = numeric_grad(lambda k: loss(bank_=FilterBank(k)), bank.kernels)
         assert_grad_close(fd_kernels, spectra_to_kernel_grad(d_bar, kernel_shape))
 
@@ -990,8 +1009,7 @@ class TestNonFiniteCotangents:
         with pytest.raises(NonFiniteValue):
             cg_backward(cg_solve(outer.approx, operator, outer.approx, 2).trace, bad, operator)
         with pytest.raises(NonFiniteValue):
-            synthesis_backward(trace.spectra, outer.admm[-1].s_hat, bad,
-                               kernel_accumulator(trace.spectra))
+            synthesis_backward(trace.spectra, bad)
         step = outer.admm[-1]
         codes = np.full(step.v.shape, np.nan + 0j)
         params = trace.params
@@ -999,7 +1017,7 @@ class TestNonFiniteCotangents:
                   AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta))
         d_bar = kernel_accumulator(trace.spectra)
         with pytest.raises(NonFiniteValue):
-            admm_step_backward(*inputs, codes, None, None, d_bar)
+            admm_step_backward(*inputs, np.full(step.c.shape, np.nan + 0j), None, None, d_bar)
         with pytest.raises(NonFiniteValue):
             admm_step_backward(*inputs, None, codes, np.zeros_like(codes), d_bar)
 

@@ -538,27 +538,33 @@ class TestUnreadableFiles:
 class TestUnwritableFiles:
     """An output path that cannot be written, a directory or one in a missing
     directory, exits 1 with one line that starts with that path and names no
-    temporary file, prints nothing and leaves no temporary file behind."""
+    temporary file, prints nothing and leaves no file behind: a preview that
+    cannot be written leaves no reconstruction either."""
 
     @pytest.mark.parametrize("flag,defect", [("--json", "directory"), ("--json", "missing"),
-                                             ("--csv", "directory"), ("--out", "directory")])
+                                             ("--csv", "directory"), ("--out", "directory"),
+                                             ("--pgm", "missing")])
     def test_output_that_cannot_be_written(self, workspace, tmp_path, capsys, flag, defect):
         sample = workspace["data"] / "sample_000"
         if defect == "directory":
             path = tmp_path / "out"
             path.mkdir()
         else:
-            path = tmp_path / "missing" / "x.json"
+            path = tmp_path / "missing" / ("p" if flag == "--pgm" else "x.json")
+        reconstruct = ["reconstruct", "--checkpoint", workspace["run"] / "final",
+                       "--sample", sample, "--out"]
         if flag == "--out":
-            argv = ["reconstruct", "--checkpoint", workspace["run"] / "final",
-                    "--sample", sample, "--out", path]
+            argv = reconstruct + [path]
+        elif flag == "--pgm":
+            argv = reconstruct + [tmp_path / "r.bin", "--pgm", path]
         else:
             argv = ["evaluate", "--recon", workspace["recon"], "--target",
                     sample / "target.bin", "--roi", 12, 12, flag, path]
         code, out = run_cli(*argv)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"{path}: ") and err.count("\n") == 1
+        named = f"{path}_t00.pgm" if flag == "--pgm" else path
+        assert err.startswith(f"{named}: ") and err.count("\n") == 1
         assert "Errno" not in err and ".tmp" not in err and "Traceback" not in err
         assert out == ""
         assert [p.name for p in tmp_path.rglob("*")] == (["out"] if defect == "directory"

@@ -24,6 +24,7 @@ from ucdl.csc import (
     filter_spectra,
     kernel_spectra,
     soft_threshold,
+    synthesis_backward,
 )
 from ucdl.errors import ShapeMismatch
 from ucdl.tensors import dft_forward, dft_inverse, real_inner
@@ -289,18 +290,25 @@ class TestClosedFormAgainstShermanMorrison:
     """The closed-form s-update and its VJP against the Sherman-Morrison
     solve and VJP they replace (tests/oracles.py), at the shapes of the
     benchmark workloads, for the network's initial gamma and a fitted one.
-    The bounds sit above the reference's own roundoff, which is largest
-    where gamma + P is dominated by P."""
+    The VJP is taken from the cotangent of the synthesis of the new s, as
+    the network's last sweep takes it, so its kernel cotangent holds the
+    synthesis's share too; the reference's synthesis share is taken off it
+    before the comparison, because the two shares nearly cancel (at
+    recon2d-points the sum is about 1/95 of the synthesis share) and the sum
+    of the references carries the roundoff of its parts.  The bounds sit
+    above the reference's own roundoff, which is largest where gamma + P is
+    dominated by P."""
 
     def run_case(self, workload, gamma):
         kernel_shape, n_filters, image_shape = WORKLOAD_SHAPES[workload]
         rng = np.random.default_rng(24)
         bank = random_bank(rng, n_filters, kernel_shape)
         x = random_complex(rng, image_shape)
-        u, z, s_bar = (random_complex(rng, (n_filters,) + image_shape) for _ in range(3))
+        u, z = (random_complex(rng, (n_filters,) + image_shape) for _ in range(2))
+        synth_bar = random_complex(rng, image_shape)
         x_hat, spectra = spectra_of(x, bank)
         _, step, config = s_update_sweep(x_hat, u, z, spectra, gamma)
-        return x, u, z, bank, x_hat, spectra, step, config, s_bar
+        return x, u, z, bank, x_hat, spectra, step, config, synth_bar
 
     @pytest.mark.parametrize("gamma", [1.0, 1.625])
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
@@ -314,14 +322,18 @@ class TestClosedFormAgainstShermanMorrison:
     @pytest.mark.parametrize("gamma", [1.0, 1.625])
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
     def test_backward(self, workload, gamma):
-        x, _, _, bank, x_hat, spectra, step, config, s_hat_bar = self.run_case(workload, gamma)
+        x, _, _, bank, x_hat, spectra, step, config, synth_bar = self.run_case(workload, gamma)
+        f = synthesis_backward(spectra, synth_bar)
         d_bar = kernel_accumulator(spectra)
         rho, w_bar, _, gamma_bar, _ = admm_step_backward(
-            step, spectra, config, s_hat_bar.copy(), None, None, d_bar)
+            step, spectra, config, f, None, None, d_bar)
         n_spatial = spectra.n_spatial
-        want = oracles.sherman_morrison_backward(
-            x_hat, step.s_hat, filter_spectra(bank, x.shape[-n_spatial:]), gamma, s_hat_bar)
+        raw = filter_spectra(bank, x.shape[-n_spatial:])
+        # the cotangent of s_hat is conj(d) f
+        s_hat_bar = np.conj(spectra.d) * f
+        want = oracles.sherman_morrison_backward(x_hat, step.s_hat, raw, gamma, s_hat_bar)
         want_rho, want_w_hat_bar, want_d_bar, want_gamma_bar = want
+        d_bar -= oracles.synthesis_backward(step.s_hat, raw, synth_bar)[1]
         assert relative_error(rho, want_rho) <= 1e-12
         want_w_bar = spectra.n_freq * dft_inverse(want_w_hat_bar, ndim=n_spatial)
         assert relative_error(w_bar, want_w_bar) <= 1e-14
