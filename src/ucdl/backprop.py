@@ -8,7 +8,7 @@ input and threshold), the dictionary approximation and the record of the
 data-consistency solve: its solution alone if it converged (dc.CgSolution),
 else its start and the scalars of every CG iteration (dc.CgTrace).  No
 autodiff framework is used.  Each block's VJP sits beside its forward:
-the sweep, prox, synthesis and kernel-spectra VJPs in :mod:`ucdl.csc`, the
+the sweep, synthesis, kernel-spectra and weight VJPs in :mod:`ucdl.csc`, the
 CG VJP in :mod:`ucdl.dc`, which reverses a converged solve implicitly by the
 last rule below (one adjoint CG solve, and no cotangent reaches the warm
 start) and replays any other, then reverses it step by step.  This module holds the convention they
@@ -28,10 +28,11 @@ Under this convention the vector-Jacobian rules of the VJPs are
     y = A^{-1} b, A Hermitian      ->  b_bar += A^{-1} y_bar
 
 where <a, b> = sum(conj(a) b).  The soft threshold uses subgradient 0 at
-its kink.  Gradients of the log-parameterized weights are produced by the
-chain rule through lam = exp(log_lam) etc. and gamma = beta/lam,
-tau = alpha/beta; gamma comes from csc.AdmmConfig, as in the forward, so
-both directions use the same bits.
+its kink.  The weights lam, alpha, beta and gamma = beta/lam are read from
+the trace's AdmmConfig, the forward's own, so both directions use the same
+bits; the VJP of gamma and tau = alpha/beta is AdmmConfig.weights_backward
+in :mod:`ucdl.csc`, and :func:`backward` adds only the chain rule through
+lam = exp(log_lam) etc.
 
 The forward forms the dictionary approximation as F^{-1}(x_hat - gamma c)
 from the last sweep's record; that is the same function of the parameters
@@ -63,9 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csc import AdmmConfig, admm_step_backward, spectra_to_kernel_grad, synthesis_backward
+from .csc import admm_step_backward, spectra_to_kernel_grad, synthesis_backward
 from .dc import NormalOperator, cg_backward
-from .errors import NonFiniteValue, ShapeMismatch, TraceMismatch
+from .errors import NonFiniteValue, ShapeMismatch
 from .network import NetworkTrace, _kernels_frames_first, _kernels_public
 from .tensors import dft_inverse, real_inner
 
@@ -96,23 +97,14 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
     A non-finite cotangent raises NonFiniteValue naming the outer iteration
     and the block that met it.
     """
-    config = trace.config
-    params = trace.params
-    if len(trace.outer) != config.n_outer:
-        raise TraceMismatch(
-            f"trace holds {len(trace.outer)} outer iterations, "
-            f"config asks for {config.n_outer}"
-        )
-    if any(len(outer.admm) != config.n_admm for outer in trace.outer):
-        raise TraceMismatch("trace ADMM depth disagrees with config")
     image_shape = trace.sample.image_shape
     if d_image.shape != image_shape:
         raise ShapeMismatch(
             f"loss cotangent shape {d_image.shape}, expected {image_shape}"
         )
 
-    lam, alpha, beta = params.lam, params.alpha, params.beta
-    admm_cfg = AdmmConfig(lam=lam, alpha=alpha, beta=beta)
+    admm_cfg = trace.admm
+    lam = admm_cfg.lam
     operator = NormalOperator(trace.sample.coils, trace.sample.mask, lam)
     spectra = trace.spectra
 
@@ -153,16 +145,14 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
             raise NonFiniteValue(f"backward outer iteration {t}: {block}: {err}") from err
         if t > 0:
             x_bar += spectra.n_freq * dft_inverse(x_hat_bar, ndim=spectra.n_spatial)
-    kernel_shape = _kernels_frames_first(params.filters.kernels).shape[1:]
+    kernel_shape = _kernels_frames_first(trace.params.filters.kernels).shape[1:]
     d_filters = _kernels_public(spectra_to_kernel_grad(d_bar, kernel_shape))
 
-    # gamma = beta/lam, tau = alpha/beta, then the exp reparameterization
-    lam_total = lam_bar - gamma_bar * beta / lam**2
-    alpha_total = tau_bar / beta
-    beta_total = gamma_bar / lam - tau_bar * alpha / beta**2
+    # gamma and tau reversed in csc, then the exp reparameterization
+    lam_share, alpha_bar, beta_bar = admm_cfg.weights_backward(gamma_bar, tau_bar)
     return GradientSet(
         d_filters=d_filters,
-        d_log_lam=lam_total * lam,
-        d_log_alpha=alpha_total * alpha,
-        d_log_beta=beta_total * beta,
+        d_log_lam=(lam_bar + lam_share) * lam,
+        d_log_alpha=alpha_bar * admm_cfg.alpha,
+        d_log_beta=beta_bar * admm_cfg.beta,
     )

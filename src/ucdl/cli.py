@@ -8,6 +8,7 @@ failure (non-finite values, singular solves) aborts the computation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from .data import PhantomSpec, load_dataset, save_dataset, synth_dataset
 from .errors import NonFiniteValue, UcdlError
-from .io import atomic_write, quantize_window, read_manifest, read_tensor, write_pgm, write_tensor
+from .io import (atomic_write, make_directory, quantize_window, read_manifest, read_tensor,
+                 write_pgm, write_tensor)
 from .metrics import append_report_csv, compute_report
 from .network import (
     NetworkConfig,
@@ -213,14 +215,22 @@ def cmd_reconstruct(args) -> int:
     result = forward_reconstruct(sample, params, config)
     if not np.isfinite(result.image).all():
         raise NonFiniteValue("reconstruction produced non-finite values")
-    # the previews first, so that a failed write leaves no result behind
-    if args.pgm:
-        magnitude = np.abs(result.image)
-        hi = float(magnitude.max()) or 1.0
-        for t in range(magnitude.shape[2]):
-            frame = quantize_window(magnitude[:, :, t], 0.0, hi)
-            write_pgm(f"{args.pgm}_t{t:02d}.pgm", frame)
-    write_tensor(args.out, result.image)
+    # the previews first and --out last; a failed write removes the previews
+    # written before it, so that it leaves no output behind
+    previews = []
+    try:
+        if args.pgm:
+            magnitude = np.abs(result.image)
+            hi = float(magnitude.max()) or 1.0
+            for t in range(magnitude.shape[2]):
+                path = Path(f"{args.pgm}_t{t:02d}.pgm")
+                write_pgm(path, quantize_window(magnitude[:, :, t], 0.0, hi))
+                previews.append(path)
+        write_tensor(args.out, result.image)
+    except OSError:
+        for path in previews:
+            path.unlink()
+        raise
     print(f"wrote reconstruction to {args.out}")
     return 0
 
@@ -231,13 +241,14 @@ def cmd_evaluate(args) -> int:
     size = tuple(args.roi) if args.roi is not None else None
     report = compute_report(recon, target, size=size)
     text = report.to_json()
-    # the files first, so that a failed write prints no report
-    if args.json_out:
-        with atomic_write(args.json_out) as fh:
-            fh.write(text + "\n")
-    if args.csv:
-        label = args.label or Path(args.recon).name
-        append_report_csv(args.csv, report, label=label)
+    # the files before the report, and the CSV append, which cannot be
+    # undone, inside the --json write: a failed append leaves no JSON behind
+    with contextlib.ExitStack() as stack:
+        if args.json_out:
+            stack.enter_context(atomic_write(args.json_out)).write(text + "\n")
+        if args.csv:
+            label = args.label or Path(args.recon).name
+            append_report_csv(args.csv, report, label=label)
     print(text)
     return 0
 
@@ -256,8 +267,7 @@ def cmd_export_filters(args) -> int:
     if args.zoom < 1:
         raise ValueError(f"zoom must be >= 1, got {args.zoom}")
     params, config = load_checkpoint(args.checkpoint)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_directory(args.out)
     kernels = params.filters.kernels
     write_tensor(out / "filters.bin", kernels.astype(np.complex128))
     peak = float(np.abs(kernels).max()) or 1.0
@@ -286,8 +296,7 @@ def cmd_export_feature_maps(args) -> int:
     result = forward_reconstruct(sample, params, config)
     # (K, N_t, N_x, N_y) codes to the (K, N_x, N_y, N_t) file layout
     maps = np.moveaxis(result.code_state.s, 1, -1)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_directory(args.out)
     sigma = float(np.std(np.abs(maps))) or 1.0
     lo, hi = -FEATURE_WINDOW_SIGMAS * sigma, FEATURE_WINDOW_SIGMAS * sigma
     central = maps.shape[3] // 2

@@ -44,7 +44,9 @@ the s, u and z it returns.
 The solve and the soft threshold run the plain formulas' operations in the
 same order and return the same bits, except that a code entry the threshold
 zeroes keeps the sign of its input.  :class:`AdmmConfig` rejects weights
-whose gamma or tau is not a finite number > 0.
+whose gamma or tau is not a finite number > 0, and reverses the two: its
+weights_backward gives the weights' shares of their cotangents.  The
+network trace records the forward's config, which the backward reads.
 
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records; the
@@ -145,7 +147,8 @@ class CodeState:
 class AdmmConfig:
     """Weights of the sparse-coding problem, and the two the sweep derives
     from them, gamma = beta/lam and the threshold tau = alpha/beta: each a
-    finite number > 0."""
+    finite number > 0.  The forward's config is recorded in its trace, and
+    :meth:`weights_backward` reverses gamma and tau for the backward."""
 
     lam: float
     alpha: float
@@ -168,6 +171,12 @@ class AdmmConfig:
     @property
     def threshold(self) -> float:
         return self.alpha / self.beta
+
+    def weights_backward(self, gamma_bar: float, tau_bar: float) -> tuple:
+        """VJP of gamma and tau: the shares (lam_bar, alpha_bar, beta_bar)
+        of the weights' cotangents that gamma_bar and tau_bar give."""
+        return (-gamma_bar * self.beta / self.lam**2, tau_bar / self.beta,
+                gamma_bar / self.lam - tau_bar * self.alpha / self.beta**2)
 
 
 def filter_spectra(filters: FilterBank, spatial_shape: tuple) -> np.ndarray:
@@ -323,9 +332,7 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
         c /= config.gamma + spectra.power
     conj_c = np.conj(c)
     for blk, scratch in blocks:
-        # conj(d) c, formed as conj(d conj(c))
-        part = np.multiply(d[blk], conj_c, out=scratch)
-        np.conjugate(part, out=part)
+        part = _conj_times(d[blk], conj_c, out=scratch)
         np.add(0.0 if state is None else s_hat[blk], part, out=s_hat[blk])
         if state is not None:
             np.copyto(s[blk], s_hat[blk])

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeMismatch
-from .io import read_manifest, read_tensor, write_json, write_tensor
+from .io import make_directory, read_manifest, read_tensor, write_json, write_tensor
 from .operators import (
     CoilMaps,
     load_kspace_sample,
@@ -143,8 +143,7 @@ def sample_dir_name(index: int) -> str:
 
 def save_dataset(directory: str | Path, pairs, settings: dict | None = None) -> None:
     """Write (sample, target) pairs as one subdirectory each plus a manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_directory(directory)
     names = []
     for i, (sample, target) in enumerate(pairs):
         name = sample_dir_name(i)

@@ -17,10 +17,6 @@ class ZeroFilter(UcdlError, ValueError):
     """A filter kernel has (numerically) zero norm and cannot be normalized."""
 
 
-class TraceMismatch(UcdlError, ValueError):
-    """A recorded forward trace is inconsistent with the requested backward pass."""
-
-
 class RoiTooLarge(UcdlError, ValueError):
     """The requested ROI exceeds the image dimensions."""
 

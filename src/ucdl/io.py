@@ -7,6 +7,7 @@ interleaved re/im float64 payload.  Only complex128 (tag 1) is defined.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -32,12 +33,15 @@ def atomic_write(path: str | Path, mode: str = "w"):
     Readers see the old file or the whole new one.  If the block raises,
     `path` keeps its old bytes and the temporary file is removed.  Nothing
     is synced to disk, so this guards against a crashed process, not
-    against a lost machine.  A failure to open the temporary file or to
-    replace `path` reads `<path>: <reason>`, naming `path` alone.
+    against a lost machine.  A directory at `path` is rejected before the
+    block runs.  A failure to open the temporary file or to replace `path`
+    reads `<path>: <reason>`, naming `path` alone.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        if path.is_dir():  # which os.replace would reject after the block
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fh = open(tmp, mode)
     except OSError as err:  # a missing directory, one that cannot be written
         raise _named(path, err) from err
@@ -46,10 +50,21 @@ def atomic_write(path: str | Path, mode: str = "w"):
             yield fh
         try:
             os.replace(tmp, path)
-        except OSError as err:  # a directory in path's place
+        except OSError as err:  # path made a directory while the block ran
             raise _named(path, err) from err
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def make_directory(path: str | Path) -> Path:
+    """Create the directory `path` and its missing parents, if it is not one
+    already; a failure reads `<path>: <reason>`."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a file in its place or in a parent's
+        raise _named(path, err) from err
+    return path
 
 
 def write_json(path: str | Path, payload) -> None:

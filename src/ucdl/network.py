@@ -51,7 +51,7 @@ from .csc import (
 )
 from .dc import CgSolution, CgTrace, NormalOperator, cg_solve, solve_record
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
-from .io import read_manifest, read_tensor, write_json, write_tensor
+from .io import make_directory, read_manifest, read_tensor, write_json, write_tensor
 from .operators import KSpaceSample, adjoint_apply
 from .tensors import dft_forward, dft_inverse
 
@@ -188,7 +188,7 @@ class OuterTrace:
 class NetworkTrace:
     """Complete forward record needed by the backward pass."""
 
-    config: NetworkConfig
+    admm: AdmmConfig         # the forward's own weights, gamma and tau
     params: NetworkParams
     sample: KSpaceSample
     spectra: KernelSpectra   # of the frames-first bank
@@ -254,7 +254,7 @@ def forward_reconstruct(sample: KSpaceSample, params: NetworkParams,
         del record
     trace = None
     if want_trace:
-        trace = NetworkTrace(config=config, params=params, sample=sample,
+        trace = NetworkTrace(admm=admm_cfg, params=params, sample=sample,
                              spectra=_read_only(spectra), outer=tuple(outer_traces))
     if state is None:  # n_outer = 0
         state = CodeState.zeros(filters.count, aty.shape)
@@ -286,8 +286,7 @@ MANIFEST_FILE = "checkpoint.json"
 def save_checkpoint(directory: str | Path, params: NetworkParams,
                     config: NetworkConfig) -> None:
     """Write a JSON manifest plus the kernel tensor into `directory`."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_directory(directory)
     write_tensor(directory / KERNEL_FILE, params.filters.kernels.astype(np.complex128))
     manifest = {
         "config": config.to_dict(),

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ShapeMismatch
-from .io import read_manifest, read_tensor, write_json, write_tensor
+from .io import make_directory, read_manifest, read_tensor, write_json, write_tensor
 
 DEFAULT_NOISE_SIGMA = 0.02
 
@@ -264,8 +264,7 @@ def make_mask(
 
 def save_kspace_sample(directory: str | Path, sample: KSpaceSample, seed: int | None = None) -> None:
     """Write a sample as tensor files plus a JSON sidecar into `directory`."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_directory(directory)
     write_tensor(directory / "y.bin", sample.y)
     write_tensor(directory / "mask.bin", sample.mask.mask.astype(np.complex128))
     write_tensor(directory / "coils.bin", sample.coils.maps)

@@ -26,7 +26,7 @@ import numpy as np
 from .backprop import GradientSet, backward
 from .csc import FilterBank
 from .errors import NonFiniteValue, ShapeMismatch
-from .io import atomic_write, write_json
+from .io import atomic_write, make_directory, write_json
 from .network import (
     NetworkConfig,
     NetworkParams,
@@ -214,8 +214,7 @@ def train(dataset, val_dataset, config: NetworkConfig,
         )
     ]
     if run_dir is not None:
-        run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
+        run_dir = make_directory(run_dir)
         _write_run_config(run_dir, config, epochs, seed, lr)
         save_checkpoint(run_dir / "checkpoints" / "epoch_000", params, config)
         write_loss_log(run_dir / "losses.csv", history)

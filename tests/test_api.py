@@ -35,7 +35,7 @@ REMOVED = {
     "tensors": ["inner_product", "as_channels", "from_channels", "circular_convolve", "norm2_sq"],
     "operators": ["zero_filled_recon"],
     "network": ["replace_filters", "mode_2d_merge", "mode_2d_split"],
-    "errors": ["NonPositiveGamma", "NonPositiveBeta", "FilterTooLarge"],
+    "errors": ["NonPositiveGamma", "NonPositiveBeta", "FilterTooLarge", "TraceMismatch"],
     "cli": ["TRAIN_DEFAULTS"],
 }
 
@@ -129,8 +129,10 @@ def test_removed_names_are_gone(module, names):
 
 def test_backprop_keeps_only_the_backward():
     # each block's VJP sits beside its forward in csc or dc; backprop
-    # imports the ones backward calls
-    for name in ["prox_backward", "s_update_backward", "_real_inner", "_sum_batch", "_n_freq"]:
+    # imports the ones backward calls, and reads gamma and tau's VJP from
+    # the trace's AdmmConfig
+    for name in ["prox_backward", "s_update_backward", "_real_inner", "_sum_batch", "_n_freq",
+                 "AdmmConfig"]:
         assert not hasattr(backprop, name), name
 
 
@@ -275,3 +277,34 @@ def test_one_inner_product(path):
     # every inner product and norm is tensors.real_inner, whose order, and
     # so whose bits, do not depend on the BLAS thread count
     assert blas_reduction_uses(path.read_text()) == [], path.name
+
+
+def directory_creations(source: str) -> list[int]:
+    """Lines of `source` that create a directory: a `mkdir` or `makedirs`
+    attribute (Path.mkdir, os.mkdir, os.makedirs) or one imported from os."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in ("mkdir", "makedirs")
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(a.name in ("mkdir", "makedirs")
+                                              for a in node.names)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_directory_guard_sees_each_spelling():
+    source = ("import os\nout.mkdir(parents=True)\nos.makedirs(d)\nos.mkdir(d)\n"
+              "from os import makedirs\nPath(p).mkdir()\nos.path.isdir(d)\nmake_directory(d)\n")
+    assert directory_creations(source) == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "io.py"],
+                         ids=lambda p: p.name)
+def test_one_directory_maker(path):
+    # io.make_directory creates every output directory, and names the path
+    # when it cannot
+    assert directory_creations(path.read_text()) == [], path.name

@@ -40,7 +40,7 @@ from ucdl.csc import (
 )
 from ucdl.data import PhantomSpec, synth_dataset
 from ucdl.dc import CgSolution, CgTrace, NormalOperator, cg_backward, cg_solve
-from ucdl.errors import NonFiniteValue, ShapeMismatch, TraceMismatch
+from ucdl.errors import NonFiniteValue, ShapeMismatch
 from ucdl.network import (
     NetworkConfig,
     forward_reconstruct,
@@ -902,22 +902,6 @@ class TestBackwardApi:
         grads = backward(result.trace, random_complex(rng, sample.image_shape))
         assert np.all(grads.d_filters == 0)
         assert grads.d_log_lam == 0.0
-
-    def test_rejects_outer_count_mismatch(self):
-        result, *_ = self.make_trace()
-        bad = dataclasses.replace(
-            result.trace, config=dataclasses.replace(result.trace.config, n_outer=3)
-        )
-        with pytest.raises(TraceMismatch):
-            backward(bad, np.zeros((6, 6, 2), dtype=complex))
-
-    def test_rejects_admm_depth_mismatch(self):
-        result, *_ = self.make_trace()
-        bad = dataclasses.replace(
-            result.trace, config=dataclasses.replace(result.trace.config, n_admm=2)
-        )
-        with pytest.raises(TraceMismatch):
-            backward(bad, np.zeros((6, 6, 2), dtype=complex))
 
     def test_rejects_wrong_cotangent_shape(self):
         result, *_ = self.make_trace()

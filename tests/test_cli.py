@@ -538,37 +538,69 @@ class TestUnreadableFiles:
 class TestUnwritableFiles:
     """An output path that cannot be written, a directory or one in a missing
     directory, exits 1 with one line that starts with that path and names no
-    temporary file, prints nothing and leaves no file behind: a preview that
-    cannot be written leaves no reconstruction either."""
+    temporary file, prints nothing and leaves no file behind: neither the
+    outputs written before the failed one (previews before a reconstruction,
+    a JSON report before a CSV append) nor those after it.  A CSV label that
+    cannot be written leaves none either."""
 
     @pytest.mark.parametrize("flag,defect", [("--json", "directory"), ("--json", "missing"),
                                              ("--csv", "directory"), ("--out", "directory"),
-                                             ("--pgm", "missing")])
+                                             ("--pgm", "missing"),
+                                             ("--out", "directory-after-previews"),
+                                             ("--csv", "directory-after-json"),
+                                             ("--json", "directory-before-csv"),
+                                             ("--label", "comma-after-json")])
     def test_output_that_cannot_be_written(self, workspace, tmp_path, capsys, flag, defect):
         sample = workspace["data"] / "sample_000"
-        if defect == "directory":
+        if defect.startswith("directory"):
             path = tmp_path / "out"
             path.mkdir()
         else:
             path = tmp_path / "missing" / ("p" if flag == "--pgm" else "x.json")
         reconstruct = ["reconstruct", "--checkpoint", workspace["run"] / "final",
                        "--sample", sample, "--out"]
-        if flag == "--out":
-            argv = reconstruct + [path]
-        elif flag == "--pgm":
-            argv = reconstruct + [tmp_path / "r.bin", "--pgm", path]
-        else:
-            argv = ["evaluate", "--recon", workspace["recon"], "--target",
-                    sample / "target.bin", "--roi", 12, 12, flag, path]
+        evaluate = ["evaluate", "--recon", workspace["recon"], "--target",
+                    sample / "target.bin", "--roi", 12, 12]
+        report, table = tmp_path / "r.json", tmp_path / "s.csv"
+        argv = {
+            ("--out", "directory"): reconstruct + [path],
+            ("--pgm", "missing"): reconstruct + [tmp_path / "r.bin", "--pgm", path],
+            ("--out", "directory-after-previews"): reconstruct + [path, "--pgm", tmp_path / "p"],
+            ("--csv", "directory-after-json"): evaluate + ["--json", report, "--csv", path],
+            ("--json", "directory-before-csv"): evaluate + ["--json", path, "--csv", table],
+            ("--label", "comma-after-json"): evaluate + ["--json", report, "--csv", table,
+                                                         "--label", "a,b"],
+        }.get((flag, defect), evaluate + [flag, path])
         code, out = run_cli(*argv)
         assert code == 1
         err = capsys.readouterr().err
-        named = f"{path}_t00.pgm" if flag == "--pgm" else path
-        assert err.startswith(f"{named}: ") and err.count("\n") == 1
+        named = {"--pgm": f"{path}_t00.pgm: ",
+                 "--label": "label 'a,b' must not contain"}.get(flag, f"{path}: ")
+        assert err.startswith(named) and err.count("\n") == 1
         assert "Errno" not in err and ".tmp" not in err and "Traceback" not in err
         assert out == ""
-        assert [p.name for p in tmp_path.rglob("*")] == (["out"] if defect == "directory"
+        assert [p.name for p in tmp_path.rglob("*")] == (["out"] if defect.startswith("directory")
                                                          else [])
+
+    @pytest.mark.parametrize("command", ["export-filters", "export-feature-maps", "gen-data",
+                                         "train"])
+    def test_output_directory_that_is_a_file(self, workspace, tmp_path, capsys, command):
+        path = tmp_path / "out"
+        path.write_text("kept")
+        checkpoint, sample = workspace["run"] / "final", workspace["data"] / "sample_000"
+        argv = {
+            "export-filters": ["--checkpoint", checkpoint],
+            "export-feature-maps": ["--checkpoint", checkpoint, "--sample", sample],
+            "gen-data": ["--samples", 1, "--nx", 8, "--ny", 8, "--nt", 2],
+            "train": ["--data", workspace["data"], "--val", workspace["val"], "--K", 2,
+                      "--kf", 3, "--T", 1, "--ncg", 2, "--epochs", 1],
+        }[command]
+        code, out = run_cli(command, *argv, "--out", path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and err.count("\n") == 1
+        assert "Errno" not in err and "Traceback" not in err
+        assert out == "" and path.read_text() == "kept"
 
 
 class TestBadTensors:

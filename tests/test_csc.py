@@ -186,6 +186,19 @@ class TestTypes:
             AdmmConfig(**weights)
         assert all(f"{name}={value}" in str(err.value) for name, value in weights.items())
 
+    @pytest.mark.parametrize("weights", [(1.0, 0.1, 0.5), (0.3, 2.0, 1.7), (5.0, 0.05, 0.2)])
+    def test_weights_backward_matches_central_differences(self, weights):
+        # the (lam, alpha, beta) shares of gamma_bar d(gamma) + tau_bar d(tau)
+        gamma_bar, tau_bar = 0.7, -1.3
+        shares = AdmmConfig(*weights).weights_backward(gamma_bar, tau_bar)
+        for i, share in enumerate(shares):
+            step = 1e-5 * weights[i]
+            plus, minus = (AdmmConfig(*(w + sign * step * (j == i) for j, w in enumerate(weights)))
+                           for sign in (1, -1))
+            numeric = (gamma_bar * (plus.gamma - minus.gamma)
+                       + tau_bar * (plus.threshold - minus.threshold)) / (2 * step)
+            assert share == pytest.approx(numeric, rel=1e-8), i
+
     def test_code_state_zeros(self):
         state = CodeState.zeros(2, (4, 4))
         assert state.s.shape == (2, 4, 4)

@@ -14,6 +14,7 @@ from ucdl.cli import _build_parser
 from ucdl.io import (
     MAGIC,
     TensorFormatError,
+    make_directory,
     quantize_window,
     read_manifest,
     read_tensor,
@@ -285,6 +286,25 @@ class TestAtomicWrites:
         write(tmp_path, 2)
         assert (tmp_path / name).read_bytes() != old
         assert sorted(os.listdir(tmp_path)) == listing
+
+    def test_directory_in_place_rejected_before_the_block(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        ran = []
+        with pytest.raises(IsADirectoryError, match=f"^{re.escape(str(tmp_path / 'out'))}: "):
+            with ucdl.io.atomic_write(tmp_path / "out") as fh:
+                ran.append(fh)
+        assert ran == [] and os.listdir(tmp_path) == ["out"]
+
+
+class TestMakeDirectory:
+    @pytest.mark.parametrize("where", ["itself", "parent"])
+    def test_file_in_the_way_named(self, tmp_path, where):
+        (tmp_path / "f").write_text("kept")
+        path = tmp_path / "f" if where == "itself" else tmp_path / "f" / "sub"
+        with pytest.raises(OSError) as err:
+            make_directory(path)
+        assert str(err.value).startswith(f"{path}: ") and "Errno" not in str(err.value)
+        assert (tmp_path / "f").read_text() == "kept"
 
 
 class TestPgm:

@@ -232,6 +232,7 @@ class TestSweepBuffers:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
         # replay every sweep from the plain formulas, from the traced inputs
         admm = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
+        assert trace.admm == admm
         bank = frames_first_bank(params.filters)
         state = CodeState.zeros(3, trace.outer[0].approx.shape)
         for outer, x in zip(trace.outer, oracles.outer_inputs(trace)):
