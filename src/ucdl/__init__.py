@@ -15,7 +15,6 @@ from ucdl.csc import (
     AdmmConfig,
     CodeState,
     FilterBank,
-    soft_threshold,
 )
 from ucdl.data import PhantomSpec, load_dataset, make_phantom, save_dataset, synth_dataset
 from ucdl.dc import NormalOperator, cg_solve
@@ -83,7 +82,6 @@ __all__ = [
     "save_checkpoint",
     "save_dataset",
     "simulate_measurement",
-    "soft_threshold",
     "ssim",
     "synth_dataset",
     "train",

@@ -41,21 +41,25 @@ as F^{-1} sum_k d_k s_hat_k, so the synthesis VJP reverses it.
 The code cotangent stays in the spectral domain between the synthesis and
 the s-update: the synthesis VJP hands over the image f = F(approx_bar)/N
 alone, and the last sweep's VJP, which owns every pass over its record,
-forms from f the cotangent conj(d) f of s_hat (the second F^{-1} rule) and
-the synthesis's kernel share conj(s_hat) f one filter block at a time.
-Each sweep transforms one K-map cotangent forward and one back, each in
-place.  Cotangents that reach no parameter are not computed: nothing reads
-the last sweep's u and z, so its prox VJP and that transform are skipped,
-and outer iteration 0 starts from x = A^H y and zero codes, so it computes
-no cotangent of x (neither CG's warm start nor the sweeps' image) nor of
-its first sweep's start state.  The sweeps of one outer iteration share x's
-spectrum, so their x cotangents are summed as spectra and transformed once.
+takes from f the cotangent conj(d) f of s_hat (the second F^{-1} rule) and
+the synthesis's kernel share conj(s_hat) f.  The state between sweeps is
+the prox input v alone (:mod:`ucdl.csc`), so one K-map cotangent v_bar runs
+back through the sweeps, across outer iterations too: each sweep's VJP
+takes the cotangent of its new v and the previous sweep's recorded v, and
+returns the cotangent of that v.  Each sweep transforms v_bar forward one
+filter block at a time and one K-map back.  Cotangents that reach no
+parameter are not computed: nothing reads the last sweep's v, so its VJP
+is handed none, and outer iteration 0 starts from x = A^H y and zero
+codes, so it computes no cotangent of x (neither CG's warm start nor the
+sweeps' image) nor of its first sweep's input.  The sweeps of one outer
+iteration share x's spectrum, so their x cotangents are summed as spectra
+and transformed once.
 
-The sweep VJPs work in the cotangent buffers they are handed and add the
-kernel cotangents into backward's one accumulator, so the backward holds
-about four and a half K-map stacks beyond its trace: the accumulator,
-u_bar, z_bar and the threshold VJP's |v| scratch.  The trace itself is
-read-only.
+The sweep VJPs work in the cotangent buffer they are handed, transform it
+in block scratch, and add the kernel cotangents into backward's one
+accumulator, so the backward holds about 2.7 K-map stacks beyond its
+trace: the accumulator, v_bar, and the block scratch and images of the
+VJPs and of CG's.  The trace itself is read-only.
 """
 
 from __future__ import annotations
@@ -110,15 +114,17 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
 
     # the trace is frames-first, (N_t, N_x, N_y)
     x_bar = np.ascontiguousarray(np.moveaxis(d_image, -1, 0), dtype=np.complex128)
-    u_bar = z_bar = None  # the final u and z are not read
+    v_bar = None  # the final v is not read
     d_bar = np.zeros(spectra.d.shape[:1] + spectra.power.shape, dtype=np.complex128)
     lam_bar = 0.0
     gamma_bar = 0.0
     tau_bar = 0.0
+    # each sweep's input v is the previous sweep's recorded one, across outer
+    # iterations too; the first sweep starts from zero codes
+    inputs = [None] + [step.v for outer in trace.outer for step in outer.admm][:-1]
 
-    # x_0 = A^H y and the initial zero code state carry no parameters, so
-    # outer iteration 0 computes no cotangent of its x or of its first
-    # sweep's start state
+    # x_0 = A^H y and the initial zero codes carry no parameters, so outer
+    # iteration 0 computes no cotangent of its x or of its first sweep's input
     for t in range(len(trace.outer) - 1, -1, -1):
         outer = trace.outer[t]
         block = "cg_backward"
@@ -126,17 +132,15 @@ def backward(trace: NetworkTrace, d_image: np.ndarray) -> GradientSet:
             rhs_bar, x_bar, lam_add = cg_backward(outer.cg, x_bar, operator, need_x0=t > 0)
             lam_bar += lam_add
             # rhs = A^H y + lam * approx
-            approx_bar = lam * rhs_bar
             lam_bar += real_inner(rhs_bar, outer.approx)
             block = "synthesis_backward"
-            f = synthesis_backward(spectra, approx_bar)
+            f = synthesis_backward(spectra, lam * rhs_bar)
+            del rhs_bar
             block = "admm_step_backward"
             x_hat_bar = 0.0  # the sweeps share x's spectrum
-            for j in range(len(outer.admm) - 1, -1, -1):
-                x_hat_add, u_bar, z_bar, gamma_add, tau_add = admm_step_backward(
-                    outer.admm[j], spectra, admm_cfg, f, u_bar, z_bar, d_bar,
-                    need_state=t > 0 or j > 0,
-                )
+            for step in reversed(outer.admm):
+                x_hat_add, v_bar, gamma_add, tau_add = admm_step_backward(
+                    step, inputs.pop(), spectra, admm_cfg, f, v_bar, d_bar)
                 x_hat_bar = x_hat_bar + x_hat_add
                 gamma_bar += gamma_add
                 tau_bar += tau_add

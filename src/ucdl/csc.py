@@ -14,9 +14,16 @@ alternates three closed-form updates:
      gamma = beta/lam and r = conj(d) x^f + gamma w^f, w = u + z, in the
      closed form s^f = w^f + conj(d) c with c = (x^f - d^T w^f)/(gamma + P)
      and P = sum_k |d_k|^2, so the cost per frequency is O(K);
-  u: componentwise soft threshold of s - z at level alpha/beta, applied
-     independently to real and imaginary parts;
-  z: dual ascent z <- z + (u - s).
+  u: componentwise soft threshold u = soft(v) of v = s - z at level
+     tau = alpha/beta, applied independently to real and imaginary parts;
+  z: dual ascent z <- z + (u - s) = u - v = -clip(v, -tau, tau).
+
+The last line is the Moreau decomposition: soft(v) and clip(v, -tau, tau)
+sum to v (Parikh & Boyd, "Proximal Algorithms", 2014, section 2.5).  So
+the state a sweep hands the next is v alone (:class:`CodeState` holds it
+beside the codes s): the next sweep forms w = u + z = soft(v) - clip(v),
+and its new v = s - z = s + clip(v_old), and the scaled dual is bounded,
+|z| <= tau per channel.
 
 Arrays carrying coefficient maps have shape (K, *image_shape); the image
 shape may include leading batch axes ahead of the spatial axes, which are
@@ -27,20 +34,21 @@ function, :func:`admm_step_traced`, as its VJP is :func:`admm_step_backward`.
 A forward builds the kernel constants once (:class:`KernelSpectra`) and hands
 them, with the image spectrum x^f that the J sweeps of an outer iteration
 share, to every sweep.  A sweep records only what varies
-(:class:`AdmmStepTrace`): s^f, the image c, and the prox input and
+(:class:`AdmmStepTrace`): s^f, the image c, and its new v and the
 threshold.  Since d^T s^f = x^f - gamma c, the network's synthesis is the
-inverse DFT of that image and needs no K-map product.  A sweep consumes its
-input state: w = u + z and then s^f are formed in u's buffer, and the new s
-and z in the old ones' buffers, so a traced sweep's only fresh K-map arrays
-are the new u and the recorded v.  An untraced sweep records only c and tau:
-it forms v in its block scratch and the new u in s^f's buffer, so it
-allocates no K-map array.  Between its two whole-array DFTs it runs
-elementwise passes over blocks of filters, all in one block-sized scratch
-array; d^T w^f is summed one filter at a time, in filter order, as
-sum(axis=0) does.  The forward's first sweep starts from zero codes (state
-None) and skips u + z, its transform and d^T w^f: c = x^f / (gamma + P) and
-s^f = +0 + conj(d) c; untraced, it inverts s^f in place and allocates only
-the s, u and z it returns.
+inverse DFT of that image and needs no K-map product.  A sweep works in v
+and one K-map of its input state: it forms w from v in s's buffer, then
+s^f and the new s there, and the new v block by block, so a traced sweep's
+only fresh K-map arrays are the recorded s^f and v, and it leaves the old
+v, the previous sweep's record, as it was.  An untraced sweep records only
+c and tau: it transforms w in place and writes the new v into the old
+one's buffer, so it allocates no K-map array.  Between its two whole-array
+DFTs it runs elementwise passes over blocks of filters, all in one
+block-sized scratch array; d^T w^f is summed one filter at a time, in
+filter order, as sum(axis=0) does.  The forward's first sweep starts from
+zero codes (state None) and skips w, its transform and d^T w^f: c = x^f /
+(gamma + P) and s^f = +0 + conj(d) c; untraced, it inverts s^f in place and
+allocates only the s and v it returns.
 The solve and the soft threshold run the plain formulas' operations in the
 same order and return the same bits, except that a code entry the threshold
 zeroes keeps the sign of its input.  :class:`AdmmConfig` rejects weights
@@ -50,16 +58,18 @@ network trace records the forward's config, which the backward reads.
 
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records; the
-sweep's VJP reverses its soft threshold inline, on the float64 channels of
-the recorded v.  The synthesis VJP only turns its cotangent into the
-image f = F(approx_bar)/N, and the VJP of the sweep whose s is synthesized
-runs every K-map pass over its record: from f it forms the code cotangent
-conj(d) f and the synthesis's kernel share conj(s^f) f.  It works in the
-buffers it is handed, adds the kernel cotangents into the caller's
-accumulator one filter block at a time and runs its two K-map DFTs in
-place, so beyond its inputs it allocates only the threshold VJP's |v|
-scratch (without a prox part, a zero s^f cotangent), two block-sized
-scratch arrays and images.  Its sums keep the forward's order and bits.
+sweep's VJP takes the cotangent of its new v and returns that of its input
+v, the previous sweep's record, on whose float64 channels it reverses the
+prox.  The synthesis VJP only turns its cotangent into the image f =
+F(approx_bar)/N, and the VJP of the sweep whose s is synthesized runs every
+K-map pass over its record and takes from f both the code cotangent
+conj(d) f and the synthesis's kernel share conj(s^f) f.  It transforms the
+cotangent of the new v one block of filters at a time in block scratch,
+and by linearity inverts only conj(d) (f - rho), so beyond its inputs it
+allocates only the cotangent it returns when it is handed none, two
+block-sized scratch arrays and images, and it adds the kernel cotangents
+into the caller's accumulator one filter block at a time; its sums run in
+filter order whatever the block size.
 """
 
 from __future__ import annotations
@@ -108,39 +118,22 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class CodeState:
-    """ADMM iterate: coefficient maps s, auxiliaries u, scaled duals z.
+    """ADMM iterate: the codes s of the last sweep and the prox input v =
+    s - z_old of its u-update, from which the next sweep forms the
+    auxiliaries u = soft(v) and the scaled duals z = -clip(v, -tau, tau).
 
-    A sweep writes the next state into these buffers, so each field is a
-    distinct, writable, C-contiguous complex128 array: a field that is not
-    one, or that may share memory with an earlier field, is stored as a copy.
+    A sweep writes the next state into these buffers: s and v are distinct,
+    writable, C-contiguous complex128 arrays of one shape.
     """
 
     s: np.ndarray
-    u: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        held = []
-        for name in ("s", "u", "z"):
-            value = getattr(self, name)
-            if not (isinstance(value, np.ndarray) and value.dtype == np.complex128
-                    and value.flags.c_contiguous and value.flags.writeable
-                    and not any(np.may_share_memory(value, other) for other in held)):
-                object.__setattr__(self, name, np.array(value, dtype=np.complex128, order="C"))
-            held.append(getattr(self, name))
-        if not (self.s.shape == self.u.shape == self.z.shape):
-            raise ShapeMismatch(
-                f"code state parts disagree: {self.s.shape}, {self.u.shape}, {self.z.shape}"
-            )
+    v: np.ndarray
 
     @classmethod
     def zeros(cls, n_filters: int, image_shape: tuple) -> "CodeState":
         shape = (n_filters,) + tuple(image_shape)
-        return cls(
-            s=np.zeros(shape, dtype=np.complex128),
-            u=np.zeros(shape, dtype=np.complex128),
-            z=np.zeros(shape, dtype=np.complex128),
-        )
+        return cls(s=np.zeros(shape, dtype=np.complex128),
+                   v=np.zeros(shape, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -243,31 +236,16 @@ def _filter_blocks(maps_shape: tuple) -> list:
             for lo in range(0, n_filters, step)]
 
 
-def soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink real and imaginary channels toward zero by tau, clamping at zero.
-
-    Runs on one output buffer over the interleaved float64 channels.  An
-    entry shrunk to zero keeps the sign of its input, so a negative one reads
-    -0.0.  tau must be a finite number >= 0.
-    """
-    tau_array = np.asarray(tau)
-    if not (tau_array.dtype.kind in "biuf"
-            and np.all(np.isfinite(tau_array) & (tau_array >= 0))):
-        raise ValueError(f"tau must be a finite number >= 0, got {tau_array}")
-    values = np.asarray(values)
-    values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64, copy=False)
-    out = np.empty(values.shape, dtype=values.dtype)
-    _shrink(np.ravel(values).view(np.float64), tau, out.reshape(-1).view(np.float64))
-    return out
-
-
-def _shrink(channels: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
-    """sign(v) max(|v| - tau, 0) of the float64 channels v into `out`, as
-    v - clip(v, -tau, tau) with v's sign: the same bits, -0.0 included, in
-    one pass fewer."""
-    np.clip(channels, -tau, tau, out=out)
-    np.subtract(channels, out, out=out)
-    return np.copysign(out, channels, out=out)
+def _prox_sum(v: np.ndarray, tau: float, clip: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w = u + z = soft(v) - clip(v, -tau, tau) of the C-contiguous complex
+    block v, per float64 channel, into `out`, with clip(v) left in `clip`.
+    soft(v) = sign(v) max(|v| - tau, 0) is formed as v - clip(v) with v's
+    sign, so an entry shrunk to zero keeps the sign of its input."""
+    v, clip, out = (a.view(np.float64) for a in (v, clip, out))
+    np.clip(v, -tau, tau, out=clip)
+    np.subtract(v, clip, out=out)
+    np.copysign(out, v, out=out)
+    return np.subtract(out, clip, out=out)
 
 
 def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarray:
@@ -291,7 +269,7 @@ class AdmmStepTrace:
 
     s_hat: np.ndarray | None   # spectrum of the new s
     c: np.ndarray              # s_hat = w_hat + conj(d) c, so d^T s_hat = x_hat - gamma c
-    v: np.ndarray | None       # u-update input s_new - z_old
+    v: np.ndarray | None       # u-update input s_new - z_old, the next sweep's state
     tau: float
 
 
@@ -300,30 +278,33 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
     """One s -> u -> z sweep for the image spectrum x_hat, returning the new
     state and its record; the module docstring gives its formulas and order.
 
-    The sweep consumes `state`: w = u + z is formed in u's buffer and becomes
-    the recorded s_hat, and the new s and z are formed in the old s's and z's
-    buffers, so a caller that reads `state` afterwards hands over a copy.
-    None stands for zero codes, from which the sweep returns the bits of a
-    sweep from zeros, in fresh arrays, without transforming them.  Without
-    `want_trace` the sweep records neither s_hat nor v, so it forms v in its
-    block scratch and the new u in s_hat's buffer, which is dead once s is
-    formed; from zero codes it then inverts s_hat in place, and allocates
-    only the s, u and z it returns.
+    The sweep consumes `state`: w = u + z is formed from v in s's buffer and
+    the new s there, so a caller that reads `state.s` afterwards hands over a
+    copy.  A traced sweep records its s_hat and new v in fresh arrays and
+    leaves the old v as it was, for it is the previous sweep's record.  None
+    stands for zero codes, from which the sweep returns the bits of a sweep
+    from zeros, in fresh arrays, without transforming them.  Without
+    `want_trace` the sweep records neither s_hat nor v, so it transforms w
+    in place and writes the new v into the old one's buffer; from zero codes
+    it inverts s_hat in place, and allocates only the s and v it returns.
     """
     d = spectra.d
     shape = d.shape[:1] + x_hat.shape
-    if state is not None and state.s.shape != shape:
+    if state is not None and state.v.shape != shape:
         raise ShapeMismatch(
-            f"code maps {state.s.shape} do not extend image shape {x_hat.shape} "
+            f"code maps {state.v.shape} do not extend image shape {x_hat.shape} "
             f"by {len(d)} filters"
         )
     blocks = _filter_blocks(shape)
+    tau = config.threshold
     if state is None:
         s_hat = np.empty(shape, dtype=np.complex128)
         c = np.divide(x_hat, config.gamma + spectra.power)
     else:
-        s, u, z = state.s, state.u, state.z
-        s_hat = dft_forward(np.add(u, z, out=u), ndim=spectra.n_spatial, overwrite_x=True)
+        s, v_old = state.s, state.v
+        for blk, scratch in blocks:
+            _prox_sum(v_old[blk], tau, scratch, s[blk])
+        s_hat = dft_forward(s, ndim=spectra.n_spatial, overwrite_x=not want_trace)
         c = np.zeros_like(x_hat)
         for blk, scratch in blocks:
             for product in np.multiply(d[blk], s_hat[blk], out=scratch):
@@ -334,28 +315,22 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
     for blk, scratch in blocks:
         part = _conj_times(d[blk], conj_c, out=scratch)
         np.add(0.0 if state is None else s_hat[blk], part, out=s_hat[blk])
-        if state is not None:
+        if state is not None and want_trace:
             np.copyto(s[blk], s_hat[blk])
     del conj_c
     if state is None:
         s = dft_inverse(s_hat, ndim=spectra.n_spatial, overwrite_x=not want_trace)
-        z = np.empty_like(s)
+        # s - z_old with z_old = -clip(0) = -0.0, as from zero codes
+        v = np.add(s, 0.0)
     else:
-        s = dft_inverse(s, ndim=spectra.n_spatial, overwrite_x=True)
-    tau = config.threshold
-    if want_trace:
-        v, u = np.empty_like(s), np.empty_like(s)
-    else:
-        v, u = None, (np.empty_like(s) if state is None else s_hat)
-    for blk, scratch in blocks:
-        z_old = 0.0 if state is None else z[blk]
-        v_blk = scratch if v is None else v[blk]
-        np.subtract(s[blk], z_old, out=v_blk)
-        _shrink(v_blk.view(np.float64), tau, u[blk].view(np.float64))
-        # z + (u - s): the grouping keeps z bitwise unchanged at a fixed point (u == s)
-        np.add(z_old, np.subtract(u[blk], s[blk], out=scratch), out=z[blk])
-    return CodeState(s=s, u=u, z=z), AdmmStepTrace(s_hat=s_hat if want_trace else None,
-                                                   c=c, v=v, tau=tau)
+        s = dft_inverse(s if want_trace else s_hat, ndim=spectra.n_spatial, overwrite_x=True)
+        # the new v = s - z_old = s + clip(v_old), block by block
+        v = np.empty_like(s) if want_trace else v_old
+        for blk, scratch in blocks:
+            np.clip(v_old[blk].view(np.float64), -tau, tau, out=scratch.view(np.float64))
+            np.add(s[blk], scratch, out=v[blk])
+    return CodeState(s=s, v=v), AdmmStepTrace(s_hat=s_hat if want_trace else None, c=c,
+                                              v=v if want_trace else None, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -369,105 +344,105 @@ def _sum_batch(arr: np.ndarray, n_spatial: int) -> np.ndarray:
     return arr.sum(axis=axes) if axes else arr
 
 
-def admm_step_backward(step: AdmmStepTrace, spectra: KernelSpectra,
-                       config: AdmmConfig, f, u_bar, z_bar, d_bar: np.ndarray,
-                       need_state: bool = True):
+def admm_step_backward(step: AdmmStepTrace, v_in, spectra: KernelSpectra,
+                       config: AdmmConfig, f, v_bar, d_bar: np.ndarray):
     """VJP of one s -> u -> z ADMM sweep.
 
-    Takes the sweep's record and constants, and the cotangents of its outputs:
-    the image f that :func:`synthesis_backward` returns if this sweep's s is
-    synthesized (else None), which stands for the cotangent conj(d) f of
-    s_hat and the kernel share conj(s_hat) f, and u_bar and z_bar of the new
-    u and z, both None or both C-contiguous complex arrays.  The VJP works in
-    the buffers it is handed: it overwrites u_bar and z_bar and returns the
-    cotangents of u_prev and z_prev in their buffers (without u_bar, in the
-    buffer of a zero s_hat cotangent and a copy).  It adds the synthesis's
-    and then the sweep's spectra cotangent into d_bar, the (K, *spatial)
-    accumulator of the backward, one filter block at a time.  Without
-    `need_state` the sweep started from a state that carries no parameters,
-    and its cotangents are not computed.
+    Takes the sweep's record, its input v_in (the previous sweep's recorded
+    v, or None for zero codes) and constants, and the cotangents of its
+    outputs: the image f that :func:`synthesis_backward` returns if this
+    sweep's s is synthesized (else None), which stands for the cotangent
+    conj(d) f of s_hat and the kernel share conj(s_hat) f, and v_bar of the
+    new v (None if nothing reads it), a C-contiguous complex array.  The VJP
+    works in the buffers it is handed: it returns the cotangent of v_in in
+    v_bar's buffer (without v_bar, in a fresh array) and adds the synthesis's
+    and the sweep's spectra cotangents into d_bar, the (K, *spatial)
+    accumulator of the backward.  It transforms v_bar one block of filters
+    at a time in block scratch, so it allocates no K-map array but the one
+    it may return.
 
-    The threshold u = soft_threshold(v, tau) is reversed per float64 channel
-    of the recorded v: v_bar = u_bar where |v| > tau and 0 elsewhere, and
-    tau_bar = -<sign v, v_bar>.  The s-update s_hat = w_hat + conj(d) c,
-    c = (x_hat - d^T w_hat) / (gamma + P), is reversed in closed form from the
-    recorded s_hat and c and the cotangent s_hat_bar of s_hat, which is
-    F(s_bar)/N for a cotangent s_bar of s = F^{-1} s_hat plus conj(d) f.
-    With rho = d^T s_hat_bar / (gamma + P), the cotangents are
+    The new v = s + clip(v_in) hands v_bar to s, whose spectrum gets
+    s_hat_bar = V + conj(d) f with V = F(v_bar)/N.  The s-update s_hat =
+    w_hat + conj(d) c, c = (x_hat - d^T w_hat) / (gamma + P), is reversed in
+    closed form from the recorded s_hat and c.  With rho = d^T s_hat_bar /
+    (gamma + P) and H = conj(d) f - conj(d) rho, the cotangents are
 
-        x_hat_bar = rho,  w_hat_bar = s_hat_bar - conj(d) rho,
-        d_bar = conj(w_hat_bar) c - conj(s_hat) rho,  gamma_bar = -Re<rho, c>,
+        x_hat_bar = rho,  w_hat_bar = s_hat_bar - conj(d) rho = V + H,
+        d_bar = conj(s_hat) f + conj(w_hat_bar) c - conj(s_hat) rho
+              = conj(V) c + conj(s_hat) (f - rho) + conj(H) c,
+        gamma_bar = -Re<rho, c>,
 
     the VJP of the Sherman-Morrison solve, whose synthesis residual
-    d^T s_hat - x_hat is -gamma c.
+    d^T s_hat - x_hat is -gamma c, and of the synthesis.  By linearity w_bar
+    = N F^{-1} w_hat_bar = v_bar + q with q = N F^{-1} H, and w = soft(v_in)
+    - clip(v_in) and the clip in the new v are reversed per float64 channel
+    of v_in: where |v_in| <= tau, v_in_bar = v_bar - w_bar = -q; where
+    |v_in| > tau, v_in_bar = w_bar = v_bar + q and tau_bar gets
+    sign(v_in) (v_bar - 2 w_bar) = -sign(v_in) (v_bar + 2 q).
 
-    Returns the cotangent of x_hat (rho, spectral), those of (u_prev, z_prev)
-    (spatial, or None), and the gamma and tau pieces.
+    Returns the cotangent of x_hat (rho, spectral), that of v_in (spatial,
+    or None with v_in), and the gamma and tau pieces.
     """
-    d, n_spatial = spectra.d, spectra.n_spatial
+    d, n_spatial, n_freq = spectra.d, spectra.n_spatial, spectra.n_freq
     shape = step.s_hat.shape
     if f is not None and f.shape != step.c.shape:
         raise ShapeMismatch(f"synthesis cotangent shape {f.shape}, "
                             f"expected the image shape {step.c.shape}")
-    tau_bar = 0.0
-    if u_bar is not None:
-        # z_new = z_prev + (u_new - s_new); u_new = soft_threshold(v, tau)
-        # with v = s_new - z_prev: s_new gets v_bar - z_bar, z_prev the negation
-        u_bar += z_bar
-        # the threshold's VJP over the float64 channels, into u_bar's buffer
-        channels = step.v.reshape(-1).view(np.float64)
-        v_bar = u_bar.reshape(-1).view(np.float64)
-        scratch = np.abs(channels)
-        np.multiply(v_bar, np.greater(scratch, step.tau), out=v_bar)
-        np.sign(channels, out=scratch)
-        tau_bar = -real_inner(scratch, v_bar)
-        del scratch
-        # s_bar - z_bar in u_bar's buffer, kept in z_bar's for z_prev_bar,
-        # and then transformed in place
-        np.copyto(z_bar, np.subtract(u_bar, z_bar, out=u_bar))
-        s_hat_bar = dft_forward(u_bar, ndim=n_spatial, overwrite_x=True)
-        s_hat_bar /= spectra.n_freq
-    else:
-        s_hat_bar = np.zeros(shape, dtype=np.complex128)
-    # the scratch blocks are allocated once the threshold's scratch is freed
-    blocks, others = _filter_blocks(shape), _filter_blocks(shape)
-    conj_f = None if f is None else np.conj(f)
-    if f is not None:
-        # the synthesis's kernel share conj(s_hat) f, summed over batch axes, in
-        # a pass of its own, so that each pass's block streams stay in cache
-        for blk, other in others:
-            piece = np.conjugate(step.s_hat[blk], out=other)
-            piece *= f
-            d_bar[blk] += _sum_batch(piece, n_spatial)
-    # the s-update, with w = u_prev + z_prev; rho is summed from zero one
-    # filter at a time, in filter order, as sum(axis=0) does
+    blocks = list(zip(_filter_blocks(shape), _filter_blocks(shape)))
+    conj_c, conj_f = np.conj(step.c), None if f is None else np.conj(f)
+    # rho is summed from zero one filter at a time, in filter order
     rho = np.zeros(step.c.shape, dtype=np.complex128)
-    for blk, scratch in blocks:
-        if conj_f is not None:
-            s_hat_bar[blk] += _conj_times(d[blk], conj_f, out=scratch)
-        for product in np.multiply(d[blk], s_hat_bar[blk], out=scratch):
+    for (blk, s_hat_bar), (_, other) in blocks:
+        if v_bar is None and f is None:  # nothing reaches s_hat
+            break
+        if v_bar is not None:
+            np.copyto(s_hat_bar, v_bar[blk])
+            v_hat = dft_forward(s_hat_bar, ndim=n_spatial, overwrite_x=True)
+            v_hat /= n_freq
+            # d_bar += conj(V) c as conj(V conj(c)), conjugated once after
+            # the batch sum
+            piece = _sum_batch(np.multiply(v_hat, conj_c, out=other), n_spatial)
+            d_bar[blk] += np.conjugate(piece, out=piece)
+            if f is not None:
+                s_hat_bar += _conj_times(d[blk], conj_f, out=other)
+        else:
+            _conj_times(d[blk], conj_f, out=s_hat_bar)
+        for product in np.multiply(d[blk], s_hat_bar, out=other):
             rho += product
     rho /= config.gamma + spectra.power
-    conj_rho, conj_c = np.conj(rho), np.conj(step.c)
-    w_hat_bar = s_hat_bar
-    for (blk, scratch), (_, other) in zip(blocks, others):
-        w_hat_bar[blk] -= _conj_times(d[blk], conj_rho, out=scratch)
-        # d_bar += conj(w_hat_bar conj(c) - s_hat conj(rho)), conjugated
-        # once after the batch sum
-        piece = np.multiply(w_hat_bar[blk], conj_c, out=scratch)
-        piece -= np.multiply(step.s_hat[blk], conj_rho, out=other)
-        piece = _sum_batch(piece, n_spatial)
-        d_bar[blk] += np.conjugate(piece, out=piece)
-    del blocks, others, conj_f, conj_rho, conj_c
-    gamma_bar = -real_inner(rho, step.c)
+    conj_rho = np.conj(rho)
+    conj_g = -conj_rho if f is None else conj_f - conj_rho  # conj(f - rho)
+    gamma_bar, tau_bar = -real_inner(rho, step.c), 0.0
+    v_in_bar = None
+    if v_in is not None:
+        v_in_bar = np.zeros(shape, dtype=np.complex128) if v_bar is None else v_bar
+    for (blk, h), (_, other) in blocks:
+        _conj_times(d[blk], conj_rho, out=h)
+        if f is None:
+            np.negative(h, out=h)
+        else:
+            np.subtract(_conj_times(d[blk], conj_f, out=other), h, out=h)
+        # d_bar += conj(s_hat) (f - rho) + conj(H) c, each as conj(a conj(b))
+        # conjugated once after the batch sum
+        for a, conj_b in ((step.s_hat[blk], conj_g), (h, conj_c)):
+            piece = _sum_batch(np.multiply(a, conj_b, out=other), n_spatial)
+            d_bar[blk] += np.conjugate(piece, out=piece)
+        if v_in is None:
+            continue
+        q = dft_inverse(h, ndim=n_spatial, overwrite_x=True)
+        q *= n_freq
+        v, q, out, sign = (a.view(np.float64) for a in (v_in[blk], q, v_in_bar[blk], other))
+        active = np.greater(np.abs(v, out=sign), step.tau)
+        np.copysign(active, v, out=sign)  # sign(v) where active, a zero elsewhere
+        np.add(out, q, out=out, where=active)
+        # v_bar + 2 q where active, for tau_bar, summed one filter at a time
+        np.add(out, q, out=q, where=active)
+        for sign_k, q_k in zip(sign, q):
+            tau_bar -= real_inner(sign_k, q_k)
+        np.negative(q, out=out, where=~active)
     if not (np.isfinite(gamma_bar) and np.isfinite(tau_bar)):
         raise NonFiniteValue("non-finite gamma or tau cotangent")
-    if not need_state:
-        return rho, None, None, gamma_bar, tau_bar
-    w_bar = dft_inverse(w_hat_bar, ndim=n_spatial, overwrite_x=True)
-    w_bar *= spectra.n_freq
-    z_prev_bar = w_bar.copy() if u_bar is None else np.subtract(w_bar, z_bar, out=z_bar)
-    return rho, w_bar, z_prev_bar, gamma_bar, tau_bar
+    return rho, v_in_bar, gamma_bar, tau_bar
 
 
 def synthesis_backward(spectra: KernelSpectra, synth_bar: np.ndarray) -> np.ndarray:
@@ -475,8 +450,8 @@ def synthesis_backward(spectra: KernelSpectra, synth_bar: np.ndarray) -> np.ndar
     spectrum d^T s_hat: returns its cotangent f = F(synth_bar)/N.
 
     The cotangents f stands for, conj(d) f of s_hat and conj(s_hat) f of the
-    spectra, are formed by the VJP of the sweep whose s_hat is synthesized,
-    :func:`admm_step_backward`, in its own pass over s_hat.
+    spectra, are taken by the VJP of the sweep whose s_hat is synthesized,
+    :func:`admm_step_backward`, in its passes over s_hat.
     """
     f = dft_forward(synth_bar, ndim=spectra.n_spatial)
     f /= spectra.n_freq
@@ -487,9 +462,12 @@ def synthesis_backward(spectra: KernelSpectra, synth_bar: np.ndarray) -> np.ndar
 
 def spectra_to_kernel_grad(d_bar: np.ndarray, kernel_shape: tuple) -> np.ndarray:
     """Chain a (K, *spatial) spectra cotangent back to the real kernels
-    through filter_spectra's zero padding."""
+    through filter_spectra's zero padding; works in d_bar's buffer."""
     n_freq = float(np.prod(d_bar.shape[1:]))
-    pad_bar = n_freq * dft_inverse(d_bar, ndim=d_bar.ndim - 1)
-    return np.stack(
-        [crop_filter(pad_bar[k], kernel_shape).real for k in range(len(d_bar))]
-    )
+    pad_bar = dft_inverse(d_bar, ndim=d_bar.ndim - 1, overwrite_x=True)
+    pad_bar *= n_freq
+    # one kernel at a time: a cropped kernel is a view of its rolled map
+    grad = np.empty((len(d_bar),) + tuple(kernel_shape))
+    for k, padded in enumerate(pad_bar):
+        grad[k] = crop_filter(padded, kernel_shape).real
+    return grad

@@ -19,15 +19,18 @@ the whole volume, a "2d" bank on each frame, the frame axis being a batch
 axis.  Kernels keep the public (K, k_x, k_y[, k_t]) layout in parameters
 and files; a 3D bank runs as (K, k_t, k_x, k_y).
 
-Each sweep writes the next code state into the buffers of the state it
-replaces (:func:`ucdl.csc.admm_step_traced`), so a forward holds one code
-state at a time beside what the sweeps record.  An untraced forward hands
-its want_trace down to the sweeps, which then record no K-map array and
-form v and the new u in their block scratch and the state's own buffers:
-such a forward holds about one code state and little else.  The codes start
-at zero, which outer iteration 0 hands its first sweep as None, so that
-sweep does not transform them.  A traced forward records read-only arrays;
-its output image is its own.
+The code state a sweep hands the next is the prox input v of its u-update,
+from which the next sweep forms u and the scaled dual z, beside the codes s
+(:func:`ucdl.csc.admm_step_traced`).  Each sweep forms w and the new s in
+the buffer of the s it replaces, so a forward holds one code state at a
+time beside what the sweeps record.  An untraced forward hands its
+want_trace down to the sweeps, which then record no K-map array and write
+the new v into the old one's buffer: such a forward holds the two K-map
+stacks s and v and little else.  A traced sweep records its new v, which
+is the state the next sweep reads, so a traced forward holds only s beside
+its trace.  The codes start at zero, which outer iteration 0 hands its
+first sweep as None, so that sweep does not transform them.  A traced
+forward records read-only arrays; its output image is its own.
 
 A non-finite value stops the forward with an error naming the outer
 iteration and the CG step where it showed.  Sparse coding has no check of
@@ -53,7 +56,7 @@ from .dc import CgSolution, CgTrace, NormalOperator, cg_solve, solve_record
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
 from .io import make_directory, read_manifest, read_tensor, write_json, write_tensor
 from .operators import KSpaceSample, adjoint_apply
-from .tensors import dft_forward, dft_inverse
+from .tensors import check_fits, dft_forward, dft_inverse
 
 MODE_3D = "3d"
 MODE_2D = "2d"
@@ -175,6 +178,13 @@ def _check_mode_kernels(config: NetworkConfig, filters: FilterBank) -> None:
         )
 
 
+def check_kernels_fit(config: NetworkConfig, image_shape: tuple) -> None:
+    """Raise ShapeMismatch, as the forward would, unless the kernels of
+    `config` fit the frames-first form of (N_x, N_y, N_t) images."""
+    frames_first = (image_shape[-1],) + tuple(image_shape[:-1])
+    check_fits(config.kernel_shape, frames_first[len(frames_first) - len(config.kernel_shape):])
+
+
 @dataclass(frozen=True)
 class OuterTrace:
     """Intermediates of one outer iteration."""
@@ -198,7 +208,7 @@ class NetworkTrace:
 @dataclass(frozen=True)
 class ReconResult:
     image: np.ndarray        # (N_x, N_y, N_t)
-    code_state: CodeState    # (K, N_t, N_x, N_y) maps
+    code_state: CodeState    # final codes s and prox input v, (K, N_t, N_x, N_y)
     trace: NetworkTrace | None = None
 
 
@@ -208,9 +218,10 @@ def outer_iteration(x: np.ndarray, state: CodeState | None, aty: np.ndarray,
     """One outer iteration from the frames-first image x: J ADMM sweeps, the
     synthesis and the CG solve warm-started at x.  Returns the next (x, state)
     and the iteration's OuterTrace; nothing else of it outlives the call.
-    The sweeps consume `state`: the next one lives in its buffers.  None
+    The sweeps consume `state`: the next s lives in its s buffer.  None
     stands for zero codes, the forward's start.  Without `want_trace` the
-    sweeps record only c and tau, which is all an untraced forward reads."""
+    sweeps record only c and tau, which is all an untraced forward reads,
+    and the next v lives in the v buffer too."""
     x_hat = dft_forward(x, ndim=spectra.n_spatial)
     steps = []
     for _ in range(config.n_admm):

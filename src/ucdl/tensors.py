@@ -50,7 +50,7 @@ def dft_inverse(x: np.ndarray, ndim: int | None = None, overwrite_x: bool = Fals
     return scipy.fft.ifftn(x, axes=_spatial_axes(x, ndim), overwrite_x=overwrite_x)
 
 
-def _check_fits(kernel: tuple[int, ...], shape: tuple[int, ...]) -> None:
+def check_fits(kernel: tuple[int, ...], shape: tuple[int, ...]) -> None:
     """Raise ShapeMismatch unless a kernel of shape `kernel` fits inside `shape`."""
     if len(kernel) != len(shape) or any(k > n for k, n in zip(kernel, shape)):
         raise ShapeMismatch(f"kernel shape {tuple(kernel)} does not fit inside {tuple(shape)}")
@@ -70,7 +70,7 @@ def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.nda
         corresponding target dimension.
     """
     kernel = np.asarray(kernel)
-    _check_fits(kernel.shape, target_shape)
+    check_fits(kernel.shape, target_shape)
     out = np.zeros(target_shape, dtype=COMPLEX_DTYPE)
     out[tuple(slice(0, k) for k in kernel.shape)] = kernel
     shift = [-(k // 2) for k in kernel.shape]
@@ -80,7 +80,7 @@ def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.nda
 def crop_filter(padded: np.ndarray, kernel_shape: tuple[int, ...]) -> np.ndarray:
     """Adjoint of :func:`zero_pad_filter`: read the kernel entries back out."""
     padded = np.asarray(padded)
-    _check_fits(kernel_shape, padded.shape)
+    check_fits(kernel_shape, padded.shape)
     shift = [k // 2 for k in kernel_shape]
     rolled = np.roll(padded, shift, axis=tuple(range(padded.ndim)))
     return rolled[tuple(slice(0, k) for k in kernel_shape)]

@@ -18,6 +18,7 @@ identical seeds give byte-identical loss logs.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .io import atomic_write, make_directory, write_json
 from .network import (
     NetworkConfig,
     NetworkParams,
+    check_kernels_fit,
     forward_reconstruct,
     init_network,
     project_filters,
@@ -145,8 +147,8 @@ def evaluate_loss(dataset, params: NetworkParams, config: NetworkConfig) -> floa
         raise ValueError("dataset is empty")
     total = 0.0
     for sample, target in dataset:
-        result = forward_reconstruct(sample, params, config)
-        total += loss_mse(result.image, target)
+        # the result is dropped once scored, before the next forward runs
+        total += loss_mse(forward_reconstruct(sample, params, config).image, target)
     return total / len(dataset)
 
 
@@ -201,23 +203,35 @@ def train(dataset, val_dataset, config: NetworkConfig,
         raise ValueError(f"lr must be a finite number >= 0, got {lr}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    for sample, _ in (*dataset, *val_dataset):
+        check_kernels_fit(config, sample.image_shape)
     params = init_network(config, rng_seed=seed)
     state = AdamState.init(params, lr=lr)
     rng = np.random.default_rng(seed)
 
-    # the epoch-0 losses check the kernels against every image before any write
-    history = [
-        EpochRecord(
-            epoch=0,
-            train_loss=evaluate_loss(dataset, params, config),
-            val_loss=evaluate_loss(val_dataset, params, config),
-        )
-    ]
+    # the run directory is made before the epoch-0 forwards; if train fails
+    # before its epoch-0 files are written, the directories it made go again
+    made = None
     if run_dir is not None:
+        run_dir = Path(run_dir)
+        made = next((p for p in (*reversed(run_dir.parents), run_dir) if not p.exists()), None)
         run_dir = make_directory(run_dir)
-        _write_run_config(run_dir, config, epochs, seed, lr)
-        save_checkpoint(run_dir / "checkpoints" / "epoch_000", params, config)
-        write_loss_log(run_dir / "losses.csv", history)
+    try:
+        history = [
+            EpochRecord(
+                epoch=0,
+                train_loss=evaluate_loss(dataset, params, config),
+                val_loss=evaluate_loss(val_dataset, params, config),
+            )
+        ]
+        if run_dir is not None:
+            _write_run_config(run_dir, config, epochs, seed, lr)
+            save_checkpoint(run_dir / "checkpoints" / "epoch_000", params, config)
+            write_loss_log(run_dir / "losses.csv", history)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(dataset))

@@ -53,12 +53,24 @@ def synthesize(filters, s):
     return sum(circular_convolve(kernel, codes) for kernel, codes in zip(filters.kernels, s))
 
 
+def prox_parts(v, tau):
+    """(u, z) that a v-form code state stands for: the auxiliaries u =
+    soft_threshold(v, tau) and the scaled duals z = -clip(v, -tau, tau),
+    one float64 channel at a time, in fresh arrays."""
+    u = soft_threshold(v, tau)
+    channels = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+    z = np.negative(np.clip(channels, -tau, tau)).view(np.complex128).reshape(np.shape(v))
+    return u, z
+
+
 def csc_objective(x, state, filters, config) -> float:
-    """Augmented objective: fidelity + sparsity of u + scaled-dual penalty."""
+    """Augmented objective: fidelity + sparsity of u + scaled-dual penalty,
+    with u and z formed from the state's v."""
+    u, z = prox_parts(state.v, config.threshold)
     synth = synthesize(filters, state.s)
     fidelity = 0.5 * config.lam * real_inner(x - synth, x - synth)
-    l1 = np.abs(state.u.real).sum() + np.abs(state.u.imag).sum()
-    gap = state.u - state.s + state.z
+    l1 = np.abs(u.real).sum() + np.abs(u.imag).sum()
+    gap = u - state.s + z
     penalty = 0.5 * config.beta * real_inner(gap, gap)
     return float(fidelity + config.alpha * l1 + penalty)
 
@@ -66,7 +78,7 @@ def csc_objective(x, state, filters, config) -> float:
 def copy_state(state):
     """A copy of `state` in buffers of its own, for a test that reads a state
     after handing it to a sweep, which writes into its buffers."""
-    return CodeState(s=state.s.copy(), u=state.u.copy(), z=state.z.copy())
+    return CodeState(s=state.s.copy(), v=state.v.copy())
 
 
 def spectra_of(x, filters):
@@ -82,12 +94,16 @@ def kernel_accumulator(spectra):
 
 
 def s_update_sweep(x_hat, u, z, spectra, gamma):
-    """One sweep of the package from (u, z), under weights that give it
-    `gamma`: its new s, its record and its weights.  u and z are not written."""
-    config = AdmmConfig(lam=1.0, alpha=1.0, beta=gamma)
-    state = CodeState(s=np.empty_like(u), u=u.copy(), z=z.copy())
+    """One sweep of the package from a state whose w = u + z is the given
+    one, under weights that give it `gamma`: its new s, its record, its
+    weights and the v it started from.  The state is v = -(u + z) under a
+    threshold above every channel, so that the prox passes none and w =
+    soft(v) - clip(v) = -v is bitwise u + z.  u and z are not written."""
+    v = np.negative(np.add(u, z))
+    config = AdmmConfig(lam=1.0, alpha=1e150 * gamma, beta=gamma)
+    state = CodeState(s=np.empty_like(v), v=v)
     new_state, step = csc.admm_step_traced(x_hat, state, spectra, config)
-    return new_state.s, step, config
+    return new_state.s, step, config, v
 
 
 def run_admm(x, filters, config, n_steps, state=None):
@@ -139,6 +155,25 @@ def closed_form_s_update(x, u, z, filters, gamma):
 
 
 def soft_threshold(values, tau):
+    """Shrink real and imaginary channels toward zero by tau, clamping at zero.
+
+    Runs over the interleaved float64 channels as v - clip(v, -tau, tau)
+    with v's sign, the package sweep's bits: an entry shrunk to zero keeps
+    the sign of its input, so a negative one reads -0.0.  tau must be a
+    finite number >= 0.
+    """
+    tau_array = np.asarray(tau)
+    if not (tau_array.dtype.kind in "biuf"
+            and np.all(np.isfinite(tau_array) & (tau_array >= 0))):
+        raise ValueError(f"tau must be a finite number >= 0, got {tau_array}")
+    values = np.asarray(values)
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    channels = np.ascontiguousarray(values, dtype=dtype).view(np.float64)
+    out = np.copysign(channels - np.clip(channels, -tau, tau), channels)
+    return out.view(dtype).reshape(values.shape)
+
+
+def plain_soft_threshold(values, tau):
     """sign(v) max(|v| - tau, 0) on each real channel, as plain formulas."""
     values = np.asarray(values)
     if np.iscomplexobj(values):
@@ -150,7 +185,7 @@ def soft_threshold(values, tau):
 
 def threshold_channels(values, tau):
     """The soft threshold as abs -> subtract -> max -> copysign over the
-    float64 channels, in fresh arrays: the package's bits, -0.0 included."""
+    float64 channels, in fresh arrays: the same bits, -0.0 included."""
     values = np.asarray(values)
     dtype = np.complex128 if np.iscomplexobj(values) else np.float64
     channels = np.ascontiguousarray(values, dtype=dtype).view(np.float64)
@@ -159,32 +194,41 @@ def threshold_channels(values, tau):
 
 
 def admm_step_traced(x_hat, state, spectra, config):
-    """The package's sweep with whole-array passes, as it ran before its
-    elementwise passes went over blocks of filters: the reference whose
+    """The package's traced sweep with whole-array passes, as it ran before
+    its elementwise passes went over blocks of filters: the reference whose
     state and record the blocked sweep must match bit for bit.  It consumes
-    `state` as the package's sweep does."""
+    `state` as the package's sweep does: the new s is written into s's
+    buffer, and v is left as it was."""
     d, n_spatial, gamma = spectra.d, spectra.n_spatial, config.gamma
-    s, u, z = state.s, state.u, state.z
-    s_hat = dft_forward(np.add(u, z, out=u), ndim=n_spatial, overwrite_x=True)
+    u, z = prox_parts(state.v, config.threshold)
+    s_hat = dft_forward(u + z, ndim=n_spatial)
     c = np.multiply(d, s_hat).sum(axis=0)
     np.subtract(x_hat, c, out=c)
     c /= gamma + spectra.power
     s_hat += np.conjugate(np.multiply(d, np.conj(c)[np.newaxis]))
+    s = state.s
     np.copyto(s, s_hat)
     s = dft_inverse(s, ndim=n_spatial, overwrite_x=True)
     v = np.subtract(s, z)
-    tau = config.threshold
-    u = threshold_channels(v, tau)
-    z += np.subtract(u, s)
-    return CodeState(s=s, u=u, z=z), AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=tau)
+    return CodeState(s=s, v=v), AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=config.threshold)
 
 
 def admm_step(x, state, filters, config):
-    """One s -> u -> z sweep from the plain formulas; returns
-    (state, s_hat, c)."""
-    s, s_hat, c = closed_form_s_update(x, state.u, state.z, filters, config.gamma)
-    u = soft_threshold(s - state.z, config.threshold)
-    return CodeState(s=s, u=u, z=state.z + (u - s)), s_hat, c
+    """One sweep from the plain formulas on a v-form state: u and z from v
+    (:func:`prox_parts`), the s-update from w = u + z and the new v = s - z;
+    returns (state, s_hat, c)."""
+    u, z = prox_parts(state.v, config.threshold)
+    s, s_hat, c = closed_form_s_update(x, u, z, filters, config.gamma)
+    return CodeState(s=s, v=s - z), s_hat, c
+
+
+def three_buffer_step(x, u, z, filters, config):
+    """One s -> u -> z sweep of scaled ADMM on the state (u, z), from the
+    plain formulas, with the dual ascent z + (u - s) in place of the clip of
+    v: the sweep before its state was v alone.  Returns (s, u, z)."""
+    s, _, _ = closed_form_s_update(x, u, z, filters, config.gamma)
+    u_new = plain_soft_threshold(s - z, config.threshold)
+    return s, u_new, z + (u_new - s)
 
 
 # -- the backward with the code cotangent handed over in space --------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import s_update_sweep, spectra_of, synthesize
+from oracles import prox_parts, s_update_sweep, soft_threshold, spectra_of, synthesize
 from test_backprop import check_network_gradients, make_instance
 
 from ucdl.csc import (
@@ -25,7 +25,6 @@ from ucdl.csc import (
     dictionary_synthesis,
     filter_spectra,
     kernel_spectra,
-    soft_threshold,
 )
 from ucdl.data import PhantomSpec, make_phantom
 from ucdl.dc import NormalOperator, cg_solve
@@ -154,7 +153,7 @@ class TestCriterion2ShermanMorrison:
                 z = random_complex(rng, (n_filters,) + spatial)
 
                 x_hat, bank_spectra = spectra_of(x, bank)
-                s, _, _ = s_update_sweep(x_hat, u, z, bank_spectra, gamma)
+                s = s_update_sweep(x_hat, u, z, bank_spectra, gamma)[0]
 
                 # dense oracle: one K x K system per frequency
                 spectra = filter_spectra(bank, spatial)
@@ -210,6 +209,8 @@ class TestCriterion3Prox:
             np.dot(coeff[lo:hi], basis, out=buf)
             best[lo:hi] = grid[np.argmin(buf, axis=1)]
 
+        # the threshold of tests/oracles.py, whose bits the sweep's u runs
+        # (test_csc.py::TestAgainstPlainFormulas, TestVState)
         prox = soft_threshold(s - z, alpha / beta)
         worst = float(np.abs(prox - best).max())
         elapsed = time.perf_counter() - t0
@@ -314,18 +315,19 @@ class TestCriterion6Admm:
         config = AdmmConfig(lam=1.0, alpha=0.5, beta=1.0)
         x_hat, spectra = spectra_of(x, bank)
 
-        def consensus_objective(state):
-            synth = synthesize(bank, state.u)
+        def consensus_objective(u):
+            synth = synthesize(bank, u)
             fidelity = 0.5 * config.lam * real_inner(x - synth, x - synth)
-            l1 = np.abs(state.u.real).sum() + np.abs(state.u.imag).sum()
+            l1 = np.abs(u.real).sum() + np.abs(u.imag).sum()
             return float(fidelity + config.alpha * l1)
 
         state = CodeState.zeros(2, (8, 8))
         gaps, objectives = [], []
         for _ in range(200):
             state, _ = admm_step_traced(x_hat, state, spectra, config)
-            gaps.append(float(np.abs(state.u - state.s).max()))
-            objectives.append(consensus_objective(state))
+            u, _ = prox_parts(state.v, config.threshold)
+            gaps.append(float(np.abs(u - state.s).max()))
+            objectives.append(consensus_objective(u))
 
         report(
             6,

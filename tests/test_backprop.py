@@ -32,9 +32,7 @@ from ucdl.csc import (
     FilterBank,
     admm_step_backward,
     admm_step_traced,
-    filter_spectra,
     kernel_spectra,
-    soft_threshold,
     spectra_to_kernel_grad,
     synthesis_backward,
 )
@@ -51,7 +49,8 @@ from ucdl.tensors import dft_forward, dft_inverse, real_inner
 from ucdl.training import AdamState, loss_mse_grad, train_step
 
 import oracles
-from oracles import kernel_accumulator, run_admm, s_update_sweep, spectra_of, traced_peak
+from oracles import (kernel_accumulator, prox_parts, run_admm, s_update_sweep, soft_threshold,
+                     spectra_of, traced_peak)
 
 FD_STEP = 1e-6
 
@@ -142,36 +141,31 @@ def trace_kink_margin(trace):
 def prox_through_sweep(v, tau, u_bar):
     """The soft threshold's VJP as admm_step_backward runs it, beside the oracle's.
 
-    A zero-start sweep on a random image of v's (K, nx, ny) shape gives a
-    record whose prox input and threshold are replaced by v and tau; both
-    VJPs reverse it from the cotangent u_bar of the new u alone (zero s and
-    z cotangents).  Returns the package's and the oracle's
-    (u_prev_bar, z_prev_bar, tau_bar), and the package's v_bar, read back as
-    u_prev_bar - z_prev_bar: with a zero z cotangent, u_prev_bar = w_bar and
-    z_prev_bar = w_bar - v_bar.
+    Each channel pair of v is the input of its own map in a sweep on a 1x1
+    image with zero kernels, whose DFTs are exact: its s is w = soft(v) -
+    clip(v) and its new v is s + clip(v).  A cotangent u_bar of that new v
+    comes back as w_bar = u_bar, so the VJP returns v_bar = u_bar where
+    |v| > tau, u_bar - w_bar = 0 elsewhere, and tau_bar = -<sign v, v_bar>:
+    the soft threshold's VJP.  Returns the package's and the oracle's
+    (v_bar, tau_bar).
     """
-    rng = np.random.default_rng(7)
-    n_filters, nx, ny = v.shape
-    bank = random_bank(rng, n_filters, (min(3, nx), min(3, ny)))
-    x_hat, spectra = spectra_of(random_complex(rng, (nx, ny)), bank)
+    maps = np.array(v, dtype=np.complex128).reshape(-1, 1, 1)
+    bank = FilterBank(np.zeros((len(maps), 1, 1)))
+    x_hat, spectra = spectra_of(np.zeros((1, 1), dtype=np.complex128), bank)
     config = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
     _, step = admm_step_traced(x_hat, None, spectra, config)
-    step = dataclasses.replace(step, v=np.asarray(v, dtype=np.complex128), tau=tau)
-    zeros = np.zeros(v.shape, dtype=np.complex128)
-    _, u_prev_bar, z_prev_bar, _, tau_bar = admm_step_backward(
-        step, spectra, config, None, np.array(u_bar, dtype=np.complex128), zeros.copy(),
-        kernel_accumulator(spectra))
-    want = oracles.admm_step_backward(x_hat, step, filter_spectra(bank, (nx, ny)),
-                                      config.gamma, zeros, u_bar, zeros)
-    return (u_prev_bar, z_prev_bar, tau_bar), (want[1], want[2], want[5]), u_prev_bar - z_prev_bar
+    step = dataclasses.replace(step, tau=tau)
+    _, v_bar, _, tau_bar = admm_step_backward(
+        step, maps, spectra, config, None,
+        np.array(u_bar, dtype=np.complex128).reshape(maps.shape), kernel_accumulator(spectra))
+    return (v_bar.reshape(np.shape(v)), tau_bar), oracles.prox_backward(np.asarray(v), tau, u_bar)
 
 
 def assert_matches_oracle(got, want):
-    """The package's u/z cotangents and tau_bar against the oracle's, which
-    sum in another order."""
-    for a, b in zip(got[:2], want[:2]):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * float(np.abs(b).max()))
-    assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0)
+    """The package's v_bar and tau_bar against the oracle's, which sums in
+    another order."""
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12 * float(np.abs(want[0]).max()))
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
 
 
 class TestProxBackward:
@@ -182,37 +176,37 @@ class TestProxBackward:
         weight = random_complex(rng, (2, 3, 4))
         assert prox_kink_margin(v, tau) > 1e-3
 
-        got, want, v_bar = prox_through_sweep(v, tau, weight)
+        got, want = prox_through_sweep(v, tau, weight)
         assert_matches_oracle(got, want)
         fd_v = numeric_grad(lambda a: real_weighted(weight, soft_threshold(a, tau)), v)
         fd_tau = numeric_grad_scalar(
             lambda t: real_weighted(weight, soft_threshold(v, t)), tau
         )
-        assert_grad_close(fd_v, v_bar)
-        assert_grad_close(fd_tau, got[2])
+        assert_grad_close(fd_v, got[0])
+        assert_grad_close(fd_tau, got[1])
 
     def test_inactive_components_get_zero(self):
         rng = np.random.default_rng(12)
         v = 0.1 * random_complex(rng, (2, 4, 4))
-        got, want, _ = prox_through_sweep(v, 5.0, random_complex(rng, (2, 4, 4)))
-        # no channel passes, so every cotangent of the sweep is zero
-        assert np.all(got[0] == 0) and np.all(got[1] == 0)
-        assert got[2] == 0.0
+        got, want = prox_through_sweep(v, 5.0, random_complex(rng, (2, 4, 4)))
+        # no channel passes, so every cotangent of the threshold is zero
+        assert np.all(got[0] == 0)
+        assert got[1] == 0.0
         assert_matches_oracle(got, want)
 
     def test_zero_threshold_passes_every_nonzero_channel(self):
         v = np.array([[[0.3 - 0.2j, 0.0 + 1.0j]]])
-        got, want, v_bar = prox_through_sweep(v, 0.0, np.array([[[2.0 + 3.0j, 2.0 + 3.0j]]]))
-        np.testing.assert_allclose(v_bar, [[[2.0 + 3.0j, 3.0j]]], rtol=0, atol=1e-14)
-        assert got[2] == -(2.0 - 3.0 + 3.0)
+        got, want = prox_through_sweep(v, 0.0, np.array([[[2.0 + 3.0j, 2.0 + 3.0j]]]))
+        np.testing.assert_allclose(got[0], [[[2.0 + 3.0j, 3.0j]]], rtol=0, atol=1e-14)
+        assert got[1] == -(2.0 - 3.0 + 3.0)
         assert_matches_oracle(got, want)
 
     def test_mixed_activity_channels(self):
         # one channel active, the other clamped, in the same component
         v = np.array([[[2.0 + 0.1j]]])
-        got, want, v_bar = prox_through_sweep(v, 0.5, np.array([[[1.0 + 1.0j]]]))
-        np.testing.assert_allclose(v_bar, [[[1.0 + 0.0j]]], rtol=0, atol=1e-15)
-        assert got[2] == -1.0
+        got, want = prox_through_sweep(v, 0.5, np.array([[[1.0 + 1.0j]]]))
+        np.testing.assert_allclose(got[0], [[[1.0 + 0.0j]]], rtol=0, atol=1e-15)
+        assert got[1] == -1.0
         assert_matches_oracle(got, want)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5, 5e-324], ids=["zero", "half", "subnormal"])
@@ -224,11 +218,11 @@ class TestProxBackward:
         v = np.zeros((2, 2, 2), dtype=np.complex128)
         v.real.flat, v.imag.flat = reals, reals[::-1]  # assigned, so -0.0 stays -0.0
         weight = random_complex(np.random.default_rng(13), v.shape)
-        got, want, v_bar = prox_through_sweep(v, tau, weight)
+        got, want = prox_through_sweep(v, tau, weight)
         assert_matches_oracle(got, want)
         for part in ("real", "imag"):
             passed = np.where(np.abs(getattr(v, part)) > tau, getattr(weight, part), 0.0)
-            np.testing.assert_allclose(getattr(v_bar, part), passed, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(getattr(got[0], part), passed, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +241,21 @@ class TestSUpdateBackward:
         if admm_steps:
             config = AdmmConfig(lam=1.0, alpha=0.05, beta=gamma)
             state = run_admm(x, bank, config, n_steps=admm_steps)
-            gap = state.u - state.s
+            u, z = prox_parts(state.v, config.threshold)
+            gap = u - state.s
             assert real_inner(gap, gap) < 1e-20 * real_inner(state.s, state.s)
-            u, z = state.u, state.z
         weight = random_complex(rng, image_shape)
 
         x_hat, spectra = spectra_of(x, bank)
-        _, step, config = s_update_sweep(x_hat, u, z, spectra, gamma)
+        _, step, config, v = s_update_sweep(x_hat, u, z, spectra, gamma)
         n_spatial = len(kernel_shape)
-        # the VJP of the sweep's s-update and the synthesis of its s: no
-        # cotangent of its u and z
+        # the VJP of the sweep's s-update and the synthesis of its s, from the
+        # v = -(u + z) that no channel of passes: no cotangent of its new v
         d_bar = kernel_accumulator(spectra)
-        x_hat_bar, u_bar, z_bar, gamma_bar, _ = admm_step_backward(
-            step, spectra, config, synthesis_backward(spectra, weight), None, None, d_bar
+        x_hat_bar, v_bar, gamma_bar, _ = admm_step_backward(
+            step, v, spectra, config, synthesis_backward(spectra, weight), None, d_bar
         )
+        u_bar = z_bar = -v_bar
         x_bar = spatial(x_hat_bar, n_spatial)
 
         def loss(x_=x, u_=u, z_=z, bank_=bank, gamma_=gamma):
@@ -299,51 +294,43 @@ class TestSUpdateBackward:
 
 class TestAdmmStepBackward:
     def test_matches_finite_differences(self):
+        # the new s is read through its synthesis, and the new v directly, as
+        # the network reads them; the input v sits away from the kinks
         rng = np.random.default_rng(33)
         bank = random_bank(rng, 2, (3, 3))
         x = random_complex(rng, (4, 4))
-        state = CodeState(
-            s=np.zeros((2, 4, 4), dtype=np.complex128),
-            u=0.5 * random_complex(rng, (2, 4, 4)),
-            z=0.5 * random_complex(rng, (2, 4, 4)),
-        )
+        v = 0.5 * random_complex(rng, (2, 4, 4))
         gamma, tau = 0.8, 0.15
         w_s = random_complex(rng, (4, 4))
-        w_u = random_complex(rng, (2, 4, 4))
-        w_z = random_complex(rng, (2, 4, 4))
+        w_v = random_complex(rng, (2, 4, 4))
+        assert prox_kink_margin(v, tau) > 1e-3
+        assert 0 < np.mean(np.abs(v.view(np.float64)) > tau) < 1
 
         def config(gamma_, tau_):
             # gamma and tau pin down the sweep; beta itself cancels out
             return AdmmConfig(lam=1.0 / gamma_, alpha=tau_, beta=1.0)
 
-        def run(x_=x, u_=state.u, z_=state.z, bank_=bank, gamma_=gamma, tau_=tau):
+        def run(x_=x, v_=v, bank_=bank, gamma_=gamma, tau_=tau):
             x_hat_, spectra_ = spectra_of(x_, bank_)
-            st = oracles.copy_state(CodeState(s=state.s, u=u_, z=z_))
+            st = CodeState(s=np.empty_like(v), v=np.array(v_, dtype=np.complex128))
             return admm_step_traced(x_hat_, st, spectra_, config(gamma_, tau_))
-
-        new_state, trace = run()
-        assert prox_kink_margin(trace.v, tau) > 1e-3
 
         def loss(**kw):
             new, _ = run(**kw)
-            # the new s is read through its synthesis, as the network reads it
-            return (
-                real_weighted(w_s, oracles.synthesize(kw.get("bank_", bank), new.s))
-                + real_weighted(w_u, new.u)
-                + real_weighted(w_z, new.z)
-            )
+            return (real_weighted(w_s, oracles.synthesize(kw.get("bank_", bank), new.s))
+                    + real_weighted(w_v, new.v))
 
+        _, trace = run()
         _, spectra = spectra_of(x, bank)
-        # the VJP overwrites its cotangents; loss() still reads w_u and w_z
+        # the VJP overwrites its cotangent; loss() still reads w_v
         d_bar = kernel_accumulator(spectra)
-        x_hat_bar, u_bar, z_bar, gamma_bar, tau_bar = admm_step_backward(
-            trace, spectra, config(gamma, tau), synthesis_backward(spectra, w_s), w_u.copy(),
-            w_z.copy(), d_bar
+        x_hat_bar, v_bar, gamma_bar, tau_bar = admm_step_backward(
+            trace, v, spectra, config(gamma, tau), synthesis_backward(spectra, w_s), w_v.copy(),
+            d_bar
         )
         x_bar = spatial(x_hat_bar, 2)
         assert_grad_close(numeric_grad(lambda a: loss(x_=a), x), x_bar)
-        assert_grad_close(numeric_grad(lambda a: loss(u_=a), state.u), u_bar)
-        assert_grad_close(numeric_grad(lambda a: loss(z_=a), state.z), z_bar)
+        assert_grad_close(numeric_grad(lambda a: loss(v_=a), v), v_bar)
         fd_kernels = numeric_grad(lambda k: loss(bank_=FilterBank(k)), bank.kernels)
         assert_grad_close(fd_kernels, spectra_to_kernel_grad(d_bar, (3, 3)))
         assert_grad_close(
@@ -351,46 +338,42 @@ class TestAdmmStepBackward:
         )
         assert_grad_close(numeric_grad_scalar(lambda t: loss(tau_=t), tau), tau_bar)
 
-    def test_u_and_z_cotangents_are_independent_arrays(self):
+    def test_input_cotangent_is_formed_in_a_handed_buffer(self):
+        # in v_bar's buffer if the new v is read, else in w_bar's, a fresh
+        # array; never in the record or the input v
         rng = np.random.default_rng(24)
         bank = random_bank(rng, 2, (3, 3))
-        x = random_complex(rng, (4, 4))
-        state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
-        x_hat, spectra = spectra_of(x, bank)
+        x_hat, spectra = spectra_of(random_complex(rng, (4, 4)), bank)
+        v = random_complex(rng, (2, 4, 4))
         cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
-        _, trace = admm_step_traced(x_hat, state, spectra, cfg)
-        # with the outputs u and z read, and with only s read
-        for u_bar in (random_complex(rng, (2, 4, 4)), None):
-            z_bar = None if u_bar is None else random_complex(rng, (2, 4, 4))
+        _, trace = admm_step_traced(x_hat, CodeState(np.empty_like(v), v), spectra, cfg)
+        for v_bar in (random_complex(rng, (2, 4, 4)), None):
             f = spectral(random_complex(rng, (4, 4)), 2)
-            _, u_prev_bar, z_prev_bar, *_ = admm_step_backward(
-                trace, spectra, cfg, f, u_bar, z_bar, kernel_accumulator(spectra)
+            _, v_in_bar, *_ = admm_step_backward(
+                trace, v, spectra, cfg, f, v_bar, kernel_accumulator(spectra)
             )
-            assert not np.shares_memory(u_prev_bar, z_prev_bar)
-            before = z_prev_bar.copy()
-            u_prev_bar += 1.0  # mutation must not leak into the other cotangent
-            assert np.array_equal(z_prev_bar, before)
+            assert v_bar is None or v_in_bar is v_bar
+            assert not any(np.shares_memory(v_in_bar, a)
+                           for a in (v, f, trace.s_hat, trace.c, trace.v))
 
     def test_skipped_state_cotangents(self):
-        # a sweep from a parameter-free state hands back no state cotangents,
-        # and the rest of its output is unchanged
+        # a sweep from zero codes hands back no input cotangent and no tau
+        # piece, whose prox is its input's, and the rest of its output is
+        # unchanged
         rng = np.random.default_rng(26)
         bank = random_bank(rng, 2, (3, 3))
         x = random_complex(rng, (4, 4))
-        state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
+        v = random_complex(rng, (2, 4, 4))
         x_hat, spectra = spectra_of(x, bank)
         cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
-        _, trace = admm_step_traced(x_hat, state, spectra, cfg)
+        _, trace = admm_step_traced(x_hat, CodeState(np.empty_like(v), v), spectra, cfg)
         f = spectral(random_complex(rng, (4, 4)), 2)
-        u_bar, z_bar = random_complex(rng, (2, 4, 4)), random_complex(rng, (2, 4, 4))
-        inputs = (trace, spectra, cfg, f)
+        v_bar = random_complex(rng, (2, 4, 4))
         full_d_bar, skipped_d_bar = kernel_accumulator(spectra), kernel_accumulator(spectra)
-        full = admm_step_backward(*inputs, u_bar.copy(), z_bar.copy(), full_d_bar)
-        skipped = admm_step_backward(*inputs, u_bar.copy(), z_bar.copy(), skipped_d_bar,
-                                     need_state=False)
-        assert skipped[1] is None and skipped[2] is None
-        for a, b in zip(full[:1] + full[3:] + (full_d_bar,),
-                        skipped[:1] + skipped[3:] + (skipped_d_bar,)):
+        full = admm_step_backward(trace, v, spectra, cfg, f, v_bar.copy(), full_d_bar)
+        skipped = admm_step_backward(trace, None, spectra, cfg, f, v_bar.copy(), skipped_d_bar)
+        assert skipped[1] is None and skipped[3] == 0.0 and full[3] != 0.0
+        for a, b in zip((full[0], full[2], full_d_bar), (skipped[0], skipped[2], skipped_d_bar)):
             np.testing.assert_array_equal(a, b)
 
     def test_rejects_a_code_cotangent_that_is_not_an_image(self):
@@ -403,7 +386,7 @@ class TestAdmmStepBackward:
         _, trace = admm_step_traced(x_hat, None, spectra, cfg)
         codes = spectral(random_complex(rng, (2, 4, 4)), 2)
         with pytest.raises(ShapeMismatch, match="synthesis cotangent"):
-            admm_step_backward(trace, spectra, cfg, codes, None, None,
+            admm_step_backward(trace, None, spectra, cfg, codes, None,
                                kernel_accumulator(spectra))
 
 
@@ -424,17 +407,16 @@ class TestBlockedVjps:
         bank = random_bank(rng, n_filters, kernel_shape)
         x_hat, spectra = spectra_of(random_complex(rng, image_shape), bank)
         maps = (n_filters,) + image_shape
-        state = CodeState(*(random_complex(rng, maps) for _ in range(3)))
+        v = random_complex(rng, maps)
         cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
-        _, step = admm_step_traced(x_hat, state, spectra, cfg)
+        _, step = admm_step_traced(x_hat, CodeState(np.empty_like(v), v), spectra, cfg)
         synth_bar = random_complex(rng, image_shape)
-        u_bar, z_bar = (random_complex(rng, maps) if prox else None for _ in range(2))
+        v_bar = random_complex(rng, maps) if prox else None
 
         def run():
             d_bar = kernel_accumulator(spectra)
-            out = admm_step_backward(step, spectra, cfg, synthesis_backward(spectra, synth_bar),
-                                     *(None if a is None else a.copy() for a in (u_bar, z_bar)),
-                                     d_bar)
+            out = admm_step_backward(step, v, spectra, cfg, synthesis_backward(spectra, synth_bar),
+                                     None if v_bar is None else v_bar.copy(), d_bar)
             return [np.asarray(a).tobytes() for a in out + (d_bar,)]
 
         monkeypatch.setattr(csc, "_BLOCK_BYTES", 100 * 16 * int(np.prod(maps)))
@@ -470,8 +452,8 @@ class TestSynthesisBackward:
         record = csc.AdmmStepTrace(s_hat=s_hat, c=np.zeros(code_shape[1:], dtype=complex),
                                    v=None, tau=1.0)
         d_bar = kernel_accumulator(spectra)
-        rho, *_ = admm_step_backward(record, spectra, AdmmConfig(lam=1.0, alpha=1.0, beta=1.0),
-                                     f, None, None, d_bar, need_state=False)
+        rho, *_ = admm_step_backward(record, None, spectra,
+                                     AdmmConfig(lam=1.0, alpha=1.0, beta=1.0), f, None, d_bar)
         d_bar += oracles._sum_batch(np.conj(s_hat) * rho, n_spatial)
         fd_kernels = numeric_grad(lambda k: loss(bank_=FilterBank(k)), bank.kernels)
         assert_grad_close(fd_kernels, spectra_to_kernel_grad(d_bar, kernel_shape))
@@ -815,11 +797,11 @@ class TestTraceReuse:
 class TestStepMemory:
     """A train step holds, beyond its trace, only what its remaining work
     reads.  K-map stacks (K, N_t, N_x, N_y) dominate the images here, and
-    the bounds are in K-maps: the backward peaks at about 4.4 of them above
-    its trace (the kernel cotangent, u_bar, z_bar and the threshold's |v|
-    scratch) and the train step at about 4.4.  A new buffer for each sweep
-    cotangent, an out-of-place DFT in a sweep's VJP, or the final code maps
-    held through the backward, breaks the bound."""
+    the bounds are in K-maps: the backward peaks at about 2.9 of them above
+    its trace (the kernel cotangent, v_bar, the block scratch and images) and
+    the train step at about 3.0.  A new buffer for each sweep cotangent, a
+    whole-array DFT of v_bar in a sweep's VJP, or the final code maps held
+    through the backward, breaks the bound."""
 
     n_filters = 32
 
@@ -836,7 +818,7 @@ class TestStepMemory:
         result = forward_reconstruct(sample, params, config, want_trace=True)
         trace, d_image = result.trace, loss_mse_grad(result.image, target)
         del result
-        assert traced_peak(lambda: backward(trace, d_image)) <= 5 * kmap
+        assert traced_peak(lambda: backward(trace, d_image)) <= 3.6 * kmap
 
     def test_train_step_holds_no_code_maps(self):
         sample, config, params, target, kmap = self.instance()
@@ -845,21 +827,22 @@ class TestStepMemory:
         del trace
         state = AdamState.init(params)
         peak = traced_peak(lambda: train_step(sample, target, params, config, state))
-        assert peak - trace_bytes <= 5 * kmap
+        assert peak - trace_bytes <= 3.6 * kmap
 
     def test_sweep_vjp_allocates_one_scratch_stack(self):
-        # with a prox part and the synthesis cotangent: beyond its inputs,
-        # only the threshold's |v| scratch, block scratch and images
+        # with a prox part and the synthesis cotangent: beyond its inputs, no
+        # K-map array, only two block scratch arrays (a quarter K-map each
+        # here) and images
         sample, config, params, target, kmap = self.instance()
         trace = forward_reconstruct(sample, params, config, want_trace=True).trace
-        step, spectra = trace.outer[1].admm[-1], trace.spectra
+        step, v_in, spectra = trace.outer[1].admm[-1], trace.outer[0].admm[-1].v, trace.spectra
         rng = np.random.default_rng(94)
-        u_bar, z_bar = (random_complex(rng, step.s_hat.shape) for _ in range(2))
+        v_bar = random_complex(rng, step.s_hat.shape)
         f = random_complex(rng, step.c.shape)
         d_bar = kernel_accumulator(spectra)
         cfg = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
-        peak = traced_peak(lambda: admm_step_backward(step, spectra, cfg, f, u_bar, z_bar, d_bar))
-        assert peak <= 1.3 * kmap
+        peak = traced_peak(lambda: admm_step_backward(step, v_in, spectra, cfg, f, v_bar, d_bar))
+        assert peak <= 1.0 * kmap
 
 
 class TestBackwardApi:
@@ -963,7 +946,7 @@ class TestNonFiniteCotangents:
         ("cg_backward", 0, 1, 1, "outer iteration 1: synthesis_backward"),
         ("synthesis_backward", 0, 2, 1, "outer iteration 0: admm_step_backward"),
         ("admm_step_backward", 1, 0, 2, "outer iteration 2: admm_step_backward"),
-        ("admm_step_backward", 2, 1, 2, "outer iteration 1: admm_step_backward"),
+        ("admm_step_backward", 1, 1, 2, "outer iteration 1: admm_step_backward"),
     ])
     def test_nan_handed_on_by_a_block(self, monkeypatch, block, output, call, n_admm, where):
         trace, d_image = self.make_trace(n_admm)
@@ -996,14 +979,12 @@ class TestNonFiniteCotangents:
             synthesis_backward(trace.spectra, bad)
         step = outer.admm[-1]
         codes = np.full(step.v.shape, np.nan + 0j)
-        params = trace.params
-        inputs = (step, trace.spectra,
-                  AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta))
+        inputs = (step, trace.outer[-2].admm[-1].v, trace.spectra, trace.admm)
         d_bar = kernel_accumulator(trace.spectra)
         with pytest.raises(NonFiniteValue):
-            admm_step_backward(*inputs, np.full(step.c.shape, np.nan + 0j), None, None, d_bar)
+            admm_step_backward(*inputs, np.full(step.c.shape, np.nan + 0j), None, d_bar)
         with pytest.raises(NonFiniteValue):
-            admm_step_backward(*inputs, None, codes, np.zeros_like(codes), d_bar)
+            admm_step_backward(*inputs, None, codes, d_bar)
 
 
 # one paper-scale forward and backward, printed as the sha256 of each output

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ucdl import training
 from ucdl.cli import main
 from ucdl.data import load_dataset
 from ucdl.io import read_tensor, write_tensor
@@ -601,6 +602,21 @@ class TestUnwritableFiles:
         assert err.startswith(f"{path}: ") and err.count("\n") == 1
         assert "Errno" not in err and "Traceback" not in err
         assert out == "" and path.read_text() == "kept"
+
+    def test_train_makes_its_run_directory_before_any_forward(self, workspace, tmp_path,
+                                                              capsys, monkeypatch):
+        path = tmp_path / "out"
+        path.write_text("kept")
+        calls = []
+        forward = training.forward_reconstruct
+        monkeypatch.setattr(training, "forward_reconstruct",
+                            lambda *args, **kwargs: calls.append(args) or forward(*args, **kwargs))
+        code, out = run_cli("train", "--data", workspace["data"], "--val", workspace["val"],
+                            "--K", 2, "--kf", 3, "--T", 1, "--ncg", 2, "--epochs", 1,
+                            "--out", path)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"{path}: File exists\n"
+        assert calls == [] and path.read_text() == "kept"
 
 
 class TestBadTensors:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (circular_convolve, csc_objective, kernel_accumulator, run_admm,
-                     s_update_sweep, spectra_of)
+from oracles import (circular_convolve, csc_objective, kernel_accumulator, prox_parts, run_admm,
+                     s_update_sweep, soft_threshold, spectra_of)
 
 from ucdl import csc
 from ucdl.csc import (
@@ -23,7 +23,6 @@ from ucdl.csc import (
     dictionary_synthesis,
     filter_spectra,
     kernel_spectra,
-    soft_threshold,
     synthesis_backward,
 )
 from ucdl.errors import ShapeMismatch
@@ -201,9 +200,10 @@ class TestTypes:
 
     def test_code_state_zeros(self):
         state = CodeState.zeros(2, (4, 4))
-        assert state.s.shape == (2, 4, 4)
-        assert state.u.dtype == np.complex128
-        assert not state.s.any() and not state.u.any() and not state.z.any()
+        assert state.s.shape == state.v.shape == (2, 4, 4)
+        assert state.v.dtype == np.complex128
+        assert not state.s.any() and not state.v.any()
+        assert not np.shares_memory(state.s, state.v)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +320,13 @@ class TestClosedFormAgainstShermanMorrison:
         u, z = (random_complex(rng, (n_filters,) + image_shape) for _ in range(2))
         synth_bar = random_complex(rng, image_shape)
         x_hat, spectra = spectra_of(x, bank)
-        _, step, config = s_update_sweep(x_hat, u, z, spectra, gamma)
-        return x, u, z, bank, x_hat, spectra, step, config, synth_bar
+        _, step, config, v = s_update_sweep(x_hat, u, z, spectra, gamma)
+        return x, u, z, bank, x_hat, spectra, step, config, synth_bar, v
 
     @pytest.mark.parametrize("gamma", [1.0, 1.625])
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
     def test_forward(self, workload, gamma):
-        x, u, z, bank, x_hat, spectra, step, _, _ = self.run_case(workload, gamma)
+        x, u, z, bank, x_hat, spectra, step, *_ = self.run_case(workload, gamma)
         assert relative_error(step.s_hat, oracles.s_update(x, u, z, bank, gamma)[1]) <= 1e-14
         # the synthesis the network forms from the record
         approx = dft_inverse(x_hat - gamma * step.c, ndim=spectra.n_spatial)
@@ -335,11 +335,12 @@ class TestClosedFormAgainstShermanMorrison:
     @pytest.mark.parametrize("gamma", [1.0, 1.625])
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
     def test_backward(self, workload, gamma):
-        x, _, _, bank, x_hat, spectra, step, config, synth_bar = self.run_case(workload, gamma)
+        x, _, _, bank, x_hat, spectra, step, config, synth_bar, v = self.run_case(workload, gamma)
         f = synthesis_backward(spectra, synth_bar)
         d_bar = kernel_accumulator(spectra)
-        rho, w_bar, _, gamma_bar, _ = admm_step_backward(
-            step, spectra, config, f, None, None, d_bar)
+        # the prox passes no channel of v = -w, so v's cotangent is -w_bar
+        rho, v_bar, gamma_bar, _ = admm_step_backward(step, v, spectra, config, f, None, d_bar)
+        w_bar = -v_bar
         n_spatial = spectra.n_spatial
         raw = filter_spectra(bank, x.shape[-n_spatial:])
         # the cotangent of s_hat is conj(d) f
@@ -359,6 +360,9 @@ class TestClosedFormAgainstShermanMorrison:
 # ---------------------------------------------------------------------------
 
 class TestUUpdate:
+    """The soft threshold of tests/oracles.py, whose bits the sweep's u
+    runs (TestAgainstPlainFormulas), and the u and z a sweep's v stands for."""
+
     def test_scalar_values(self):
         assert soft_threshold(np.array(1.2), 0.5) == pytest.approx(0.7)
         assert soft_threshold(np.array(-0.3), 0.5) == pytest.approx(0.0)
@@ -394,22 +398,25 @@ class TestUUpdate:
         rng = np.random.default_rng(9)
         bank = random_bank(rng, 2, (3, 3))
         x = random_complex(rng, (4, 4))
-        state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(3)))
+        state = CodeState(*(random_complex(rng, (2, 4, 4)) for _ in range(2)))
         cfg = AdmmConfig(lam=0.8, alpha=0.3, beta=1.1)
         scaled = AdmmConfig(lam=0.8 * 7.0, alpha=0.3 * 7.0, beta=1.1 * 7.0)
         a, _ = admm_step(x, oracles.copy_state(state), bank, cfg)
         b, _ = admm_step(x, oracles.copy_state(state), bank, scaled)
-        assert np.allclose(a.u, b.u, atol=1e-12)
+        u_a, u_b = prox_parts(a.v, cfg.threshold)[0], prox_parts(b.v, scaled.threshold)[0]
+        assert np.allclose(u_a, u_b, atol=1e-12)
 
     def test_z_update(self):
-        # the dual ascent adds the primal residual u - s of the new iterate
+        # the new v is s - z_old, with z_old = -clip(v_old) the scaled dual of
+        # the old v; the dual ascent z_old + (u - s) is u - v, its clip
         rng = np.random.default_rng(10)
         bank = random_bank(rng, 2, (3, 3))
         x = random_complex(rng, (3, 3))
-        state = CodeState(*(random_complex(rng, (2, 3, 3)) for _ in range(3)))
+        state = CodeState(*(random_complex(rng, (2, 3, 3)) for _ in range(2)))
         cfg = AdmmConfig(lam=1.0, alpha=0.2, beta=1.3)
         new, _ = admm_step(x, oracles.copy_state(state), bank, cfg)
-        assert np.array_equal(new.z, state.z + (new.u - new.s))
+        _, z_old = prox_parts(state.v, cfg.threshold)
+        assert np.array_equal(new.v, new.s - z_old)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +434,7 @@ def sweep_inputs(seed, kernel_shape, image_shape, weights):
     rng = np.random.default_rng(seed)
     bank = random_bank(rng, 4, kernel_shape)
     x = random_complex(rng, image_shape)
-    state = CodeState(*(random_complex(rng, (4,) + image_shape) for _ in range(3)))
+    state = CodeState(*(random_complex(rng, (4,) + image_shape) for _ in range(2)))
     lam, alpha, beta = weights
     return x, state, bank, AdmmConfig(lam=lam, alpha=alpha, beta=beta)
 
@@ -444,7 +451,7 @@ def same_buffer(a, b):
 
 class TestAgainstPlainFormulas:
     """The in-place solve and prox run the plain formulas' operations in
-    their order, so one sweep returns the same bits."""
+    their order, so one sweep returns the same bits as the v-form oracle."""
 
     @pytest.mark.parametrize("kernel_shape,image_shape", SWEEP_SHAPES)
     @pytest.mark.parametrize("weights", SWEEP_WEIGHTS)
@@ -455,34 +462,30 @@ class TestAgainstPlainFormulas:
         assert same_bits(new.s, want.s)
         assert same_bits(trace.s_hat, want_s_hat)
         assert same_bits(trace.c, want_c)
-        assert same_bits(new.z, want.z)
-        assert same_bits(trace.v, want.s - state.z)
-        # equal values; a zeroed entry may differ in the sign of its zero
-        assert np.array_equal(new.u, want.u)
-        passing = np.abs(trace.v.view(np.float64)) > cfg.threshold
+        assert same_bits(new.v, want.v)
+        assert trace.v is new.v
+        # some channels of the input v pass the threshold, and some do not
+        passing = np.abs(state.v.view(np.float64)) > cfg.threshold
         assert 0 < passing.mean() < 1
 
     @pytest.mark.parametrize("kernel_shape,image_shape", SWEEP_SHAPES)
     def test_sweep_leaves_its_inputs_alone(self, kernel_shape, image_shape):
-        # the sweep consumes its state and keeps x_hat, the spectra and the kernels
+        # the sweep consumes its state's s and keeps x_hat, the spectra, the
+        # kernels and the old v, the previous sweep's record
         x, state, bank, cfg = sweep_inputs(21, kernel_shape, image_shape, SWEEP_WEIGHTS[1])
         x_hat, spectra = spectra_of(x, bank)
-        inputs = [x_hat, spectra.d, spectra.power, bank.kernels]
+        inputs = [x_hat, spectra.d, spectra.power, bank.kernels, state.v]
         before = [a.copy() for a in inputs]
-        old = [state.s, state.u, state.z]
+        old_s = state.s
         new, trace = admm_step_traced(x_hat, state, spectra, cfg)
         assert all(same_bits(a, b) for a, b in zip(inputs, before))
-        outputs = [new.s, new.u, new.z, trace.v, trace.s_hat, trace.c]
+        outputs = [new.s, trace.v, trace.s_hat, trace.c]
         for i, out in enumerate(outputs):
             assert not any(np.shares_memory(out, a) for a in inputs)
-            # one of the old state's buffers, whole, or a fresh array
-            reused = [a for a in old if np.shares_memory(out, a)]
-            assert not reused or (len(reused) == 1 and same_buffer(out, reused[0]))
             assert not any(np.shares_memory(out, b) for b in outputs[i + 1:])
-        # s_hat is formed in u's buffer, the new s and z in their own
-        assert same_buffer(new.s, old[0])
-        assert same_buffer(trace.s_hat, old[1])
-        assert same_buffer(new.z, old[2])
+        # the new s is formed in the old s's buffer; s_hat and v are fresh
+        assert same_buffer(new.s, old_s)
+        assert new.v is trace.v
 
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.25])
     def test_soft_threshold_matches_plain_formula(self, tau):
@@ -497,7 +500,7 @@ class TestAgainstPlainFormulas:
         for values in inputs:
             before = np.array(values, copy=True)
             got = soft_threshold(values, tau)
-            want = oracles.soft_threshold(values, tau)
+            want = oracles.plain_soft_threshold(values, tau)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
             # the whole-array threshold's bits, the signs of zeros included
@@ -506,45 +509,70 @@ class TestAgainstPlainFormulas:
             assert not np.shares_memory(got, values)
 
 
-class TestCodeStateBuffers:
-    """A sweep writes its new state into its input state's buffers, so a
-    CodeState holds three distinct, writable, C-contiguous complex128 arrays
-    and copies any field that is not one."""
+# weights at which most channels pass the threshold over the sweeps below
+# (alpha = 0.05: 70-81 %), and at which none does (alpha = 50)
+V_STATE_WEIGHTS = {"active": (1.0, 0.05, 1.0), "inactive": (1.0, 50.0, 1.0)}
 
-    def fields(self, case, state):
-        s, u, z = state.s, state.u, state.z
-        if case == "u_is_z":
-            return s, u, u
-        if case == "fortran":
-            return s, np.asfortranarray(u), z
-        if case == "float64":
-            return s, u.real.copy(), z
-        read_only = z.copy()
-        read_only.flags.writeable = False
-        return s, u, read_only
 
-    @pytest.mark.parametrize("case", ["u_is_z", "fortran", "float64", "read_only"])
-    def test_sweep_matches_distinct_copies(self, case):
-        x, state, bank, cfg = sweep_inputs(23, (3, 3), (3, 8, 6), SWEEP_WEIGHTS[1])
-        fields = self.fields(case, state)
-        copies = [np.array(a, dtype=np.complex128, order="C") for a in fields]
-        given = CodeState(*fields)
-        for i, a in enumerate((given.s, given.u, given.z)):
-            assert a.dtype == np.complex128 and a.flags.c_contiguous and a.flags.writeable
-            assert not any(np.may_share_memory(a, b) for b in (given.s, given.u, given.z)[:i])
+class TestVState:
+    """The state is v alone: u = soft(v) and z = -clip(v) per channel, by the
+    Moreau decomposition, so J sweeps agree with scaled ADMM on (s, u, z)
+    with the dual ascent z + (u - s) up to roundoff, and its scaled dual is
+    bounded by tau."""
+
+    J = 5
+
+    def sweeps(self, regime):
+        rng = np.random.default_rng(30)
+        bank = random_bank(rng, 4, (3, 3))
+        x = random_complex(rng, (3, 8, 6))
+        cfg = AdmmConfig(*V_STATE_WEIGHTS[regime])
         x_hat, spectra = spectra_of(x, bank)
-        new, trace = admm_step_traced(x_hat, given, spectra, cfg)
-        want, want_trace = admm_step_traced(x_hat, CodeState(*copies), spectra, cfg)
-        for name in ("s", "u", "z"):
-            assert same_bits(getattr(new, name), getattr(want, name)), name
-        for name in ("s_hat", "c", "v"):
-            assert same_bits(getattr(trace, name), getattr(want_trace, name)), name
+        state, states = None, []
+        for _ in range(self.J):
+            state, _ = admm_step_traced(x_hat, state, spectra, cfg)
+            states.append(oracles.copy_state(state))
+        return x, bank, cfg, states
 
-    def test_distinct_arrays_are_kept(self):
-        _, state, _, _ = sweep_inputs(23, (3, 3), (3, 8, 6), SWEEP_WEIGHTS[1])
-        arrays = (state.s, state.u, state.z)
-        kept = CodeState(*arrays)
-        assert all(a is b for a, b in zip((kept.s, kept.u, kept.z), arrays))
+    @pytest.mark.parametrize("regime", sorted(V_STATE_WEIGHTS))
+    def test_matches_the_v_form_oracle_bitwise(self, regime):
+        x, bank, cfg, states = self.sweeps(regime)
+        want = CodeState.zeros(4, x.shape)
+        for got in states:
+            want, _, _ = oracles.admm_step(x, want, bank, cfg)
+            assert same_bits(got.s, want.s) and same_bits(got.v, want.v)
+
+    @pytest.mark.parametrize("regime", sorted(V_STATE_WEIGHTS))
+    def test_agrees_with_the_three_buffer_sweeps(self, regime):
+        # roundoff only: the dual is the clip of v instead of z + (u - s)
+        x, bank, cfg, states = self.sweeps(regime)
+        u = z = np.zeros((4,) + x.shape, dtype=np.complex128)
+        passing = []
+        for got in states:
+            s, u, z = oracles.three_buffer_step(x, u, z, bank, cfg)
+            got_u, got_z = prox_parts(got.v, cfg.threshold)
+            for a, b in ((got.s, s), (got_u, u), (got_z, z)):
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(s))
+            passing.append(np.mean(np.abs(got.v.view(np.float64)) > cfg.threshold))
+        if regime == "active":
+            assert 0 < min(passing) and max(passing) < 1
+        else:
+            assert max(passing) == 0
+
+    def test_dual_is_bounded(self):
+        # |z| <= tau per channel, where the three-buffer sweeps reach it only
+        # up to the roundoff of the dual ascent
+        x, bank, cfg, states = self.sweeps("active")
+        tau = cfg.threshold
+        u = z = np.zeros((4,) + x.shape, dtype=np.complex128)
+        for got in states:
+            _, u, z = oracles.three_buffer_step(x, u, z, bank, cfg)
+            got_z = prox_parts(got.v, tau)[1]
+            assert np.max(np.abs(got_z.view(np.float64))) <= tau
+            assert np.max(np.abs(z.view(np.float64))) <= tau * (1 + 1e-12)
+            # a channel that passes holds its dual at the bound
+            active = np.abs(got.v.view(np.float64)) > tau
+            assert np.all(np.abs(got_z.view(np.float64))[active] == tau)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +593,7 @@ BLOCK_IDS = ["K7_by3", "K1", "map_over_budget", "3d_K5_by2", "one_block", "own_b
 
 
 def sweep_record(state, trace):
-    return [state.s, state.u, state.z, trace.s_hat, trace.c, trace.v]
+    return [state.s, state.v, trace.s_hat, trace.c, trace.v]
 
 
 class TestBlockedSweep:
@@ -588,7 +616,7 @@ class TestBlockedSweep:
         rng = np.random.default_rng(n_filters)
         bank = random_bank(rng, n_filters, kernel_shape)
         x = random_complex(rng, image_shape)
-        state = CodeState(*(random_complex(rng, (n_filters,) + image_shape) for _ in range(3)))
+        state = CodeState(*(random_complex(rng, (n_filters,) + image_shape) for _ in range(2)))
         return x, state, bank
 
     @pytest.mark.parametrize("n_filters,kernel_shape,image_shape,budget", BLOCK_CASES,
@@ -629,8 +657,8 @@ class TestBlockedSweep:
                                                        expected))
 
     def test_sweep_allocates_only_what_it_returns(self):
-        # from a non-zero state the new u and the recorded v are the only
-        # fresh K-maps; the whole-array sweep also held d w_hat and u - s
+        # from a non-zero state the recorded s_hat and v are the only fresh
+        # K-maps; the whole-array sweep also held u, z and d w_hat
         n_filters, image_shape = 64, (4, 32, 32)
         x, state, bank = self.inputs(n_filters, (3, 3), image_shape)
         x_hat, spectra = spectra_of(x, bank)
@@ -651,11 +679,11 @@ class TestBlockedSweep:
         untraced = None if zero_start else state
         traced = None if zero_start else oracles.copy_state(state)
         for _ in range(3):
-            old = None if untraced is None else (untraced.s, untraced.u, untraced.z)
+            old = None if untraced is None else (untraced.s, untraced.v)
             untraced, record = admm_step_traced(x_hat, untraced, spectra, cfg, False)
             traced, want = admm_step_traced(x_hat, traced, spectra, cfg)
-            new = (untraced.s, untraced.u, untraced.z)
-            assert all(same_bits(a, b) for a, b in zip(new, (traced.s, traced.u, traced.z)))
+            new = (untraced.s, untraced.v)
+            assert all(same_bits(a, b) for a, b in zip(new, (traced.s, traced.v)))
             assert same_bits(record.c, want.c) and record.tau == want.tau
             assert record.s_hat is None and record.v is None
             # the record holds nothing of the returned state
@@ -663,11 +691,11 @@ class TestBlockedSweep:
             if old is not None:
                 assert all(same_buffer(a, b) for a, b in zip(new, old))
 
-    @pytest.mark.parametrize("zero_start,bound", [(False, 0.3), (True, 3.3)],
+    @pytest.mark.parametrize("zero_start,bound", [(False, 0.3), (True, 2.3)],
                              ids=["state", "zeros"])
     def test_untraced_sweep_allocates_only_what_it_returns(self, zero_start, bound):
-        # from a state, c, conj(c) and the block scratch; from zeros, the s,
-        # u and z it returns
+        # from a state, c, conj(c) and the block scratch; from zeros, the s
+        # and v it returns
         n_filters, image_shape = 64, (4, 32, 32)
         x, state, bank = self.inputs(n_filters, (3, 3), image_shape)
         x_hat, spectra = spectra_of(x, bank)
@@ -749,9 +777,10 @@ class TestAdmmStep:
         state = CodeState.zeros(2, (4, 4))
         for s_ref, u_ref, z_ref in history:
             state, _ = admm_step(x, state, bank, cfg)
+            u, z = prox_parts(state.v, cfg.threshold)
             assert np.max(np.abs(state.s - s_ref)) <= 1e-10
-            assert np.max(np.abs(state.u - u_ref)) <= 1e-10
-            assert np.max(np.abs(state.z - z_ref)) <= 1e-10
+            assert np.max(np.abs(u - u_ref)) <= 1e-10
+            assert np.max(np.abs(z - z_ref)) <= 1e-10
 
     def test_fixed_point_invariance(self):
         # Run to near-convergence, then one more step must not move the state.
@@ -761,9 +790,10 @@ class TestAdmmStep:
         cfg = AdmmConfig(lam=1.0, alpha=0.4, beta=1.0)
         state = run_admm(x, bank, cfg, n_steps=4000)
         after, _ = admm_step(x, oracles.copy_state(state), bank, cfg)
+        (u, z), (u_after, z_after) = (prox_parts(a.v, cfg.threshold) for a in (state, after))
         assert np.max(np.abs(after.s - state.s)) <= 1e-9
-        assert np.max(np.abs(after.u - state.u)) <= 1e-9
-        assert np.max(np.abs(after.z - state.z)) <= 1e-9
+        assert np.max(np.abs(u_after - u)) <= 1e-9
+        assert np.max(np.abs(z_after - z)) <= 1e-9
 
     def test_primal_residual_convergence(self):
         rng = np.random.default_rng(19)
@@ -771,7 +801,8 @@ class TestAdmmStep:
         x = random_complex(rng, (8, 8))
         cfg = AdmmConfig(lam=1.0, alpha=0.5, beta=1.0)
         state = run_admm(x, bank, cfg, n_steps=200)
-        assert np.max(np.abs(state.u - state.s)) <= 1e-5
+        u, _ = prox_parts(state.v, cfg.threshold)
+        assert np.max(np.abs(u - state.s)) <= 1e-5
 
     def test_objective_improves_with_more_steps(self):
         rng = np.random.default_rng(20)
@@ -805,14 +836,14 @@ class TestObjective:
         assert csc_objective(x, state, bank, cfg) == pytest.approx(0.4 * real_inner(x, x))
 
     def test_hand_computed_instance(self):
-        # 2x2 image, K=1 identity kernel, lam=2, alpha=3, beta=4:
-        # fidelity (2/2)*||2*1 - 1||^2 = 4; L1 3*sum(|0.5|+|0.25|) = 9;
-        # penalty (4/2)*||(0.5+0.25j) - 1 + 0.5j||^2 = 2*4*0.8125 = 6.5.
+        # 2x2 image, K=1 identity kernel, lam=2, alpha=3, beta=4, so tau = 0.75;
+        # v = 1.25 + 0.5j gives u = 0.5 and z = -0.75 - 0.5j:
+        # fidelity (2/2)*||2*1 - 1||^2 = 4; L1 3*sum(|0.5|+|0|) = 6;
+        # penalty (4/2)*||0.5 - 1 - 0.75 - 0.5j||^2 = 2*4*1.8125 = 14.5.
         bank = FilterBank(np.ones((1, 1, 1)))
         x = 2.0 * np.ones((2, 2), dtype=complex)
         s = np.ones((1, 2, 2), dtype=complex)
-        u = (0.5 + 0.25j) * np.ones((1, 2, 2))
-        z = 0.5j * np.ones((1, 2, 2))
+        v = (1.25 + 0.5j) * np.ones((1, 2, 2))
         cfg = AdmmConfig(lam=2.0, alpha=3.0, beta=4.0)
-        got = csc_objective(x, CodeState(s=s, u=u, z=z), bank, cfg)
-        assert got == pytest.approx(19.5, abs=1e-12)
+        got = csc_objective(x, CodeState(s=s, v=v), bank, cfg)
+        assert got == pytest.approx(24.5, abs=1e-12)

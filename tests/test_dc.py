@@ -11,7 +11,7 @@ import oracles
 from oracles import (frames_first, output_cg_backward, output_cg_solve, synthesize,
                      traced_peak)
 from ucdl import network
-from ucdl.csc import CodeState, FilterBank
+from ucdl.csc import FilterBank
 from ucdl.dc import (CONVERGED_RTOL, CgSolution, NormalOperator, cg_backward,
                      cg_solve, cg_to_tolerance, solve_record)
 from ucdl.errors import NonFiniteValue, ShapeMismatch
@@ -430,8 +430,7 @@ class TestDcStep:
         kernels[0, 1, 1, 0] = 1.0
         bank = FilterBank(kernels)
         s = random_complex(rng, (1,) + shape)
-        state = CodeState(s=s, u=s.copy(), z=np.zeros_like(s))
-        rhs = adjoint_apply(sample.y, coils, mask) + lam * synthesize(bank, state.s)
+        rhs = adjoint_apply(sample.y, coils, mask) + lam * synthesize(bank, s)
         rhs = frames_first(rhs)
         operator = NormalOperator(coils, mask, lam)
         exact = cg_solve(rhs, operator, np.zeros_like(rhs), 40).image

@@ -11,6 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
+from ucdl import training
 from ucdl.backprop import GradientSet
 from ucdl.csc import FilterBank
 from ucdl.data import PhantomSpec, synth_dataset
@@ -325,6 +327,34 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             evaluate_loss([], init_network(tiny_config()), tiny_config())
 
+    def test_failed_epoch_zero_removes_the_run_directory_it_made(self, tmp_path, monkeypatch):
+        # the run directory is made before the epoch-0 forwards; a failure
+        # before its epoch-0 files are written removes it and the parents
+        # train made for it, and keeps one that was there
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(sorted(p.name for p in tmp_path.rglob("*")))
+            raise NonFiniteValue("outer iteration 0: cg_solve: injected")
+
+        monkeypatch.setattr(training, "forward_reconstruct", failing)
+        data = tiny_dataset(1, seed=25)
+        (tmp_path / "kept").mkdir()
+        for run_dir in (tmp_path / "made" / "run", tmp_path / "kept"):
+            with pytest.raises(NonFiniteValue, match="injected"):
+                train(data, data, tiny_config(), epochs=1, run_dir=run_dir)
+        assert seen == [["kept", "made", "run"], ["kept"]]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
+
+    def test_oversized_kernels_rejected_before_any_forward(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "forward_reconstruct", lambda *a, **k: calls.append(a))
+        data = tiny_dataset(1, seed=26)
+        with pytest.raises(ShapeMismatch, match=r"^kernel shape \(5, 5, 5\) does not fit "
+                                                r"inside \(3, 8, 8\)$"):
+            train(data, data, tiny_config(kernel_size=5), epochs=1, run_dir=tmp_path / "run")
+        assert calls == [] and not (tmp_path / "run").exists()
+
     def test_training_reduces_loss_on_fixed_sample(self):
         # a handful of steps on one sample must reduce that sample's loss
         data = tiny_dataset(1, seed=22)
@@ -350,3 +380,17 @@ class TestEvaluateLoss:
             for s, t in data
         ])
         assert evaluate_loss(data, params, config) == pytest.approx(manual, rel=1e-12)
+
+    def test_holds_one_forward_at_a_time(self):
+        # at the recon2d-points network and shape, a second sample does not
+        # raise the peak: each result is dropped before the next forward
+        shape = (32, 32, 8)
+        coils = make_coil_maps(8, shape[:2])
+        data = synth_dataset(PhantomSpec(image_shape=shape, rng_seed=27), 1, coils,
+                             mask_family="points", sigma=0.01, accel=4.0)
+        config = NetworkConfig(mode="2d")
+        params = init_network(config, rng_seed=0)
+        kmap = config.n_filters * np.prod(shape) * np.dtype(np.complex128).itemsize
+        one, two = (oracles.traced_peak(lambda: evaluate_loss(data * n, params, config))
+                    for n in (1, 2))
+        assert two <= one + 0.2 * kmap, (one / kmap, two / kmap)
