@@ -8,7 +8,6 @@ failure (non-finite values, singular solves) aborts the computation.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from .data import PhantomSpec, load_dataset, save_dataset, synth_dataset
 from .errors import NonFiniteValue, UcdlError
-from .io import (atomic_write, make_directory, quantize_window, read_manifest, read_tensor,
-                 write_pgm, write_tensor)
+from .io import (all_or_nothing, atomic_write, make_directory, quantize_window, read_manifest,
+                 read_tensor, write_pgm, write_tensor)
 from .metrics import append_report_csv, compute_report
 from .network import (
     NetworkConfig,
@@ -215,22 +214,14 @@ def cmd_reconstruct(args) -> int:
     result = forward_reconstruct(sample, params, config)
     if not np.isfinite(result.image).all():
         raise NonFiniteValue("reconstruction produced non-finite values")
-    # the previews first and --out last; a failed write removes the previews
-    # written before it, so that it leaves no output behind
-    previews = []
-    try:
+    # the previews first and --out last, which wins where a path is both
+    with all_or_nothing():
         if args.pgm:
             magnitude = np.abs(result.image)
             hi = float(magnitude.max()) or 1.0
             for t in range(magnitude.shape[2]):
-                path = Path(f"{args.pgm}_t{t:02d}.pgm")
-                write_pgm(path, quantize_window(magnitude[:, :, t], 0.0, hi))
-                previews.append(path)
+                write_pgm(f"{args.pgm}_t{t:02d}.pgm", quantize_window(magnitude[:, :, t], 0.0, hi))
         write_tensor(args.out, result.image)
-    except OSError:
-        for path in previews:
-            path.unlink()
-        raise
     print(f"wrote reconstruction to {args.out}")
     return 0
 
@@ -241,11 +232,11 @@ def cmd_evaluate(args) -> int:
     size = tuple(args.roi) if args.roi is not None else None
     report = compute_report(recon, target, size=size)
     text = report.to_json()
-    # the files before the report, and the CSV append, which cannot be
-    # undone, inside the --json write: a failed append leaves no JSON behind
-    with contextlib.ExitStack() as stack:
+    # the files before the report; the CSV append, where --csv is --json, wins
+    with all_or_nothing():
         if args.json_out:
-            stack.enter_context(atomic_write(args.json_out)).write(text + "\n")
+            with atomic_write(args.json_out) as fh:
+                fh.write(text + "\n")
         if args.csv:
             label = args.label or Path(args.recon).name
             append_report_csv(args.csv, report, label=label)
@@ -267,9 +258,7 @@ def cmd_export_filters(args) -> int:
     if args.zoom < 1:
         raise ValueError(f"zoom must be >= 1, got {args.zoom}")
     params, config = load_checkpoint(args.checkpoint)
-    out = make_directory(args.out)
     kernels = params.filters.kernels
-    write_tensor(out / "filters.bin", kernels.astype(np.complex128))
     peak = float(np.abs(kernels).max()) or 1.0
     if kernels.ndim == 3:
         cells = [kernels[k] for k in range(kernels.shape[0])]
@@ -285,7 +274,10 @@ def cmd_export_filters(args) -> int:
         rows, cols = kernels.shape[0], kernels.shape[3]
     grid = _tile_grid(cells, rows, cols, fill=-peak)
     grid = np.kron(grid, np.ones((args.zoom, args.zoom)))
-    write_pgm(out / "filters.pgm", quantize_window(grid, -peak, peak))
+    with all_or_nothing():
+        out = make_directory(args.out)
+        write_tensor(out / "filters.bin", kernels.astype(np.complex128))
+        write_pgm(out / "filters.pgm", quantize_window(grid, -peak, peak))
     print(f"wrote {kernels.shape[0]} filters to {out}")
     return 0
 
@@ -296,14 +288,15 @@ def cmd_export_feature_maps(args) -> int:
     result = forward_reconstruct(sample, params, config)
     # (K, N_t, N_x, N_y) codes to the (K, N_x, N_y, N_t) file layout
     maps = np.moveaxis(result.code_state.s, 1, -1)
-    out = make_directory(args.out)
     sigma = float(np.std(np.abs(maps))) or 1.0
     lo, hi = -FEATURE_WINDOW_SIGMAS * sigma, FEATURE_WINDOW_SIGMAS * sigma
     central = maps.shape[3] // 2
-    for k in range(maps.shape[0]):
-        write_tensor(out / f"feature_{k:02d}.bin", maps[k])
-        frame = np.abs(maps[k, :, :, central])
-        write_pgm(out / f"feature_{k:02d}.pgm", quantize_window(frame, lo, hi))
+    with all_or_nothing():
+        out = make_directory(args.out)
+        for k in range(maps.shape[0]):
+            write_tensor(out / f"feature_{k:02d}.bin", maps[k])
+            frame = np.abs(maps[k, :, :, central])
+            write_pgm(out / f"feature_{k:02d}.pgm", quantize_window(frame, lo, hi))
     print(f"wrote {maps.shape[0]} feature maps to {out}")
     return 0
 

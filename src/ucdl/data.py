@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeMismatch
-from .io import make_directory, read_manifest, read_tensor, write_json, write_tensor
+from .io import all_or_nothing, make_directory, read_manifest, read_tensor, write_json, write_tensor
 from .operators import (
     CoilMaps,
     load_kspace_sample,
@@ -143,18 +143,19 @@ def sample_dir_name(index: int) -> str:
 
 def save_dataset(directory: str | Path, pairs, settings: dict | None = None) -> None:
     """Write (sample, target) pairs as one subdirectory each plus a manifest."""
-    directory = make_directory(directory)
-    names = []
-    for i, (sample, target) in enumerate(pairs):
-        name = sample_dir_name(i)
-        sub = directory / name
-        save_kspace_sample(sub, sample)
-        write_tensor(sub / TARGET_NAME, np.asarray(target, dtype=np.complex128))
-        names.append(name)
-    manifest = {"n_samples": len(names), "samples": names}
-    if settings:
-        manifest["settings"] = settings
-    write_json(directory / MANIFEST_NAME, manifest)
+    with all_or_nothing():
+        directory = make_directory(directory)
+        names = []
+        for i, (sample, target) in enumerate(pairs):
+            name = sample_dir_name(i)
+            sub = directory / name
+            save_kspace_sample(sub, sample)
+            write_tensor(sub / TARGET_NAME, np.asarray(target, dtype=np.complex128))
+            names.append(name)
+        manifest = {"n_samples": len(names), "samples": names}
+        if settings:
+            manifest["settings"] = settings
+        write_json(directory / MANIFEST_NAME, manifest)
 
 
 def load_dataset(directory: str | Path):

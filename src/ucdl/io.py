@@ -3,14 +3,18 @@
 Tensor files carry a little-endian header ``magic "UCDL" | version u32 |
 ndim u32 | dims u64 x ndim | dtype tag u32`` followed by the raw row-major
 interleaved re/im float64 payload.  Only complex128 (tag 1) is defined.
+Every output file is written by `atomic_write` and every output directory
+made by `make_directory`; `all_or_nothing` lands a set of them together.
 """
 
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import math
 import os
+import shutil
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,40 +30,70 @@ class TensorFormatError(ValueError):
     """The file is not a valid tensor file of a supported version."""
 
 
+# the open block ({target: its last temporary}, all temporaries, directories made)
+_block: tuple[dict, list, list] | None = None
+_serial = itertools.count()  # tells apart temporary files of one path
+
+
+@contextmanager
+def all_or_nothing():
+    """Hold back each `atomic_write` in the block until it exits cleanly, then
+    replace the targets in the order each was first written, a path written
+    twice with its last bytes.  An exception, `BaseException` included,
+    removes the temporary files and the directories `make_directory` made in
+    the block.  A block inside another is part of the outer one; the package
+    runs no threads, so one module-level slot holds the open block."""
+    global _block
+    if _block is not None:
+        yield
+        return
+    _block = targets, temps, made = {}, [], []
+    try:
+        yield
+        for path, tmp in targets.items():
+            try:
+                os.replace(tmp, path)
+            except OSError as err:  # path made a directory while the block ran
+                raise _named(path, err) from err
+        made.clear()  # a clean exit keeps its directories
+    finally:
+        _block = None
+        for tmp in temps:  # all but those that replaced a target
+            tmp.unlink(missing_ok=True)
+        for directory in reversed(made):
+            shutil.rmtree(directory, ignore_errors=True)
+
+
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w"):
-    """Open a temporary file beside `path` that replaces `path` on a clean exit.
-
-    Readers see the old file or the whole new one.  If the block raises,
-    `path` keeps its old bytes and the temporary file is removed.  Nothing
-    is synced to disk, so this guards against a crashed process, not
-    against a lost machine.  A directory at `path` is rejected before the
-    block runs.  A failure to open the temporary file or to replace `path`
-    reads `<path>: <reason>`, naming `path` alone.
-    """
+    """Open a temporary file beside `path` that replaces `path` when the
+    `all_or_nothing` block around it exits cleanly, a block of its own outside
+    any.  Readers see the old file or the whole new one.  Nothing is synced to
+    disk, so this guards against a crashed process, not a lost machine.  A
+    directory at `path` is rejected before the block runs.  A failure reads
+    `<path>: <reason>`, naming `path` and not the temporary file."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        if path.is_dir():  # which os.replace would reject after the block
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fh = open(tmp, mode)
-    except OSError as err:  # a missing directory, one that cannot be written
-        raise _named(path, err) from err
-    try:
+    with all_or_nothing():
+        targets, temps, _ = _block
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_serial)}.tmp")
+        try:
+            if path.is_dir():  # which os.replace would reject after the block
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fh = open(tmp, mode)
+        except OSError as err:  # a missing directory, one that cannot be written
+            raise _named(path, err) from err
+        temps.append(tmp)
         with fh:
             yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as err:  # path made a directory while the block ran
-            raise _named(path, err) from err
-    finally:
-        tmp.unlink(missing_ok=True)
+        targets[path] = tmp  # once its block ran cleanly; a rewrite keeps the first place
 
 
 def make_directory(path: str | Path) -> Path:
-    """Create the directory `path` and its missing parents, if it is not one
-    already; a failure reads `<path>: <reason>`."""
+    """Create the directory `path` and any missing parents, recording the first one
+    made for the `all_or_nothing` block around it; a failure reads `<path>: <reason>`."""
     path = Path(path)
+    if _block is not None:
+        _block[2].extend([p for p in (*reversed(path.parents), path) if not p.exists()][:1])
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as err:  # a file in its place or in a parent's

@@ -54,7 +54,7 @@ from .csc import (
 )
 from .dc import CgSolution, CgTrace, NormalOperator, cg_solve, solve_record
 from .errors import NonFiniteValue, ShapeMismatch, ZeroFilter
-from .io import make_directory, read_manifest, read_tensor, write_json, write_tensor
+from .io import all_or_nothing, make_directory, read_manifest, read_tensor, write_json, write_tensor
 from .operators import KSpaceSample, adjoint_apply
 from .tensors import check_fits, dft_forward, dft_inverse
 
@@ -297,8 +297,6 @@ MANIFEST_FILE = "checkpoint.json"
 def save_checkpoint(directory: str | Path, params: NetworkParams,
                     config: NetworkConfig) -> None:
     """Write a JSON manifest plus the kernel tensor into `directory`."""
-    directory = make_directory(directory)
-    write_tensor(directory / KERNEL_FILE, params.filters.kernels.astype(np.complex128))
     manifest = {
         "config": config.to_dict(),
         "log_lambda": params.log_lam,
@@ -306,7 +304,10 @@ def save_checkpoint(directory: str | Path, params: NetworkParams,
         "log_beta": params.log_beta,
         "kernels_file": KERNEL_FILE,
     }
-    write_json(directory / MANIFEST_FILE, manifest)
+    with all_or_nothing():
+        directory = make_directory(directory)
+        write_tensor(directory / KERNEL_FILE, params.filters.kernels.astype(np.complex128))
+        write_json(directory / MANIFEST_FILE, manifest)
 
 
 def load_checkpoint(directory: str | Path):

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ShapeMismatch
-from .io import make_directory, read_manifest, read_tensor, write_json, write_tensor
+from .io import all_or_nothing, make_directory, read_manifest, read_tensor, write_json, write_tensor
 
 DEFAULT_NOISE_SIGMA = 0.02
 
@@ -264,10 +264,6 @@ def make_mask(
 
 def save_kspace_sample(directory: str | Path, sample: KSpaceSample, seed: int | None = None) -> None:
     """Write a sample as tensor files plus a JSON sidecar into `directory`."""
-    directory = make_directory(directory)
-    write_tensor(directory / "y.bin", sample.y)
-    write_tensor(directory / "mask.bin", sample.mask.mask.astype(np.complex128))
-    write_tensor(directory / "coils.bin", sample.coils.maps)
     sidecar = {
         "y": "y.bin",
         "mask": "mask.bin",
@@ -275,7 +271,12 @@ def save_kspace_sample(directory: str | Path, sample: KSpaceSample, seed: int | 
         "sigma": sample.noise_sigma,
         "seed": seed,
     }
-    write_json(directory / "sample.json", sidecar)
+    with all_or_nothing():
+        directory = make_directory(directory)
+        write_tensor(directory / "y.bin", sample.y)
+        write_tensor(directory / "mask.bin", sample.mask.mask.astype(np.complex128))
+        write_tensor(directory / "coils.bin", sample.coils.maps)
+        write_json(directory / "sample.json", sidecar)
 
 
 def load_kspace_sample(directory: str | Path) -> KSpaceSample:

@@ -10,15 +10,14 @@ bitwise intact across any number of epochs.
 
 A training run can mirror itself into a directory: config.json with every
 configuration field, losses.csv with one row per epoch (row zero holds the
-pre-training losses), and one parameter checkpoint per epoch.  Each file
-is replaced atomically, so a run killed mid-write keeps its last complete
-version.  All randomness is drawn from a single seeded generator, so
+pre-training losses), and one parameter checkpoint per epoch.  An epoch's
+files land together or not at all (`io.all_or_nothing`), and the epochs
+before it stay.  All randomness is drawn from a single seeded generator, so
 identical seeds give byte-identical loss logs.
 """
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 from .backprop import GradientSet, backward
 from .csc import FilterBank
 from .errors import NonFiniteValue, ShapeMismatch
-from .io import atomic_write, make_directory, write_json
+from .io import all_or_nothing, atomic_write, make_directory, write_json
 from .network import (
     NetworkConfig,
     NetworkParams,
@@ -209,14 +208,10 @@ def train(dataset, val_dataset, config: NetworkConfig,
     state = AdamState.init(params, lr=lr)
     rng = np.random.default_rng(seed)
 
-    # the run directory is made before the epoch-0 forwards; if train fails
-    # before its epoch-0 files are written, the directories it made go again
-    made = None
-    if run_dir is not None:
-        run_dir = Path(run_dir)
-        made = next((p for p in (*reversed(run_dir.parents), run_dir) if not p.exists()), None)
-        run_dir = make_directory(run_dir)
-    try:
+    # the run directory before the epoch-0 forwards; it goes again if they or its files fail
+    with all_or_nothing():
+        if run_dir is not None:
+            run_dir = make_directory(run_dir)
         history = [
             EpochRecord(
                 epoch=0,
@@ -228,10 +223,6 @@ def train(dataset, val_dataset, config: NetworkConfig,
             _write_run_config(run_dir, config, epochs, seed, lr)
             save_checkpoint(run_dir / "checkpoints" / "epoch_000", params, config)
             write_loss_log(run_dir / "losses.csv", history)
-    except BaseException:
-        if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
-        raise
 
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(dataset))
@@ -249,9 +240,10 @@ def train(dataset, val_dataset, config: NetworkConfig,
                 val_loss=evaluate_loss(val_dataset, params, config),
             )
         )
-        if run_dir is not None:
-            save_checkpoint(
-                run_dir / "checkpoints" / f"epoch_{epoch:03d}", params, config
-            )
-            write_loss_log(run_dir / "losses.csv", history)
+        if run_dir is not None:  # an epoch's files land together; earlier epochs stay
+            with all_or_nothing():
+                save_checkpoint(
+                    run_dir / "checkpoints" / f"epoch_{epoch:03d}", params, config
+                )
+                write_loss_log(run_dir / "losses.csv", history)
     return params, history

@@ -6,6 +6,7 @@ here exist only so the tests can check those blocks against them.
 
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -541,3 +542,10 @@ def two_branch_mask(shape, accel=4.0, family="columns", seed=0, center_fraction=
             frame[flat] = True
             mask[:, :, t] = frame.reshape(nx, ny)
     return mask
+
+
+def listing(directory) -> dict:
+    """Every path under `directory` mapped to its bytes, or to None for a
+    directory."""
+    return {p.relative_to(directory): None if p.is_dir() else p.read_bytes()
+            for p in sorted(Path(directory).rglob("*"))}

@@ -341,3 +341,42 @@ def test_one_directory_maker(path):
     # io.make_directory creates every output directory, and names the path
     # when it cannot
     assert directory_creations(path.read_text()) == [], path.name
+
+
+# os functions that replace or remove a file, and shutil's tree removal
+FILE_REMOVERS = {"os": ("replace", "rename", "remove", "unlink"), "shutil": ("rmtree",)}
+
+
+def file_removals(source: str) -> list[int]:
+    """Lines of `source` that replace or remove a file or a directory tree:
+    any `.unlink` attribute (Path.unlink), `os.replace`, `os.rename`,
+    `os.remove`, `os.unlink` and `shutil.rmtree`, or one of these imported."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "unlink" or (isinstance(node.value, ast.Name)
+                                            and node.attr in FILE_REMOVERS.get(node.value.id, ()))
+        elif isinstance(node, ast.ImportFrom):
+            hit = any(a.name in FILE_REMOVERS.get(node.module, ()) for a in node.names)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_removal_guard_sees_each_spelling():
+    source = ("import os, shutil\nos.replace(a, b)\nos.rename(a, b)\nos.remove(a)\n"
+              "os.unlink(a)\ntmp.unlink(missing_ok=True)\nshutil.rmtree(d)\n"
+              "from os import replace\nfrom shutil import rmtree\n"
+              "text.replace('a', 'b')\ndataclasses.replace(p, x=1)\nos.path.exists(a)\n"
+              "from dataclasses import replace\nshutil.copy(a, b)\n")
+    assert file_removals(source) == [2, 3, 4, 5, 6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "io.py"],
+                         ids=lambda p: p.name)
+def test_one_owner_of_failed_writes(path):
+    # io decides what a failed write leaves behind: its all_or_nothing blocks
+    # replace the targets and remove temporary files and the directories made
+    assert file_removals(path.read_text()) == [], path.name

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import listing
 from ucdl import training
 from ucdl.cli import main
 from ucdl.data import load_dataset
@@ -49,6 +50,13 @@ def read_pgm_header(path) -> tuple[int, int]:
     assert depth == b"255"
     w, h = (int(v) for v in dims.split())
     return w, h
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(tmp_path):
+    """Fail a test that leaves an atomic write's temporary file behind."""
+    yield
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob(".*.tmp")) == []
 
 
 @pytest.fixture(scope="module")
@@ -602,6 +610,57 @@ class TestUnwritableFiles:
         assert err.startswith(f"{path}: ") and err.count("\n") == 1
         assert "Errno" not in err and "Traceback" not in err
         assert out == "" and path.read_text() == "kept"
+
+    @pytest.mark.parametrize("command,blocked", [("export-filters", "filters.pgm"),
+                                                 ("export-feature-maps", "feature_01.pgm"),
+                                                 ("gen-data", "sample_001/y.bin")])
+    def test_file_of_a_set_that_cannot_be_written(self, workspace, tmp_path, capsys, command,
+                                                  blocked):
+        # a directory at one file of the set: the output directory, which was
+        # there, keeps exactly what it held, and the directories the command
+        # made (gen-data's sample_000) are gone
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        (out / "filters.bin").write_bytes(b"old")
+        (out / "feature_00.bin").write_bytes(b"old")
+        (out / "dataset.json").write_text("old")
+        before = listing(out)
+        checkpoint, sample = workspace["run"] / "final", workspace["data"] / "sample_000"
+        argv = {
+            "export-filters": ["--checkpoint", checkpoint],
+            "export-feature-maps": ["--checkpoint", checkpoint, "--sample", sample],
+            "gen-data": ["--samples", 3, "--nx", 8, "--ny", 8, "--nt", 2],
+        }[command]
+        code, out_text = run_cli(command, *argv, "--out", out)
+        assert code == 1 and out_text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"{out / blocked}: ") and err.count("\n") == 1
+        assert "Errno" not in err and "Traceback" not in err
+        assert listing(out) == before
+
+    def test_evaluate_json_and_csv_at_one_path(self, workspace, tmp_path, capsys):
+        # the CSV append, written last, wins: the path holds its old rows
+        # and the new one, as after an append alone
+        sample = workspace["data"] / "sample_000"
+        evaluate = ["evaluate", "--recon", workspace["recon"], "--target",
+                    sample / "target.bin", "--roi", 12, 12]
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        assert run_cli(*evaluate, "--csv", both)[0] == 0
+        alone.write_bytes(both.read_bytes())
+        assert run_cli(*evaluate, "--csv", alone, "--label", "x")[0] == 0
+        code, out = run_cli(*evaluate, "--json", both, "--csv", both, "--label", "x")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert json.loads(out) and both.read_bytes() == alone.read_bytes()
+
+    def test_reconstruct_out_at_a_preview_path(self, workspace, tmp_path):
+        # --out, written last, wins over the preview of the same path
+        reconstruct = ["reconstruct", "--checkpoint", workspace["run"] / "final",
+                       "--sample", workspace["data"] / "sample_000", "--out"]
+        assert run_cli(*reconstruct, tmp_path / "r.bin")[0] == 0
+        code, _ = run_cli(*reconstruct, tmp_path / "p_t00.pgm", "--pgm", tmp_path / "p")
+        assert code == 0
+        assert (tmp_path / "p_t00.pgm").read_bytes() == (tmp_path / "r.bin").read_bytes()
+        assert read_pgm_header(tmp_path / "p_t03.pgm") == (16, 16)
 
     def test_train_makes_its_run_directory_before_any_forward(self, workspace, tmp_path,
                                                               capsys, monkeypatch):

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import listing
 import ucdl.io
 from ucdl.cli import _build_parser
 from ucdl.io import (
     MAGIC,
     TensorFormatError,
+    all_or_nothing,
     make_directory,
     quantize_window,
     read_manifest,
@@ -294,6 +296,87 @@ class TestAtomicWrites:
             with ucdl.io.atomic_write(tmp_path / "out") as fh:
                 ran.append(fh)
         assert ran == [] and os.listdir(tmp_path) == ["out"]
+
+
+class TestAllOrNothing:
+    def test_clean_exit_replaces_every_target_in_first_written_order(self, tmp_path,
+                                                                     monkeypatch):
+        (tmp_path / "a.bin").write_bytes(b"old")
+        replaced = []
+        replace = os.replace
+        monkeypatch.setattr(os, "replace",
+                            lambda src, dst: replaced.append(Path(dst).name) or replace(src, dst))
+        with all_or_nothing():
+            write_tensor(tmp_path / "b.bin", np.ones(2))
+            write_tensor(tmp_path / "a.bin", np.ones(3))
+            write_tensor(tmp_path / "b.bin", np.ones(4))
+            assert (tmp_path / "a.bin").read_bytes() == b"old"
+            assert not (tmp_path / "b.bin").exists()
+        assert replaced == ["b.bin", "a.bin"]
+        assert read_tensor(tmp_path / "a.bin").shape == (3,)
+        assert read_tensor(tmp_path / "b.bin").shape == (4,)  # the last bytes win
+        assert sorted(os.listdir(tmp_path)) == ["a.bin", "b.bin"]
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError, ValueError])
+    def test_exception_leaves_old_targets_and_no_made_directory(self, tmp_path, error):
+        # also a BaseException: the temporary files and the directories the
+        # block made go, and the directories that were there stay
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "a.json").write_text("old")
+        before = listing(tmp_path)
+        with pytest.raises(error):
+            with all_or_nothing():
+                write_json(make_directory(tmp_path / "kept") / "a.json", {"new": 1})
+                write_json(tmp_path / "kept" / "b.json", {"new": 2})
+                made = make_directory(tmp_path / "made" / "sub")
+                write_tensor(made / "x.bin", np.ones(2))
+                make_directory(tmp_path / "kept" / "inner")
+                raise error("injected")
+        assert listing(tmp_path) == before
+
+    def test_nested_block_commits_with_the_outermost(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_json(path, "old")
+        with all_or_nothing():
+            with all_or_nothing():
+                write_json(path, "new")
+            assert json.loads(path.read_text()) == "old"
+        assert json.loads(path.read_text()) == "new"
+        with pytest.raises(KeyboardInterrupt):
+            with all_or_nothing():
+                with all_or_nothing():
+                    write_json(path, "newer")
+                raise KeyboardInterrupt
+        assert json.loads(path.read_text()) == "new" and os.listdir(tmp_path) == ["a.json"]
+
+    def test_failed_write_caught_in_the_block_is_not_committed(self, tmp_path):
+        with all_or_nothing():
+            write_json(tmp_path / "a.json", 1)
+            with pytest.raises(RuntimeError):
+                with ucdl.io.atomic_write(tmp_path / "b.json") as fh:
+                    fh.write("half")
+                    raise RuntimeError
+        assert os.listdir(tmp_path) == ["a.json"]
+
+    def test_overlapping_writes_of_one_path(self, tmp_path):
+        # each write has a temporary file of its own; the last to finish wins
+        path = tmp_path / "a.txt"
+        with ucdl.io.atomic_write(path) as outer:
+            outer.write("outer")
+            with ucdl.io.atomic_write(path) as inner:
+                inner.write("inner")
+        assert path.read_text() == "outer" and os.listdir(tmp_path) == ["a.txt"]
+
+    def test_checkpoint_is_all_or_nothing(self, tmp_path):
+        # a manifest that cannot be replaced leaves the old kernels in place
+        save_params(tmp_path, 1)
+        (tmp_path / "checkpoint.json").unlink()
+        (tmp_path / "checkpoint.json").mkdir()
+        before = listing(tmp_path)
+        params = NetworkParams(init_network(CONFIG, rng_seed=7).filters, log_lam=2.0)
+        with pytest.raises(IsADirectoryError, match="checkpoint.json: "):
+            save_checkpoint(tmp_path, params, CONFIG)
+        assert listing(tmp_path) == before
 
 
 class TestMakeDirectory:

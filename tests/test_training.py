@@ -346,6 +346,28 @@ class TestTrainLoop:
         assert seen == [["kept", "made", "run"], ["kept"]]
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
 
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_epoch_keeps_the_epochs_before_it(self, tmp_path, failing):
+        # an epoch's checkpoint and losses.csv land together or not at all,
+        # and a failure at epoch k keeps epochs 0 to k-1 as a clean run of
+        # k-1 epochs writes them
+        data = tiny_dataset(2, seed=28)
+        clean, run = tmp_path / "clean", tmp_path / "run"
+        train(data, data, tiny_config(), epochs=failing - 1, seed=4, run_dir=clean)
+        blocked = run / "checkpoints" / f"epoch_{failing:03d}" / "checkpoint.json"
+        blocked.mkdir(parents=True)
+        with pytest.raises(IsADirectoryError, match=f"^{blocked}: "):
+            train(data, data, tiny_config(), epochs=failing, seed=4, run_dir=run)
+        assert sorted(p.name for p in blocked.parent.iterdir()) == ["checkpoint.json"]
+        assert (run / "losses.csv").read_bytes() == (clean / "losses.csv").read_bytes()
+        assert len((run / "losses.csv").read_text().splitlines()) == failing + 1
+        for epoch in range(failing):
+            name = f"epoch_{epoch:03d}"
+            for file in ("filters.bin", "checkpoint.json"):
+                assert ((run / "checkpoints" / name / file).read_bytes()
+                        == (clean / "checkpoints" / name / file).read_bytes())
+        assert not list(run.rglob(".*.tmp"))
+
     def test_oversized_kernels_rejected_before_any_forward(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(training, "forward_reconstruct", lambda *a, **k: calls.append(a))
