@@ -4,7 +4,8 @@ The forward pass records every intermediate needed to pull a loss gradient
 back through T outer iterations: the kernel constants once
 (csc.KernelSpectra), per outer iteration each ADMM sweep's varying part
 (csc.AdmmStepTrace: s_hat, the image c of its closed-form solve, the prox
-input and threshold), the dictionary approximation and the record of the
+input and threshold; the zero start's s_hat is not recorded, for its VJP
+re-forms it from c), the dictionary approximation and the record of the
 data-consistency solve: its solution alone if it converged (dc.CgSolution),
 else its start and the scalars of every CG iteration (dc.CgTrace).  No
 autodiff framework is used.  Each block's VJP sits beside its forward:

@@ -47,11 +47,11 @@ DFTs it runs elementwise passes over blocks of filters, all in one
 block-sized scratch array; d^T w^f is summed one filter at a time, in
 filter order, as sum(axis=0) does.  The forward's first sweep starts from
 zero codes (state None) and skips w, its transform and d^T w^f: c = x^f /
-(gamma + P) and s^f = +0 + conj(d) c; untraced, it inverts s^f in place and
-allocates only the s and v it returns.
-The solve and the soft threshold run the plain formulas' operations in the
-same order and return the same bits, except that a code entry the threshold
-zeroes keeps the sign of its input.  :class:`AdmmConfig` rejects weights
+(gamma + P) and s^f = +0 + conj(d) c, a function of c that it does not
+record, traced or not, so it inverts s^f in place and allocates only the s
+and v it returns; the VJP re-forms that s^f from c by the same operations.
+The solve and the prox run the plain formulas' operations in the same order
+and return the same bits.  :class:`AdmmConfig` rejects weights
 whose gamma or tau is not a finite number > 0, and reverses the two: its
 weights_backward gives the weights' shares of their cotangents.  The
 network trace records the forward's config, which the backward reads.
@@ -238,13 +238,12 @@ def _filter_blocks(maps_shape: tuple) -> list:
 
 def _prox_sum(v: np.ndarray, tau: float, clip: np.ndarray, out: np.ndarray) -> np.ndarray:
     """w = u + z = soft(v) - clip(v, -tau, tau) of the C-contiguous complex
-    block v, per float64 channel, into `out`, with clip(v) left in `clip`.
-    soft(v) = sign(v) max(|v| - tau, 0) is formed as v - clip(v) with v's
-    sign, so an entry shrunk to zero keeps the sign of its input."""
+    block v, per float64 channel, into `out`, with clip(v) left in `clip`:
+    (v - clip(v)) - clip(v).  The sign of a zero that soft(v) = v - clip(v)
+    shrinks to never reaches w, since there w = +-0 - v = -v."""
     v, clip, out = (a.view(np.float64) for a in (v, clip, out))
     np.clip(v, -tau, tau, out=clip)
     np.subtract(v, clip, out=out)
-    np.copysign(out, v, out=out)
     return np.subtract(out, clip, out=out)
 
 
@@ -265,9 +264,9 @@ def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarra
 @dataclass(frozen=True)
 class AdmmStepTrace:
     """What varies between the sweeps, kept to reverse one of them; an
-    untraced sweep's record holds only c and tau."""
+    untraced sweep's record holds only c and tau, and a zero start's no s_hat."""
 
-    s_hat: np.ndarray | None   # spectrum of the new s
+    s_hat: np.ndarray | None   # spectrum of the new s; None from zero codes
     c: np.ndarray              # s_hat = w_hat + conj(d) c, so d^T s_hat = x_hat - gamma c
     v: np.ndarray | None       # u-update input s_new - z_old, the next sweep's state
     tau: float
@@ -283,10 +282,10 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
     copy.  A traced sweep records its s_hat and new v in fresh arrays and
     leaves the old v as it was, for it is the previous sweep's record.  None
     stands for zero codes, from which the sweep returns the bits of a sweep
-    from zeros, in fresh arrays, without transforming them.  Without
-    `want_trace` the sweep records neither s_hat nor v, so it transforms w
-    in place and writes the new v into the old one's buffer; from zero codes
-    it inverts s_hat in place, and allocates only the s and v it returns.
+    from zeros without transforming them; traced or not, it records no s_hat
+    (+0 + conj(d) c), inverts it in place and allocates only the s and v it
+    returns.  Without `want_trace` the sweep records neither s_hat nor v, so
+    it transforms w in place and writes the new v into the old one's buffer.
     """
     d = spectra.d
     shape = d.shape[:1] + x_hat.shape
@@ -319,7 +318,7 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
             np.copyto(s[blk], s_hat[blk])
     del conj_c
     if state is None:
-        s = dft_inverse(s_hat, ndim=spectra.n_spatial, overwrite_x=not want_trace)
+        s, s_hat = dft_inverse(s_hat, ndim=spectra.n_spatial, overwrite_x=True), None
         # s - z_old with z_old = -clip(0) = -0.0, as from zero codes
         v = np.add(s, 0.0)
     else:
@@ -359,7 +358,8 @@ def admm_step_backward(step: AdmmStepTrace, v_in, spectra: KernelSpectra,
     and the sweep's spectra cotangents into d_bar, the (K, *spatial)
     accumulator of the backward.  It transforms v_bar one block of filters
     at a time in block scratch, so it allocates no K-map array but the one
-    it may return.
+    it may return; a zero start's record holds no s_hat, whose filter blocks
+    it re-forms from c in that scratch, by the sweep's own operations.
 
     The new v = s + clip(v_in) hands v_bar to s, whose spectrum gets
     s_hat_bar = V + conj(d) f with V = F(v_bar)/N.  The s-update s_hat =
@@ -384,7 +384,7 @@ def admm_step_backward(step: AdmmStepTrace, v_in, spectra: KernelSpectra,
     or None with v_in), and the gamma and tau pieces.
     """
     d, n_spatial, n_freq = spectra.d, spectra.n_spatial, spectra.n_freq
-    shape = step.s_hat.shape
+    shape = d.shape[:1] + step.c.shape
     if f is not None and f.shape != step.c.shape:
         raise ShapeMismatch(f"synthesis cotangent shape {f.shape}, "
                             f"expected the image shape {step.c.shape}")
@@ -423,8 +423,10 @@ def admm_step_backward(step: AdmmStepTrace, v_in, spectra: KernelSpectra,
         else:
             np.subtract(_conj_times(d[blk], conj_f, out=other), h, out=h)
         # d_bar += conj(s_hat) (f - rho) + conj(H) c, each as conj(a conj(b))
-        # conjugated once after the batch sum
-        for a, conj_b in ((step.s_hat[blk], conj_g), (h, conj_c)):
+        # conjugated once after the batch sum; a zero start's s_hat is re-formed
+        s_hat = step.s_hat[blk] if step.s_hat is not None else np.add(
+            0.0, _conj_times(d[blk], conj_c, out=other), out=other)
+        for a, conj_b in ((s_hat, conj_g), (h, conj_c)):
             piece = _sum_batch(np.multiply(a, conj_b, out=other), n_spatial)
             d_bar[blk] += np.conjugate(piece, out=piece)
         if v_in is None:

@@ -114,10 +114,11 @@ def _run_cg(x, r, operator, max_iterations: int, rtol: float, name: str, kept=No
         else:
             p = r.copy()
         q = operator(p)
-        if not np.all(np.isfinite(q)):
+        # a non-finite entry of q makes pi non-finite (0 inf is nan)
+        pi = real_inner(p, q)
+        if not np.isfinite(pi):
             raise NonFiniteValue(
                 f"non-finite operator output at {name} iteration {len(iterations)}")
-        pi = real_inner(p, q)
         it = CgIteration(rho=rho, pi=pi, alpha=rho / pi)
         iterations.append(it)
         if kept is not None:

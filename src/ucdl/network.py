@@ -29,8 +29,9 @@ the new v into the old one's buffer: such a forward holds the two K-map
 stacks s and v and little else.  A traced sweep records its new v, which
 is the state the next sweep reads, so a traced forward holds only s beside
 its trace.  The codes start at zero, which outer iteration 0 hands its
-first sweep as None, so that sweep does not transform them.  A traced
-forward records read-only arrays; its output image is its own.
+first sweep as None, so that sweep does not transform them, nor record its
+s_hat, which the backward re-forms from c.  A traced forward records
+read-only arrays; its output image is its own.
 
 A non-finite value stops the forward with an error naming the outer
 iteration and the CG step where it showed.  Sparse coding has no check of

@@ -159,9 +159,9 @@ def soft_threshold(values, tau):
     """Shrink real and imaginary channels toward zero by tau, clamping at zero.
 
     Runs over the interleaved float64 channels as v - clip(v, -tau, tau)
-    with v's sign, the package sweep's bits: an entry shrunk to zero keeps
-    the sign of its input, so a negative one reads -0.0.  tau must be a
-    finite number >= 0.
+    with v's sign: an entry shrunk to zero keeps the sign of its input, so a
+    negative one reads -0.0.  The sweep's w = u + z has the bits of this u
+    plus z.  tau must be a finite number >= 0.
     """
     tau_array = np.asarray(tau)
     if not (tau_array.dtype.kind in "biuf"
@@ -172,6 +172,18 @@ def soft_threshold(values, tau):
     channels = np.ascontiguousarray(values, dtype=dtype).view(np.float64)
     out = np.copysign(channels - np.clip(channels, -tau, tau), channels)
     return out.view(dtype).reshape(values.shape)
+
+
+def four_pass_prox_sum(v, tau):
+    """w = soft(v) - clip(v, -tau, tau) per float64 channel of a complex v,
+    in the four passes the sweep ran before it dropped the copysign: clip,
+    v - clip, the copysign that gives a zero of the shrink v's sign, and the
+    second subtraction of the clip.  Returns w in a fresh array."""
+    channels = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+    clip = np.clip(channels, -tau, tau)
+    out = np.subtract(channels, clip)
+    np.copysign(out, channels, out=out)
+    return np.subtract(out, clip).view(np.complex128).reshape(np.shape(v))
 
 
 def plain_soft_threshold(values, tau):
@@ -212,6 +224,16 @@ def admm_step_traced(x_hat, state, spectra, config):
     s = dft_inverse(s, ndim=n_spatial, overwrite_x=True)
     v = np.subtract(s, z)
     return CodeState(s=s, v=v), AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=config.threshold)
+
+
+def recorded_s_hat(step, d):
+    """The s_hat that the sweep record `step` stands for, with the (K,
+    *spatial) or broadcasting spectra d: its own, or for a zero start, whose
+    record holds none, +0 + conj(d) c as the sweep forms it, conj(d conj(c))
+    plus 0.0."""
+    if step.s_hat is not None:
+        return step.s_hat
+    return np.add(0.0, np.conjugate(np.multiply(_broadcast(d, step.c.ndim), np.conj(step.c))))
 
 
 def admm_step(x, state, filters, config):
@@ -297,7 +319,7 @@ def admm_step_backward(x_hat, step, spectra, gamma, s_bar, u_bar, z_bar):
     s_bar = s_bar + v_bar
     z_prev_bar -= v_bar
     x_bar, u_prev_bar, z_prev_add, d_bar, gamma_bar = s_update_backward(
-        x_hat, step.s_hat, spectra, gamma, s_bar)
+        x_hat, recorded_s_hat(step, spectra), spectra, gamma, s_bar)
     z_prev_bar += z_prev_add
     return x_bar, u_prev_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
 
@@ -333,13 +355,14 @@ def solution(record, operator):
 def recorded_arrays(trace):
     """(name, array) for every array a NetworkTrace records: the kernel
     constants, and per outer iteration its sweeps' records, its approximation
-    and its solve's record."""
+    and its solve's record.  A field a record leaves as None, the zero
+    start's s_hat, is not listed."""
     spectra = trace.spectra
     arrays = [("spectra.d", spectra.d), ("spectra.power", spectra.power)]
     for t, outer in enumerate(trace.outer):
         for j, step in enumerate(outer.admm):
             arrays += [(f"outer[{t}].admm[{j}].{name}", getattr(step, name))
-                       for name in ("s_hat", "c", "v")]
+                       for name in ("s_hat", "c", "v") if getattr(step, name) is not None]
         arrays.append((f"outer[{t}].approx", outer.approx))
         names = ("x",) if isinstance(outer.cg, CgSolution) else ("x0", "r0")
         arrays += [(f"outer[{t}].cg.{name}", getattr(outer.cg, name)) for name in names]
@@ -387,7 +410,8 @@ def backward(trace, d_image):
         x_hat = dft_forward(x, ndim=spectra.ndim - 1)
         rhs_bar, x_bar, lam_add = cg_backward(outer.cg, x_bar, operator)
         lam_bar += lam_add + real_inner(rhs_bar, outer.approx)
-        s_bar, d_add = synthesis_backward(outer.admm[-1].s_hat, spectra, lam * rhs_bar)
+        s_bar, d_add = synthesis_backward(recorded_s_hat(outer.admm[-1], spectra), spectra,
+                                          lam * rhs_bar)
         d_bar += d_add
         for step in reversed(outer.admm):
             x_add, u_bar, z_bar, d_add, gamma_add, tau_add = admm_step_backward(

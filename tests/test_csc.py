@@ -508,6 +508,22 @@ class TestAgainstPlainFormulas:
             assert same_bits(np.asarray(values), before)
             assert not np.shares_memory(got, values)
 
+    @pytest.mark.parametrize("tau", [5e-324, 0.05, 1.0, 1e300])
+    def test_prox_sum_matches_the_four_pass_form(self, tau):
+        # the copysign the sweep no longer runs never reached w: the same
+        # int64 bits on the kink and the floats next to it, signed zeros,
+        # subnormals, huge values and infinities, each in both channels
+        rng = np.random.default_rng(23)
+        edges = [0.0, -0.0, tau, -tau, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                 np.inf, -np.inf]
+        edges += [np.nextafter(t, toward) for t in (tau, -tau) for toward in (0.0, 2 * t)]
+        scaled = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-8, 8, 100_000)
+        channels = np.concatenate([edges, scaled, tau * rng.uniform(-2.0, 2.0, 1000)])
+        v = np.concatenate([channels, channels[::-1]]).view(np.complex128)
+        got = csc._prox_sum(v, tau, np.empty_like(v), np.empty_like(v))
+        want = oracles.four_pass_prox_sum(v, tau)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 # weights at which most channels pass the threshold over the sweeps below
 # (alpha = 0.05: 70-81 %), and at which none does (alpha = 50)
@@ -592,8 +608,10 @@ BLOCK_CASES = [
 BLOCK_IDS = ["K7_by3", "K1", "map_over_budget", "3d_K5_by2", "one_block", "own_budget"]
 
 
-def sweep_record(state, trace):
-    return [state.s, state.v, trace.s_hat, trace.c, trace.v]
+def sweep_record(state, trace, spectra):
+    """The sweep's state and record, with the s_hat a zero start's record
+    leaves out re-formed as the sweep formed it."""
+    return [state.s, state.v, oracles.recorded_s_hat(trace, spectra.d), trace.c, trace.v]
 
 
 class TestBlockedSweep:
@@ -632,7 +650,8 @@ class TestBlockedSweep:
         for _ in range(n_sweeps):
             state, trace = admm_step_traced(x_hat, state, spectra, cfg)
             want, want_trace = oracles.admm_step_traced(x_hat, want, spectra, cfg)
-            got, expected = sweep_record(state, trace), sweep_record(want, want_trace)
+            got, expected = (sweep_record(state, trace, spectra),
+                             sweep_record(want, want_trace, spectra))
             assert all(same_bits(a, b) for a, b in zip(got, expected))
             assert trace.tau == want_trace.tau
 
@@ -651,10 +670,11 @@ class TestBlockedSweep:
             state, trace = admm_step_traced(x_hat, state, spectra, cfg)
             zeros, zeros_trace = admm_step_traced(x_hat, zeros, spectra, cfg)
             want, want_trace = oracles.admm_step_traced(x_hat, want, spectra, cfg)
-            expected = sweep_record(want, want_trace)
-            assert all(same_bits(a, b) for a, b in zip(sweep_record(state, trace), expected))
-            assert all(same_bits(a, b) for a, b in zip(sweep_record(zeros, zeros_trace),
-                                                       expected))
+            expected = sweep_record(want, want_trace, spectra)
+            assert all(same_bits(a, b)
+                       for a, b in zip(sweep_record(state, trace, spectra), expected))
+            assert all(same_bits(a, b)
+                       for a, b in zip(sweep_record(zeros, zeros_trace, spectra), expected))
 
     def test_sweep_allocates_only_what_it_returns(self):
         # from a non-zero state the recorded s_hat and v are the only fresh
@@ -666,6 +686,27 @@ class TestBlockedSweep:
         k_map = 16 * n_filters * int(np.prod(image_shape))
         peak = oracles.traced_peak(lambda: admm_step_traced(x_hat, state, spectra, cfg))
         assert peak <= 2.5 * k_map, peak / k_map
+
+    @pytest.mark.parametrize("want_trace", [True, False], ids=["traced", "untraced"])
+    def test_zero_start_records_no_s_hat(self, want_trace):
+        # its s_hat = +0 + conj(d) c, which the VJP re-forms from the record's c
+        x, _, bank = self.inputs(5, (3, 3), (3, 8, 6))
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(*SWEEP_WEIGHTS[1])
+        state, record = admm_step_traced(x_hat, None, spectra, cfg, want_trace)
+        assert record.s_hat is None
+        assert record.v is state.v if want_trace else record.v is None
+
+    def test_traced_zero_start_allocates_only_what_it_returns(self):
+        # the s and v it returns, the recorded v being the returned one, and
+        # images and block scratch: no s_hat beside them
+        n_filters, image_shape = 64, (4, 32, 32)
+        x, _, bank = self.inputs(n_filters, (3, 3), image_shape)
+        x_hat, spectra = spectra_of(x, bank)
+        cfg = AdmmConfig(*SWEEP_WEIGHTS[1])
+        k_map = 16 * n_filters * int(np.prod(image_shape))
+        peak = oracles.traced_peak(lambda: admm_step_traced(x_hat, None, spectra, cfg))
+        assert peak <= 2.3 * k_map, peak / k_map
 
     @pytest.mark.parametrize("n_filters,kernel_shape,image_shape,budget", BLOCK_CASES,
                              ids=BLOCK_IDS)

@@ -238,7 +238,9 @@ class TestSweepBuffers:
         for outer, x in zip(trace.outer, oracles.outer_inputs(trace)):
             for step in outer.admm:
                 state, s_hat, c = oracles.admm_step(x, state, bank, admm)
-                assert step.s_hat.tobytes() == s_hat.tobytes()
+                # a zero start's record holds no s_hat: it is re-formed from c
+                recorded = oracles.recorded_s_hat(step, trace.spectra.d)
+                assert recorded.tobytes() == s_hat.tobytes()
                 assert step.c.tobytes() == c.tobytes()
                 assert step.v.tobytes() == state.v.tobytes()
             synth = oracles.synthesize(bank, state.s)
@@ -263,23 +265,25 @@ class TestIterationLifetime:
     def run(self, monkeypatch, want_trace):
         """A 3-outer-iteration forward with J = 2 on a mask where every
         solve converges.  Returns the result, per iteration t+1 >= 1 how
-        many of iteration t's arrays were still alive at its first sweep,
-        and each solve's image."""
+        many of the arrays iteration t's sweeps recorded were still alive at
+        its first sweep, of how many, and each solve's image."""
         rng = np.random.default_rng(4)
         _, sample = measured_instance(rng)
         cfg = NetworkConfig(mode="3d", n_filters=2, kernel_size=3, n_outer=3,
                             n_admm=2, n_cg=4)
         sweep_refs, cg_refs, alive, solutions = [], [], [], []
         admm_step, solve = network.admm_step_traced, network.cg_solve
+        n_sweeps = iter(range(cfg.n_outer * cfg.n_admm))
 
         def watched_step(*args):
-            if len(sweep_refs) % cfg.n_admm == 0 and cg_refs:
+            if next(n_sweeps) % cfg.n_admm == 0 and cg_refs:
                 alive.append({"sweep": sum(r() is not None for r in sweep_refs),
+                              "recorded": len(sweep_refs),
                               "cg": sum(r() is not None for r in cg_refs)})
                 sweep_refs.clear()
                 cg_refs.clear()
             state, step = admm_step(*args)
-            # an untraced record holds neither s_hat nor v
+            # an untraced record holds neither s_hat nor v, a zero start's no s_hat
             sweep_refs.extend(weakref.ref(a) for a in (step.s_hat, step.c, step.v)
                               if a is not None)
             return state, step
@@ -299,12 +303,14 @@ class TestIterationLifetime:
 
     def test_untraced_keeps_nothing(self, monkeypatch):
         _, alive, _ = self.run(monkeypatch, want_trace=False)
-        assert alive == [{"sweep": 0, "cg": 0}] * 2
+        # each sweep recorded its c alone
+        assert alive == [{"sweep": 0, "recorded": 2, "cg": 0}] * 2
 
     def test_traced_keeps_only_the_solution(self, monkeypatch):
         result, alive, solutions = self.run(monkeypatch, want_trace=True)
-        # the record keeps both sweeps' three arrays
-        assert alive == [{"sweep": 6, "cg": 0}] * 2
+        # the record keeps every array both sweeps recorded: c and v of
+        # iteration 0's zero start, s_hat, c and v of every other sweep
+        assert alive == [{"sweep": n, "recorded": n, "cg": 0} for n in (5, 6)]
         assert all(isinstance(o.cg, dc.CgSolution) for o in result.trace.outer)
         assert all(o.cg.x is x for o, x in zip(result.trace.outer, solutions))
 
@@ -379,11 +385,11 @@ class TestForwardMemory:
 
     n_filters = 32
 
-    def instance(self, n_admm):
+    def instance(self, n_admm, n_outer=3):
         rng = np.random.default_rng(93)
         _, sample = measured_instance(rng, shape=(16, 16, 8), accel=1.5, sigma=0.01)
-        cfg = NetworkConfig(mode="3d", n_filters=self.n_filters, kernel_size=3, n_outer=3,
-                            n_admm=n_admm, n_cg=6)
+        cfg = NetworkConfig(mode="3d", n_filters=self.n_filters, kernel_size=3,
+                            n_outer=n_outer, n_admm=n_admm, n_cg=6)
         kmap = self.n_filters * np.prod(sample.image_shape) * np.dtype(np.complex128).itemsize
         return sample, cfg, init_network(cfg, rng_seed=0), kmap
 
@@ -396,6 +402,15 @@ class TestForwardMemory:
         peak = oracles.traced_peak(lambda: forward_reconstruct(sample, params, cfg,
                                                                want_trace=True))
         assert peak - trace_bytes <= 2.5 * kmap
+
+    def test_trace_size(self):
+        # T = 4, J = 1: d, each sweep's v and every s_hat but the zero
+        # start's, which its VJP re-forms from c (8 K-maps), and c, approx
+        # and x of each outer iteration, 1/32 K-map each (8.39 in all)
+        sample, cfg, params, kmap = self.instance(1, n_outer=4)
+        trace = forward_reconstruct(sample, params, cfg, want_trace=True).trace
+        size = sum(a.nbytes for _, a in oracles.recorded_arrays(trace))
+        assert size <= 8.5 * kmap, size / kmap
 
     def test_untraced_peak(self):
         sample, cfg, params, kmap = self.instance(1)
