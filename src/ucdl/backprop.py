@@ -3,17 +3,19 @@
 The forward pass records every intermediate needed to pull a loss gradient
 back through T outer iterations: the kernel constants once
 (csc.KernelSpectra), per outer iteration each ADMM sweep's varying part
-(csc.AdmmStepTrace: s_hat, the image c of its closed-form solve, the prox
-input and threshold; the zero start's s_hat is not recorded, for its VJP
-re-forms it from c), the dictionary approximation and the record of the
-data-consistency solve: its solution alone if it converged (dc.CgSolution),
-else its start and the scalars of every CG iteration (dc.CgTrace).  No
-autodiff framework is used.  Each block's VJP sits beside its forward:
-the sweep, synthesis, kernel-spectra and weight VJPs in :mod:`ucdl.csc`, the
-CG VJP in :mod:`ucdl.dc`, which reverses a converged solve implicitly by the
-last rule below (one adjoint CG solve, and no cotangent reaches the warm
-start) and replays any other, then reverses it step by step.  This module holds the convention they
-share and :func:`backward`, which chains them through the network trace.
+(csc.AdmmStepTrace: the image c of its closed-form solve, the prox input
+and threshold; the code spectrum s_hat is not recorded, for the sweep's VJP
+re-forms it from c and the sweep's input v, the previous sweep's record,
+or for the zero start from c alone), the dictionary approximation and the
+record of the data-consistency solve: its solution alone if it converged
+(dc.CgSolution), else its start and the scalars of every CG iteration
+(dc.CgTrace).  No autodiff framework is used.  Each block's VJP sits
+beside its forward: the sweep, synthesis, kernel-spectra and weight VJPs in
+:mod:`ucdl.csc`, the CG VJP in :mod:`ucdl.dc`, which reverses a converged
+solve implicitly by the last rule below (one adjoint CG solve, and no
+cotangent reaches the warm start) and replays any other, then reverses it
+step by step.  This module holds the convention they share and
+:func:`backward`, which chains them through the network trace.
 
 Cotangent convention for a complex quantity w: w_bar = dL/dRe(w) + i dL/dIm(w).
 Under this convention the vector-Jacobian rules of the VJPs are
@@ -46,9 +48,10 @@ takes from f the cotangent conj(d) f of s_hat (the second F^{-1} rule) and
 the synthesis's kernel share conj(s_hat) f.  The state between sweeps is
 the prox input v alone (:mod:`ucdl.csc`), so one K-map cotangent v_bar runs
 back through the sweeps, across outer iterations too: each sweep's VJP
-takes the cotangent of its new v and the previous sweep's recorded v, and
-returns the cotangent of that v.  Each sweep transforms v_bar forward one
-filter block at a time and one K-map back.  Cotangents that reach no
+takes the cotangent of its new v and the previous sweep's recorded v, from
+which it re-forms its s_hat, and returns the cotangent of that v.  Each
+sweep transforms v_bar and the re-formed s_hat forward one filter block at
+a time and one K-map back.  Cotangents that reach no
 parameter are not computed: nothing reads the last sweep's v, so its VJP
 is handed none, and outer iteration 0 starts from x = A^H y and zero
 codes, so it computes no cotangent of x (neither CG's warm start nor the

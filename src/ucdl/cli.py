@@ -16,7 +16,7 @@ import numpy as np
 from .data import PhantomSpec, load_dataset, save_dataset, synth_dataset
 from .errors import NonFiniteValue, UcdlError
 from .io import (all_or_nothing, atomic_write, make_directory, quantize_window, read_manifest,
-                 read_tensor, write_pgm, write_tensor)
+                 read_tensor, reserve, write_pgm, write_tensor)
 from .metrics import append_report_csv, compute_report
 from .network import (
     NetworkConfig,
@@ -211,16 +211,20 @@ def cmd_train(args) -> int:
 def cmd_reconstruct(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     sample = load_kspace_sample(args.sample)
-    result = forward_reconstruct(sample, params, config)
-    if not np.isfinite(result.image).all():
-        raise NonFiniteValue("reconstruction produced non-finite values")
-    # the previews first and --out last, which wins where a path is both
+    previews = ([f"{args.pgm}_t{t:02d}.pgm" for t in range(sample.image_shape[2])]
+                if args.pgm else [])
+    # every output is opened before the forward; the previews are written
+    # first and --out last, which wins where a path is both
     with all_or_nothing():
-        if args.pgm:
-            magnitude = np.abs(result.image)
-            hi = float(magnitude.max()) or 1.0
-            for t in range(magnitude.shape[2]):
-                write_pgm(f"{args.pgm}_t{t:02d}.pgm", quantize_window(magnitude[:, :, t], 0.0, hi))
+        for path in previews + [args.out]:
+            reserve(path)
+        result = forward_reconstruct(sample, params, config)
+        if not np.isfinite(result.image).all():
+            raise NonFiniteValue("reconstruction produced non-finite values")
+        magnitude = np.abs(result.image)
+        hi = float(magnitude.max()) or 1.0
+        for t, path in enumerate(previews):
+            write_pgm(path, quantize_window(magnitude[:, :, t], 0.0, hi))
         write_tensor(args.out, result.image)
     print(f"wrote reconstruction to {args.out}")
     return 0
@@ -285,18 +289,23 @@ def cmd_export_filters(args) -> int:
 def cmd_export_feature_maps(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     sample = load_kspace_sample(args.sample)
-    result = forward_reconstruct(sample, params, config)
-    # (K, N_t, N_x, N_y) codes to the (K, N_x, N_y, N_t) file layout
-    maps = np.moveaxis(result.code_state.s, 1, -1)
-    sigma = float(np.std(np.abs(maps))) or 1.0
-    lo, hi = -FEATURE_WINDOW_SIGMAS * sigma, FEATURE_WINDOW_SIGMAS * sigma
-    central = maps.shape[3] // 2
+    # every output is opened before the forward
     with all_or_nothing():
         out = make_directory(args.out)
-        for k in range(maps.shape[0]):
-            write_tensor(out / f"feature_{k:02d}.bin", maps[k])
-            frame = np.abs(maps[k, :, :, central])
-            write_pgm(out / f"feature_{k:02d}.pgm", quantize_window(frame, lo, hi))
+        names = [out / f"feature_{k:02d}" for k in range(params.filters.count)]
+        for name in names:
+            reserve(name.with_suffix(".bin"))
+            reserve(name.with_suffix(".pgm"))
+        result = forward_reconstruct(sample, params, config)
+        # (K, N_t, N_x, N_y) codes to the (K, N_x, N_y, N_t) file layout
+        maps = np.moveaxis(result.code_state.s, 1, -1)
+        sigma = float(np.std(np.abs(maps))) or 1.0
+        lo, hi = -FEATURE_WINDOW_SIGMAS * sigma, FEATURE_WINDOW_SIGMAS * sigma
+        central = maps.shape[3] // 2
+        for name, feature in zip(names, maps):
+            write_tensor(name.with_suffix(".bin"), feature)
+            frame = np.abs(feature[:, :, central])
+            write_pgm(name.with_suffix(".pgm"), quantize_window(frame, lo, hi))
     print(f"wrote {maps.shape[0]} feature maps to {out}")
     return 0
 

@@ -34,42 +34,46 @@ function, :func:`admm_step_traced`, as its VJP is :func:`admm_step_backward`.
 A forward builds the kernel constants once (:class:`KernelSpectra`) and hands
 them, with the image spectrum x^f that the J sweeps of an outer iteration
 share, to every sweep.  A sweep records only what varies
-(:class:`AdmmStepTrace`): s^f, the image c, and its new v and the
-threshold.  Since d^T s^f = x^f - gamma c, the network's synthesis is the
-inverse DFT of that image and needs no K-map product.  A sweep works in v
-and one K-map of its input state: it forms w from v in s's buffer, then
-s^f and the new s there, and the new v block by block, so a traced sweep's
-only fresh K-map arrays are the recorded s^f and v, and it leaves the old
-v, the previous sweep's record, as it was.  An untraced sweep records only
-c and tau: it transforms w in place and writes the new v into the old
+(:class:`AdmmStepTrace`): the image c, its new v and the threshold.  Since
+d^T s^f = x^f - gamma c, the network's synthesis is the inverse DFT of that
+image and needs no K-map product.  No sweep records s^f = F(soft(v_in) -
+clip(v_in)) + conj(d) c either: it is a function of c and the sweep's input
+v_in, the previous sweep's record, and the VJP re-forms it by the same
+operations (recomputation for memory, as in Chen et al., arXiv:1604.06174).
+A sweep works in v and one K-map of its input state: it forms w from v in
+s's buffer, transforms it there and forms s^f and the new s there, and it
+leaves clip(v_in), block by block, where the new v = s + clip(v_in) is
+formed.  A traced sweep forms that v in a fresh array, the only K-map array
+it allocates, and leaves the old v, the previous sweep's record, as it was;
+an untraced sweep records only c and tau and forms the new v in the old
 one's buffer, so it allocates no K-map array.  Between its two whole-array
 DFTs it runs elementwise passes over blocks of filters, all in one
 block-sized scratch array; d^T w^f is summed one filter at a time, in
 filter order, as sum(axis=0) does.  The forward's first sweep starts from
 zero codes (state None) and skips w, its transform and d^T w^f: c = x^f /
-(gamma + P) and s^f = +0 + conj(d) c, a function of c that it does not
-record, traced or not, so it inverts s^f in place and allocates only the s
-and v it returns; the VJP re-forms that s^f from c by the same operations.
-The solve and the prox run the plain formulas' operations in the same order
-and return the same bits.  :class:`AdmmConfig` rejects weights
-whose gamma or tau is not a finite number > 0, and reverses the two: its
-weights_backward gives the weights' shares of their cotangents.  The
-network trace records the forward's config, which the backward reads.
+(gamma + P) and s^f = +0 + conj(d) c, which it inverts in place, so it
+allocates only the s and v it returns.  The solve and the prox run the
+plain formulas' operations in the same order and return the same bits.
+:class:`AdmmConfig` rejects weights whose gamma or tau is not a finite
+number > 0, and reverses the two: its weights_backward gives the weights'
+shares of their cotangents.  The network trace records the forward's
+config, which the backward reads.
 
 Each block's vector-Jacobian product sits beside it, in the cotangent
 convention of :mod:`ucdl.backprop`, and reads the same two records; the
 sweep's VJP takes the cotangent of its new v and returns that of its input
-v, the previous sweep's record, on whose float64 channels it reverses the
-prox.  The synthesis VJP only turns its cotangent into the image f =
-F(approx_bar)/N, and the VJP of the sweep whose s is synthesized runs every
-K-map pass over its record and takes from f both the code cotangent
-conj(d) f and the synthesis's kernel share conj(s^f) f.  It transforms the
-cotangent of the new v one block of filters at a time in block scratch,
-and by linearity inverts only conj(d) (f - rho), so beyond its inputs it
-allocates only the cotangent it returns when it is handed none, two
-block-sized scratch arrays and images, and it adds the kernel cotangents
-into the caller's accumulator one filter block at a time; its sums run in
-filter order whatever the block size.
+v, the previous sweep's record, from which it re-forms s^f one filter block
+at a time and on whose float64 channels it reverses the prox.  The
+synthesis VJP only turns its cotangent into the image f = F(approx_bar)/N,
+and the VJP of the sweep whose s is synthesized runs every K-map pass over
+its record and takes from f both the code cotangent conj(d) f and the
+synthesis's kernel share conj(s^f) f.  It transforms the cotangent of the
+new v one block of filters at a time in block scratch, and by linearity
+inverts only conj(d) (f - rho), so beyond its inputs it allocates only the
+cotangent it returns when it is handed none, two block-sized scratch arrays
+and images, and it adds the kernel cotangents into the caller's
+accumulator one filter block at a time; its sums run in filter order
+whatever the block size.
 """
 
 from __future__ import annotations
@@ -264,9 +268,10 @@ def dictionary_synthesis(spectra: KernelSpectra, s_hat: np.ndarray) -> np.ndarra
 @dataclass(frozen=True)
 class AdmmStepTrace:
     """What varies between the sweeps, kept to reverse one of them; an
-    untraced sweep's record holds only c and tau, and a zero start's no s_hat."""
+    untraced sweep's record holds only c and tau.  The spectrum s_hat of
+    the new s is not kept: the VJP re-forms it from c and the sweep's input
+    v, the previous sweep's record, by the sweep's own operations."""
 
-    s_hat: np.ndarray | None   # spectrum of the new s; None from zero codes
     c: np.ndarray              # s_hat = w_hat + conj(d) c, so d^T s_hat = x_hat - gamma c
     v: np.ndarray | None       # u-update input s_new - z_old, the next sweep's state
     tau: float
@@ -278,14 +283,14 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
     state and its record; the module docstring gives its formulas and order.
 
     The sweep consumes `state`: w = u + z is formed from v in s's buffer and
-    the new s there, so a caller that reads `state.s` afterwards hands over a
-    copy.  A traced sweep records its s_hat and new v in fresh arrays and
-    leaves the old v as it was, for it is the previous sweep's record.  None
-    stands for zero codes, from which the sweep returns the bits of a sweep
-    from zeros without transforming them; traced or not, it records no s_hat
-    (+0 + conj(d) c), inverts it in place and allocates only the s and v it
-    returns.  Without `want_trace` the sweep records neither s_hat nor v, so
-    it transforms w in place and writes the new v into the old one's buffer.
+    transformed there, and the new s is formed there too, so a caller that
+    reads `state.s` afterwards hands over a copy.  No sweep records s_hat.
+    A traced sweep records its new v in a fresh array, the only K-map array
+    it allocates, and leaves the old v as it was, for it is the previous
+    sweep's record; without `want_trace` the new v is written into the old
+    one's buffer and not recorded.  None stands for zero codes, from which
+    the sweep returns the bits of a sweep from zeros without transforming
+    them, and allocates only the s and v it returns.
     """
     d = spectra.d
     shape = d.shape[:1] + x_hat.shape
@@ -300,10 +305,15 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
         s_hat = np.empty(shape, dtype=np.complex128)
         c = np.divide(x_hat, config.gamma + spectra.power)
     else:
+        # clip(v_old) is left where the new v is formed: in the recorded v,
+        # or in the old v's own buffer once w is formed from it
         s, v_old = state.s, state.v
+        v = np.empty_like(v_old) if want_trace else v_old
         for blk, scratch in blocks:
-            _prox_sum(v_old[blk], tau, scratch, s[blk])
-        s_hat = dft_forward(s, ndim=spectra.n_spatial, overwrite_x=not want_trace)
+            _prox_sum(v_old[blk], tau, v[blk] if want_trace else scratch, s[blk])
+            if not want_trace:
+                np.copyto(v[blk], scratch)
+        s_hat = dft_forward(s, ndim=spectra.n_spatial, overwrite_x=True)
         c = np.zeros_like(x_hat)
         for blk, scratch in blocks:
             for product in np.multiply(d[blk], s_hat[blk], out=scratch):
@@ -314,22 +324,15 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
     for blk, scratch in blocks:
         part = _conj_times(d[blk], conj_c, out=scratch)
         np.add(0.0 if state is None else s_hat[blk], part, out=s_hat[blk])
-        if state is not None and want_trace:
-            np.copyto(s[blk], s_hat[blk])
     del conj_c
+    s = dft_inverse(s_hat, ndim=spectra.n_spatial, overwrite_x=True)
     if state is None:
-        s, s_hat = dft_inverse(s_hat, ndim=spectra.n_spatial, overwrite_x=True), None
         # s - z_old with z_old = -clip(0) = -0.0, as from zero codes
         v = np.add(s, 0.0)
     else:
-        s = dft_inverse(s if want_trace else s_hat, ndim=spectra.n_spatial, overwrite_x=True)
-        # the new v = s - z_old = s + clip(v_old), block by block
-        v = np.empty_like(s) if want_trace else v_old
-        for blk, scratch in blocks:
-            np.clip(v_old[blk].view(np.float64), -tau, tau, out=scratch.view(np.float64))
-            np.add(s[blk], scratch, out=v[blk])
-    return CodeState(s=s, v=v), AdmmStepTrace(s_hat=s_hat if want_trace else None, c=c,
-                                              v=v if want_trace else None, tau=tau)
+        # the new v = s - z_old = s + clip(v_old), in place of the clip
+        np.add(s, v, out=v)
+    return CodeState(s=s, v=v), AdmmStepTrace(c=c, v=v if want_trace else None, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +361,18 @@ def admm_step_backward(step: AdmmStepTrace, v_in, spectra: KernelSpectra,
     and the sweep's spectra cotangents into d_bar, the (K, *spatial)
     accumulator of the backward.  It transforms v_bar one block of filters
     at a time in block scratch, so it allocates no K-map array but the one
-    it may return; a zero start's record holds no s_hat, whose filter blocks
-    it re-forms from c in that scratch, by the sweep's own operations.
+    it may return.  No record holds s_hat: the VJP re-forms each filter
+    block of it in that scratch by the sweep's own operations, the prox sum
+    of v_in's block, its forward DFT and + conj(d) c (from zero codes,
+    +0 + conj(d) c), before it forms H, and so pays one forward DFT of a
+    K-map per sweep with an input v.
 
     The new v = s + clip(v_in) hands v_bar to s, whose spectrum gets
     s_hat_bar = V + conj(d) f with V = F(v_bar)/N.  The s-update s_hat =
     w_hat + conj(d) c, c = (x_hat - d^T w_hat) / (gamma + P), is reversed in
-    closed form from the recorded s_hat and c.  With rho = d^T s_hat_bar /
-    (gamma + P) and H = conj(d) f - conj(d) rho, the cotangents are
+    closed form from the re-formed s_hat and the recorded c.  With rho =
+    d^T s_hat_bar / (gamma + P) and H = conj(d) f - conj(d) rho, the
+    cotangents are
 
         x_hat_bar = rho,  w_hat_bar = s_hat_bar - conj(d) rho = V + H,
         d_bar = conj(s_hat) f + conj(w_hat_bar) c - conj(s_hat) rho
@@ -417,18 +424,25 @@ def admm_step_backward(step: AdmmStepTrace, v_in, spectra: KernelSpectra,
     if v_in is not None:
         v_in_bar = np.zeros(shape, dtype=np.complex128) if v_bar is None else v_bar
     for (blk, h), (_, other) in blocks:
+        # s_hat = w_hat + conj(d) c re-formed in `other` by the sweep's own
+        # operations, with h as the clip's scratch; zero codes' w_hat is +0
+        if v_in is None:
+            s_hat = np.add(0.0, _conj_times(d[blk], conj_c, out=other), out=other)
+        else:
+            _prox_sum(v_in[blk], step.tau, h, other)
+            s_hat = dft_forward(other, ndim=n_spatial, overwrite_x=True)
+            np.add(s_hat, _conj_times(d[blk], conj_c, out=h), out=s_hat)
+        # d_bar += conj(s_hat) (f - rho) + conj(H) c, each as conj(a conj(b))
+        # conjugated once after the batch sum
+        piece = _sum_batch(np.multiply(s_hat, conj_g, out=s_hat), n_spatial)
+        d_bar[blk] += np.conjugate(piece, out=piece)
         _conj_times(d[blk], conj_rho, out=h)
         if f is None:
             np.negative(h, out=h)
         else:
             np.subtract(_conj_times(d[blk], conj_f, out=other), h, out=h)
-        # d_bar += conj(s_hat) (f - rho) + conj(H) c, each as conj(a conj(b))
-        # conjugated once after the batch sum; a zero start's s_hat is re-formed
-        s_hat = step.s_hat[blk] if step.s_hat is not None else np.add(
-            0.0, _conj_times(d[blk], conj_c, out=other), out=other)
-        for a, conj_b in ((s_hat, conj_g), (h, conj_c)):
-            piece = _sum_batch(np.multiply(a, conj_b, out=other), n_spatial)
-            d_bar[blk] += np.conjugate(piece, out=piece)
+        piece = _sum_batch(np.multiply(h, conj_c, out=other), n_spatial)
+        d_bar[blk] += np.conjugate(piece, out=piece)
         if v_in is None:
             continue
         q = dft_inverse(h, ndim=n_spatial, overwrite_x=True)

@@ -4,7 +4,8 @@ Tensor files carry a little-endian header ``magic "UCDL" | version u32 |
 ndim u32 | dims u64 x ndim | dtype tag u32`` followed by the raw row-major
 interleaved re/im float64 payload.  Only complex128 (tag 1) is defined.
 Every output file is written by `atomic_write` and every output directory
-made by `make_directory`; `all_or_nothing` lands a set of them together.
+made by `make_directory`; `all_or_nothing` lands a set of them together, and
+`reserve` opens a file's temporary before the block computes what goes in it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ class TensorFormatError(ValueError):
     """The file is not a valid tensor file of a supported version."""
 
 
-# the open block ({target: its last temporary}, all temporaries, directories made)
-_block: tuple[dict, list, list] | None = None
+# the open block ({target: its last temporary}, all temporaries, directories
+# made, {target: the temporary reserved for its next write})
+_block: tuple[dict, set, list, dict] | None = None
 _serial = itertools.count()  # tells apart temporary files of one path
 
 
@@ -47,7 +49,7 @@ def all_or_nothing():
     if _block is not None:
         yield
         return
-    _block = targets, temps, made = {}, [], []
+    _block = targets, temps, made, _ = {}, set(), [], {}
     try:
         yield
         for path, tmp in targets.items():
@@ -74,18 +76,40 @@ def atomic_write(path: str | Path, mode: str = "w"):
     `<path>: <reason>`, naming `path` and not the temporary file."""
     path = Path(path)
     with all_or_nothing():
-        targets, temps, _ = _block
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_serial)}.tmp")
-        try:
-            if path.is_dir():  # which os.replace would reject after the block
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fh = open(tmp, mode)
-        except OSError as err:  # a missing directory, one that cannot be written
-            raise _named(path, err) from err
-        temps.append(tmp)
+        tmp, fh = _open_temporary(path, mode)
         with fh:
             yield fh
-        targets[path] = tmp  # once its block ran cleanly; a rewrite keeps the first place
+        _block[0][path] = tmp  # once its block ran cleanly; a rewrite keeps the first place
+
+
+def reserve(path: str | Path) -> None:
+    """Open now, in the open `all_or_nothing` block, the temporary file that
+    the next `atomic_write` of `path` in the block writes, so that an output
+    that cannot be written fails as `atomic_write` would, before the block
+    computes what goes in it.  A reserved file left unwritten is removed with
+    the block's other temporaries."""
+    if _block is None:
+        raise RuntimeError("reserve needs an open all_or_nothing block")
+    path = Path(path)
+    tmp, fh = _open_temporary(path, "wb")
+    fh.close()
+    _block[3][path] = tmp
+
+
+def _open_temporary(path: Path, mode: str):
+    """(temporary, open file) for a write of `path` in the open block: the
+    temporary `reserve` made for it, else a new one beside it."""
+    _, temps, _, reserved = _block
+    tmp = reserved.pop(path, None) or path.with_name(
+        f".{path.name}.{os.getpid()}.{next(_serial)}.tmp")
+    try:
+        if path.is_dir():  # which os.replace would reject after the block
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = open(tmp, mode)
+    except OSError as err:  # a missing directory, one that cannot be written
+        raise _named(path, err) from err
+    temps.add(tmp)
+    return tmp, fh
 
 
 def make_directory(path: str | Path) -> Path:

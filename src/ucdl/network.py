@@ -21,17 +21,18 @@ and files; a 3D bank runs as (K, k_t, k_x, k_y).
 
 The code state a sweep hands the next is the prox input v of its u-update,
 from which the next sweep forms u and the scaled dual z, beside the codes s
-(:func:`ucdl.csc.admm_step_traced`).  Each sweep forms w and the new s in
-the buffer of the s it replaces, so a forward holds one code state at a
-time beside what the sweeps record.  An untraced forward hands its
-want_trace down to the sweeps, which then record no K-map array and write
-the new v into the old one's buffer: such a forward holds the two K-map
-stacks s and v and little else.  A traced sweep records its new v, which
-is the state the next sweep reads, so a traced forward holds only s beside
-its trace.  The codes start at zero, which outer iteration 0 hands its
-first sweep as None, so that sweep does not transform them, nor record its
-s_hat, which the backward re-forms from c.  A traced forward records
-read-only arrays; its output image is its own.
+(:func:`ucdl.csc.admm_step_traced`).  Each sweep forms w, its spectrum and
+the new s in the buffer of the s it replaces, so a forward holds one code
+state at a time beside what the sweeps record.  An untraced forward hands
+its want_trace down to the sweeps, which then record no K-map array and
+write the new v into the old one's buffer: such a forward holds the two
+K-map stacks s and v and little else.  A traced sweep records its new v,
+which is the state the next sweep reads, and no code spectrum, which the
+backward re-forms from the sweep's c and input v, so a traced forward holds
+only s beside its trace, and its trace one K-map stack per sweep beside the
+kernel spectra.  The codes start at zero, which outer iteration 0 hands its
+first sweep as None, so that sweep does not transform them.  A traced
+forward records read-only arrays; its output image is its own.
 
 A non-finite value stops the forward with an error naming the outer
 iteration and the CG step where it showed.  Sparse coding has no check of
@@ -190,7 +191,7 @@ def check_kernels_fit(config: NetworkConfig, image_shape: tuple) -> None:
 class OuterTrace:
     """Intermediates of one outer iteration."""
 
-    admm: tuple          # J AdmmStepTrace entries; the last one's s_hat and c are synthesized
+    admm: tuple          # J AdmmStepTrace entries; the last one's c is synthesized
     approx: np.ndarray   # frames-first dictionary approximation
     cg: CgSolution | CgTrace   # the solution of a converged solve, else its iterations
 

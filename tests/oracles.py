@@ -5,15 +5,15 @@ here exist only so the tests can check those blocks against them.
 """
 
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ucdl import csc
 from ucdl.backprop import GradientSet
-from ucdl.csc import (AdmmConfig, AdmmStepTrace, CodeState, FilterBank, filter_spectra,
-                      kernel_spectra, spectra_to_kernel_grad)
+from ucdl.csc import (AdmmConfig, AdmmStepTrace, CodeState, FilterBank, KernelSpectra,
+                      filter_spectra, kernel_spectra, spectra_to_kernel_grad)
 from ucdl.dc import CgSolution, NormalOperator, cg_backward
 from ucdl.errors import ShapeMismatch
 from ucdl.operators import adjoint_apply
@@ -211,7 +211,8 @@ def admm_step_traced(x_hat, state, spectra, config):
     its elementwise passes went over blocks of filters: the reference whose
     state and record the blocked sweep must match bit for bit.  It consumes
     `state` as the package's sweep does: the new s is written into s's
-    buffer, and v is left as it was."""
+    buffer, and v is left as it was.  Returns the new state, the record and
+    the s_hat the record stands for."""
     d, n_spatial, gamma = spectra.d, spectra.n_spatial, config.gamma
     u, z = prox_parts(state.v, config.threshold)
     s_hat = dft_forward(u + z, ndim=n_spatial)
@@ -223,17 +224,24 @@ def admm_step_traced(x_hat, state, spectra, config):
     np.copyto(s, s_hat)
     s = dft_inverse(s, ndim=n_spatial, overwrite_x=True)
     v = np.subtract(s, z)
-    return CodeState(s=s, v=v), AdmmStepTrace(s_hat=s_hat, c=c, v=v, tau=config.threshold)
+    return CodeState(s=s, v=v), AdmmStepTrace(c=c, v=v, tau=config.threshold), s_hat
 
 
-def recorded_s_hat(step, d):
-    """The s_hat that the sweep record `step` stands for, with the (K,
-    *spatial) or broadcasting spectra d: its own, or for a zero start, whose
-    record holds none, +0 + conj(d) c as the sweep forms it, conj(d conj(c))
-    plus 0.0."""
-    if step.s_hat is not None:
-        return step.s_hat
-    return np.add(0.0, np.conjugate(np.multiply(_broadcast(d, step.c.ndim), np.conj(step.c))))
+def recorded_s_hat(step, v_in, spectra):
+    """The s_hat that the sweep record `step` stands for, re-formed from its
+    c and the sweep's input v `v_in` as the sweep forms it, with whole-array
+    passes: F(u + z) of u and z from v_in (:func:`prox_parts`), or +0 for
+    zero codes (v_in None), plus conj(d) c as conj(d conj(c)).  `spectra` is
+    a KernelSpectra or the (K, *spatial) kernel spectra."""
+    if isinstance(spectra, KernelSpectra):
+        d, n_spatial = spectra.d, spectra.n_spatial
+    else:
+        d, n_spatial = _broadcast(spectra, step.c.ndim), spectra.ndim - 1
+    conj_d_c = np.conjugate(np.multiply(d, np.conj(step.c)))
+    if v_in is None:
+        return np.add(0.0, conj_d_c)
+    u, z = prox_parts(v_in, step.tau)
+    return np.add(dft_forward(u + z, ndim=n_spatial), conj_d_c)
 
 
 def admm_step(x, state, filters, config):
@@ -310,8 +318,9 @@ def s_update_backward(x_hat, s_hat, spectra, gamma, s_bar):
     return x_bar, w_bar.copy(), w_bar, d_bar, gamma_bar
 
 
-def admm_step_backward(x_hat, step, spectra, gamma, s_bar, u_bar, z_bar):
-    """VJP of one sweep from spatial cotangents of (s, u, z)."""
+def admm_step_backward(x_hat, step, v_in, spectra, gamma, s_bar, u_bar, z_bar):
+    """VJP of one sweep from spatial cotangents of (s, u, z), given the
+    sweep's input v (None for zero codes), from which its s_hat is re-formed."""
     z_prev_bar = z_bar.copy()
     u_bar = u_bar + z_bar
     s_bar = s_bar - z_bar
@@ -319,7 +328,7 @@ def admm_step_backward(x_hat, step, spectra, gamma, s_bar, u_bar, z_bar):
     s_bar = s_bar + v_bar
     z_prev_bar -= v_bar
     x_bar, u_prev_bar, z_prev_add, d_bar, gamma_bar = s_update_backward(
-        x_hat, recorded_s_hat(step, spectra), spectra, gamma, s_bar)
+        x_hat, recorded_s_hat(step, v_in, spectra), spectra, gamma, s_bar)
     z_prev_bar += z_prev_add
     return x_bar, u_prev_bar, z_prev_bar, d_bar, gamma_bar, tau_bar
 
@@ -354,15 +363,15 @@ def solution(record, operator):
 
 def recorded_arrays(trace):
     """(name, array) for every array a NetworkTrace records: the kernel
-    constants, and per outer iteration its sweeps' records, its approximation
-    and its solve's record.  A field a record leaves as None, the zero
-    start's s_hat, is not listed."""
+    constants, and per outer iteration every array field of its sweeps'
+    records, its approximation and its solve's record."""
     spectra = trace.spectra
     arrays = [("spectra.d", spectra.d), ("spectra.power", spectra.power)]
     for t, outer in enumerate(trace.outer):
         for j, step in enumerate(outer.admm):
-            arrays += [(f"outer[{t}].admm[{j}].{name}", getattr(step, name))
-                       for name in ("s_hat", "c", "v") if getattr(step, name) is not None]
+            arrays += [(f"outer[{t}].admm[{j}].{field.name}", getattr(step, field.name))
+                       for field in fields(step)
+                       if isinstance(getattr(step, field.name), np.ndarray)]
         arrays.append((f"outer[{t}].approx", outer.approx))
         names = ("x",) if isinstance(outer.cg, CgSolution) else ("x0", "r0")
         arrays += [(f"outer[{t}].cg.{name}", getattr(outer.cg, name)) for name in names]
@@ -406,16 +415,18 @@ def backward(trace, d_image):
     u_bar = z_bar = np.zeros((len(kernels),) + x_bar.shape, dtype=np.complex128)
     d_bar = np.zeros_like(spectra)
     lam_bar = gamma_bar = tau_bar = 0.0
+    # each sweep's input v is the previous sweep's record; zero codes first
+    inputs = [None] + [step.v for outer in trace.outer for step in outer.admm][:-1]
     for outer, x in reversed(list(zip(trace.outer, outer_inputs(trace)))):
         x_hat = dft_forward(x, ndim=spectra.ndim - 1)
         rhs_bar, x_bar, lam_add = cg_backward(outer.cg, x_bar, operator)
         lam_bar += lam_add + real_inner(rhs_bar, outer.approx)
-        s_bar, d_add = synthesis_backward(recorded_s_hat(outer.admm[-1], spectra), spectra,
-                                          lam * rhs_bar)
+        s_bar, d_add = synthesis_backward(recorded_s_hat(outer.admm[-1], inputs[-1], spectra),
+                                          spectra, lam * rhs_bar)
         d_bar += d_add
         for step in reversed(outer.admm):
             x_add, u_bar, z_bar, d_add, gamma_add, tau_add = admm_step_backward(
-                x_hat, step, spectra, gamma, s_bar, u_bar, z_bar)
+                x_hat, step, inputs.pop(), spectra, gamma, s_bar, u_bar, z_bar)
             x_bar = x_bar + x_add
             d_bar += d_add
             gamma_bar += gamma_add

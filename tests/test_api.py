@@ -86,9 +86,10 @@ def test_benchmark_counts_a_traced_forward(monkeypatch, family, record):
     assert forward_dfts == 1 + 2 * (2 * 2 + 2) - 1
     # per outer iteration the synthesis cotangent, per sweep the prox and
     # dual cotangent (none on the very last sweep, whose u and z nothing
-    # reads) and w = u + z (none on the first, which starts from zero codes),
-    # and x except on iteration 0, then the kernel gradient
-    assert tracer.calls["tensors.dft"] - forward_dfts == (1 + 1 + 2 + 1) + (1 + 2 + 1) + 1
+    # reads), w = u + z and the re-formed s_hat (neither on the first, which
+    # starts from zero codes), and x except on iteration 0, then the kernel
+    # gradient
+    assert tracer.calls["tensors.dft"] - forward_dfts == (1 + 2 + 3 + 1) + (1 + 3 + 1) + 1
     backward_normals = tracer.calls["operators.normal_apply"] - forward_normals
     if record is dc.CgTrace:
         # per outer iteration one H per CG step to replay the solve, whose

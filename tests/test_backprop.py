@@ -354,25 +354,26 @@ class TestAdmmStepBackward:
             )
             assert v_bar is None or v_in_bar is v_bar
             assert not any(np.shares_memory(v_in_bar, a)
-                           for a in (v, f, trace.s_hat, trace.c, trace.v))
+                           for a in (v, f, trace.c, trace.v))
 
     def test_skipped_state_cotangents(self):
-        # a sweep from zero codes hands back no input cotangent and no tau
-        # piece, whose prox is its input's, and the rest of its output is
-        # unchanged
+        # a sweep from zero codes (None) hands back no input cotangent and no
+        # tau piece, and the rest of its output is that of the same record
+        # reversed from an input v of zeros, whose s_hat it re-forms as F(0)
+        # + conj(d) c
         rng = np.random.default_rng(26)
         bank = random_bank(rng, 2, (3, 3))
         x = random_complex(rng, (4, 4))
-        v = random_complex(rng, (2, 4, 4))
+        zeros = np.zeros((2, 4, 4), dtype=np.complex128)
         x_hat, spectra = spectra_of(x, bank)
         cfg = AdmmConfig(lam=1.0, alpha=0.1, beta=0.5)
-        _, trace = admm_step_traced(x_hat, CodeState(np.empty_like(v), v), spectra, cfg)
+        _, trace = admm_step_traced(x_hat, None, spectra, cfg)
         f = spectral(random_complex(rng, (4, 4)), 2)
         v_bar = random_complex(rng, (2, 4, 4))
         full_d_bar, skipped_d_bar = kernel_accumulator(spectra), kernel_accumulator(spectra)
-        full = admm_step_backward(trace, v, spectra, cfg, f, v_bar.copy(), full_d_bar)
+        full = admm_step_backward(trace, zeros, spectra, cfg, f, v_bar.copy(), full_d_bar)
         skipped = admm_step_backward(trace, None, spectra, cfg, f, v_bar.copy(), skipped_d_bar)
-        assert skipped[1] is None and skipped[3] == 0.0 and full[3] != 0.0
+        assert skipped[1] is None and skipped[3] == 0.0 and full[1] is not None
         for a, b in zip((full[0], full[2], full_d_bar), (skipped[0], skipped[2], skipped_d_bar)):
             np.testing.assert_array_equal(a, b)
 
@@ -448,12 +449,16 @@ class TestSynthesisBackward:
         assert_grad_close(numeric_grad(lambda a: loss(s_=a), s), s_bar)
         # the kernel share conj(s_hat) f is added by the VJP of the sweep whose
         # s is synthesized; on a record with c = 0 that sweep's own share is
-        # -conj(s_hat) rho, which is added back
-        record = csc.AdmmStepTrace(s_hat=s_hat, c=np.zeros(code_shape[1:], dtype=complex),
-                                   v=None, tau=1.0)
+        # -conj(s_hat) rho, which is added back.  Such a record comes from a
+        # sweep whose w is s (u = s, z = 0) on the image spectrum d^T s_hat,
+        # summed as the sweep sums it
+        x_hat = np.zeros(code_shape[1:], dtype=np.complex128)
+        for product in spectra.d * s_hat:
+            x_hat += product
+        _, record, config, v = s_update_sweep(x_hat, s, np.zeros_like(s), spectra, 1.0)
+        assert not record.c.any()
         d_bar = kernel_accumulator(spectra)
-        rho, *_ = admm_step_backward(record, None, spectra,
-                                     AdmmConfig(lam=1.0, alpha=1.0, beta=1.0), f, None, d_bar)
+        rho, *_ = admm_step_backward(record, v, spectra, config, f, None, d_bar)
         d_bar += oracles._sum_batch(np.conj(s_hat) * rho, n_spatial)
         fd_kernels = numeric_grad(lambda k: loss(bank_=FilterBank(k)), bank.kernels)
         assert_grad_close(fd_kernels, spectra_to_kernel_grad(d_bar, kernel_shape))
@@ -837,7 +842,7 @@ class TestStepMemory:
         trace = forward_reconstruct(sample, params, config, want_trace=True).trace
         step, v_in, spectra = trace.outer[1].admm[-1], trace.outer[0].admm[-1].v, trace.spectra
         rng = np.random.default_rng(94)
-        v_bar = random_complex(rng, step.s_hat.shape)
+        v_bar = random_complex(rng, step.v.shape)
         f = random_complex(rng, step.c.shape)
         d_bar = kernel_accumulator(spectra)
         cfg = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import listing
-from ucdl import training
+from ucdl import cli, training
 from ucdl.cli import main
 from ucdl.data import load_dataset
 from ucdl.io import read_tensor, write_tensor
@@ -661,6 +661,36 @@ class TestUnwritableFiles:
         assert code == 0
         assert (tmp_path / "p_t00.pgm").read_bytes() == (tmp_path / "r.bin").read_bytes()
         assert read_pgm_header(tmp_path / "p_t03.pgm") == (16, 16)
+
+    @pytest.mark.parametrize("command,defect", [("reconstruct", "directory"),
+                                                ("reconstruct", "missing"),
+                                                ("export-feature-maps", "directory"),
+                                                ("export-feature-maps", "missing")])
+    def test_output_that_cannot_be_written_fails_before_the_forward(
+            self, workspace, tmp_path, capsys, monkeypatch, command, defect):
+        # a directory at an output file, or an output whose parent is
+        # missing; export-feature-maps makes a missing output directory, so
+        # its parent there is a file, where that directory cannot be made
+        calls = []
+        forward = cli.forward_reconstruct
+        monkeypatch.setattr(cli, "forward_reconstruct",
+                            lambda *args, **kwargs: calls.append(args) or forward(*args, **kwargs))
+        (tmp_path / "file").write_text("kept")
+        if command == "reconstruct":
+            out = path = tmp_path / ("out" if defect == "directory" else "missing/r.bin")
+        else:
+            out = tmp_path / ("maps" if defect == "directory" else "file/maps")
+            path = out / "feature_01.pgm" if defect == "directory" else out
+        if defect == "directory":
+            path.mkdir(parents=True)
+        before = listing(tmp_path)
+        code, text = run_cli(command, "--checkpoint", workspace["run"] / "final",
+                             "--sample", workspace["data"] / "sample_000", "--out", out)
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and err.count("\n") == 1
+        assert "Errno" not in err and ".tmp" not in err and "Traceback" not in err
+        assert calls == [] and listing(tmp_path) == before
 
     def test_train_makes_its_run_directory_before_any_forward(self, workspace, tmp_path,
                                                               capsys, monkeypatch):

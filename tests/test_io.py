@@ -20,6 +20,7 @@ from ucdl.io import (
     quantize_window,
     read_manifest,
     read_tensor,
+    reserve,
     write_json,
     write_pgm,
     write_tensor,
@@ -377,6 +378,46 @@ class TestAllOrNothing:
         with pytest.raises(IsADirectoryError, match="checkpoint.json: "):
             save_checkpoint(tmp_path, params, CONFIG)
         assert listing(tmp_path) == before
+
+
+class TestReserve:
+    def test_the_write_fills_the_reserved_temporary(self, tmp_path):
+        path = tmp_path / "a.bin"
+        with all_or_nothing():
+            reserve(path)
+            (tmp,) = tmp_path.iterdir()
+            assert tmp.name.startswith(".a.bin.") and tmp.read_bytes() == b""
+            write_tensor(path, np.ones(3))
+            assert list(tmp_path.iterdir()) == [tmp] and tmp.stat().st_size > 0
+        assert os.listdir(tmp_path) == ["a.bin"] and read_tensor(path).shape == (3,)
+
+    @pytest.mark.parametrize("defect", ["directory", "missing"])
+    def test_unwritable_output_fails_when_reserved(self, tmp_path, defect):
+        # as atomic_write would fail, and the outputs reserved before go
+        path = tmp_path / ("out" if defect == "directory" else "missing/a.bin")
+        if defect == "directory":
+            path.mkdir()
+        before = listing(tmp_path)
+        with pytest.raises(OSError) as err:
+            with all_or_nothing():
+                reserve(tmp_path / "first.bin")
+                reserve(path)
+                raise AssertionError("not reached")
+        assert str(err.value).startswith(f"{path}: ") and "Errno" not in str(err.value)
+        assert listing(tmp_path) == before
+
+    def test_unwritten_reservation_is_removed(self, tmp_path):
+        with all_or_nothing():
+            reserve(tmp_path / "a.bin")
+            reserve(tmp_path / "a.bin")  # the same temporary again
+            assert len(os.listdir(tmp_path)) == 1
+            write_json(tmp_path / "b.json", 1)
+        assert os.listdir(tmp_path) == ["b.json"]
+
+    def test_needs_an_open_block(self, tmp_path):
+        with pytest.raises(RuntimeError, match="all_or_nothing"):
+            reserve(tmp_path / "a.bin")
+        assert os.listdir(tmp_path) == []
 
 
 class TestMakeDirectory:

@@ -234,13 +234,14 @@ class TestSweepBuffers:
         admm = AdmmConfig(lam=params.lam, alpha=params.alpha, beta=params.beta)
         assert trace.admm == admm
         bank = frames_first_bank(params.filters)
-        state = CodeState.zeros(3, trace.outer[0].approx.shape)
+        state, v_in = CodeState.zeros(3, trace.outer[0].approx.shape), None
         for outer, x in zip(trace.outer, oracles.outer_inputs(trace)):
             for step in outer.admm:
                 state, s_hat, c = oracles.admm_step(x, state, bank, admm)
-                # a zero start's record holds no s_hat: it is re-formed from c
-                recorded = oracles.recorded_s_hat(step, trace.spectra.d)
+                # no record holds s_hat: it is re-formed from c and the input v
+                recorded = oracles.recorded_s_hat(step, v_in, trace.spectra)
                 assert recorded.tobytes() == s_hat.tobytes()
+                v_in = step.v
                 assert step.c.tobytes() == c.tobytes()
                 assert step.v.tobytes() == state.v.tobytes()
             synth = oracles.synthesize(bank, state.s)
@@ -283,9 +284,8 @@ class TestIterationLifetime:
                 sweep_refs.clear()
                 cg_refs.clear()
             state, step = admm_step(*args)
-            # an untraced record holds neither s_hat nor v, a zero start's no s_hat
-            sweep_refs.extend(weakref.ref(a) for a in (step.s_hat, step.c, step.v)
-                              if a is not None)
+            # an untraced record holds no v
+            sweep_refs.extend(weakref.ref(a) for a in (step.c, step.v) if a is not None)
             return state, step
 
         def watched_solve(*args):
@@ -308,9 +308,8 @@ class TestIterationLifetime:
 
     def test_traced_keeps_only_the_solution(self, monkeypatch):
         result, alive, solutions = self.run(monkeypatch, want_trace=True)
-        # the record keeps every array both sweeps recorded: c and v of
-        # iteration 0's zero start, s_hat, c and v of every other sweep
-        assert alive == [{"sweep": n, "recorded": n, "cg": 0} for n in (5, 6)]
+        # the record keeps every array both sweeps recorded: c and v of each
+        assert alive == [{"sweep": 4, "recorded": 4, "cg": 0}] * 2
         assert all(isinstance(o.cg, dc.CgSolution) for o in result.trace.outer)
         assert all(o.cg.x is x for o, x in zip(result.trace.outer, solutions))
 
@@ -404,13 +403,13 @@ class TestForwardMemory:
         assert peak - trace_bytes <= 2.5 * kmap
 
     def test_trace_size(self):
-        # T = 4, J = 1: d, each sweep's v and every s_hat but the zero
-        # start's, which its VJP re-forms from c (8 K-maps), and c, approx
-        # and x of each outer iteration, 1/32 K-map each (8.39 in all)
+        # T = 4, J = 1: d and each sweep's v (5 K-maps), and c, approx and x
+        # of each outer iteration, 1/32 K-map each (5.39 in all); no s_hat,
+        # which each sweep's VJP re-forms from c and the input v
         sample, cfg, params, kmap = self.instance(1, n_outer=4)
         trace = forward_reconstruct(sample, params, cfg, want_trace=True).trace
         size = sum(a.nbytes for _, a in oracles.recorded_arrays(trace))
-        assert size <= 8.5 * kmap, size / kmap
+        assert size <= 5.5 * kmap, size / kmap
 
     def test_untraced_peak(self):
         sample, cfg, params, kmap = self.instance(1)
