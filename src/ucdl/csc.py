@@ -46,7 +46,12 @@ leaves clip(v_in), block by block, where the new v = s + clip(v_in) is
 formed.  A traced sweep forms that v in a fresh array, the only K-map array
 it allocates, and leaves the old v, the previous sweep's record, as it was;
 an untraced sweep records only c and tau and forms the new v in the old
-one's buffer, so it allocates no K-map array.  Between its two whole-array
+one's buffer, so it allocates no K-map array.  An untraced sweep stops
+once c is formed, with w^f in s's buffer and clip(v_in) in v's: its tail,
+s^f = w^f + conj(d) c, the inverse DFT of s^f and the new v, runs when its
+state is first read (:class:`CodeState`), which the next sweep does at
+once; the image reads only c, so the tail of an untraced forward's last
+sweep runs only if its codes are read.  Between its two whole-array
 DFTs it runs elementwise passes over blocks of filters, all in one
 block-sized scratch array; d^T w^f is summed one filter at a time, in
 filter order, as sum(axis=0) does.  The forward's first sweep starts from
@@ -120,24 +125,40 @@ class FilterBank:
         return np.sqrt((self.kernels**2).sum(axis=axes))
 
 
-@dataclass(frozen=True)
 class CodeState:
     """ADMM iterate: the codes s of the last sweep and the prox input v =
     s - z_old of its u-update, from which the next sweep forms the
     auxiliaries u = soft(v) and the scaled duals z = -clip(v, -tau, tau).
 
     A sweep writes the next state into these buffers: s and v are distinct,
-    writable, C-contiguous complex128 arrays of one shape.
+    writable, C-contiguous complex128 arrays of one shape.  An untraced
+    sweep returns its state pending, with a `tail` that forms s and v, in
+    the buffers it holds, on the first read of either; later reads return
+    the same arrays.
     """
 
-    s: np.ndarray
-    v: np.ndarray
+    def __init__(self, s: np.ndarray, v: np.ndarray, tail=None):
+        self._arrays, self._tail = (s, v), tail
 
     @classmethod
     def zeros(cls, n_filters: int, image_shape: tuple) -> "CodeState":
         shape = (n_filters,) + tuple(image_shape)
         return cls(s=np.zeros(shape, dtype=np.complex128),
                    v=np.zeros(shape, dtype=np.complex128))
+
+    def _formed(self) -> tuple:
+        """(s, v), which a pending state's `tail()` returns on the first read."""
+        if self._tail is not None:
+            self._arrays, self._tail = self._tail(), None
+        return self._arrays
+
+    @property
+    def s(self) -> np.ndarray:
+        return self._formed()[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._formed()[1]
 
 
 @dataclass(frozen=True)
@@ -177,11 +198,10 @@ class AdmmConfig:
 
 
 def filter_spectra(filters: FilterBank, spatial_shape: tuple) -> np.ndarray:
-    """DFT spectra of the zero-padded kernels, shaped (K, *spatial_shape)."""
-    padded = np.stack(
-        [zero_pad_filter(k, spatial_shape) for k in filters.kernels]
-    )
-    return dft_forward(padded, ndim=len(spatial_shape))
+    """DFT spectra of the zero-padded kernels, shaped (K, *spatial_shape):
+    the bank padded into one array and transformed there."""
+    padded = zero_pad_filter(filters.kernels, spatial_shape)
+    return dft_forward(padded, ndim=len(spatial_shape), overwrite_x=True)
 
 
 @dataclass(frozen=True)
@@ -210,7 +230,10 @@ def kernel_spectra(filters: FilterBank, image_shape: tuple) -> KernelSpectra:
     n_spatial = len(filters.kernel_shape)
     n_batch = len(image_shape) - n_spatial
     d = filter_spectra(filters, tuple(image_shape[n_batch:]))
-    power = (np.abs(d) ** 2).sum(axis=0)
+    # summed from zero one filter at a time, in filter order, as sum(axis=0) does
+    power, scratch = np.zeros(d.shape[1:]), np.empty(d.shape[1:])
+    for d_k in d:
+        power += np.square(np.abs(d_k, out=scratch), out=scratch)
     d = d.reshape(d.shape[:1] + (1,) * n_batch + d.shape[1:])
     return KernelSpectra(d=d, power=power, n_spatial=n_spatial)
 
@@ -288,9 +311,12 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
     A traced sweep records its new v in a fresh array, the only K-map array
     it allocates, and leaves the old v as it was, for it is the previous
     sweep's record; without `want_trace` the new v is written into the old
-    one's buffer and not recorded.  None stands for zero codes, from which
-    the sweep returns the bits of a sweep from zeros without transforming
-    them, and allocates only the s and v it returns.
+    one's buffer and not recorded, and the sweep stops once c is formed: it
+    returns a pending state, whose first read runs the tail that a traced
+    sweep runs at once, :func:`_sweep_tail`, for the same bits.  None stands
+    for zero codes, from which the sweep returns the bits of a sweep from
+    zeros without transforming them, and allocates only the s and v it
+    returns.
     """
     d = spectra.d
     shape = d.shape[:1] + x_hat.shape
@@ -302,7 +328,7 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
     blocks = _filter_blocks(shape)
     tau = config.threshold
     if state is None:
-        s_hat = np.empty(shape, dtype=np.complex128)
+        s_hat, v = np.empty(shape, dtype=np.complex128), None
         c = np.divide(x_hat, config.gamma + spectra.power)
     else:
         # clip(v_old) is left where the new v is formed: in the recorded v,
@@ -320,19 +346,33 @@ def admm_step_traced(x_hat, state: CodeState | None, spectra: KernelSpectra,
                 c += product
         np.subtract(x_hat, c, out=c)
         c /= config.gamma + spectra.power
+    if not want_trace:
+        # the pending state holds no block scratch: its tail makes its own
+        state = CodeState(None, None,
+                          lambda: _sweep_tail(s_hat, v, c, spectra, _filter_blocks(shape)))
+        return state, AdmmStepTrace(c=c, v=None, tau=tau)
+    s, v = _sweep_tail(s_hat, v, c, spectra, blocks)
+    return CodeState(s=s, v=v), AdmmStepTrace(c=c, v=v, tau=tau)
+
+
+def _sweep_tail(w_hat, clip, c, spectra: KernelSpectra, blocks) -> tuple:
+    """The sweep's last passes from its c: s_hat = w_hat + conj(d) c in
+    w_hat's buffer, its inverse DFT s there too, and the new v = s +
+    clip(v_old) in the clip's buffer.  A zero start has no w_hat or clip:
+    its s_hat = +0 + conj(d) c fills the empty `w_hat`, and its v = s + 0.0
+    is fresh.  Returns (s, v)."""
+    d = spectra.d
     conj_c = np.conj(c)
     for blk, scratch in blocks:
         part = _conj_times(d[blk], conj_c, out=scratch)
-        np.add(0.0 if state is None else s_hat[blk], part, out=s_hat[blk])
+        np.add(0.0 if clip is None else w_hat[blk], part, out=w_hat[blk])
     del conj_c
-    s = dft_inverse(s_hat, ndim=spectra.n_spatial, overwrite_x=True)
-    if state is None:
+    s = dft_inverse(w_hat, ndim=spectra.n_spatial, overwrite_x=True)
+    if clip is None:
         # s - z_old with z_old = -clip(0) = -0.0, as from zero codes
-        v = np.add(s, 0.0)
-    else:
-        # the new v = s - z_old = s + clip(v_old), in place of the clip
-        np.add(s, v, out=v)
-    return CodeState(s=s, v=v), AdmmStepTrace(c=c, v=v if want_trace else None, tau=tau)
+        return s, np.add(s, 0.0)
+    # the new v = s - z_old = s + clip(v_old), in place of the clip
+    return s, np.add(s, clip, out=clip)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +521,6 @@ def spectra_to_kernel_grad(d_bar: np.ndarray, kernel_shape: tuple) -> np.ndarray
     through filter_spectra's zero padding; works in d_bar's buffer."""
     n_freq = float(np.prod(d_bar.shape[1:]))
     pad_bar = dft_inverse(d_bar, ndim=d_bar.ndim - 1, overwrite_x=True)
-    pad_bar *= n_freq
-    # one kernel at a time: a cropped kernel is a view of its rolled map
-    grad = np.empty((len(d_bar),) + tuple(kernel_shape))
-    for k, padded in enumerate(pad_bar):
-        grad[k] = crop_filter(padded, kernel_shape).real
-    return grad
+    grad = crop_filter(pad_bar, kernel_shape)
+    grad *= n_freq
+    return np.ascontiguousarray(grad.real)

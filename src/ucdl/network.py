@@ -26,7 +26,11 @@ the new s in the buffer of the s it replaces, so a forward holds one code
 state at a time beside what the sweeps record.  An untraced forward hands
 its want_trace down to the sweeps, which then record no K-map array and
 write the new v into the old one's buffer: such a forward holds the two
-K-map stacks s and v and little else.  A traced sweep records its new v,
+K-map stacks s and v and little else.  An untraced sweep stops once its c
+is formed, and the next sweep's read of the state runs the rest; the image
+reads only the last sweep's c, so an untraced forward returns its codes
+pending, formed when `ReconResult.code_state` is first read, and runs one
+inverse DFT of a K-map fewer when they are not.  A traced sweep records its new v,
 which is the state the next sweep reads, and no code spectrum, which the
 backward re-forms from the sweep's c and input v, so a traced forward holds
 only s beside its trace, and its trace one K-map stack per sweep beside the
@@ -209,6 +213,10 @@ class NetworkTrace:
 
 @dataclass(frozen=True)
 class ReconResult:
+    """The image of a forward, its final code state and, if traced, its
+    trace.  An untraced forward's code state is pending: its last sweep's
+    tail forms s and v on their first read, in buffers the result holds."""
+
     image: np.ndarray        # (N_x, N_y, N_t)
     code_state: CodeState    # final codes s and prox input v, (K, N_t, N_x, N_y)
     trace: NetworkTrace | None = None

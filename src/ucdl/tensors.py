@@ -56,34 +56,44 @@ def check_fits(kernel: tuple[int, ...], shape: tuple[int, ...]) -> None:
         raise ShapeMismatch(f"kernel shape {tuple(kernel)} does not fit inside {tuple(shape)}")
 
 
-def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray:
-    """Embed a small kernel into an image-sized array for spectral use.
+def _wrapped_index(kernel_shape: tuple[int, ...], target_shape: tuple[int, ...]) -> tuple:
+    """Index of the trailing axes that reads kernel entry i of each axis at
+    (i - k//2) mod N, behind any leading batch axes."""
+    return (Ellipsis,) + np.ix_(*((np.arange(k) - k // 2) % n
+                                   for k, n in zip(kernel_shape, target_shape)))
 
-    The kernel center ``kernel[k0//2, k1//2, ...]`` is placed at index 0 and
-    the remaining entries wrap circularly, so that the pointwise spectral
-    product with an image spectrum realizes a centered circular convolution.
+
+def zero_pad_filter(kernel: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray:
+    """Embed small kernels into image-sized arrays for spectral use.
+
+    The trailing axes of `kernel` are the kernel's, matching `target_shape`;
+    leading axes are a batch, such as a bank's filter axis.  The kernel center
+    ``kernel[..., k0//2, k1//2, ...]`` is placed at index 0 and the remaining
+    entries wrap circularly, so that the pointwise spectral product with an
+    image spectrum realizes a centered circular convolution.
 
     Raises
     ------
     ShapeMismatch
-        If the dimensionalities differ or any kernel dimension exceeds the
-        corresponding target dimension.
+        If `kernel` has fewer axes than `target_shape` or any kernel
+        dimension exceeds the corresponding target dimension.
     """
     kernel = np.asarray(kernel)
-    check_fits(kernel.shape, target_shape)
-    out = np.zeros(target_shape, dtype=COMPLEX_DTYPE)
-    out[tuple(slice(0, k) for k in kernel.shape)] = kernel
-    shift = [-(k // 2) for k in kernel.shape]
-    return np.roll(out, shift, axis=tuple(range(kernel.ndim)))
+    kernel_shape = kernel.shape[max(kernel.ndim - len(target_shape), 0):]
+    check_fits(kernel_shape, target_shape)
+    out = np.zeros(kernel.shape[:kernel.ndim - len(target_shape)] + tuple(target_shape),
+                   dtype=COMPLEX_DTYPE)
+    out[_wrapped_index(kernel_shape, target_shape)] = kernel
+    return out
 
 
 def crop_filter(padded: np.ndarray, kernel_shape: tuple[int, ...]) -> np.ndarray:
-    """Adjoint of :func:`zero_pad_filter`: read the kernel entries back out."""
+    """Adjoint of :func:`zero_pad_filter`: read the kernel entries back out of
+    the trailing axes of `padded`, in one gather."""
     padded = np.asarray(padded)
-    check_fits(kernel_shape, padded.shape)
-    shift = [k // 2 for k in kernel_shape]
-    rolled = np.roll(padded, shift, axis=tuple(range(padded.ndim)))
-    return rolled[tuple(slice(0, k) for k in kernel_shape)]
+    spatial = padded.shape[max(padded.ndim - len(kernel_shape), 0):]
+    check_fits(kernel_shape, spatial)
+    return padded[_wrapped_index(kernel_shape, spatial)]
 
 
 def real_inner(a: np.ndarray, b: np.ndarray) -> float:

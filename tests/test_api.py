@@ -48,13 +48,9 @@ def test_trace_target_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"ucdl.{module}"), name))
 
 
-# the same network on two masks: on the points mask its 3-step solves stop
-# short and are reversed step by step; on the columns mask they converge
-# and are reversed by an adjoint solve
-@pytest.mark.parametrize("family,record", [("points", dc.CgTrace), ("columns", dc.CgSolution)],
-                         ids=["unrolled", "converged"])
-def test_benchmark_counts_a_traced_forward(monkeypatch, family, record):
-    # T=2 outer iterations of J=2 ADMM sweeps and 3 CG steps on 8x8x2
+def counted_network(family):
+    """(config, sample, params, target) of T=2 outer iterations of J=2 ADMM
+    sweeps and 3 CG steps on 8x8x2, measured on `family`'s mask."""
     config = NetworkConfig(mode="2d", n_filters=2, kernel_size=3, n_outer=2,
                            n_admm=2, n_cg=3)
     shape = (8, 8, 2)
@@ -63,7 +59,16 @@ def test_benchmark_counts_a_traced_forward(monkeypatch, family, record):
     sample = simulate_measurement(target, make_coil_maps(2, shape[:2]),
                                   make_mask(shape, accel=2.0, family=family, seed=1),
                                   sigma=0.01, rng_seed=2)
-    params = init_network(config)
+    return config, sample, init_network(config), target
+
+
+# the same network on two masks: on the points mask its 3-step solves stop
+# short and are reversed step by step; on the columns mask they converge
+# and are reversed by an adjoint solve
+@pytest.mark.parametrize("family,record", [("points", dc.CgTrace), ("columns", dc.CgSolution)],
+                         ids=["unrolled", "converged"])
+def test_benchmark_counts_a_traced_forward(monkeypatch, family, record):
+    config, sample, params, target = counted_network(family)
     adjoint_iterations = []
 
     def counted(b, operator, max_iterations):
@@ -114,6 +119,27 @@ def test_benchmark_counts_a_traced_forward(monkeypatch, family, record):
     assert tracer.calls["csc.admm_step"] == 4
     assert tracer.calls["backprop.admm_step_backward"] == 4
     assert tracer.calls["backprop.synthesis_backward"] == 2
+
+
+def test_benchmark_counts_an_untraced_forward():
+    config, sample, params, _ = counted_network("points")
+    tracer, inverse = Tracer(), Tracer()
+    with tracer.installed(ucdl_targets(OPERATION_TARGETS)):
+        result = network.forward_reconstruct(sample, params, config)
+        forward_dfts = tracer.calls["tensors.dft"]
+        # the codes are read under a second tracer that sees inverse DFTs alone
+        with inverse.installed(ucdl_targets([("tensors", "dft_inverse", "inverse", None)])):
+            first = (result.code_state.s, result.code_state.v)
+            read_dfts = tracer.calls["tensors.dft"]
+            second = (result.code_state.s, result.code_state.v)
+    # the traced forward's transforms less the last sweep's inverse DFT of
+    # s_hat, which only the codes read: the image reads that sweep's c
+    assert forward_dfts == 1 + 2 * (2 * 2 + 2) - 2
+    assert tracer.calls["csc.admm_step"] == 4
+    # the first read of the codes runs that transform, and a second none
+    assert read_dfts - forward_dfts == inverse.calls["inverse"] == 1
+    assert tracer.calls["tensors.dft"] == read_dfts
+    assert all(a is b for a, b in zip(first, second))
 
 
 def test_exports_resolve():

@@ -261,7 +261,9 @@ class TestSweepBuffers:
 class TestIterationLifetime:
     """Nothing of outer iteration t but its traced record outlives it: its
     sweep arrays and its solve's start residual are freed before iteration
-    t+1's first sweep allocates."""
+    t+1's first sweep allocates.  An untraced iteration hands on a pending
+    state, which holds its last sweep's c until that sweep reads it, the
+    first thing it does."""
 
     def run(self, monkeypatch, want_trace):
         """A 3-outer-iteration forward with J = 2 on a mask where every
@@ -278,6 +280,7 @@ class TestIterationLifetime:
 
         def watched_step(*args):
             if next(n_sweeps) % cfg.n_admm == 0 and cg_refs:
+                args[1].v  # the sweep's first read, which forms a pending state
                 alive.append({"sweep": sum(r() is not None for r in sweep_refs),
                               "recorded": len(sweep_refs),
                               "cg": sum(r() is not None for r in cg_refs)})
@@ -468,6 +471,24 @@ class TestUntracedForward:
         for name in ("s", "v"):
             got, want = getattr(untraced.code_state, name), getattr(traced.code_state, name)
             assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("n_outer,n_admm", [(2, 1), (2, 2), (1, 1), (0, 1)],
+                             ids=["J1", "J2", "TJ1", "T0"])
+    def test_codes_read_after_the_call_are_the_traced_ones(self, mode, n_outer, n_admm):
+        # the last sweep's tail runs when its codes are first read; at T J = 1
+        # that sweep is a zero start, at T = 0 there is none
+        _, sample = measured_instance(np.random.default_rng(17), shape=(8, 8, 4), sigma=0.01)
+        cfg = NetworkConfig(mode=mode, n_filters=3, kernel_size=3, n_outer=n_outer,
+                            n_admm=n_admm, n_cg=4)
+        params = NetworkParams(init_network(cfg, rng_seed=3).filters,
+                               log_alpha=float(np.log(0.05)))
+        state = forward_reconstruct(sample, params, cfg).code_state
+        final = forward_reconstruct(sample, params, cfg, want_trace=True).code_state
+        first = (state.s, state.v)
+        assert first[0].tobytes() == final.s.tobytes()
+        assert first[1].tobytes() == final.v.tobytes()
+        assert state.s is first[0] and state.v is first[1]
 
 
 def relative_error(got, want):

@@ -177,9 +177,29 @@ class TestZeroPad:
         assert np.array_equal(back.real, d)
         assert np.array_equal(back.imag, np.zeros(kshape))
 
+    @pytest.mark.parametrize("kshape,target", [((3, 3), (8, 6)), ((2, 4, 5), (5, 4, 9))])
+    def test_a_bank_pads_and_crops_as_a_batch(self, kshape, target):
+        # leading axes are a batch: each kernel lands where it would alone,
+        # and crop_filter, its adjoint, reads each back
+        rng = np.random.default_rng(12)
+        bank = rng.standard_normal((2, 3) + kshape)
+        padded = zero_pad_filter(bank, target)
+        assert padded.shape == (2, 3) + target
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(padded[index], zero_pad_filter(bank[index], target))
+        y = random_complex(rng, padded.shape)
+        cropped = crop_filter(y, kshape)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(cropped[index], crop_filter(y[index], kshape))
+        assert np.isclose(real_inner(padded, y), real_inner(bank, cropped), rtol=1e-12)
+
     def test_oversized_kernel_rejected(self):
         with pytest.raises(ShapeMismatch):
             zero_pad_filter(np.ones((5, 5)), (4, 8))
+        with pytest.raises(ShapeMismatch):
+            zero_pad_filter(np.ones((2, 5, 5)), (4, 8))
+        with pytest.raises(ShapeMismatch):
+            crop_filter(np.ones((2, 4, 8)), (5, 5))
 
 
 class TestInnerProduct:
